@@ -26,6 +26,7 @@ import heapq
 from typing import Dict, List, Tuple
 
 from repro.controller.access import EnqueueStatus, MemoryAccess
+from repro.controller.flatcore import KIND_ACTIVATE, KIND_COLUMN, KIND_PRECHARGE
 from repro.controller.pool import AccessPool
 from repro.controller.rowpolicy import RowPolicyPredictor
 from repro.dram.channel import Channel
@@ -116,14 +117,14 @@ class Scheduler(abc.ABC):
         #: flat-path passes count candidates examined vs timing
         #: recomputations into it (see SimProfiler.sched_candidates).
         self._prof = _profile.ensure_profiler()
-        # Timing locals for the flat hot paths (attribute chains cost).
+        # Timing locals for the timing kernel (attribute chains cost).
         timing = channel.timing
         self._tCL = timing.tCL
         self._tCWL = timing.tCWL
         self._tRTRS = timing.tRTRS
         self._tFAW = timing.tFAW
-        #: True on bank-group devices (DDR4/DDR5): the flat column
-        #: branches must also consult ``Rank.column_gate`` (tCCD_L /
+        #: True on bank-group devices (DDR4/DDR5): the kernel's column
+        #: branch must also consult ``Rank.column_gate`` (tCCD_L /
         #: tWTR_L).  Hoisted so single-group devices pay one boolean.
         self._bg = timing.bank_groups > 1
 
@@ -229,135 +230,134 @@ class Scheduler(abc.ABC):
             return self._completions[0][0]
         return NEVER
 
-    def earliest_issue_cycle(self, access: MemoryAccess, cycle: int) -> int:
-        """First cycle :meth:`can_issue_access` can turn true for
-        ``access``, assuming no command issues in between.
+    # ------------------------------------------------------------------
+    # The timing kernel: "when can this access's next command issue"
+    # ------------------------------------------------------------------
+    # Written once, in two halves: the device half (next command kind +
+    # bank/rank readiness) only moves when a command or refresh touches
+    # the owning bank or rank, so the flat passes cache it; the
+    # per-pass half (WAR blocking + data-bus turnaround) moves with
+    # *other* banks' traffic and runs on every call.  Every gate is a
+    # monotone threshold on the cycle number, so with device state
+    # frozen the result is exact: ``earliest <= cycle`` is precisely
+    # :meth:`can_issue_access`.  ``NEVER`` means only an *event* can
+    # unblock the transaction — a WAR-blocked write column (cleared by
+    # the older read's completion) or an activate fenced off by a
+    # pending refresh (cleared when the refresh engine issues).
 
-        The mirror of :meth:`can_issue_access`: every timing gate is a
-        monotone threshold on the cycle number, so with device state
-        frozen the earliest legal cycle is exact.  ``NEVER`` is
-        returned when only an *event* can unblock the transaction — a
-        WAR-blocked write column (cleared by the older read's
-        completion) or an activate fenced off by a pending refresh
-        (cleared when the refresh engine issues).
+    def _device_earliest(self, bank, rank, access) -> Tuple[int, int]:
+        """Device half of the kernel: ``(kind, core)``.
+
+        ``kind`` is the next transaction (``KIND_*``); ``core`` the
+        first cycle the bank/rank timing gates allow it.
         """
-        kind = self.next_command_kind(access)
-        channel = self.channel
-        if kind is COLUMN:
-            if access.is_write and self._reads_by_addr.get(access.address):
-                return NEVER
-            return max(
-                cycle,
-                channel.next_column_at(
-                    access.rank, access.bank, access.row, access.is_read
-                ),
-            )
-        if kind is PRECHARGE:
-            return max(
-                cycle, channel.next_precharge_at(access.rank, access.bank)
-            )
-        return max(
-            cycle,
-            channel.next_activate_at(access.rank, access.bank, access.row),
-        )
-
-    def _flat_earliest(self, flat, i: int, access, cycle: int) -> int:
-        """:meth:`earliest_issue_cycle` through the flat mirror's cache.
-
-        Identical result, different cost model: the device-timing part
-        (next command kind + bank/rank readiness — everything that only
-        moves when a command or refresh touches the owning bank/rank)
-        is cached in ``flat.kind[i]``/``flat.core[i]`` under the
-        devices' write-version stamps, so on most passes a candidate is
-        a couple of list reads.  The per-pass parts — WAR blocking and
-        the shared data-bus turnaround, which change with *other*
-        banks' traffic — are recomputed every call.  (The Burst and
-        Intel passes inline this same protocol to fuse it with their
-        selection loops; keep all three in lockstep.)
-        """
-        bank = flat.banks[i]
-        rank = flat.ranks[i]
-        if flat.bstamp[i] == bank.ver and flat.rstamp[i] == rank.ver:
-            kind = flat.kind[i]
-            core = flat.core[i]
-            if self._prof is not None:
-                self._prof.sched_candidates += 1
-                self._prof.sched_bitset_hits += 1
-        else:
-            row = bank.open_row
-            if row == access.row:
-                kind = 1  # column
-                core = bank.ready_column
-                if access.is_read and rank.ready_read > core:
-                    core = rank.ready_read
-                if self._bg:
-                    gate = rank.column_gate(bank.index, access.is_read)
-                    if gate > core:
-                        core = gate
-            elif row is not None:
-                kind = 2  # precharge
-                core = bank.ready_precharge
-            elif rank.refresh_pending:
-                kind = 3  # activate fenced off until the refresh issues
-                core = NEVER
-            elif bank.refresh_pending and (
+        row = bank.open_row
+        if row == access.row:
+            kind = KIND_COLUMN
+            core = bank.ready_column
+            if access.is_read and rank.ready_read > core:
+                core = rank.ready_read
+            if self._bg:
+                gate = rank.column_gate(bank.index, access.is_read)
+                if gate > core:
+                    core = gate
+        elif row is not None:
+            kind = KIND_PRECHARGE
+            core = bank.ready_precharge
+        elif rank.refresh_pending or (
+            bank.refresh_pending
+            and (
                 bank.pending_subarray is None
                 or bank.pending_subarray == access.subarray
-            ):
-                # A per-bank refresh is due in this bank: activates to
-                # the refreshing subarray (or the whole bank without
-                # SARP) are fenced until the REFpb issues — an event,
-                # so NEVER rather than a cycle.
-                kind = 3
-                core = NEVER
-            else:
-                kind = 3  # activate
-                core = rank.ready_activate
-                if bank.ready_activate > core:
-                    core = bank.ready_activate
-                pb_busy = bank.refresh_busy_until
-                if pb_busy > core and (
-                    bank.refreshing_subarray is None
-                    or bank.refreshing_subarray == access.subarray
-                ):
-                    core = pb_busy  # open per-bank refresh window
-                tFAW = self._tFAW
-                if tFAW is not None:
-                    times = rank._activate_times
-                    if len(times) == 4 and times[0] + tFAW > core:
-                        core = times[0] + tFAW
-            if rank.refresh_busy_until > core:
-                core = rank.refresh_busy_until
-            flat.kind[i] = kind
-            flat.core[i] = core
-            flat.bstamp[i] = bank.ver
-            flat.rstamp[i] = rank.ver
-            if self._prof is not None:
-                self._prof.sched_candidates += 1
-                self._prof.sched_timing_checks += 1
-        if kind == 1:
-            is_read = access.is_read
-            if not is_read and self._reads_by_addr.get(access.address):
-                return NEVER  # WAR: only the read's completion unblocks
-            channel = self.channel
-            bus_rank = channel._last_data_rank
-            if bus_rank is None:
-                gap = 0
-            elif bus_rank != access.rank:
-                gap = self._tRTRS
-            elif channel._last_data_is_read is not is_read:
-                gap = 1
-            else:
-                gap = 0
-            t = (
-                channel.data_busy_until
-                + gap
-                - (self._tCL if is_read else self._tCWL)
             )
-            if core > t:
-                t = core
-            return t if t > cycle else cycle
-        return core if core > cycle else cycle
+        ):
+            # A refresh is due on the rank, or a per-bank refresh in
+            # this bank (its subarray under SARP): activates are
+            # fenced until the refresh issues.
+            return KIND_ACTIVATE, NEVER
+        else:
+            kind = KIND_ACTIVATE
+            core = rank.ready_activate
+            if bank.ready_activate > core:
+                core = bank.ready_activate
+            pb_busy = bank.refresh_busy_until
+            if pb_busy > core and (
+                bank.refreshing_subarray is None
+                or bank.refreshing_subarray == access.subarray
+            ):
+                core = pb_busy  # open per-bank refresh window
+            tFAW = self._tFAW
+            if tFAW is not None:
+                times = rank._activate_times
+                if len(times) == 4 and times[0] + tFAW > core:
+                    core = times[0] + tFAW
+        if rank.refresh_busy_until > core:
+            core = rank.refresh_busy_until
+        return kind, core
+
+    def earliest_issue_cycle(self, access: MemoryAccess, cycle: int) -> int:
+        """First cycle :meth:`can_issue_access` can turn true for
+        ``access``, assuming no command issues in between (the timing
+        kernel's uncached entry)."""
+        return self._flat_earliest(None, 0, access, cycle)
+
+    def _flat_earliest(self, flat, i: int, access, cycle: int) -> int:
+        """The timing kernel; cached through ``flat`` slot ``i``.
+
+        With a flat mirror the device half is kept in
+        ``flat.kind[i]``/``flat.core[i]`` under the owning bank's and
+        rank's write-version stamps, so on most passes a candidate
+        costs a couple of list reads; callers read ``flat.kind[i]``
+        afterwards for the transaction kind.  ``flat=None`` is the
+        uncached entry (:meth:`earliest_issue_cycle`).  The per-pass
+        half runs on every call.
+        """
+        if flat is None:
+            rank = self.channel.ranks[access.rank]
+            kind, core = self._device_earliest(
+                rank.banks[access.bank], rank, access
+            )
+        else:
+            bank = flat.banks[i]
+            rank = flat.ranks[i]
+            prof = self._prof
+            if flat.bstamp[i] == bank.ver and flat.rstamp[i] == rank.ver:
+                kind = flat.kind[i]
+                core = flat.core[i]
+                if prof is not None:
+                    prof.sched_candidates += 1
+                    prof.sched_bitset_hits += 1
+            else:
+                kind, core = self._device_earliest(bank, rank, access)
+                flat.kind[i] = kind
+                flat.core[i] = core
+                flat.bstamp[i] = bank.ver
+                flat.rstamp[i] = rank.ver
+                if prof is not None:
+                    prof.sched_candidates += 1
+                    prof.sched_timing_checks += 1
+        if kind != KIND_COLUMN:
+            return core if core > cycle else cycle
+        # Per-pass half: WAR blocking + data-bus turnaround.
+        is_read = access.is_read
+        if not is_read and self._reads_by_addr.get(access.address):
+            return NEVER  # WAR: only the read's completion unblocks
+        channel = self.channel
+        bus_rank = channel._last_data_rank
+        if bus_rank is None:
+            gap = 0
+        elif bus_rank != access.rank:
+            gap = self._tRTRS
+        elif channel._last_data_is_read is not is_read:
+            gap = 1
+        else:
+            gap = 0
+        t = channel.data_busy_until + gap - (
+            self._tCL if is_read else self._tCWL
+        )
+        if core > t:
+            t = core
+        return t if t > cycle else cycle
 
     # ------------------------------------------------------------------
     # Checkpointing

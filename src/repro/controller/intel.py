@@ -60,12 +60,7 @@ class IntelScheduler(Scheduler):
         # ``_wmask`` marks slots whose ongoing access is a write (the
         # preemption candidates).  Only ``_schedule_flat`` (fast mode)
         # reads them; the sequential reference path never does.
-        timing = channel.timing
         self._bpr = channel.banks_per_rank
-        self._tCL = timing.tCL
-        self._tCWL = timing.tCWL
-        self._tRTRS = timing.tRTRS
-        self._tFAW = timing.tFAW
         self._flat = FlatSlots(channel)
         self._rq = 0
         self._wmask = 0
@@ -314,9 +309,10 @@ class IntelScheduler(Scheduler):
           composed key ``(unstarted, start-or-arrival, slot)`` — the
           same total order the sort produces, ties resolved by slot
           exactly as the insertion-ordered candidate list did;
-        * device-timing earliests are cached against bank/rank version
-          stamps; the blocked candidates' min lands in ``_pass_wake``
-          so gate arming needs no separate :meth:`next_wakeup` scan.
+        * earliests come from the stamp-cached timing kernel
+          (:meth:`_flat_earliest`); the blocked candidates' min lands
+          in ``_pass_wake`` so gate arming needs no separate
+          :meth:`next_wakeup` scan.
         """
         # The drain hysteresis folds over the *global* pool occupancy,
         # which other channels move while this one idles — update it on
@@ -403,109 +399,21 @@ class IntelScheduler(Scheduler):
         if not occ:
             self._pass_wake = NEVER
             return
-        banks = flat.banks
-        ranks = flat.ranks
-        kinds = flat.kind
-        cores = flat.core
-        bst = flat.bstamp
-        rst = flat.rstamp
         ready = flat.ready
-        channel = self.channel
-        busy = channel.data_busy_until
-        bus_rank = channel._last_data_rank
-        bus_read = channel._last_data_is_read
-        tCL = self._tCL
-        tCWL = self._tCWL
-        tRTRS = self._tRTRS
-        tFAW = self._tFAW
-        bg = self._bg
-        reads_by_addr = self._reads_by_addr
+        earliest = self._flat_earliest
         vec = flat.use_numpy
-        never = NEVER
         slot_bits = flat._slot_bits
         unstarted_bias = 1 << 61
         best_key = 0
         best_i = -1
-        wake = never
-        checks = 0
+        wake = NEVER
         m = occ
         while m:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
             a = acc[i]
-            bank = banks[i]
-            rank = ranks[i]
-            if bst[i] == bank.ver and rst[i] == rank.ver:
-                kind = kinds[i]
-                core = cores[i]
-            else:
-                checks += 1
-                row = bank.open_row
-                if row == a.row:
-                    kind = 1  # column
-                    core = bank.ready_column
-                    if a.is_read and rank.ready_read > core:
-                        core = rank.ready_read
-                    if bg:
-                        gate = rank.column_gate(bank.index, a.is_read)
-                        if gate > core:
-                            core = gate
-                elif row is not None:
-                    kind = 2  # precharge
-                    core = bank.ready_precharge
-                elif rank.refresh_pending:
-                    kind = 3  # activate fenced off until refresh issues
-                    core = never
-                elif bank.refresh_pending and (
-                    bank.pending_subarray is None
-                    or bank.pending_subarray == a.subarray
-                ):
-                    kind = 3  # fenced by a due per-bank refresh
-                    core = never
-                else:
-                    kind = 3  # activate
-                    core = rank.ready_activate
-                    if bank.ready_activate > core:
-                        core = bank.ready_activate
-                    pb_busy = bank.refresh_busy_until
-                    if pb_busy > core and (
-                        bank.refreshing_subarray is None
-                        or bank.refreshing_subarray == a.subarray
-                    ):
-                        core = pb_busy  # open per-bank refresh window
-                    if tFAW is not None:
-                        times = rank._activate_times
-                        if len(times) == 4 and times[0] + tFAW > core:
-                            core = times[0] + tFAW
-                if rank.refresh_busy_until > core:
-                    core = rank.refresh_busy_until
-                kinds[i] = kind
-                cores[i] = core
-                bst[i] = bank.ver
-                rst[i] = rank.ver
-            if kind == 1:
-                is_read = a.is_read
-                if not is_read and reads_by_addr.get(a.address):
-                    t = never  # WAR: only the read's completion unblocks
-                else:
-                    if bus_rank is None:
-                        gap = 0
-                    elif bus_rank != a.rank:
-                        gap = tRTRS
-                    elif bus_read is not is_read:
-                        gap = 1
-                    else:
-                        gap = 0
-                    t = busy + gap - (tCL if is_read else tCWL)
-                    if core > t:
-                        t = core
-                    if t < cycle:
-                        t = cycle
-            elif core > cycle:
-                t = core
-            else:
-                t = cycle
+            t = earliest(flat, i, a, cycle)
             ready[i] = t
             if t <= cycle:
                 sc = a.start_cycle
@@ -518,12 +426,6 @@ class IntelScheduler(Scheduler):
                     best_i = i
             elif not vec and t < wake:
                 wake = t
-        prof = self._prof
-        if prof is not None:
-            n = bin(occ).count("1")
-            prof.sched_candidates += n
-            prof.sched_timing_checks += checks
-            prof.sched_bitset_hits += n - checks
         if best_i < 0:
             self._pass_wake = flat.min_ready() if vec else wake
             return

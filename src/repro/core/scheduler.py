@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controller.access import MemoryAccess
 from repro.controller.base import COLUMN, Scheduler
-from repro.controller.flatcore import FlatSlots
+from repro.controller.flatcore import KIND_COLUMN, FlatSlots
 from repro.core.burst import BurstQueue
 from repro.sim.profile import NEVER
 
@@ -107,12 +107,7 @@ class BurstScheduler(Scheduler):
         # kind + device-timing earliest against Bank/Rank version
         # stamps.  Only ``_schedule_flat`` (fast mode) reads them; the
         # sequential reference path below never does.
-        timing = channel.timing
         self._bpr = channel.banks_per_rank
-        self._tCL = timing.tCL
-        self._tCWL = timing.tCWL
-        self._tRTRS = timing.tRTRS
-        self._tFAW = timing.tFAW
         self._flat = FlatSlots(channel)
         self._mat = 0
         self._rq = 0
@@ -562,10 +557,8 @@ class BurstScheduler(Scheduler):
         * the arbiter runs only for slots it can actually change
           (no ongoing access, or a preemptible write-ongoing slot with
           queued reads while RP is armed);
-        * each candidate's earliest-issue cycle reuses the cached
-          device-timing part unless the owning bank/rank ``ver`` stamp
-          moved (the per-pass parts — data bus, WAR — are recomputed
-          always, they change without any bank/rank mutation);
+        * each candidate's earliest-issue cycle comes from the
+          stamp-cached timing kernel (:meth:`_flat_earliest`);
         * ``earliest <= cycle`` classifies candidates into column /
           overhead bitsets, and the priority picks resolve through the
           age matrix instead of ``min()`` over tuples;
@@ -596,113 +589,25 @@ class BurstScheduler(Scheduler):
                     self._flat_clear(i)
                 else:
                     self._flat_set(i, a)
-        occ = flat.occupied
-        banks = flat.banks
-        ranks = flat.ranks
         kinds = flat.kind
-        cores = flat.core
-        bst = flat.bstamp
-        rst = flat.rstamp
         ready = flat.ready
-        channel = self.channel
-        busy = channel.data_busy_until
-        bus_rank = channel._last_data_rank
-        bus_read = channel._last_data_is_read
-        tCL = self._tCL
-        tCWL = self._tCWL
-        tRTRS = self._tRTRS
-        tFAW = self._tFAW
-        bg = self._bg
-        reads_by_addr = self._reads_by_addr
+        earliest = self._flat_earliest
         vec = flat.use_numpy
-        never = NEVER
         col_mask = 0
         ovh_mask = 0
-        wake = never
+        wake = NEVER
         oldest_i = -1
         oldest_arr = 0
-        checks = 0
-        m = occ
+        m = flat.occupied
         while m:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
             a = acc[i]
-            bank = banks[i]
-            rank = ranks[i]
-            if bst[i] == bank.ver and rst[i] == rank.ver:
-                kind = kinds[i]
-                core = cores[i]
-            else:
-                checks += 1
-                row = bank.open_row
-                if row == a.row:
-                    kind = 1  # column
-                    core = bank.ready_column
-                    if a.is_read and rank.ready_read > core:
-                        core = rank.ready_read
-                    if bg:
-                        gate = rank.column_gate(bank.index, a.is_read)
-                        if gate > core:
-                            core = gate
-                elif row is not None:
-                    kind = 2  # precharge
-                    core = bank.ready_precharge
-                elif rank.refresh_pending:
-                    kind = 3  # activate fenced off until refresh issues
-                    core = never
-                elif bank.refresh_pending and (
-                    bank.pending_subarray is None
-                    or bank.pending_subarray == a.subarray
-                ):
-                    kind = 3  # fenced by a due per-bank refresh
-                    core = never
-                else:
-                    kind = 3  # activate
-                    core = rank.ready_activate
-                    if bank.ready_activate > core:
-                        core = bank.ready_activate
-                    pb_busy = bank.refresh_busy_until
-                    if pb_busy > core and (
-                        bank.refreshing_subarray is None
-                        or bank.refreshing_subarray == a.subarray
-                    ):
-                        core = pb_busy  # open per-bank refresh window
-                    if tFAW is not None:
-                        times = rank._activate_times
-                        if len(times) == 4 and times[0] + tFAW > core:
-                            core = times[0] + tFAW
-                if rank.refresh_busy_until > core:
-                    core = rank.refresh_busy_until
-                kinds[i] = kind
-                cores[i] = core
-                bst[i] = bank.ver
-                rst[i] = rank.ver
-            if kind == 1:
-                is_read = a.is_read
-                if not is_read and reads_by_addr.get(a.address):
-                    t = never  # WAR: only the read's completion unblocks
-                else:
-                    if bus_rank is None:
-                        gap = 0
-                    elif bus_rank != a.rank:
-                        gap = tRTRS
-                    elif bus_read is not is_read:
-                        gap = 1
-                    else:
-                        gap = 0
-                    t = busy + gap - (tCL if is_read else tCWL)
-                    if core > t:
-                        t = core
-                    if t < cycle:
-                        t = cycle
-            elif core > cycle:
-                t = core
-            else:
-                t = cycle
+            t = earliest(flat, i, a, cycle)
             ready[i] = t
             if t <= cycle:
-                if kind == 1:
+                if kinds[i] == KIND_COLUMN:
                     col_mask |= b
                 else:
                     ovh_mask |= b
@@ -712,12 +617,6 @@ class BurstScheduler(Scheduler):
             if oldest_i < 0 or arr < oldest_arr:
                 oldest_i = i
                 oldest_arr = arr
-        prof = self._prof
-        if prof is not None:
-            n = bin(occ).count("1")
-            prof.sched_candidates += n
-            prof.sched_timing_checks += checks
-            prof.sched_bitset_hits += n - checks
         if not (col_mask | ovh_mask):
             self._pass_wake = flat.min_ready() if vec else wake
             # Figure 6 lines 14-15: favour the oldest ongoing access's

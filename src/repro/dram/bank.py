@@ -146,30 +146,11 @@ class Bank:
     # ------------------------------------------------------------------
     # Earliest-ready queries (next-event engine)
     # ------------------------------------------------------------------
-    # Each mirrors the matching can_* check: it returns the first cycle
-    # at which that check can become true *given frozen bank state*, or
-    # NEVER when only a state change (a command) could enable it.  All
-    # timing gates are monotone thresholds, so the answer is exact.
-
-    def next_activate_ready(self, subarray: Optional[int] = None) -> int:
-        """Earliest cycle :meth:`can_activate` can turn true."""
-        if self.state is not BankState.IDLE:
-            return NEVER
-        if self.refresh_pending and self._pending_excludes(subarray):
-            return NEVER  # cleared by the REFpb command itself
-        ready = self.ready_activate
-        if (
-            self.refresh_busy_until > ready
-            and self._refresh_excludes(subarray)
-        ):
-            ready = self.refresh_busy_until
-        return ready
-
-    def next_column_ready(self, row: int) -> int:
-        """Earliest cycle :meth:`can_column` for ``row`` can turn true."""
-        if self.state is BankState.ACTIVE and self.open_row == row:
-            return self.ready_column
-        return NEVER
+    # The first cycle a check the refreshers rely on can become true
+    # *given frozen bank state*, or NEVER when only a state change (a
+    # command) could enable it.  All timing gates are monotone
+    # thresholds, so the answer is exact.  Access commands have their
+    # own earliest-issue kernel in :class:`~repro.controller.base.Scheduler`.
 
     def next_precharge_ready(self) -> int:
         """Earliest cycle :meth:`can_precharge` can turn true."""

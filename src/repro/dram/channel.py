@@ -25,7 +25,6 @@ from repro.dram.commands import Command, CommandType, TracedCommand
 from repro.dram.rank import Rank
 from repro.dram.timing import TimingParams
 from repro.errors import ProtocolError
-from repro.timebase import NEVER
 
 
 class RowState(enum.Enum):
@@ -242,14 +241,6 @@ class Channel:
             return False
         return self.data_bus_free(cycle, rank, is_read)
 
-    # ------------------------------------------------------------------
-    # Earliest-ready queries (next-event engine).  Mirrors of the
-    # can_*_at fast paths: given frozen device state, the first cycle
-    # at which the matching check can become true — every constraint is
-    # a monotone threshold in the cycle number, so the value is exact.
-    # NEVER means only another command (an event) can unblock it.
-    # ------------------------------------------------------------------
-
     def can_refresh_pb_at(
         self,
         cycle: int,
@@ -261,28 +252,6 @@ class Channel:
         return cycle >= r.refresh_busy_until and r.can_refresh_pb(
             cycle, bank, subarray
         )
-
-    def next_activate_at(
-        self, rank: int, bank: int, row: Optional[int] = None
-    ) -> int:
-        r = self.ranks[rank]
-        return max(r.refresh_busy_until, r.next_activate_ready(bank, row))
-
-    def next_precharge_at(self, rank: int, bank: int) -> int:
-        r = self.ranks[rank]
-        return max(r.refresh_busy_until, r.next_precharge_ready(bank))
-
-    def next_column_at(
-        self, rank: int, bank: int, row: int, is_read: bool
-    ) -> int:
-        r = self.ranks[rank]
-        ready = r.next_column_ready(bank, row, is_read)
-        if ready >= NEVER:
-            return NEVER
-        # data_bus_free: cycle + CAS latency >= busy_until + gap.
-        latency = self.timing.tCL if is_read else self.timing.tCWL
-        bus = self.data_busy_until + self._data_start_gap(rank, is_read)
-        return max(ready, r.refresh_busy_until, bus - latency)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -158,38 +158,10 @@ class Rank:
     # ------------------------------------------------------------------
     # Earliest-ready queries (next-event engine)
     # ------------------------------------------------------------------
-    # Mirrors of the can_* checks above: the first cycle each check can
-    # become true with rank and bank state frozen.  ``refresh_pending``
-    # clears only when the refresh engine issues (an event), so it maps
-    # to NEVER rather than a cycle.
-
-    def next_activate_ready(
-        self, bank: int, row: Optional[int] = None
-    ) -> int:
-        """Earliest cycle :meth:`can_activate` can turn true."""
-        if self.refresh_pending:
-            return NEVER
-        target = self.banks[bank]
-        ready = max(
-            self.ready_activate,
-            target.next_activate_ready(target.subarray_of(row)),
-        )
-        if self.timing.tFAW is not None and len(self._activate_times) == 4:
-            ready = max(ready, self._activate_times[0] + self.timing.tFAW)
-        return ready
-
-    def next_column_ready(self, bank: int, row: int, is_read: bool) -> int:
-        """Earliest cycle :meth:`can_column` can turn true."""
-        ready = self.banks[bank].next_column_ready(row)
-        if is_read:
-            ready = max(ready, self.ready_read)
-        if self.bank_groups > 1:
-            ready = max(ready, self.column_gate(bank, is_read))
-        return ready
-
-    def next_precharge_ready(self, bank: int) -> int:
-        """Earliest cycle :meth:`can_precharge` can turn true."""
-        return self.banks[bank].next_precharge_ready()
+    # The first cycle the refresh checks above can become true with
+    # rank and bank state frozen (the refreshers' wakeups).  Access
+    # commands have their own earliest-issue kernel in
+    # :class:`~repro.controller.base.Scheduler`.
 
     def next_refresh_ready(self) -> int:
         """Earliest cycle :meth:`can_refresh` can turn true.

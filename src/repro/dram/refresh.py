@@ -141,8 +141,8 @@ class RefreshController:
         # a steady access stream cannot re-open banks forever and
         # starve the refresh past its tREFI deadline.  The version
         # stamp bumps only on the actual flip (this runs every due
-        # cycle) so the schedulers' flat caches are invalidated exactly
-        # when ``next_activate_ready`` changes answer.
+        # cycle) so the schedulers' stamp-cached timing kernel is
+        # invalidated exactly when the activate fence changes answer.
         if not rank.refresh_pending:
             rank.refresh_pending = True
             rank.ver += 1

@@ -25,15 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.access import AccessType
-from repro.controller.flatcore import (
-    KIND_ACTIVATE,
-    NUMPY_MIN_SLOTS,
-    FlatSlots,
-    numpy_enabled,
-)
+from repro.controller.base import Scheduler
+from repro.controller.flatcore import KIND_ACTIVATE, FlatSlots, numpy_enabled
 from repro.controller.registry import extension_names, mechanism_names
 from repro.controller.system import MemorySystem
-from repro.dram.timing import DDR2_800
+from repro.dram.timing import DDR2_800, DDR5_4800
 from repro.mapping.base import DecodedAddress
 from repro.sim import profile
 from repro.sim.config import baseline_config
@@ -44,6 +40,21 @@ ALL_MECHANISMS = list(mechanism_names()) + list(extension_names())
 
 QUIET = replace(DDR2_800, tREFI=None, tRFC=0)
 FAST_REFRESH = replace(DDR2_800, tREFI=150, tRFC=20)
+
+#: Devices the flat/object equivalence draws from: the paper's DDR2
+#: baseline and DDR5 with bank groups (tCCD_L/tWTR_L column gates,
+#: same-bank refresh).  Each maps to its (quiet, fast-refresh) timing
+#: and config overrides; eight DDR5 banks put two in each bank group.
+DEVICES = {
+    "DDR2_800": ((QUIET, FAST_REFRESH), {}),
+    "DDR5_4800": (
+        (
+            replace(DDR5_4800, tREFI=None, tRFC=0),
+            replace(DDR5_4800, tREFI=DDR5_4800.tRFC + 50),
+        ),
+        {"banks": 8},
+    ),
+}
 
 
 @contextmanager
@@ -128,21 +139,66 @@ def workloads(draw):
     return requests
 
 
+@contextmanager
+def kernel_parity_checked():
+    """Check every cached timing-kernel call against its two twins.
+
+    Each cached ``_flat_earliest`` result must equal the uncached
+    ``earliest_issue_cycle`` and agree with the device predicates
+    behind ``can_issue_access``; yields a one-item list counting the
+    checked evaluations.
+    """
+    kernel = Scheduler._flat_earliest
+    calls = [0]
+
+    def checked(self, flat, i, access, cycle):
+        t = kernel(self, flat, i, access, cycle)
+        if flat is None:
+            return t  # the uncached entry itself
+        assert t == self.earliest_issue_cycle(access, cycle), (
+            f"{self.name}: cached {t} != uncached at cycle {cycle}"
+        )
+        assert (t <= cycle) == self.can_issue_access(access, cycle), (
+            f"{self.name}: kernel {t} disagrees with the device "
+            f"predicates at cycle {cycle}"
+        )
+        calls[0] += 1
+        return t
+
+    Scheduler._flat_earliest = checked
+    try:
+        yield calls
+    finally:
+        Scheduler._flat_earliest = kernel
+
+
 @settings(deadline=None)
-@given(workload=workloads(), refresh=st.booleans())
-def test_flat_pass_identical_to_object_pass(workload, refresh):
+@given(
+    workload=workloads(),
+    refresh=st.booleans(),
+    device=st.sampled_from(sorted(DEVICES)),
+    policy=st.sampled_from(["REFab", "REFpb", "SARP"]),
+)
+def test_flat_pass_identical_to_object_pass(workload, refresh, device, policy):
     """Flat-array passes are byte-identical to the object-model walk.
 
     The flat path only runs under ``REPRO_FASTFWD=1`` (the engine sets
     ``_want_hint`` before each pass), so fast-vs-sequential is exactly
-    flat-vs-object — on all mechanisms, oracle-clean.
+    flat-vs-object — on all mechanisms, oracle-clean.  Along the way
+    every timing-kernel evaluation is checked against the uncached
+    entry and the device predicates.
     """
-    config = _config(FAST_REFRESH if refresh else QUIET)
+    timings, overrides = DEVICES[device]
+    config = _config(
+        timings[refresh], refresh_policy=policy, subarrays=4, **overrides
+    )
     requests = _encode(config, workload)
-    for mechanism in ALL_MECHANISMS:
-        obj = _run(mechanism, config, requests, REPRO_FASTFWD="0")
-        flat = _run(mechanism, config, requests, REPRO_FASTFWD="1")
-        assert flat == obj, f"{mechanism} flat pass diverged"
+    with kernel_parity_checked() as calls:
+        for mechanism in ALL_MECHANISMS:
+            obj = _run(mechanism, config, requests, REPRO_FASTFWD="0")
+            flat = _run(mechanism, config, requests, REPRO_FASTFWD="1")
+            assert flat == obj, f"{mechanism} flat pass diverged"
+    assert calls[0] > 0
 
 
 @pytest.mark.skipif(not numpy_enabled(), reason="numpy not installed")

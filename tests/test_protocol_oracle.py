@@ -16,7 +16,10 @@ from dataclasses import replace
 import pytest
 
 from repro.controller.inorder import BkInOrderScheduler
+from repro.controller.intel import IntelScheduler
+from repro.controller.rowhit import RowHitScheduler
 from repro.controller.system import MemorySystem
+from repro.core.scheduler import BurstScheduler
 from repro.dram.commands import TracedCommand
 from repro.dram.oracle import (
     MAX_POSTPONED_REFRESHES,
@@ -229,21 +232,19 @@ def test_live_workload_is_conformant(mech):
     assert all(not o.violations for o in oracles)
 
 
-class _TRPSkippingScheduler(BkInOrderScheduler):
-    """Deliberately broken: forgets every pending tRP/tRC wait.
+class _TRPSkipping:
+    """Mixin, deliberately broken: forgets every pending tRP/tRC wait.
 
     Zeroing the bank and rank activate gates before the legality check
     makes the device model accept activates immediately after a
     precharge — exactly the class of model bug the independent oracle
-    exists to catch.  All three legality hooks are broken the same way
-    so the bug survives either engine mode (the sequential loop asks
-    ``can_issue_access``, the next-event fast path the flat-array
-    mirror ``_flat_earliest`` — whose stamp cache must also be broken
-    through, or it would serve the pre-mutation timing — and
-    ``earliest_issue_cycle`` backs conservative wakeups).
+    exists to catch.  Both legality hooks are broken the same way so
+    the bug survives either engine mode: the sequential loop asks
+    ``can_issue_access``, the next-event fast path the timing kernel
+    ``_flat_earliest`` (also behind ``earliest_issue_cycle``), whose
+    stamp cache must be broken through too, or it would serve the
+    pre-mutation timing.
     """
-
-    name = "BrokenNoTRP"
 
     def _forget_trp(self, access):
         bank = self.channel.ranks[access.rank].banks[access.bank]
@@ -254,26 +255,48 @@ class _TRPSkippingScheduler(BkInOrderScheduler):
         self._forget_trp(access)
         return super().can_issue_access(access, cycle)
 
-    def earliest_issue_cycle(self, access, cycle):
-        self._forget_trp(access)
-        return super().earliest_issue_cycle(access, cycle)
-
     def _flat_earliest(self, flat, i, access, cycle):
         self._forget_trp(access)
-        flat.bstamp[i] = -1  # defeat the stamp cache: recompute now
+        if flat is not None:
+            flat.bstamp[i] = -1  # defeat the stamp cache: recompute now
         return super()._flat_earliest(flat, i, access, cycle)
 
 
-def test_oracle_catches_broken_scheduler(small_config):
-    """A scheduler that skips tRP waits must trip the oracle."""
-    system = MemorySystem(small_config, _TRPSkippingScheduler)
-    attach_oracles(system, strict=True)
+#: Every mechanism with a fast-mode flat pass, broken the same way.
+_BROKEN_SCHEDULERS = [
+    type(f"BrokenNoTRP{base.__name__}", (_TRPSkipping, base), {})
+    for base in (
+        BkInOrderScheduler,
+        RowHitScheduler,
+        IntelScheduler,
+        BurstScheduler,
+    )
+]
+
+
+def test_oracle_catches_broken_scheduler(small_config, monkeypatch):
+    """A scheduler that skips tRP waits must trip the oracle.
+
+    Crossed over every flat-pass mechanism and both engine modes: the
+    fast engine's passes all ask the one timing kernel, so breaking it
+    must surface in every one of them.
+    """
     requests = make_request_stream(
         small_config, 200, seed=3, write_frac=0.3, rows=8
     )
-    with pytest.raises(OracleViolationError) as err:
-        OpenLoopDriver(system, requests).run()
-    assert "[tRP]" in str(err.value) or "[tRC]" in str(err.value)
+    for broken in _BROKEN_SCHEDULERS:
+        for fastfwd in ("0", "1"):
+            monkeypatch.setenv("REPRO_FASTFWD", fastfwd)
+            system = MemorySystem(small_config, broken)
+            attach_oracles(system, strict=True)
+            case = f"{broken.__name__} REPRO_FASTFWD={fastfwd}"
+            try:
+                OpenLoopDriver(system, list(requests)).run()
+            except OracleViolationError as err:
+                message = str(err)
+            else:
+                pytest.fail(f"{case}: the oracle raised nothing")
+            assert "[tRP]" in message or "[tRC]" in message, case
 
 
 def test_refresh_not_starved_under_steady_load():

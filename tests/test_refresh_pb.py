@@ -10,12 +10,10 @@ engine/checkpoint regressions for the new policies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
 
-from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
 from repro.dram.channel import Channel
 from repro.dram.commands import TracedCommand

@@ -12,7 +12,6 @@ matrix in a reproducible order with reproducible digests.
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
