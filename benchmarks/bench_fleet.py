@@ -8,7 +8,7 @@ tenant's max slowdown on the row-buffer-hog scenario must be
 under plain ``Burst_TH``.
 
 The JSON keeps the whole matrix (weighted speedup, max slowdown, Jain
-over 1/latency per cell) so CI can track fairness drift over time the
+over per-tenant solo/shared speedups per cell) so CI can track fairness drift over time the
 same way ``BENCH_engine.json`` tracks engine speedups.
 """
 

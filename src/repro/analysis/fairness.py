@@ -22,7 +22,9 @@ alone on the same machine and mechanism):
 * ``max_slowdown`` — ``max(shared_i / solo_i)``, the victim's view;
   the QoS schedulers exist to pull this down.
 * ``jain_index`` — the Jain formula over any per-tenant rate vector
-  (bounded in ``[1/n, 1]``).
+  (bounded in ``[1/n, 1]``); ``speedup_jain`` applies it to the
+  per-tenant speedups ``solo_i / shared_i``, so 1.0 means sharing
+  slowed every tenant by the same factor.
 """
 
 from __future__ import annotations
@@ -137,6 +139,17 @@ def max_slowdown(solo: Dict[int, float], shared: Dict[int, float]) -> float:
     return max(shared[s] / solo[s] for s in shared)
 
 
+def speedup_jain(solo: Dict[int, float], shared: Dict[int, float]) -> float:
+    """Jain index over per-tenant speedups ``solo_i / shared_i``.
+
+    Raw ``1 / shared_i`` would call two tenants served equally fast
+    "fair" even when one of them runs four times slower than alone;
+    normalising by the solo baseline scores the slowdowns instead.
+    """
+    _check_baselines(solo, shared)
+    return jain_index([solo[s] / shared[s] for s in shared])
+
+
 __all__ = [
     "jain_fairness",
     "jain_index",
@@ -145,5 +158,6 @@ __all__ = [
     "per_core_read_latency",
     "per_source_read_latency",
     "per_source_service_rate",
+    "speedup_jain",
     "weighted_speedup",
 ]

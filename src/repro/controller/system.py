@@ -9,9 +9,9 @@ behind the interface the CPU models drive:
 * :meth:`enqueue` — present an access (may be forwarded or rejected);
 * :meth:`tick` — advance one memory cycle, returning completed reads.
 
-It also owns the per-cycle statistics sampling that feeds Figures 8,
-9 and 11 (time-weighted outstanding-access distributions, bus
-utilisation, write-queue saturation).
+It also owns the statistics sampling that feeds Figures 8, 9 and 11
+(time-weighted outstanding-access distributions, bus utilisation,
+write-queue saturation), credited per run of constant pool occupancy.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ class MemorySystem:
             )
         ]
         self.cycle = 0
+        #: The open pool-occupancy run: cycles from ``_run_start`` on
+        #: were all sampled at these counts (see :meth:`_close_run`).
+        self._open_run(0)
         #: Did the most recent tick issue a command or deliver data?
         #: The next-event run loops only consider skipping after a
         #: quiet (False) tick — see :meth:`next_event_cycle`.
@@ -189,8 +192,8 @@ class MemorySystem:
         enqueue has disturbed it), every tick before ``_quiet_until``
         would find the same frozen state — no command legal, no
         completion due, the schedulers' selection state idempotent —
-        so only the per-cycle statistics sampling remains, which
-        :meth:`skip_to` reproduces exactly.
+        and the same pool occupancy, so :meth:`skip_to` only moves the
+        clock.
         """
         cycle = self.cycle
         if cycle < self._quiet_until:
@@ -199,7 +202,6 @@ class MemorySystem:
             return []
         if self._profiler is not None:
             return self._tick_profiled()
-        stats = self.stats
         pool = self.pool
         fast = self._fastfwd
         completed: List[MemoryAccess] = []
@@ -247,14 +249,12 @@ class MemorySystem:
                 if done:
                     completed.extend(done)
                     active = True
-        # Per-cycle sampling for the outstanding-access distributions
-        # (Figures 8/11) and the saturation metrics (§5.1).
-        stats.outstanding_reads.add(self.pool.read_count)
-        stats.outstanding_writes.add(self.pool.write_count)
-        if self.pool.write_queue_full:
-            stats.write_queue_full_cycles += 1
-        if self.pool.full:
-            stats.pool_full_cycles += 1
+        # Pool occupancy changed this cycle: credit the closed run.
+        if (
+            pool.read_count != self._run_reads
+            or pool.write_count != self._run_writes
+        ):
+            self._close_run(cycle)
         self._tick_active = active
         self.cycle = cycle + 1
         self._after_tick(active)
@@ -280,7 +280,6 @@ class MemorySystem:
 
         prof = self._profiler
         cycle = self.cycle
-        stats = self.stats
         pool = self.pool
         fast = self._fastfwd
         completed: List[MemoryAccess] = []
@@ -325,12 +324,11 @@ class MemorySystem:
                     active = True
                     prof.completions += len(done)
         t0 = perf_counter()
-        stats.outstanding_reads.add(self.pool.read_count)
-        stats.outstanding_writes.add(self.pool.write_count)
-        if self.pool.write_queue_full:
-            stats.write_queue_full_cycles += 1
-        if self.pool.full:
-            stats.pool_full_cycles += 1
+        if (
+            pool.read_count != self._run_reads
+            or pool.write_count != self._run_writes
+        ):
+            self._close_run(cycle)
         prof.add_time("sampling", perf_counter() - t0)
         prof.note_tick()
         self._tick_active = active
@@ -374,7 +372,11 @@ class MemorySystem:
         pool = self.pool
         wake = NEVER
         for scheduler, channel, refresher, pool_sens in self._units:
-            candidate = refresher.next_wakeup(cycle)
+            # A future idle_until (not yet due, or parked) is already a
+            # lower bound on the engine's next action.
+            candidate = refresher.idle_until
+            if candidate <= cycle:
+                candidate = refresher.next_wakeup(cycle)
             if candidate < wake:
                 wake = candidate
             if (
@@ -416,24 +418,48 @@ class MemorySystem:
 
         The caller guarantees (via :meth:`next_event_cycle` after a
         quiet tick) that every skipped cycle would have been a no-op:
-        no command legal, no completion due, no enqueue accepted.  The
-        only per-cycle work such cycles perform is statistics sampling,
-        reproduced here with weighted samples so `SimStats` stays
-        byte-identical with the sequential loop.
+        no command legal, no completion due, no enqueue accepted.  Pool
+        occupancy therefore stays constant, so the skipped cycles join
+        the open occupancy run (see :meth:`_close_run`) and only the
+        clock moves.
         """
         k = target - self.cycle
         if k <= 0:
             return
-        stats = self.stats
-        stats.outstanding_reads.add(self.pool.read_count, k)
-        stats.outstanding_writes.add(self.pool.write_count, k)
-        if self.pool.write_queue_full:
-            stats.write_queue_full_cycles += k
-        if self.pool.full:
-            stats.pool_full_cycles += k
         if self._profiler is not None:
             self._profiler.note_skip(k)
         self.cycle = target
+
+    def _close_run(self, cycle: int) -> None:
+        """Credit the open pool-occupancy run and open one at ``cycle``.
+
+        The outstanding-access distributions (Figures 8/11) and the
+        saturation metrics (§5.1) sample every cycle, but occupancy
+        only changes at an enqueue, a write's column issue and a read's
+        completion.  So ``[_run_start, cycle)`` is credited in one
+        weighted add when ``tick`` ends on a new occupancy, and before
+        :meth:`finalize` / :meth:`state_dict` expose the stats.  A
+        zero-length run adds no histogram key.
+        """
+        k = cycle - self._run_start
+        if k > 0:
+            stats = self.stats
+            pool = self.pool
+            reads = self._run_reads
+            writes = self._run_writes
+            stats.outstanding_reads.add(reads, k)
+            stats.outstanding_writes.add(writes, k)
+            if writes >= pool.write_capacity:
+                stats.write_queue_full_cycles += k
+            if reads + writes >= pool.capacity:
+                stats.pool_full_cycles += k
+        self._open_run(cycle)
+
+    def _open_run(self, cycle: int) -> None:
+        """Start an occupancy run at ``cycle`` with the pool's counts."""
+        self._run_start = cycle
+        self._run_reads = self.pool.read_count
+        self._run_writes = self.pool.write_count
 
     def note_rejected_enqueues(self, start: int, cycles: int) -> None:
         """Account for ``cycles`` skipped back-to-back enqueue retries.
@@ -454,8 +480,10 @@ class MemorySystem:
         bar) is *not* serialized: it is reset on load, which is safe
         because skipping is results-invariant (the fast==slow property
         PR 4 pinned) — the restored run may tick a few extra cycles
-        before re-arming, producing identical statistics.
+        before re-arming, producing identical statistics.  The open
+        occupancy run is closed first so the stats are complete.
         """
+        self._close_run(self.cycle)
         return {
             "cycle": self.cycle,
             "pool": self.pool.state_dict(),
@@ -491,6 +519,7 @@ class MemorySystem:
             scheduler.load_state_dict(payload, ctx)
         for oracle, payload in zip(self.oracles, state["oracles"]):
             oracle.load_state_dict(payload)
+        self._open_run(self.cycle)
         self._tick_active = False
         self._quiet_until = -1
         self._quiet_streak = 0
@@ -516,6 +545,7 @@ class MemorySystem:
         """
         for oracle in self.oracles:
             oracle.finish(self.cycle)
+        self._close_run(self.cycle)
         stats = self.stats
         stats.cycles = self.cycle
         # Bus utilisation is a per-channel fraction; average the

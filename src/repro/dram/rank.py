@@ -127,16 +127,23 @@ class Rank:
 
     def all_banks_idle(self) -> bool:
         """True when every bank is precharged (refresh precondition)."""
-        return all(b.state is BankState.IDLE for b in self.banks)
+        for bank in self.banks:
+            if bank.state is not BankState.IDLE:
+                return False
+        return True
 
     def can_refresh(self, cycle: int) -> bool:
         """True when a REFRESH command may issue this cycle."""
-        if not self.all_banks_idle():
+        if cycle < self.ready_activate:
             return False
-        if any(cycle < b.refresh_busy_until for b in self.banks):
-            return False  # a per-bank refresh window is still open
-        ready = max((b.ready_activate for b in self.banks), default=0)
-        return cycle >= max(ready, self.ready_activate)
+        for bank in self.banks:
+            if bank.state is not BankState.IDLE:
+                return False
+            if cycle < bank.refresh_busy_until:
+                return False  # a per-bank refresh window is still open
+            if cycle < bank.ready_activate:
+                return False
+        return True
 
     def can_refresh_pb(
         self, cycle: int, bank: int, subarray: Optional[int] = None

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.dram.channel import Channel
-from repro.dram.commands import Command, CommandType
 from repro.timebase import NEVER
 
 
@@ -54,18 +53,15 @@ class RefreshController:
         self._due: List[int] = [
             interval + r * step for r in range(len(channel.ranks))
         ]
-        #: Cycle the earliest rank becomes due.  Strictly before it,
-        #: :meth:`tick` is a proven no-op (``pending_rank`` is None and
-        #: nothing — not even ``refresh_pending`` — is touched), so the
-        #: next-event fast path skips the call entirely.  Once a rank
-        #: is due this stays in the past until its REFRESH issues, so
-        #: the precharge/issue ticks always run.
         self._min_due = min(self._due) if self.enabled else NEVER
-
-    @property
-    def idle_until(self) -> int:
-        """Cycle before which :meth:`tick` provably does nothing."""
-        return self._min_due
+        #: Cycle before which :meth:`tick` provably does nothing (the
+        #: next-event fast path skips the call): ``_min_due``, or after
+        #: a due tick that issued nothing, ``next_wakeup(cycle + 1)``.
+        #: That park is a lower bound on the next action because
+        #: ``refresh_pending`` fences activates to the due rank, a
+        #: column command only pushes tRTP/tWR later and a precharge
+        #: only adds tRP.
+        self.idle_until = self._min_due
 
     def pending_rank(self, cycle: int) -> Optional[int]:
         """The lowest-numbered rank with a refresh due, if any."""
@@ -123,8 +119,10 @@ class RefreshController:
     def load_state_dict(self, state: dict) -> None:
         self._due = list(state["due"])
         # _min_due == min(_due) is an invariant maintained by tick(),
-        # so recomputing it is exact.
+        # so recomputing it is exact; the park is not serialized, so
+        # the first due tick after a restore re-derives it.
         self._min_due = min(self._due) if self.enabled else NEVER
+        self.idle_until = self._min_due
 
     def tick(self, cycle: int) -> bool:
         """Give the refresh engine first claim on this command slot.
@@ -146,23 +144,29 @@ class RefreshController:
         if not rank.refresh_pending:
             rank.refresh_pending = True
             rank.ver += 1
-        if rank.all_banks_idle():
-            refresh = Command(CommandType.REFRESH, rank_index, 0)
-            if channel.can_issue(refresh, cycle):
-                channel.issue(refresh, cycle)
-                rank.refresh_pending = False
-                rank.ver += 1
-                assert channel.timing.tREFI is not None
-                self._due[rank_index] += channel.timing.tREFI
-                self._min_due = min(self._due)
-                return True
-            return False
-        # Close open banks first; one precharge per cycle.
-        for bank in rank.banks:
-            pre = Command(CommandType.PRECHARGE, rank_index, bank.index)
-            if bank.open_row is not None and channel.can_issue(pre, cycle):
-                channel.issue(pre, cycle)
-                return True
+        # Issue directly after checking the bus and the rank/bank
+        # registers; Rank.refresh and Bank.precharge still raise
+        # ProtocolError on an illegal command.
+        if channel.command_bus_free(cycle):
+            if rank.all_banks_idle():
+                if rank.can_refresh(cycle):
+                    channel.issue_refresh(cycle, rank_index)
+                    rank.refresh_pending = False
+                    rank.ver += 1
+                    assert channel.timing.tREFI is not None
+                    self._due[rank_index] += channel.timing.tREFI
+                    self._min_due = min(self._due)
+                    self.idle_until = self._min_due
+                    return True
+            elif cycle >= rank.refresh_busy_until:
+                # Close open banks first; one precharge per cycle.
+                for bank in rank.banks:
+                    if bank.open_row is not None and bank.can_precharge(
+                        cycle
+                    ):
+                        channel.issue_precharge(cycle, rank_index, bank.index)
+                        return True
+        self.idle_until = self.next_wakeup(cycle + 1)
         return False
 
 
@@ -282,15 +286,14 @@ class PerBankRefresher:
                 )
                 self._retire(rank_index, bank_index)
                 return True
-            if bank.open_row is not None and bank._refresh_blocking_row(
-                subarray
+            if (
+                bank.open_row is not None
+                and bank._refresh_blocking_row(subarray)
+                and channel.command_bus_free(cycle)
+                and channel.can_precharge_at(cycle, rank_index, bank_index)
             ):
-                pre = Command(
-                    CommandType.PRECHARGE, rank_index, bank_index
-                )
-                if channel.can_issue(pre, cycle):
-                    channel.issue(pre, cycle)
-                    return True
+                channel.issue_precharge(cycle, rank_index, bank_index)
+                return True
         return self._opportunistic(cycle)
 
     def _opportunistic(self, cycle: int) -> bool:
@@ -456,15 +459,13 @@ class DARPRefresher(PerBankRefresher):
                 channel.issue_refresh_pb(cycle, rank_index, bank_index)
                 self._retire(rank_index, bank_index)
                 return True
-            if bank.open_row is not None:
+            if bank.open_row is not None and channel.can_precharge_at(
+                cycle, rank_index, bank_index
+            ):
                 # An idle bank holding a stale open row: close it so
                 # the pulled-in refresh can proceed.
-                pre = Command(
-                    CommandType.PRECHARGE, rank_index, bank_index
-                )
-                if channel.can_issue(pre, cycle):
-                    channel.issue(pre, cycle)
-                    return True
+                channel.issue_precharge(cycle, rank_index, bank_index)
+                return True
         return False
 
     def _opportunistic_wakeup(self, cycle: int) -> int:

@@ -9,8 +9,9 @@ tenant replayed alone on the identical machine and mechanism):
 * weighted speedup — 1.0 means sharing cost nothing;
 * max slowdown — the victim tenant's view, the number the QoS
   variants exist to pull down on the aggressor scenarios;
-* Jain index over per-tenant service rates — 1.0 is perfectly fair,
-  1/K is one tenant monopolising the controller.
+* Jain index over per-tenant speedups (solo / shared latency) — 1.0
+  means sharing slowed every tenant equally, 1/K one tenant bearing
+  all of the slowdown.
 
 Unlike the figure experiments this one drives the open-loop fleet
 driver directly (the persistent cell cache is shaped around
@@ -25,10 +26,10 @@ from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.fairness import (
-    jain_index,
     max_slowdown,
     per_source_read_latency,
     per_source_service_rate,
+    speedup_jain,
     weighted_speedup,
 )
 from repro.analysis.tables import format_table
@@ -102,10 +103,11 @@ def run_scenario(
         },
         "weighted_speedup": weighted_speedup(solo, shared),
         "max_slowdown": max_slowdown(solo, shared),
-        # Jain over per-tenant service *speeds* (1 / mean read
-        # latency): in a drain run every tenant's raw service rate is
-        # count/cycles, which is flat by construction and says nothing.
-        "jain_index": jain_index([1.0 / v for v in shared.values()]),
+        # Jain over per-tenant speedups (solo / shared latency): in a
+        # drain run every tenant's raw service rate is count/cycles,
+        # flat by construction, and raw 1/latency ignores how fast
+        # each tenant runs alone.
+        "jain_index": speedup_jain(solo, shared),
         "per_source_row_hit_rate": {
             str(s): stat.row_hit_rate
             for s, stat in sorted(stats.per_source.items())
@@ -153,7 +155,7 @@ def render(result) -> str:
             "mechanism",
             "weighted speedup",
             "max slowdown",
-            "jain (1/latency)",
+            "jain (solo/shared)",
             "cycles",
         ),
         rows,

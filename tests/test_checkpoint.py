@@ -43,7 +43,12 @@ from repro.dram.timing import DDR2_800
 from repro.errors import CheckpointMismatchError
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
-from repro.sim.engine import FleetDriver, OpenLoopDriver, run_requests_resumed
+from repro.sim.engine import (
+    FleetDriver,
+    OpenLoopDriver,
+    run_requests,
+    run_requests_resumed,
+)
 from repro.sim.fsb import FSBAdapter
 from repro.workloads.fleet import make_fleet_requests
 from repro.workloads.spec2000 import make_benchmark_trace
@@ -143,6 +148,42 @@ def test_checkpoint_with_refresh_pending(tmp_path):
         )
 
     _roundtrip_at(tmp_path, config, "Burst_TH", requests, refresh_pending)
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_checkpoint_inside_constant_occupancy_run(tmp_path, fast):
+    """Snapshot mid-way through a long run of unchanged pool occupancy.
+
+    Occupancy is credited per run, so the snapshot must close the open
+    run and the restore open a new one: the resumed statistics must
+    equal an uninterrupted run's under both engines.
+    """
+    config = _config(QUIET)
+    donor = MemorySystem(config, "BkInOrder")
+    requests = [
+        (1000 * i, AccessType.READ if i % 2 else AccessType.WRITE,
+         donor.mapping.encode(DecodedAddress(0, i % 2, 0, i % 4, 0)))
+        for i in range(4)
+    ]
+    path = tmp_path / "run.ckpt"
+    with fastfwd(fast):
+        straight = MemorySystem(config, "Burst_TH", oracle=True)
+        run_requests(straight, list(requests))
+
+        partial = MemorySystem(config, "Burst_TH", oracle=True)
+        driver = OpenLoopDriver(partial, list(requests))
+        history = []
+        while partial.cycle < 1500:
+            driver.step()
+            history.append(partial.pool.count)
+        # The pool has sat empty for hundreds of cycles.
+        assert history[-400:] == [0] * 400
+        save_checkpoint(str(path), driver)
+
+        resumed = MemorySystem(config, "Burst_TH", oracle=True)
+        run_requests_resumed(resumed, list(requests), str(path))
+    assert straight.stats.to_dict() == resumed.stats.to_dict()
+    assert resumed.cycle == straight.cycle
 
 
 @pytest.mark.parametrize("occupancy", [51, 52, 53])

@@ -195,15 +195,35 @@ def test_fastfwd_actually_skips_cycles(monkeypatch):
 
 
 def test_skip_to_weights_per_cycle_samples():
-    """skip_to reproduces the skipped cycles' statistics sampling."""
+    """Skipped cycles are sampled once each, as the sequential loop does.
+
+    Sampling is credited per run of constant pool occupancy, so the
+    histogram is complete at the ``finalize()`` boundary: one ticked
+    cycle plus 41 skipped ones, all at zero outstanding reads.
+    """
     config = _config(QUIET)
     system = MemorySystem(config, "Burst_TH")
     system.tick()
-    before = sum(system.stats.outstanding_reads.counts.values())
     system.skip_to(system.cycle + 41)
-    after = sum(system.stats.outstanding_reads.counts.values())
-    assert after - before == 41
+    system.finalize()
     assert system.cycle == 42
+    assert system.stats.outstanding_reads.counts == {0: 42}
+
+
+def test_zero_length_occupancy_run_adds_no_key():
+    """An enqueue before the first tick leaves no empty histogram key.
+
+    The run opened at construction (zero reads) closes after zero
+    cycles when cycle 0's tick ends with one read outstanding.
+    """
+    config = _config(QUIET)
+    system = MemorySystem(config, "Burst_TH")
+    address = system.mapping.encode(DecodedAddress(0, 0, 0, 1, 0))
+    system.enqueue(system.make_access(AccessType.READ, address, 0), 0)
+    system.tick()
+    system.finalize()
+    assert system.stats.outstanding_reads.to_dict() == {"1": 1}
+    assert system.stats.outstanding_writes.to_dict() == {"0": 1}
 
 
 def test_sequential_mode_never_skips(monkeypatch):

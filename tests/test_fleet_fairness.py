@@ -22,8 +22,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.fairness import jain_index, max_slowdown, weighted_speedup
+from repro.analysis.fairness import (
+    jain_index,
+    max_slowdown,
+    speedup_jain,
+    weighted_speedup,
+)
 from repro.controller.system import MemorySystem
+from repro.experiments import fleet
 from repro.sim.config import baseline_config
 from repro.sim.engine import FleetDriver
 from repro.workloads.fleet import make_fleet_requests
@@ -85,6 +91,34 @@ def test_uniform_slowdown_scales_metrics(rates, factor):
     shared = {s: v * factor for s, v in rates.items()}
     assert weighted_speedup(rates, shared) == pytest.approx(1.0 / factor)
     assert max_slowdown(rates, shared) == pytest.approx(factor)
+
+
+def test_speedup_jain_hand_computed():
+    """Jain over solo/shared speedups, worked by hand.
+
+    Both tenants see 200-cycle reads when sharing, but tenant 1 ran at
+    50 alone and tenant 0 at 100: speedups 0.5 and 0.25, so
+    J = 0.75^2 / (2 * (0.25 + 0.0625)) = 0.5625 / 0.625 = 0.9.  Raw
+    1/latency would call the pair perfectly fair.
+    """
+    solo = {0: 100.0, 1: 50.0}
+    shared = {0: 200.0, 1: 200.0}
+    assert speedup_jain(solo, shared) == pytest.approx(0.9)
+    assert jain_index([1.0 / v for v in shared.values()]) == 1.0
+    assert speedup_jain(solo, {0: 300.0, 1: 150.0}) == pytest.approx(1.0)
+
+
+def test_fleet_jain_uses_solo_baselines():
+    """The fleet matrix reports Jain over its own solo/shared latencies."""
+    cell = fleet.run_scenario("hog_vs_reader", "Burst_TH", accesses=200)
+    solo = {int(s): v for s, v in cell["solo_read_latency"].items()}
+    shared = {int(s): v for s, v in cell["per_source_read_latency"].items()}
+    speedups = [solo[s] / shared[s] for s in shared]
+    by_hand = sum(speedups) ** 2 / (
+        len(speedups) * sum(x * x for x in speedups)
+    )
+    assert cell["jain_index"] == pytest.approx(by_hand)
+    assert cell["jain_index"] < 1.0
 
 
 # ----------------------------------------------------------------------

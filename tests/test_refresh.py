@@ -101,3 +101,72 @@ def test_refresh_creates_row_empties_under_open_page():
     assert states[RowState.EMPTY] >= 3      # the post-refresh accesses
     assert states[RowState.CONFLICT] == 0   # single row: never conflicts
     assert states[RowState.HIT] > states[RowState.EMPTY]
+
+
+def _parking_run(monkeypatch, fast):
+    """Rank 0 falls due while its open bank is still inside tRAS.
+
+    A stream of row hits to rank 1 keeps the command bus busy, so the
+    memory system ticks through the wait instead of leaping it.
+    Returns the command trace and the cycles the REFab engine ticked.
+    """
+    from repro.controller.access import AccessType
+    from repro.controller.system import MemorySystem
+    from repro.mapping.base import DecodedAddress
+    from repro.sim.config import baseline_config
+    from repro.sim.engine import run_requests
+
+    calls = []
+    tick = RefreshController.tick
+
+    def counted(self, cycle):
+        calls.append(cycle)
+        return tick(self, cycle)
+
+    config = baseline_config(channels=1, ranks=2, banks=2, rows=16)
+    due = config.timing.tREFI
+    trace = []
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_FASTFWD", "1" if fast else "0")
+        patch.setattr(RefreshController, "tick", counted)
+        system = MemorySystem(config, "BkInOrder", oracle=True)
+        system.channels[0].add_command_listener(
+            lambda event: trace.append(
+                (event.cycle, event.kind, event.rank, event.bank)
+            )
+        )
+        encode = system.mapping.encode
+        requests = [
+            (due - 10 + 4 * i, AccessType.READ,
+             encode(DecodedAddress(0, 1, 0, 2, i)))
+            for i in range(8)
+        ]
+        requests.append(
+            (due - 5, AccessType.READ, encode(DecodedAddress(0, 0, 1, 3, 0)))
+        )
+        run_requests(system, sorted(requests))
+    return trace, calls
+
+
+def test_parked_refresh_issues_on_sequential_cycles(monkeypatch):
+    """Parking skips the engine's no-op ticks, never its commands."""
+    sequential, sequential_ticks = _parking_run(monkeypatch, fast=False)
+    fast, fast_ticks = _parking_run(monkeypatch, fast=True)
+    assert fast == sequential
+
+    def first(kind, rank=0):
+        return next(c for c, k, r, _ in sequential if k == kind and r == rank)
+
+    act, pre, ref = first("ACT"), first("PRE"), first("REF")
+    # The PRE waited out tRAS past the due cycle; the REF followed tRP.
+    assert act < T.tREFI < pre == act + T.tRAS
+    assert ref == pre + T.tRP
+    assert len(fast_ticks) < len(sequential_ticks)
+
+    # While rank 0 waits the engine stays parked, although rank 1's
+    # commands keep the memory system ticking.
+    def waiting(ticks):
+        return [c for c in ticks if T.tREFI <= c <= ref]
+
+    assert waiting(sequential_ticks) == list(range(T.tREFI, ref + 1))
+    assert len(waiting(fast_ticks)) < (ref - T.tREFI) // 2
