@@ -189,6 +189,10 @@ def _apply_meta(args, meta: dict) -> None:
 
 
 def _run(args):
+    if args.accesses < 1:
+        raise ReproError(
+            f"--accesses must be at least 1, got {args.accesses}"
+        )
     if args.resume:
         from repro.checkpoint import read_header
 
@@ -279,11 +283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         width = max(len(k) for k in summary)
         for key, value in summary.items():
             print(f"{key.ljust(width)}  {value}")
-    # With REPRO_PROFILE=1, attribute the run's wall time (stderr so
-    # stdout stays machine-parseable).
-    from repro.sim import profile
-
-    profile.print_summary()
     return 0
 
 

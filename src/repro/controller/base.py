@@ -35,7 +35,6 @@ from repro.sim.config import (
     PREDICTIVE,
     SystemConfig,
 )
-from repro.sim import profile as _profile
 from repro.sim.profile import NEVER
 from repro.sim.stats import SimStats
 
@@ -113,10 +112,6 @@ class Scheduler(abc.ABC):
         #: falls back to a :meth:`next_wakeup` call.
         self._want_hint = False
         self._pass_wake = -1
-        #: Pass-cost profiler hook (None unless ``REPRO_PROFILE=1``):
-        #: flat-path passes count candidates examined vs timing
-        #: recomputations into it (see SimProfiler.sched_candidates).
-        self._prof = _profile.ensure_profiler()
         # Timing locals for the timing kernel (attribute chains cost).
         timing = channel.timing
         self._tCL = timing.tCL
@@ -320,22 +315,15 @@ class Scheduler(abc.ABC):
         else:
             bank = flat.banks[i]
             rank = flat.ranks[i]
-            prof = self._prof
             if flat.bstamp[i] == bank.ver and flat.rstamp[i] == rank.ver:
                 kind = flat.kind[i]
                 core = flat.core[i]
-                if prof is not None:
-                    prof.sched_candidates += 1
-                    prof.sched_bitset_hits += 1
             else:
                 kind, core = self._device_earliest(bank, rank, access)
                 flat.kind[i] = kind
                 flat.core[i] = core
                 flat.bstamp[i] = bank.ver
                 flat.rstamp[i] = rank.ver
-                if prof is not None:
-                    prof.sched_candidates += 1
-                    prof.sched_timing_checks += 1
         if kind != KIND_COLUMN:
             return core if core > cycle else cycle
         # Per-pass half: WAR blocking + data-bus turnaround.

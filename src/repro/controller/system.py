@@ -28,9 +28,8 @@ from repro.controller.registry import (
 from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshController
 from repro.mapping.schemes import make_mapping
-from repro.sim import profile
 from repro.sim.config import SystemConfig
-from repro.sim.profile import NEVER
+from repro.sim.profile import NEVER, fastfwd_enabled
 from repro.sim.stats import SimStats
 
 
@@ -118,9 +117,7 @@ class MemorySystem:
         #: stays low — even the 1-3 dead cycles inside a command burst
         #: are worth leaping now that finding them is nearly free.
         self._arm_after = 1
-        self._fastfwd = profile.fastfwd_enabled()
-        #: REPRO_PROFILE observability (None when profiling is off).
-        self._profiler = profile.ensure_profiler()
+        self._fastfwd = fastfwd_enabled()
         # Opt-in independent protocol conformance oracle: one shadow
         # verifier per channel, re-checking every SDRAM command the
         # device model accepts (``--oracle`` / ``REPRO_ORACLE=1``).
@@ -200,8 +197,6 @@ class MemorySystem:
             self.skip_to(cycle + 1)
             self._tick_active = False
             return []
-        if self._profiler is not None:
-            return self._tick_profiled()
         pool = self.pool
         fast = self._fastfwd
         completed: List[MemoryAccess] = []
@@ -269,72 +264,6 @@ class MemorySystem:
         # Quiet tick: let the (throttled) lookout decide whether the
         # window is worth computing; it arms _quiet_until on success.
         self.next_event_cycle(self.cycle)
-
-    def _tick_profiled(self) -> List[MemoryAccess]:
-        """:meth:`tick` with per-component wall-time attribution.
-
-        Must stay in lockstep with :meth:`tick` — the extra
-        ``perf_counter`` reads are the only difference.
-        """
-        from time import perf_counter
-
-        prof = self._profiler
-        cycle = self.cycle
-        pool = self.pool
-        fast = self._fastfwd
-        completed: List[MemoryAccess] = []
-        active = False
-        for scheduler, channel, refresher, pool_sens in self._units:
-            t0 = perf_counter()
-            if fast and cycle < refresher.idle_until:
-                refreshed = False
-            else:
-                refreshed = refresher.tick(cycle)
-            t1 = perf_counter()
-            prof.add_time("refresh", t1 - t0)
-            if not refreshed:
-                frozen = scheduler._gate_cmds == channel.cmd_bus_cycles and (
-                    not pool_sens
-                    or scheduler._gate_pool == pool.write_version
-                )
-                if frozen and scheduler._gate_until > cycle:
-                    prof.gated_passes += 1
-                else:
-                    scheduler._want_hint = fast
-                    scheduler.schedule(cycle)
-                    if fast and channel.last_command_cycle != cycle:
-                        wake = scheduler._pass_wake
-                        if wake <= cycle:
-                            wake = scheduler.next_wakeup(cycle)
-                        scheduler._gate_until = wake
-                        scheduler._gate_cmds = channel.cmd_bus_cycles
-                        scheduler._gate_pool = pool.write_version
-                    t2 = perf_counter()
-                    prof.add_time("schedule", t2 - t1)
-                    t1 = t2
-            if channel.last_command_cycle == cycle:
-                active = True
-                prof.commands += 1
-            heap = scheduler._completions
-            if heap and heap[0][0] <= cycle:
-                done = scheduler.pop_completions(cycle)
-                prof.add_time("completions", perf_counter() - t1)
-                if done:
-                    completed.extend(done)
-                    active = True
-                    prof.completions += len(done)
-        t0 = perf_counter()
-        if (
-            pool.read_count != self._run_reads
-            or pool.write_count != self._run_writes
-        ):
-            self._close_run(cycle)
-        prof.add_time("sampling", perf_counter() - t0)
-        prof.note_tick()
-        self._tick_active = active
-        self.cycle = cycle + 1
-        self._after_tick(active)
-        return completed
 
     # ------------------------------------------------------------------
     # Next-event time skipping
@@ -426,8 +355,6 @@ class MemorySystem:
         k = target - self.cycle
         if k <= 0:
             return
-        if self._profiler is not None:
-            self._profiler.note_skip(k)
         self.cycle = target
 
     def _close_run(self, cycle: int) -> None:

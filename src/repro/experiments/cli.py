@@ -179,6 +179,12 @@ def _record_trace_main(args: argparse.Namespace) -> int:
     from repro.sim.config import baseline_config
     from repro.workloads.spec2000 import make_benchmark_trace
 
+    if args.accesses < 1:
+        print(
+            f"error: --accesses must be at least 1, got {args.accesses}",
+            file=sys.stderr,
+        )
+        return 1
     # A single channel so the whole command stream lands in one file.
     config = baseline_config(channels=1)
     system = MemorySystem(config, args.mechanism, oracle=True)
@@ -281,12 +287,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(EXPERIMENTS[name].main())
         print(f"[{name} took {time.time() - started:.1f}s]")
         print(_summary() + "\n")
-    # REPRO_PROFILE=1 summary covers this process's simulations only;
-    # use --jobs 1 for a whole-run account (workers profile their own
-    # share and their singletons die with them).
-    from repro.sim import profile
-
-    profile.print_summary()
     return 0
 
 

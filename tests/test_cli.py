@@ -112,6 +112,23 @@ def test_missing_trace_file_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("accesses", ["-5", "0"])
+def test_nonpositive_accesses_errors(accesses, capsys):
+    assert main(["--benchmark", "swim", "--accesses", accesses]) == 1
+    assert "error: --accesses" in capsys.readouterr().err
+
+
+def test_record_trace_rejects_nonpositive_accesses(tmp_path, capsys):
+    from repro.experiments.cli import main as experiments_main
+
+    out = tmp_path / "out.jsonl"
+    assert experiments_main([
+        "record-trace", str(out), "--accesses", "-3",
+    ]) == 1
+    assert "error: --accesses" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mutually_exclusive_sources():
     with pytest.raises(SystemExit):
         main(["--benchmark", "gzip", "--micro", "stream"])

@@ -29,7 +29,6 @@ from repro.cpu.core import OoOCore
 from repro.cpu.inorder import InOrderCore
 from repro.dram.timing import DDR2_800
 from repro.mapping.base import DecodedAddress
-from repro.sim import profile
 from repro.sim.config import baseline_config
 from repro.sim.engine import run_requests
 from repro.sim.fsb import FSBAdapter
@@ -165,33 +164,43 @@ def test_fastfwd_closed_loop_identical(mechanism, core_cls, with_fsb):
     assert fast == slow
 
 
+def _count_skips(monkeypatch):
+    """Wrap :meth:`MemorySystem.skip_to`; returns the list of leaps.
+
+    Each call that moves the clock appends its gap, so ``sum`` is the
+    skipped cycles and ``len`` the number of leaps.
+    """
+    gaps = []
+    skip_to = MemorySystem.skip_to
+
+    def counting_skip_to(system, target):
+        if target > system.cycle:
+            gaps.append(target - system.cycle)
+        skip_to(system, target)
+
+    monkeypatch.setattr(MemorySystem, "skip_to", counting_skip_to)
+    return gaps
+
+
 def test_fastfwd_actually_skips_cycles(monkeypatch):
     """The engine leaps over idle windows instead of ticking them.
 
     A workload with 1000-cycle arrival gaps is mostly dead time; the
-    profiler must report the bulk of the simulated cycles as skipped,
-    or the tentpole is silently running the old sequential loop.
+    bulk of the simulated cycles must be leapt over by ``skip_to``, or
+    the tentpole is silently running the old sequential loop.
     """
-    monkeypatch.setenv("REPRO_PROFILE", "1")
     monkeypatch.setenv("REPRO_FASTFWD", "1")
-    profile.reset()
-    try:
-        config = _config(QUIET)
-        donor = MemorySystem(config, "BkInOrder")
-        requests = []
-        for i in range(20):
-            address = donor.mapping.encode(
-                DecodedAddress(0, 0, 0, i % 8, 0)
-            )
-            requests.append((i * 1000, AccessType.READ, address))
-        system = MemorySystem(config, "Burst_TH")
-        run_requests(system, requests)
-        summary = profile.active().summary()
-        assert summary["skipped_cycles"] > 0.9 * summary["events"]
-        assert summary["leaps"] >= 19
-        assert summary["events"] == system.cycle
-    finally:
-        profile.reset()
+    gaps = _count_skips(monkeypatch)
+    config = _config(QUIET)
+    donor = MemorySystem(config, "BkInOrder")
+    requests = []
+    for i in range(20):
+        address = donor.mapping.encode(DecodedAddress(0, 0, 0, i % 8, 0))
+        requests.append((i * 1000, AccessType.READ, address))
+    system = MemorySystem(config, "Burst_TH")
+    run_requests(system, requests)
+    assert sum(gaps) > 0.9 * system.cycle
+    assert len(gaps) >= 19
 
 
 def test_skip_to_weights_per_cycle_samples():
@@ -228,17 +237,20 @@ def test_zero_length_occupancy_run_adds_no_key():
 
 def test_sequential_mode_never_skips(monkeypatch):
     """REPRO_FASTFWD=0 preserves the one-tick-per-cycle A/B loop."""
-    monkeypatch.setenv("REPRO_PROFILE", "1")
     monkeypatch.setenv("REPRO_FASTFWD", "0")
-    profile.reset()
-    try:
-        config = _config(QUIET)
-        donor = MemorySystem(config, "BkInOrder")
-        address = donor.mapping.encode(DecodedAddress(0, 0, 0, 0, 0))
-        system = MemorySystem(config, "Burst_TH")
-        run_requests(system, [(500, AccessType.READ, address)])
-        summary = profile.active().summary()
-        assert summary["skipped_cycles"] == 0
-        assert summary["ticked_cycles"] == system.cycle
-    finally:
-        profile.reset()
+    gaps = _count_skips(monkeypatch)
+    ticks = []
+    tick = MemorySystem.tick
+
+    def counting_tick(system):
+        ticks.append(system.cycle)
+        return tick(system)
+
+    monkeypatch.setattr(MemorySystem, "tick", counting_tick)
+    config = _config(QUIET)
+    donor = MemorySystem(config, "BkInOrder")
+    address = donor.mapping.encode(DecodedAddress(0, 0, 0, 0, 0))
+    system = MemorySystem(config, "Burst_TH")
+    run_requests(system, [(500, AccessType.READ, address)])
+    assert sum(gaps) == 0
+    assert len(ticks) == system.cycle
