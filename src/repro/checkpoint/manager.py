@@ -31,6 +31,7 @@ import signal
 from typing import Callable, Optional
 
 from repro.checkpoint.format import save_checkpoint
+from repro.errors import ConfigError
 
 #: Conventional exit status for a SIGTERM-driven shutdown (128 + 15).
 SIGTERM_EXIT_CODE = 143
@@ -48,6 +49,10 @@ class Checkpointer:
         progress_every: Optional[int] = None,
         on_save: Optional[Callable] = None,
     ) -> None:
+        if every is not None and every < 1:
+            raise ConfigError(
+                f"checkpoint interval must be at least 1 cycle, got {every}"
+            )
         self.path = path
         self.every = every
         self.meta = meta

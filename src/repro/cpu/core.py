@@ -220,9 +220,43 @@ class OoOCore:
         cycle = self.system.cycle
         self._retire()
         self._fetch(cycle)
-        for access in self.system.tick():
+        completed = self.system.tick()
+        if completed:
+            self._complete(completed)
+
+    def _complete(self, completed: List[MemoryAccess]) -> None:
+        """Record loads whose data returned this cycle."""
+        for access in completed:
             self._done_loads.add(access.id)
-            self._inflight_loads -= 1
+        self._inflight_loads -= len(completed)
+
+    def _waiting(self) -> bool:
+        """Is the core frozen until a load's data returns?
+
+        True when the ROB head is an outstanding load (retire blocks)
+        and fetch is blocked by capacity alone: a staged instruction
+        run or READ facing a full ROB, a staged READ facing a full LSQ,
+        or an exhausted trace.  On such a cycle :meth:`step` only
+        charges ``head_block_cycles`` and ticks the memory system — it
+        makes no call into the memory system that could change it.  A
+        pending store or a staged WRITE with its gap consumed is not a
+        wait: fetch would retry ``enqueue`` or call ``make_access``.
+        """
+        rob = self._rob
+        if not rob or self._pending_store is not None:
+            return False
+        head = rob[0]
+        if isinstance(head, int) or head.id in self._done_loads:
+            return False
+        staged = self._staged
+        if staged is None:
+            return self._trace_done
+        full = self._rob_occupancy >= self.rob_size
+        if staged[0] > 0:
+            return full
+        if staged[1].op is AccessType.WRITE:
+            return False
+        return full or self._inflight_loads >= self.lsq_size
 
     @property
     def done(self) -> bool:
@@ -357,66 +391,105 @@ class OoOCore:
     def run(
         self, max_cycles: int = 50_000_000, checkpointer=None
     ) -> CoreResult:
-        """Run to completion; returns the execution-time result.
-
-        Next-event loop (see :meth:`OpenLoopDriver.run <repro.sim.
-        engine.OpenLoopDriver.run>`): after a cycle where neither the
-        core nor the memory system made progress, leap to the earliest
-        cycle a memory-side event can unblock anything — every CPU
-        stall here is resolved by a memory event (data return, pool
-        slot freeing, bus freeing), never by core-internal timing.
-        """
-        fast = fastfwd_enabled()
-        system = self.system
-        # Progress markers are only captured once a quiet memory cycle
-        # has been seen: on busy cycles (the common case on saturated
-        # workloads) the capture would be discarded unused, and the
-        # first cycle of a quiet window is cheaper to just step.
-        check = False
-        while not self.done:
-            if checkpointer is not None:
-                # Loop-iteration boundaries are the snapshot points:
-                # every pipeline invariant holds here, so a restored
-                # run re-enters the loop in an identical state.
-                checkpointer.poll(self)
-            if system.cycle > max_cycles:
-                raise SchedulerError(
-                    f"CPU run exceeded {max_cycles} memory cycles"
-                )
-            before = self._progress_marker() if check else None
-            self.step()
-            if not fast:
-                continue
-            if system.last_tick_active:
-                check = False
-                continue
-            if not check:
-                check = True
-                continue
-            if self._progress_marker() != before:
-                continue
-            cycle = system.cycle
-            wake = system.next_event_cycle(cycle)
-            if wake <= cycle or wake >= NEVER:
-                continue
-            if wake > max_cycles:
-                wake = max_cycles + 1
-            self._account_skip(cycle, wake - cycle)
-            system.skip_to(wake)
-        self.system.finalize()
-        mem_cycles = self.system.cycle
-        ratio = self.system.config.cpu_cycles_per_mem_cycle
+        """Run to completion; returns the execution-time result."""
+        result = run_closed_loop(self, max_cycles, checkpointer)
         self.system.stats.instructions = self.instructions
         self.system.stats.cpu_stall_cycles = self.head_block_cycles
-        return CoreResult(
-            mem_cycles=mem_cycles,
-            cpu_cycles=mem_cycles * ratio,
-            instructions=self.instructions,
-            loads=self.loads,
-            stores=self.stores,
-            head_block_cycles=self.head_block_cycles,
-            store_stall_cycles=self.store_stall_cycles,
-        )
+        return result
 
 
-__all__ = ["CoreResult", "OoOCore"]
+def run_closed_loop(core, max_cycles: int, checkpointer) -> CoreResult:
+    """The run loop shared by :class:`OoOCore` and ``InOrderCore``.
+
+    Next-event loop (see :meth:`OpenLoopDriver.run <repro.sim.engine.
+    OpenLoopDriver.run>`); every CPU stall here is resolved by a memory
+    event (data return, pool slot freeing, bus freeing), never by
+    core-internal timing, so the fast mode leaps two ways:
+
+    * **Waiting on data.**  After a step that leaves ``core._waiting()``
+      true, the core is provably frozen until a load returns: each
+      cycle only charges ``head_block_cycles`` and ticks the memory
+      system, so that is all the loop does — no ``step()`` — and after
+      a quiet tick it leaps straight to the memory system's next event.
+      Completions are applied as they arrive and the predicate is
+      tested again.
+    * **Other stalls** (store retry, enqueue retry, drain): after two
+      quiet ticks with an unchanged ``core._progress_marker()`` the
+      loop leaps to the next memory event and replays the stall
+      counters with ``core._account_skip``.
+
+    With ``REPRO_FASTFWD=0`` every cycle is one ``step()``.
+    """
+    fast = fastfwd_enabled()
+    system = core.system
+    # Progress markers are only captured once a quiet memory cycle
+    # has been seen: on busy cycles (the common case on saturated
+    # workloads) the capture would be discarded unused, and the
+    # first cycle of a quiet window is cheaper to just step.
+    check = False
+    waiting = False
+    while waiting or not core.done:
+        if checkpointer is not None:
+            # Loop-iteration boundaries are the snapshot points:
+            # every pipeline invariant holds here, so a restored
+            # run re-enters the loop in an identical state.
+            checkpointer.poll(core)
+        if system.cycle > max_cycles:
+            raise SchedulerError(
+                f"{type(core).__name__} run exceeded {max_cycles} "
+                "memory cycles"
+            )
+        if waiting:
+            # Exactly what step() does on a waiting cycle.
+            core.head_block_cycles += 1
+            completed = system.tick()
+            if completed:
+                core._complete(completed)
+                waiting = core._waiting()
+            elif not system.last_tick_active:
+                cycle = system.cycle
+                wake = system.next_event_cycle(cycle)
+                if cycle < wake < NEVER:
+                    if wake > max_cycles:
+                        wake = max_cycles + 1
+                    core.head_block_cycles += wake - cycle
+                    system.skip_to(wake)
+            continue
+        before = core._progress_marker() if check else None
+        core.step()
+        if not fast:
+            continue
+        if core._waiting():
+            waiting = True
+            check = False
+            continue
+        if system.last_tick_active:
+            check = False
+            continue
+        if not check:
+            check = True
+            continue
+        if core._progress_marker() != before:
+            continue
+        cycle = system.cycle
+        wake = system.next_event_cycle(cycle)
+        if wake <= cycle or wake >= NEVER:
+            continue
+        if wake > max_cycles:
+            wake = max_cycles + 1
+        core._account_skip(cycle, wake - cycle)
+        system.skip_to(wake)
+    system.finalize()
+    mem_cycles = system.cycle
+    return CoreResult(
+        mem_cycles=mem_cycles,
+        cpu_cycles=mem_cycles * system.config.cpu_cycles_per_mem_cycle,
+        instructions=core.instructions,
+        loads=core.loads,
+        stores=core.stores,
+        head_block_cycles=core.head_block_cycles,
+        store_stall_cycles=core.store_stall_cycles,
+    )
+
+
+__all__ = ["CoreResult", "OoOCore", "run_closed_loop"]

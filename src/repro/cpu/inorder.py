@@ -15,13 +15,11 @@ The trace interface and result type are shared with
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
-from repro.cpu.core import CoreResult
-from repro.errors import SchedulerError
-from repro.sim.profile import NEVER, fastfwd_enabled
+from repro.cpu.core import CoreResult, run_closed_loop
 from repro.workloads.trace import TraceRecord
 
 
@@ -115,8 +113,23 @@ class InOrderCore:
                 continue
             self._blocked_on = access      # stall until data returns
             break
-        for access in system.tick():
+        completed = system.tick()
+        if completed:
+            self._complete(completed)
+
+    def _complete(self, completed: List[MemoryAccess]) -> None:
+        """Record loads whose data returned this cycle."""
+        for access in completed:
             self._done_ids.add(access.id)
+
+    def _waiting(self) -> bool:
+        """Is the core frozen until its blocking load's data returns?
+
+        Then :meth:`step` only charges ``head_block_cycles`` and ticks
+        the memory system (see :func:`~repro.cpu.core.run_closed_loop`).
+        """
+        blocked = self._blocked_on
+        return blocked is not None and blocked.id not in self._done_ids
 
     @property
     def done(self) -> bool:
@@ -216,50 +229,8 @@ class InOrderCore:
     def run(
         self, max_cycles: int = 50_000_000, checkpointer=None
     ) -> CoreResult:
-        fast = fastfwd_enabled()
-        system = self.system
-        # Markers are captured lazily — see OoOCore.run: busy cycles
-        # would discard the capture, so only quiet streaks pay for it.
-        check = False
-        while not self.done:
-            if checkpointer is not None:
-                checkpointer.poll(self)
-            if system.cycle > max_cycles:
-                raise SchedulerError(
-                    f"in-order run exceeded {max_cycles} memory cycles"
-                )
-            before = self._progress_marker() if check else None
-            self.step()
-            if not fast:
-                continue
-            if system.last_tick_active:
-                check = False
-                continue
-            if not check:
-                check = True
-                continue
-            if self._progress_marker() != before:
-                continue
-            cycle = system.cycle
-            wake = system.next_event_cycle(cycle)
-            if wake <= cycle or wake >= NEVER:
-                continue
-            if wake > max_cycles:
-                wake = max_cycles + 1
-            self._account_skip(cycle, wake - cycle)
-            system.skip_to(wake)
-        self.system.finalize()
-        mem_cycles = self.system.cycle
-        ratio = self.system.config.cpu_cycles_per_mem_cycle
-        return CoreResult(
-            mem_cycles=mem_cycles,
-            cpu_cycles=mem_cycles * ratio,
-            instructions=self.instructions,
-            loads=self.loads,
-            stores=self.stores,
-            head_block_cycles=self.head_block_cycles,
-            store_stall_cycles=self.store_stall_cycles,
-        )
+        """Run to completion; returns the execution-time result."""
+        return run_closed_loop(self, max_cycles, checkpointer)
 
 
 __all__ = ["InOrderCore"]

@@ -8,8 +8,8 @@ it three ways:
 * **directed boundary snapshots** — the checkpoint lands in the states
   most likely to be serialized wrong: mid-burst, with a refresh
   drain pending, with the write queue straddling the Burst_TH
-  threshold (51/52/53 of 64), and one cycle before a gated schedule
-  pass wakes;
+  threshold (51/52/53 of 64), one cycle before a gated schedule
+  pass wakes, and while a closed-loop core waits on its ROB head;
 * **a hypothesis property** — random workload × random snapshot point
   × every mechanism, open loop, both FASTFWD modes, oracle attached;
 * **mismatch rejection** — schema drift, config drift, wrong
@@ -21,6 +21,7 @@ it three ways:
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -40,7 +41,7 @@ from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
 from repro.cpu.inorder import InOrderCore
 from repro.dram.timing import DDR2_800
-from repro.errors import CheckpointMismatchError
+from repro.errors import CheckpointMismatchError, ConfigError
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
 from repro.sim.engine import (
@@ -395,6 +396,53 @@ def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
     assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
 
 
+@pytest.mark.parametrize("with_fsb", [False, True])
+def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
+    """A periodic snapshot cut while the core waits on its ROB head.
+
+    In the fast loop a waiting core is not stepped — only the memory
+    system ticks — so these snapshots are taken from inside that wait.
+    Resuming each must reproduce the straight run byte for byte.
+    """
+    config = baseline_config(channels=1, ranks=2, banks=2)
+
+    def build():
+        system = MemorySystem(config, "Burst_TH", oracle=True)
+        trace = make_benchmark_trace("swim", accesses=900, seed=5)
+        target = FSBAdapter(system) if with_fsb else system
+        return OoOCore(target, trace), system
+
+    with fastfwd(True):
+        core, system = build()
+        result = core.run()
+        reference = (_stats_blob(system), json.dumps(result.to_dict()))
+
+        mid_wait = []
+
+        def keep_mid_wait(driver, preempting):
+            if driver._waiting() and len(mid_wait) < 3:
+                head = driver._rob[0]
+                assert not isinstance(head, int)
+                assert head.id not in driver._done_loads
+                copy = tmp_path / f"wait-{len(mid_wait)}.ckpt"
+                shutil.copyfile(checkpointer.path, copy)
+                mid_wait.append(copy)
+
+        checkpointer = Checkpointer(
+            str(tmp_path / "cpu.ckpt"), every=97, on_save=keep_mid_wait
+        )
+        core, _ = build()
+        core.run(checkpointer=checkpointer)
+        assert mid_wait
+
+        for path in mid_wait:
+            core, system = build()
+            load_checkpoint(str(path), core)
+            result = core.run()
+            resumed = (_stats_blob(system), json.dumps(result.to_dict()))
+            assert resumed == reference
+
+
 def test_restored_references_share_identity(tmp_path):
     """One access referenced from several places restores as ONE object
     (completion heap + scheduler queue must see shared mutations)."""
@@ -559,6 +607,14 @@ def test_periodic_snapshots_and_meta(tmp_path):
     header = read_header(str(path))
     assert header["meta"] == {"label": "unit"}
     assert header["schema"] == SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("every", [0, -5])
+def test_nonpositive_interval_rejected(tmp_path, every):
+    """An interval below one cycle would snapshot on every poll."""
+    with pytest.raises(ConfigError, match="at least 1"):
+        Checkpointer(str(tmp_path / "never.ckpt"), every=every)
+    assert not (tmp_path / "never.ckpt").exists()
 
 
 def test_requested_stop_saves_then_exits_143(tmp_path):

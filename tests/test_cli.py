@@ -175,3 +175,14 @@ def test_checkpoint_every_requires_dir(capsys):
         "--checkpoint-every", "50",
     ]) == 1
     assert "checkpoint-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_checkpoint_every_nonpositive_errors(tmp_path, capsys, every):
+    ckdir = tmp_path / "ck"
+    assert main([
+        "--benchmark", "swim", "--accesses", "300",
+        "--checkpoint-every", every, "--checkpoint-dir", str(ckdir),
+    ]) == 1
+    assert "error: checkpoint interval" in capsys.readouterr().err
+    assert not ckdir.exists()

@@ -164,6 +164,28 @@ def test_fastfwd_closed_loop_identical(mechanism, core_cls, with_fsb):
     assert fast == slow
 
 
+def test_waiting_core_is_not_stepped(monkeypatch):
+    """While the ROB head waits on data only the memory system ticks.
+
+    Most memory cycles of a closed-loop swim run have a blocked ROB
+    head; the fast loop must not call ``OoOCore.step`` on them (the
+    sequential loop steps once per memory cycle).
+    """
+    monkeypatch.setenv("REPRO_FASTFWD", "1")
+    steps = []
+    step = OoOCore.step
+
+    def counting_step(core):
+        steps.append(core.system.cycle)
+        step(core)
+
+    monkeypatch.setattr(OoOCore, "step", counting_step)
+    system = MemorySystem(baseline_config(), "Burst_TH")
+    trace = make_benchmark_trace("swim", accesses=900, seed=5)
+    result = OoOCore(system, trace).run()
+    assert len(steps) < 0.5 * result.mem_cycles
+
+
 def _count_skips(monkeypatch):
     """Wrap :meth:`MemorySystem.skip_to`; returns the list of leaps.
 
