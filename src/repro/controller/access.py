@@ -65,7 +65,8 @@ class MemoryAccess:
 
     Instances are mutable records updated as the access flows through
     the controller; ``__slots__`` keeps them small because simulations
-    create hundreds of thousands.
+    create hundreds of thousands.  ``is_read`` / ``is_write`` are
+    fields mirroring ``type``, set wherever ``type`` is assigned.
 
     Lifecycle cycle stamps:
 
@@ -81,6 +82,8 @@ class MemoryAccess:
     __slots__ = (
         "id",
         "type",
+        "is_read",
+        "is_write",
         "address",
         "channel",
         "rank",
@@ -109,6 +112,8 @@ class MemoryAccess:
     ) -> None:
         self.id = _allocate_id()
         self.type = type
+        self.is_read = type is AccessType.READ
+        self.is_write = not self.is_read
         self.address = address
         self.channel = decoded.channel
         self.rank = decoded.rank
@@ -125,14 +130,6 @@ class MemoryAccess:
         self.piggybacked = False
         #: Tenant / stream id in fleet mode (0 for single-stream runs).
         self.source = source
-
-    @property
-    def is_read(self) -> bool:
-        return self.type is AccessType.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.type is AccessType.WRITE
 
     @property
     def latency(self) -> Optional[int]:
@@ -175,6 +172,8 @@ class MemoryAccess:
         access = cls.__new__(cls)
         access.id = state["id"]
         access.type = AccessType(state["type"])
+        access.is_read = access.type is AccessType.READ
+        access.is_write = not access.is_read
         access.address = state["address"]
         access.channel = state["channel"]
         access.rank = state["rank"]

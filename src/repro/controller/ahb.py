@@ -137,7 +137,7 @@ class AHBScheduler(Scheduler):
             if not self.write_is_war_blocked(w)
         ]
         rank, bank = key
-        open_row = self.channel.ranks[rank].open_row(bank)
+        open_row = self.channel.ranks[rank].banks[bank].open_row
 
         def pick(queue):
             if not queue:

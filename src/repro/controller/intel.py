@@ -152,7 +152,7 @@ class IntelScheduler(Scheduler):
         if not queue:
             return None
         rank, bank = key
-        open_row = self.channel.ranks[rank].open_row(bank)
+        open_row = self.channel.ranks[rank].banks[bank].open_row
         if open_row is not None:
             for access in queue:
                 if access.row == open_row:
@@ -320,7 +320,7 @@ class IntelScheduler(Scheduler):
         # a pass runs whenever the count changes), even with nothing
         # pending, or the stored mode goes stale versus the object path.
         pool = self.pool
-        if pool.write_queue_full:
+        if pool.write_count >= pool.write_capacity:  # write_queue_full
             self._drain_mode = True
         elif pool.write_count <= self._low_watermark:
             self._drain_mode = False

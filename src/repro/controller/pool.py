@@ -57,12 +57,12 @@ class AccessPool:
         return self.write_count >= self.write_capacity
 
     def can_accept(self, access: MemoryAccess) -> bool:
-        """Would the pool admit this access right now?"""
-        if self.full:
+        """Would the pool admit this access right now?  (:attr:`full`
+        and :attr:`write_queue_full`, read off the counters.)"""
+        writes = self.write_count
+        if self.read_count + writes >= self.capacity:
             return False
-        if access.is_write and self.write_queue_full:
-            return False
-        return True
+        return not (access.is_write and writes >= self.write_capacity)
 
     def add(self, access: MemoryAccess) -> None:
         if not self.can_accept(access):

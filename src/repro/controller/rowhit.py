@@ -110,7 +110,7 @@ class RowHitScheduler(Scheduler):
         if not queue:
             return None
         rank, bank = key
-        open_row = self.channel.ranks[rank].open_row(bank)
+        open_row = self.channel.ranks[rank].banks[bank].open_row
         fallback = None
         for access in queue:
             if access.is_write and self.write_is_war_blocked(access):

@@ -95,7 +95,7 @@ class MemorySystem:
         #: Did the most recent tick issue a command or deliver data?
         #: The next-event run loops only consider skipping after a
         #: quiet (False) tick — see :meth:`next_event_cycle`.
-        self._tick_active = False
+        self.last_tick_active = False
         #: Cycle before which :meth:`tick` is a proven no-op (set after
         #: a quiet tick, invalidated by :meth:`enqueue`); -1 = unknown.
         #: Lets the memory side fast-forward even while the CPU model
@@ -195,7 +195,7 @@ class MemorySystem:
         cycle = self.cycle
         if cycle < self._quiet_until:
             self.skip_to(cycle + 1)
-            self._tick_active = False
+            self.last_tick_active = False
             return []
         pool = self.pool
         fast = self._fastfwd
@@ -250,7 +250,7 @@ class MemorySystem:
             or pool.write_count != self._run_writes
         ):
             self._close_run(cycle)
-        self._tick_active = active
+        self.last_tick_active = active
         self.cycle = cycle + 1
         self._after_tick(active)
         return completed
@@ -268,11 +268,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Next-event time skipping
     # ------------------------------------------------------------------
-
-    @property
-    def last_tick_active(self) -> bool:
-        """Did the most recent :meth:`tick` issue or complete anything?"""
-        return self._tick_active
 
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest cycle any memory-side component can change state.
@@ -447,7 +442,7 @@ class MemorySystem:
         for oracle, payload in zip(self.oracles, state["oracles"]):
             oracle.load_state_dict(payload)
         self._open_run(self.cycle)
-        self._tick_active = False
+        self.last_tick_active = False
         self._quiet_until = -1
         self._quiet_streak = 0
         self._arm_after = 1
@@ -459,7 +454,8 @@ class MemorySystem:
     @property
     def idle(self) -> bool:
         """No queued or in-flight accesses anywhere."""
-        return self.pool.count == 0
+        pool = self.pool
+        return pool.read_count == 0 and pool.write_count == 0
 
     def pending_accesses(self) -> int:
         return sum(s.pending_accesses() for s in self.schedulers)

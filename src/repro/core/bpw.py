@@ -88,7 +88,8 @@ class BankParallelWriteScheduler(BurstScheduler):
 
     def _write_pressure(self) -> bool:
         """Full queue (the base signal) or a latched batch drain."""
-        return self.pool.write_queue_full or self._draining
+        pool = self.pool
+        return pool.write_count >= pool.write_capacity or self._draining
 
     def _pressure_write(self, key: BankKey) -> Optional[MemoryAccess]:
         """Row-hit writes on read-idle banks while batching; the

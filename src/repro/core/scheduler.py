@@ -264,7 +264,7 @@ class BurstScheduler(Scheduler):
         """Oldest write hitting the currently open row (piggyback
         candidate — it must not disturb the burst's row, §3.2)."""
         rank, bank = key
-        open_row = self.channel.ranks[rank].open_row(bank)
+        open_row = self.channel.ranks[rank].banks[bank].open_row
         if open_row is None:
             return None
         for access in self._write_queues[key]:
@@ -292,7 +292,8 @@ class BurstScheduler(Scheduler):
         its quota" — for one tenant the quota IS the whole queue, so
         the base signal is the degenerate case.
         """
-        return self.pool.write_queue_full
+        pool = self.pool
+        return pool.write_count >= pool.write_capacity
 
     def _pressure_write(self, key: BankKey) -> Optional[MemoryAccess]:
         """The write line 3 drains while :meth:`_write_pressure` holds.
@@ -334,7 +335,7 @@ class BurstScheduler(Scheduler):
                 and self._outstanding_reads == 0            # line 6
             ):
                 selected = self._oldest_write(key)          # line 7
-            if selected is None and reads:
+            if selected is None and reads.bursts:
                 if self._end_of_burst[key]:
                     # At a burst boundary the next burst may be chosen
                     # by an alternative policy (§7 future work).
@@ -391,14 +392,14 @@ class BurstScheduler(Scheduler):
             if ended:
                 self._end_of_burst[key] = True
                 self.stats.burst_sizes.add(queue.last_completed_size)
-            if not queue:
+            if not queue.bursts:
                 self._rq &= ~(1 << slot)
         else:
             # A completed write leaves the bank at a burst boundary;
             # further row-hit writes may keep piggybacking (§3.2).
             self._write_queues[key].remove(access)
             self._end_of_burst[key] = True
-        if not self._read_queues[key] and not self._write_queues[key]:
+        if not self._read_queues[key].bursts and not self._write_queues[key]:
             self._active_keys.discard(key)
             self._mat &= ~(1 << slot)
 

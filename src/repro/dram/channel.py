@@ -34,6 +34,9 @@ class RowState(enum.Enum):
     CONFLICT = "conflict"
     EMPTY = "empty"
 
+    # Members are singletons: identity hashing skips Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 class Channel:
     """Ranks of banks behind one shared command bus and data bus."""
@@ -53,8 +56,10 @@ class Channel:
             Rank(timing, r, banks, subarray_rows) for r in range(ranks)
         ]
         self.banks_per_rank = banks
-        # Command bus: one command per cycle.
-        self._last_cmd_cycle = -1
+        # Command bus: one command per cycle.  The next-event engine
+        # reads the last command's cycle (-1 before the first) after a
+        # tick to tell command cycles from dead ones it may leap over.
+        self.last_command_cycle = -1
         # Data bus occupancy/turnaround state.
         self.data_busy_until = 0
         self._last_data_rank: Optional[int] = None
@@ -106,7 +111,7 @@ class Channel:
 
     def classify(self, rank: int, bank: int, row: int) -> RowState:
         """Row hit / conflict / empty for an access to ``row`` (§2)."""
-        open_row = self.ranks[rank].open_row(bank)
+        open_row = self.ranks[rank].banks[bank].open_row
         if open_row is None:
             return RowState.EMPTY
         if open_row == row:
@@ -141,7 +146,7 @@ class Channel:
 
     def can_issue(self, cmd: Command, cycle: int) -> bool:
         """True when *all* timing constraints of ``cmd`` are met."""
-        if cycle <= self._last_cmd_cycle:
+        if cycle <= self.last_command_cycle:
             return False
         rank = self.ranks[cmd.rank]
         if (
@@ -201,16 +206,7 @@ class Channel:
 
     def command_bus_free(self, cycle: int) -> bool:
         """True when no command has been driven at ``cycle`` yet."""
-        return cycle > self._last_cmd_cycle
-
-    @property
-    def last_command_cycle(self) -> int:
-        """Cycle of the most recent command (-1 before the first).
-
-        The next-event engine reads this after a tick to tell command
-        cycles (events) from dead cycles that may be leapt over.
-        """
-        return self._last_cmd_cycle
+        return cycle > self.last_command_cycle
 
     # ------------------------------------------------------------------
     # Fast paths used by the scheduler hot loops.  These avoid building
@@ -265,7 +261,7 @@ class Channel:
         target system has attached keep watching across a load.
         """
         return {
-            "last_cmd_cycle": self._last_cmd_cycle,
+            "last_cmd_cycle": self.last_command_cycle,
             "data_busy_until": self.data_busy_until,
             "last_data_rank": self._last_data_rank,
             "last_data_is_read": self._last_data_is_read,
@@ -275,7 +271,7 @@ class Channel:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._last_cmd_cycle = state["last_cmd_cycle"]
+        self.last_command_cycle = state["last_cmd_cycle"]
         self.data_busy_until = state["data_busy_until"]
         self._last_data_rank = state["last_data_rank"]
         self._last_data_is_read = state["last_data_is_read"]
@@ -383,11 +379,11 @@ class Channel:
         return done
 
     def _claim_cmd_bus(self, cycle: int) -> None:
-        if cycle <= self._last_cmd_cycle:
+        if cycle <= self.last_command_cycle:
             raise ProtocolError(
                 f"channel {self.index}: command bus conflict at {cycle}"
             )
-        self._last_cmd_cycle = cycle
+        self.last_command_cycle = cycle
         self.cmd_bus_cycles += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

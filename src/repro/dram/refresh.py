@@ -212,9 +212,7 @@ class PerBankRefresher:
         #: JEDEC round-robin pointer per rank (REFpb order is fixed;
         #: DARP relaxes it — see :meth:`_due_bank`).
         self._rr: List[int] = [0] * len(channel.ranks)
-        self._min_due = (
-            min(min(row) for row in self._due) if self.enabled else NEVER
-        )
+        self._update_min_due()
 
     def bind_scheduler(self, scheduler) -> None:
         """Give the policy read access to the channel's scheduler.
@@ -246,25 +244,32 @@ class PerBankRefresher:
     # Engine interface
     # ------------------------------------------------------------------
 
-    @property
-    def idle_until(self) -> int:
-        """Cycle before which :meth:`tick` provably does nothing."""
-        return self._min_due
+    #: Refresh intervals ahead of the earliest deadline at which
+    #: :meth:`tick` may first act (DARP's pull-in windows).
+    _idle_lead = 0
 
-    def _retire(self, rank_index: int, bank_index: int) -> None:
-        """Advance the ledgers after a REFpb issued.
+    def _update_min_due(self) -> None:
+        """Recompute the cached ``min(_due)`` and ``idle_until``.
 
-        ``_min_due`` must be recomputed on *every* retire — including
+        ``idle_until`` is the cycle before which :meth:`tick` provably
+        does nothing.  It must follow *every* ledger change — including
         DARP pull-ins, which move a due cycle forward ahead of any
-        deadline — otherwise :attr:`idle_until` would hold a stale
-        cached minimum and the next-event engine could leap past work
+        deadline — otherwise the next-event engine could leap past work
         the sequential loop performs.
         """
+        if not self.enabled:
+            self._min_due = self.idle_until = NEVER
+            return
+        self._min_due = min(min(row) for row in self._due)
+        self.idle_until = self._min_due - self._idle_lead * self.interval
+
+    def _retire(self, rank_index: int, bank_index: int) -> None:
+        """Advance the ledgers after a REFpb issued."""
         self._due[rank_index][bank_index] += self.interval
         self._rr[rank_index] = (
             (bank_index + 1) % self.channel.banks_per_rank
         )
-        self._min_due = min(min(row) for row in self._due)
+        self._update_min_due()
 
     def tick(self, cycle: int) -> bool:
         """Deadline refresh work; returns True when the bus was used."""
@@ -349,9 +354,7 @@ class PerBankRefresher:
     def load_state_dict(self, state: dict) -> None:
         self._due = [list(row) for row in state["due"]]
         self._rr = list(state["rr"])
-        self._min_due = (
-            min(min(row) for row in self._due) if self.enabled else NEVER
-        )
+        self._update_min_due()
 
 
 class DARPRefresher(PerBankRefresher):
@@ -382,19 +385,11 @@ class DARPRefresher(PerBankRefresher):
                 best, best_due = bank_index, due
         return best
 
-    @property
-    def idle_until(self) -> int:
-        """Pull-ins may act long before the earliest deadline.
-
-        The cached ``min(_due)`` alone is only an upper bound on the
-        next action once pull-in windows open — ``PULL_IN_MAX``
-        intervals before each due cycle — so the idle horizon retreats
-        by that much.  ``_retire`` recomputes the cached minimum on
-        every pull-in, which keeps this sound as refreshes move.
-        """
-        if not self.enabled:
-            return NEVER
-        return self._min_due - self.PULL_IN_MAX * self.interval
+    #: Pull-ins may act long before the earliest deadline: the
+    #: cached ``min(_due)`` alone is only an upper bound on the next
+    #: action once pull-in windows open, ``PULL_IN_MAX`` intervals
+    #: before each due cycle, so the idle horizon retreats by that much.
+    _idle_lead = PerBankRefresher.PULL_IN_MAX
 
     # ------------------------------------------------------------------
     # Pull-in

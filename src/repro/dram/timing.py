@@ -55,6 +55,7 @@ its own command/data bus, banks, refresh machinery and oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -69,6 +70,10 @@ class TimingParams:
     and :data:`FIG1_DEVICE`).  ``tREFI`` may be ``None`` to disable
     refresh entirely, which the unit tests use to obtain deterministic
     latencies (paper Table 1 assumes idle buses and no refresh).
+
+    Derived values (``tRC``, ``data_cycles``, ``ccd_long`` ...) are
+    ``cached_property``: computed once per instance into ``__dict__``,
+    which ``replace``, ``asdict``, ``==`` and ``hash`` never read.
     """
 
     name: str
@@ -214,17 +219,17 @@ class TimingParams:
                 f"({self.wtr_short})"
             )
 
-    @property
+    @cached_property
     def tRC(self) -> int:
         """Activate-to-activate on the same bank."""
         return self.tRAS + self.tRP
 
-    @property
+    @cached_property
     def data_cycles(self) -> int:
         """Clock cycles one burst occupies on the data bus (DDR)."""
         return self.burst_length // 2
 
-    @property
+    @cached_property
     def refpb_recovery(self) -> int:
         """Effective tRFCpb: cycles a bank is busy after a REFpb.
 
@@ -239,7 +244,7 @@ class TimingParams:
             return 0
         return max(1, (self.tRFC + 1) // 2)
 
-    @property
+    @cached_property
     def refpb_spacing(self) -> int:
         """Effective tRREFD: min gap between REFpb commands on a rank.
 
@@ -251,7 +256,7 @@ class TimingParams:
             return self.tRREFD
         return max(1, self.tRRD)
 
-    @property
+    @cached_property
     def ccd_long(self) -> int:
         """Effective tCCD_L: column gap within one bank group.
 
@@ -260,27 +265,27 @@ class TimingParams:
         """
         return self.tCCD if self.tCCD_L is None else self.tCCD_L
 
-    @property
+    @cached_property
     def ccd_short(self) -> int:
         """Effective tCCD_S: column gap across bank groups."""
         return self.tCCD if self.tCCD_S is None else self.tCCD_S
 
-    @property
+    @cached_property
     def wtr_long(self) -> int:
         """Effective tWTR_L: write-to-read gap within one bank group."""
         return self.tWTR if self.tWTR_L is None else self.tWTR_L
 
-    @property
+    @cached_property
     def wtr_short(self) -> int:
         """Effective tWTR_S: write-to-read gap across bank groups."""
         return self.tWTR if self.tWTR_S is None else self.tWTR_S
 
-    @property
+    @cached_property
     def read_to_precharge(self) -> int:
         """Read command to earliest precharge of the same bank."""
         return max(self.tRTP, self.data_cycles)
 
-    @property
+    @cached_property
     def write_to_precharge(self) -> int:
         """Write command to earliest precharge of the same bank."""
         return self.tCWL + self.data_cycles + self.tWR

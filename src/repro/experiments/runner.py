@@ -162,7 +162,8 @@ def _cache_path(key: str) -> Path:
 
 
 def cache_load(key: str) -> Optional[Tuple[SimStats, CoreResult]]:
-    """Load one cached cell; any corruption reads as a miss."""
+    """Load one cached cell; any corruption reads as a miss, including
+    well-formed JSON of the wrong shape (``null``, an int for a dict)."""
     path = _cache_path(key)
     try:
         data = json.loads(path.read_text())
@@ -170,7 +171,7 @@ def cache_load(key: str) -> Optional[Tuple[SimStats, CoreResult]]:
             SimStats.from_dict(data["stats"]),
             CoreResult.from_dict(data["core"]),
         )
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
@@ -225,6 +226,8 @@ def cache_info() -> Dict[str, object]:
                 data = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue
+            if not isinstance(data, dict):
+                continue  # well-formed JSON, but not an entry
             entries += 1
             size += path.stat().st_size
             if data.get("code_version") == version:

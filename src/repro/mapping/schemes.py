@@ -14,10 +14,6 @@ from repro.mapping.base import AddressMapping, DecodedAddress
 from repro.sim.config import SystemConfig
 
 
-def _extract(value: int, shift: int, bits: int) -> int:
-    return (value >> shift) & ((1 << bits) - 1)
-
-
 def _reverse_bits(value: int, bits: int) -> int:
     result = 0
     for _ in range(bits):
@@ -43,15 +39,15 @@ class PageInterleaveMapping(AddressMapping):
     def decode(self, address: int) -> DecodedAddress:
         self._check(address)
         shift = self.line_bits
-        column = _extract(address, shift, self.column_bits)
+        column = (address >> shift) & ((1 << self.column_bits) - 1)
         shift += self.column_bits
-        channel = _extract(address, shift, self.channel_bits)
+        channel = (address >> shift) & ((1 << self.channel_bits) - 1)
         shift += self.channel_bits
-        bank = _extract(address, shift, self.bank_bits)
+        bank = (address >> shift) & ((1 << self.bank_bits) - 1)
         shift += self.bank_bits
-        rank = _extract(address, shift, self.rank_bits)
+        rank = (address >> shift) & ((1 << self.rank_bits) - 1)
         shift += self.rank_bits
-        row = _extract(address, shift, self.row_bits)
+        row = (address >> shift) & ((1 << self.row_bits) - 1)
         return DecodedAddress(channel, rank, bank, row, column)
 
     def encode(self, decoded: DecodedAddress) -> int:
@@ -85,15 +81,15 @@ class CachelineInterleaveMapping(AddressMapping):
     def decode(self, address: int) -> DecodedAddress:
         self._check(address)
         shift = self.line_bits
-        channel = _extract(address, shift, self.channel_bits)
+        channel = (address >> shift) & ((1 << self.channel_bits) - 1)
         shift += self.channel_bits
-        bank = _extract(address, shift, self.bank_bits)
+        bank = (address >> shift) & ((1 << self.bank_bits) - 1)
         shift += self.bank_bits
-        rank = _extract(address, shift, self.rank_bits)
+        rank = (address >> shift) & ((1 << self.rank_bits) - 1)
         shift += self.rank_bits
-        column = _extract(address, shift, self.column_bits)
+        column = (address >> shift) & ((1 << self.column_bits) - 1)
         shift += self.column_bits
-        row = _extract(address, shift, self.row_bits)
+        row = (address >> shift) & ((1 << self.row_bits) - 1)
         return DecodedAddress(channel, rank, bank, row, column)
 
     def encode(self, decoded: DecodedAddress) -> int:

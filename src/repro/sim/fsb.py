@@ -45,7 +45,9 @@ class FSBAdapter:
         self._request_busy_until = 0
         self._response_busy_until = 0
         self._pending_responses: List[Tuple[int, int, MemoryAccess]] = []
-        self._delivered_last_tick = False
+        #: The wrapped system's flag, or a read fill delivered by the
+        #: most recent :meth:`tick` (same protocol as MemorySystem).
+        self.last_tick_active = False
         self.request_stall_rejects = 0
         self.response_transfer_cycles = 0
 
@@ -110,7 +112,9 @@ class FSBAdapter:
         ):
             _, _, access = heapq.heappop(self._pending_responses)
             delivered.append(access)
-        self._delivered_last_tick = bool(delivered)
+        self.last_tick_active = self.system.last_tick_active or bool(
+            delivered
+        )
         return delivered
 
     # ------------------------------------------------------------------
@@ -120,9 +124,9 @@ class FSBAdapter:
     def state_dict(self, ctx) -> dict:
         """Bus lane occupancy and the in-flight read fill heap.
 
-        ``_delivered_last_tick`` resets to False on load: run loops
-        read ``last_tick_active`` only right after a ``step()``, and a
-        resumed loop always steps before consulting it.
+        ``last_tick_active`` resets to False on load: run loops read
+        it only right after a ``step()``, and a resumed loop always
+        steps before consulting it.
         """
         return {
             "request_busy_until": self._request_busy_until,
@@ -142,17 +146,13 @@ class FSBAdapter:
             (done, ident, ctx.get(ref))
             for done, ident, ref in state["pending_responses"]
         ]
-        self._delivered_last_tick = False
+        self.last_tick_active = False
         self.request_stall_rejects = state["request_stall_rejects"]
         self.response_transfer_cycles = state["response_transfer_cycles"]
 
     # ------------------------------------------------------------------
     # Next-event time skipping (same protocol as MemorySystem)
     # ------------------------------------------------------------------
-
-    @property
-    def last_tick_active(self) -> bool:
-        return self.system.last_tick_active or self._delivered_last_tick
 
     def next_event_cycle(self, cycle: int) -> int:
         """Inner memory events plus the bus's own self-timed ones:

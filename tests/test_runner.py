@@ -128,6 +128,49 @@ def test_corrupt_cache_entry_reads_as_miss():
     assert again.cached_disk == 1
 
 
+def _mangle_stats(field, value):
+    def mangle(entry):
+        entry["stats"][field] = value
+        return entry
+    return mangle
+
+
+def _set(field, value):
+    def mangle(entry):
+        entry[field] = value
+        return entry
+    return mangle
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda entry: None,
+        lambda entry: [],
+        _set("stats", [1, 2]),
+        _mangle_stats("row_states", 5),
+        _mangle_stats("burst_sizes", [1, 2]),
+        _set("core", "oops"),
+    ],
+    ids=["null", "list", "stats_list", "row_states_int",
+         "burst_sizes_list", "core_str"],
+)
+def test_wrong_shaped_cache_entry_is_a_miss(mangle):
+    """Well-formed JSON with a wrong-shaped field is corruption too:
+    ``cache_load`` misses, ``run_cells`` re-simulates, and
+    ``cache_info`` skips what is not an entry at all."""
+    cells = _cells()[:1]
+    expected, _ = runner.run_cells(cells, jobs=1, memo={})
+    (path,) = runner.cache_dir().rglob("*.json")
+    entry = mangle(json.loads(path.read_text()))
+    path.write_text(json.dumps(entry))
+    assert runner.cache_load(runner.cell_key(*cells[0])) is None
+    assert runner.cache_info()["entries"] == int(isinstance(entry, dict))
+    results, report = runner.run_cells(cells, jobs=1, memo={})
+    assert report.executed == 1
+    assert _dumps(results[cells[0]][0]) == _dumps(expected[cells[0]][0])
+
+
 def test_cache_disabled_by_env(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "0")
     cells = _cells()[:1]
