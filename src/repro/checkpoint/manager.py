@@ -1,10 +1,11 @@
 """Checkpoint scheduling: periodic snapshots and SIGTERM handoff.
 
 A :class:`Checkpointer` is handed to a driver's ``run(...)`` loop,
-which calls :meth:`Checkpointer.poll` once per loop iteration — the
-only points where every component invariant holds, making them the
-only legal snapshot points.  The manager decides *when* to actually
-save:
+which calls :meth:`Checkpointer.poll` at loop-iteration boundaries —
+the only points where every component invariant holds, making them the
+only legal snapshot points — once the memory cycle has reached
+:attr:`Checkpointer.next_poll_cycle`, the first cycle at which a poll
+could act.  The manager decides *when* to actually save:
 
 * every ``every`` memory cycles (periodic snapshots), and/or
 * when a SIGTERM arrived since the last poll — the handler only sets
@@ -32,6 +33,7 @@ from typing import Callable, Optional
 
 from repro.checkpoint.format import save_checkpoint
 from repro.errors import ConfigError
+from repro.timebase import NEVER
 
 #: Conventional exit status for a SIGTERM-driven shutdown (128 + 15).
 SIGTERM_EXIT_CODE = 143
@@ -65,6 +67,12 @@ class Checkpointer:
         self._stop_requested = False
         self._prev_handler = None
         self._installed = False
+        #: First memory cycle at which :meth:`poll` would act: the next
+        #: periodic save or progress tick (``NEVER`` with neither), or
+        #: -1 once a stop was requested.  The run loops call ``poll``
+        #: only when ``system.cycle`` has reached it.
+        self.next_poll_cycle: int
+        self._reschedule()
 
     def install_signal_handler(self) -> None:
         """Route SIGTERM to a save-at-next-poll-then-exit.
@@ -101,21 +109,41 @@ class Checkpointer:
         # Flag only: the snapshot must happen at a loop boundary, not
         # wherever the signal happened to interrupt execution.
         self._stop_requested = True
+        self.next_poll_cycle = -1
 
     def request_stop(self) -> None:
         """Programmatic SIGTERM equivalent (tests, in-process kills)."""
         self._stop_requested = True
+        self.next_poll_cycle = -1
+
+    def _reschedule(self) -> None:
+        """Recompute :attr:`next_poll_cycle` after a save or progress."""
+        due = NEVER
+        if self.every is not None:
+            due = self._last_saved_cycle + self.every
+        if self.progress is not None and self.progress_every is not None:
+            due = min(due, self._last_progress_cycle + self.progress_every)
+        self.next_poll_cycle = due
+        # Checked after the store: a SIGTERM landing mid-recompute has
+        # either set -1 itself or is seen here, so it is never lost.
+        if self._stop_requested:
+            self.next_poll_cycle = -1
 
     def save(self, driver, preempting: bool = False) -> None:
         """Snapshot now (caller must be at a loop boundary)."""
         save_checkpoint(self.path, driver, meta=self.meta)
         self.saves += 1
         self._last_saved_cycle = driver.system.cycle
+        self._reschedule()
         if self.on_save is not None:
             self.on_save(driver, preempting)
 
     def poll(self, driver) -> None:
-        """Called by run loops once per iteration, before stepping."""
+        """Called by run loops at an iteration boundary, before stepping.
+
+        The loops skip the call until ``driver.system.cycle`` reaches
+        :attr:`next_poll_cycle`; before then it would do nothing.
+        """
         if self._stop_requested:
             self.save(driver, preempting=True)
             raise SystemExit(SIGTERM_EXIT_CODE)
@@ -131,6 +159,7 @@ class Checkpointer:
             >= self.progress_every
         ):
             self._last_progress_cycle = driver.system.cycle
+            self._reschedule()
             self.progress(driver)
 
 

@@ -29,7 +29,7 @@ from repro.controller.access import EnqueueStatus, MemoryAccess
 from repro.controller.flatcore import KIND_ACTIVATE, KIND_COLUMN, KIND_PRECHARGE
 from repro.controller.pool import AccessPool
 from repro.controller.rowpolicy import RowPolicyPredictor
-from repro.dram.channel import Channel
+from repro.dram.channel import Channel, RowState
 from repro.sim.config import (
     CLOSE_PAGE_AUTOPRECHARGE,
     PREDICTIVE,
@@ -42,6 +42,15 @@ from repro.sim.stats import SimStats
 COLUMN = "column"
 PRECHARGE = "precharge"
 ACTIVATE = "activate"
+
+#: An access's first transaction kind is its row state (§2): the row
+#: is open (hit), another row is open (conflict) or the bank is
+#: precharged (empty).
+_ROW_STATE_OF_KIND = {
+    COLUMN: RowState.HIT,
+    PRECHARGE: RowState.CONFLICT,
+    ACTIVATE: RowState.EMPTY,
+}
 
 
 class Scheduler(abc.ABC):
@@ -469,18 +478,16 @@ class Scheduler(abc.ABC):
         When the transaction is the column access, latency bookkeeping
         runs and the access is finished from the queue's perspective.
         """
+        kind = self.next_command_kind(access)
         if access.start_cycle is None:
             access.start_cycle = cycle
-            access.row_state = self.channel.classify(
-                access.rank, access.bank, access.row
-            )
+            access.row_state = _ROW_STATE_OF_KIND[kind]
             self.stats.row_states[access.row_state] += 1
             self.stats.for_source(access.source).row_states[
                 access.row_state
             ] += 1
             if self.row_predictor is not None:
                 self.row_predictor.observe(access, access.row_state)
-        kind = self.next_command_kind(access)
         if kind is COLUMN:
             auto_precharge = self.auto_precharge
             if self.row_predictor is not None and self.row_predictor.should_close(

@@ -90,8 +90,9 @@ class MemorySystem:
         ]
         self.cycle = 0
         #: The open pool-occupancy run: cycles from ``_run_start`` on
-        #: were all sampled at these counts (see :meth:`_close_run`).
-        self._open_run(0)
+        #: were all sampled at the pool counts ``_close_run`` records.
+        self._run_start = 0
+        self._close_run(0)
         #: Did the most recent tick issue a command or deliver data?
         #: The next-event run loops only consider skipping after a
         #: quiet (False) tick — see :meth:`next_event_cycle`.
@@ -141,13 +142,15 @@ class MemorySystem:
         ``source`` is the tenant id in fleet mode (0 for the classic
         single-stream drivers).
         """
-        decoded = self.mapping.decode(address)
+        mapping = self.mapping
+        decoded = mapping.decode(address)
+        subarray_rows = mapping.subarray_rows
         return MemoryAccess(
             type,
             address,
             decoded,
             cycle,
-            decoded.subarray(self.mapping.subarray_rows),
+            decoded.row // subarray_rows if subarray_rows else 0,
             source=source,
         )
 
@@ -252,18 +255,15 @@ class MemorySystem:
             self._close_run(cycle)
         self.last_tick_active = active
         self.cycle = cycle + 1
-        self._after_tick(active)
-        return completed
-
-    def _after_tick(self, active: bool) -> None:
-        """Feed the dead-cycle fast path after each executed tick."""
-        if active or not self._fastfwd:
+        # Feed the dead-cycle fast path.
+        if active or not fast:
             self._quiet_streak = 0
             self._quiet_until = -1
-            return
-        # Quiet tick: let the (throttled) lookout decide whether the
-        # window is worth computing; it arms _quiet_until on success.
-        self.next_event_cycle(self.cycle)
+        else:
+            # Quiet tick: let the (throttled) lookout decide whether the
+            # window is worth computing; it arms _quiet_until on success.
+            self.next_event_cycle(cycle + 1)
+        return completed
 
     # ------------------------------------------------------------------
     # Next-event time skipping
@@ -364,24 +364,20 @@ class MemorySystem:
         zero-length run adds no histogram key.
         """
         k = cycle - self._run_start
+        pool = self.pool
         if k > 0:
             stats = self.stats
-            pool = self.pool
             reads = self._run_reads
             writes = self._run_writes
-            stats.outstanding_reads.add(reads, k)
-            stats.outstanding_writes.add(writes, k)
+            stats.outstanding_reads.counts[reads] += k
+            stats.outstanding_writes.counts[writes] += k
             if writes >= pool.write_capacity:
                 stats.write_queue_full_cycles += k
             if reads + writes >= pool.capacity:
                 stats.pool_full_cycles += k
-        self._open_run(cycle)
-
-    def _open_run(self, cycle: int) -> None:
-        """Start an occupancy run at ``cycle`` with the pool's counts."""
         self._run_start = cycle
-        self._run_reads = self.pool.read_count
-        self._run_writes = self.pool.write_count
+        self._run_reads = pool.read_count
+        self._run_writes = pool.write_count
 
     def note_rejected_enqueues(self, start: int, cycles: int) -> None:
         """Account for ``cycles`` skipped back-to-back enqueue retries.
@@ -441,7 +437,8 @@ class MemorySystem:
             scheduler.load_state_dict(payload, ctx)
         for oracle, payload in zip(self.oracles, state["oracles"]):
             oracle.load_state_dict(payload)
-        self._open_run(self.cycle)
+        self._run_start = self.cycle
+        self._close_run(self.cycle)
         self.last_tick_active = False
         self._quiet_until = -1
         self._quiet_streak = 0

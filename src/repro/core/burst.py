@@ -164,7 +164,7 @@ class BurstQueue:
         it sorted).  Returns True when the burst completed.
         """
         burst = self._by_row.get(access.row)
-        if burst is None or burst.head is not access:
+        if burst is None or burst.accesses[0] is not access:
             raise SchedulerError(
                 f"finish_read: {access!r} is not the head of its burst"
             )

@@ -343,7 +343,7 @@ class BurstScheduler(Scheduler):
                         self.inter_burst_policy, cycle
                     )
                 burst = self._select_read_burst(key, reads, cycle)
-                selected = burst.head                       # line 8
+                selected = burst.accesses[0]                # line 8
                 self._end_of_burst[key] = False
             self._ongoing[key] = selected
         elif (
@@ -360,7 +360,7 @@ class BurstScheduler(Scheduler):
             self.stats.preemptions += 1
             self._ongoing[key] = self._select_read_burst(
                 key, reads, cycle
-            ).head
+            ).accesses[0]
             self._end_of_burst[key] = False
 
     # ------------------------------------------------------------------

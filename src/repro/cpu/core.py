@@ -429,7 +429,10 @@ def run_closed_loop(core, max_cycles: int, checkpointer) -> CoreResult:
     check = False
     waiting = False
     while waiting or not core.done:
-        if checkpointer is not None:
+        if (
+            checkpointer is not None
+            and system.cycle >= checkpointer.next_poll_cycle
+        ):
             # Loop-iteration boundaries are the snapshot points:
             # every pipeline invariant holds here, so a restored
             # run re-enters the loop in an identical state.

@@ -11,9 +11,9 @@ physical constraints:
   highlights in §3 and §3.3);
 * every bank/rank timing constraint, delegated downward.
 
-The channel is also where an access is classified as a *row hit*, *row
-conflict* or *row empty* against current bank state (§2), and where bus
-utilisation statistics — Figure 9(b) of the paper — are collected.
+The channel defines the *row hit* / *row conflict* / *row empty* states
+an access is classified into (§2) and collects the bus utilisation
+statistics of Figure 9(b) of the paper.
 """
 
 from __future__ import annotations
@@ -108,15 +108,6 @@ class Channel:
         for rank in self.ranks:
             for bank in rank.banks:
                 yield rank.index, bank.index, bank
-
-    def classify(self, rank: int, bank: int, row: int) -> RowState:
-        """Row hit / conflict / empty for an access to ``row`` (§2)."""
-        open_row = self.ranks[rank].banks[bank].open_row
-        if open_row is None:
-            return RowState.EMPTY
-        if open_row == row:
-            return RowState.HIT
-        return RowState.CONFLICT
 
     # ------------------------------------------------------------------
     # Data-bus turnaround

@@ -81,26 +81,36 @@ class Rank:
         ``row`` (when known) lets the bank refine its per-bank refresh
         gates to the row's subarray (SARP).
         """
-        if self.refresh_pending:
-            return False
-        if cycle < self.ready_activate:
-            return False
-        if (
-            self.timing.tFAW is not None
-            and len(self._activate_times) == 4
-            and cycle < self._activate_times[0] + self.timing.tFAW
-        ):
+        if not self._activate_clear(cycle):
             return False
         target = self.banks[bank]
         return target.can_activate(cycle, target.subarray_of(row))
 
-    def can_column(self, cycle: int, bank: int, row: int, is_read: bool) -> bool:
-        """True when the column access clears rank-level turnaround."""
-        if is_read and cycle < self.ready_read:
+    def _activate_clear(self, cycle: int) -> bool:
+        """The rank's half of :meth:`can_activate`: refresh fence, tRRD
+        and tFAW (the bank checks its own half when it applies)."""
+        if self.refresh_pending or cycle < self.ready_activate:
             return False
-        if self.bank_groups > 1 and cycle < self.column_gate(bank, is_read):
+        return not (
+            self.timing.tFAW is not None
+            and len(self._activate_times) == 4
+            and cycle < self._activate_times[0] + self.timing.tFAW
+        )
+
+    def can_column(self, cycle: int, bank: int, row: int, is_read: bool) -> bool:
+        """True when a column to ``row`` clears the rank's and bank's gates."""
+        if not self._column_clear(cycle, bank, is_read):
             return False
         return self.banks[bank].can_column(cycle, row)
+
+    def _column_clear(self, cycle: int, bank: int, is_read: bool) -> bool:
+        """The rank's half of :meth:`can_column`: tWTR and the bank-group
+        gates (the bank checks its own half when it applies)."""
+        if is_read and cycle < self.ready_read:
+            return False
+        return not (
+            self.bank_groups > 1 and cycle < self.column_gate(bank, is_read)
+        )
 
     def column_gate(self, bank: int, is_read: bool) -> int:
         """Earliest cycle the bank-group gates allow a column to ``bank``.
@@ -240,7 +250,7 @@ class Rank:
     # ------------------------------------------------------------------
 
     def activate(self, cycle: int, bank: int, row: int) -> None:
-        if not self.can_activate(cycle, bank, row):
+        if not self._activate_clear(cycle):
             raise ProtocolError(
                 f"rank {self.index}: illegal ACTIVATE bank={bank} "
                 f"at cycle {cycle}"
@@ -261,7 +271,7 @@ class Rank:
         auto_precharge: bool = False,
     ) -> int:
         """Issue a column access; returns the last-data-beat cycle."""
-        if not self.can_column(cycle, bank, row, is_read):
+        if not self._column_clear(cycle, bank, is_read):
             raise ProtocolError(
                 f"rank {self.index}: illegal column access bank={bank} "
                 f"at cycle {cycle}"

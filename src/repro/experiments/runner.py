@@ -36,6 +36,7 @@ Environment knobs::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -54,6 +55,7 @@ from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SimStats
 from repro.workloads.spec2000 import make_benchmark_trace
+from repro.workloads.trace import TraceRecord
 
 #: One fully-resolved unit of work: (benchmark, mechanism, accesses,
 #: seed, config).  Scaling (REPRO_SCALE) and defaulting happen in
@@ -341,6 +343,20 @@ class CellRun:
     resumed_cycle: Optional[int] = None
 
 
+@functools.lru_cache(maxsize=1)
+def _cell_trace(
+    benchmark: str, accesses: int, seed: int
+) -> Tuple[TraceRecord, ...]:
+    """The cell's trace, kept for the next cell that shares it.
+
+    Matrices expand benchmark-major, so consecutive cells on one worker
+    differ only in mechanism and reuse one trace.  A single entry keeps
+    memory flat however large the matrix; the tuple and its frozen
+    records are immutable, so every cell may share them.
+    """
+    return tuple(make_benchmark_trace(benchmark, accesses, seed))
+
+
 def execute_cell(
     cell: Cell,
     checkpoint: Optional[bool] = None,
@@ -363,9 +379,8 @@ def execute_cell(
     snapshot — the job-service worker streams both as events.
     """
     benchmark, mechanism, accesses, seed, config = cell
-    trace = make_benchmark_trace(benchmark, accesses, seed)
     system = MemorySystem(config, mechanism)
-    core = OoOCore(system, trace)
+    core = OoOCore(system, _cell_trace(benchmark, accesses, seed))
     checkpoint = checkpoint_enabled() if checkpoint is None else checkpoint
     checkpointer = None
     snapshot: Optional[Path] = None

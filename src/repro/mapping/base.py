@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import MappingError
 from repro.sim.config import SystemConfig
 
 
-@dataclass(frozen=True, order=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """Device coordinates of one cache-line-sized memory block."""
 
     channel: int
@@ -22,15 +21,6 @@ class DecodedAddress:
     def bank_key(self):
         """Hashable identity of the target bank across the system."""
         return (self.channel, self.rank, self.bank)
-
-    def subarray(self, subarray_rows: int) -> int:
-        """The bank subarray holding :attr:`row` (SARP geometry).
-
-        Subarrays partition a bank's rows into equal contiguous groups;
-        ``subarray_rows`` is ``config.rows // config.subarrays`` (see
-        :attr:`~repro.mapping.base.AddressMapping.subarray_rows`).
-        """
-        return self.row // subarray_rows if subarray_rows else 0
 
 
 def _bits(value: int) -> int:
@@ -60,7 +50,8 @@ class AddressMapping(abc.ABC):
         self.bank_bits = _bits(config.banks)
         self.row_bits = _bits(config.rows)
         self.subarray_bits = _bits(config.subarrays)
-        #: Rows per subarray; feeds :meth:`DecodedAddress.subarray`.
+        #: Rows per subarray (SARP geometry): subarrays partition a
+        #: bank's rows into equal contiguous groups.
         self.subarray_rows = config.rows // config.subarrays
         self.address_bits = (
             self.line_bits
@@ -70,11 +61,8 @@ class AddressMapping(abc.ABC):
             + self.bank_bits
             + self.row_bits
         )
-
-    @property
-    def capacity(self) -> int:
-        """Total bytes addressable under this mapping."""
-        return 1 << self.address_bits
+        #: Total bytes addressable under this mapping.
+        self.capacity = 1 << self.address_bits
 
     def _check(self, address: int) -> int:
         if address < 0 or address >= self.capacity:

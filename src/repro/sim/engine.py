@@ -18,11 +18,25 @@ from typing import Iterable, List, Tuple
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, TraceError
 from repro.sim.profile import NEVER, fastfwd_enabled
 
 #: (arrival_cycle, AccessType, physical_address)
 Request = Tuple[int, AccessType, int]
+
+
+def _check_types(requests) -> None:
+    """Reject a request whose type is not an :class:`AccessType`.
+
+    The drivers read a request as a write unless its type *is*
+    ``AccessType.READ``, so a stray ``"read"`` would run as a write.
+    """
+    for request in requests:
+        if not isinstance(request[1], AccessType):
+            raise TraceError(
+                f"request {request!r}: type must be an AccessType, "
+                f"got {request[1]!r}"
+            )
 
 
 class OpenLoopDriver:
@@ -35,7 +49,9 @@ class OpenLoopDriver:
 
     def __init__(self, system: MemorySystem, requests: Iterable[Request]):
         self.system = system
-        self._pending = deque(sorted(requests, key=lambda r: r[0]))
+        pending = sorted(requests, key=lambda r: r[0])
+        _check_types(pending)
+        self._pending = deque(pending)
         self._staged: deque = deque()
         self.completed: List[MemoryAccess] = []
         self.issued = 0
@@ -118,7 +134,10 @@ class OpenLoopDriver:
         fast = fastfwd_enabled()
         system = self.system
         while not self.done:
-            if checkpointer is not None:
+            if (
+                checkpointer is not None
+                and system.cycle >= checkpointer.next_poll_cycle
+            ):
                 # Loop-iteration boundaries are the snapshot points:
                 # every component invariant holds here, so a restored
                 # run re-enters the loop in an identical state.
@@ -177,8 +196,10 @@ class FleetDriver(OpenLoopDriver):
 
     def __init__(self, system: MemorySystem, requests: Iterable[FleetRequest]):
         self.system = system
+        ordered = sorted(requests, key=lambda r: (r[3], r[0]))
+        _check_types(ordered)
         lanes: dict = {}
-        for request in sorted(requests, key=lambda r: (r[3], r[0])):
+        for request in ordered:
             lanes.setdefault(request[3], deque()).append(request)
         self._lanes = {source: lanes[source] for source in sorted(lanes)}
         self._staged_lanes = {source: deque() for source in self._lanes}

@@ -30,6 +30,8 @@ class TraceRecord:
     address: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.op, AccessType):
+            raise TraceError(f"op must be an AccessType, got {self.op!r}")
         if self.gap < 0:
             raise TraceError(f"negative instruction gap {self.gap}")
         if self.address < 0:

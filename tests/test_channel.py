@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.controller.access import AccessType
+from repro.controller.system import MemorySystem
 from repro.dram.channel import Channel, RowState
 from repro.dram.commands import Command, CommandType
 from repro.dram.timing import DDR2_800
 from repro.errors import ProtocolError
+from repro.mapping.base import DecodedAddress
+from repro.sim.config import baseline_config
 
 T = DDR2_800
 
@@ -34,11 +38,22 @@ def test_command_bus_free_tracking(channel):
     assert channel.command_bus_free(1)
 
 
-def test_classify(channel):
-    assert channel.classify(0, 0, 5) is RowState.EMPTY
-    channel.issue_activate(0, 0, 0, 5)
-    assert channel.classify(0, 0, 5) is RowState.HIT
-    assert channel.classify(0, 0, 6) is RowState.CONFLICT
+def test_classify():
+    """An access's row state is the kind of its first transaction (§2)."""
+    system = MemorySystem(baseline_config(), "FCFS")
+    scheduler = system.schedulers[0]
+
+    def first_issue(row, cycle):
+        address = system.mapping.encode(DecodedAddress(0, 0, 0, row, 0))
+        access = system.make_access(AccessType.READ, address, cycle)
+        scheduler.issue_for(access, cycle)
+        return access.row_state
+
+    assert first_issue(5, 0) is RowState.EMPTY        # ACTIVATE
+    assert first_issue(5, 100) is RowState.HIT        # column
+    assert first_issue(6, 200) is RowState.CONFLICT   # PRECHARGE
+    counts = system.stats.row_states
+    assert [counts[state] for state in RowState] == [1, 1, 1]
 
 
 def test_data_bus_occupancy_blocks_overlapping_bursts(channel):

@@ -642,3 +642,108 @@ def test_requested_stop_saves_then_exits_143(tmp_path):
     resumed = MemorySystem(config, "Burst_TH")
     run_requests_resumed(resumed, list(requests), str(path))
     assert _stats_blob(resumed) == reference
+
+
+# ----------------------------------------------------------------------
+# The run loops poll only when a poll is due
+# ----------------------------------------------------------------------
+
+
+class _PollEveryIteration(Checkpointer):
+    """The reference cadence: ``poll`` at every loop boundary."""
+
+    def _reschedule(self) -> None:
+        self.next_poll_cycle = -1
+
+
+def _drivers():
+    """One open-loop and one closed-loop driver factory."""
+    small = _config(FAST_REFRESH)
+    requests = _row_stream(small, 60, rows=4, gap=7, write_every=5)
+    full = baseline_config(timing=FAST_REFRESH)
+    trace = make_benchmark_trace("swim", 120, seed=1)
+    return {
+        "open": lambda: OpenLoopDriver(
+            MemorySystem(small, "Burst_TH"), list(requests)
+        ),
+        "closed": lambda: OoOCore(MemorySystem(full, "Burst_TH"), trace),
+    }
+
+
+def _observed_run(tmp_path, factory, cls, stop_on_progress=False, **kwargs):
+    """Run to the end (or exit); returns (save, progress) cycle lists."""
+    saves, progress = [], []
+
+    def on_progress(driver):
+        progress.append(driver.system.cycle)
+        if stop_on_progress:
+            checkpointer.request_stop()
+
+    checkpointer = cls(
+        str(tmp_path / f"{cls.__name__}.ckpt"),
+        progress=on_progress,
+        on_save=lambda driver, preempting: saves.append(
+            (driver.system.cycle, preempting)
+        ),
+        **kwargs,
+    )
+    try:
+        factory().run(checkpointer=checkpointer)
+    except SystemExit as exit_info:
+        saves.append(("exit", exit_info.code))
+    return saves, progress
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_no_period_and_no_hook_never_polls(kind, monkeypatch):
+    polls = []
+    monkeypatch.setattr(
+        Checkpointer, "poll", lambda self, driver: polls.append(1)
+    )
+    checkpointer = Checkpointer("unused.ckpt")
+    _drivers()[kind]().run(checkpointer=checkpointer)
+    assert polls == []
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "sequential"])
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_periodic_saves_and_progress_land_on_reference_cycles(
+    tmp_path, kind, fast
+):
+    factory = _drivers()[kind]
+    runs = []
+    for cls in (Checkpointer, _PollEveryIteration):
+        with fastfwd(fast):
+            runs.append(_observed_run(
+                tmp_path, factory, cls, every=97, progress_every=40
+            ))
+    assert runs[0] == runs[1]
+    saves, progress = runs[0]
+    assert len(saves) >= 2 and len(progress) >= 4
+    if not fast:
+        # One cycle per iteration: each save lands on last_saved + every.
+        cycles = [cycle for cycle, _ in saves]
+        assert cycles == [97 * (i + 1) for i in range(len(cycles))]
+        assert progress == [40 * (i + 1) for i in range(len(progress))]
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "sequential"])
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_stop_requested_from_progress_hook_exits_at_next_boundary(
+    tmp_path, kind, fast
+):
+    factory = _drivers()[kind]
+    runs = []
+    for cls in (Checkpointer, _PollEveryIteration):
+        with fastfwd(fast):
+            runs.append(_observed_run(
+                tmp_path, factory, cls, stop_on_progress=True,
+                progress_every=150,
+            ))
+    assert runs[0] == runs[1]
+    saves, progress = runs[0]
+    assert progress == [150]
+    (cycle, preempting), exit_marker = saves
+    assert preempting and exit_marker == ("exit", 143)
+    if not fast:
+        assert cycle == 151

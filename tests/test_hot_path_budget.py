@@ -5,8 +5,9 @@ is written where it changes, and properties are for cold API (DESIGN.md
 §11).  The budget below pins that: it counts Python-level function
 calls (``sys.setprofile`` "call" events) per simulated access.  The
 count is deterministic — it does not depend on host speed or Python
-version — so a regression that puts a property back on the hot path
-fails here instead of hiding in timing noise.
+version — so a regression that puts a property back on the hot path,
+or checks a device gate twice per command, fails here instead of hiding
+in timing noise.
 
 The second half checks that each field replacing a property or helper
 holds exactly what that property computed, across every place the
@@ -65,13 +66,23 @@ def _calls_per_access(bench, mechanism, config) -> float:
 @pytest.mark.parametrize(
     "bench, mechanism, config, budget",
     [
-        # 111 when written, 135 with only the is_read/is_write
-        # properties back, 174 with every replaced accessor back.
-        ("swim", "Burst_TH", baseline_config(), 125),
-        # 139 when written, 165 and 237 likewise.
-        ("swim", "Burst_BPW", generation_config(DDR5_4800), 155),
+        # Counts when written, then with the double bank check back
+        # (Rank.activate / Rank.column calling the composed can_*):
+        # 96.6 and 99.4.
+        ("swim", "Burst_TH", baseline_config(), 98),
+        # 93.8 and 98.7.
+        ("mcf", "BkInOrder", baseline_config(), 95),
+        # 95.2 and 97.9.
+        ("gcc", "Intel", baseline_config(), 97),
+        # 123.9 and 126.4.
+        ("swim", "Burst_BPW", generation_config(DDR5_4800), 125),
     ],
-    ids=["swim-Burst_TH-DDR2", "swim-Burst_BPW-DDR5"],
+    ids=[
+        "swim-Burst_TH-DDR2",
+        "mcf-BkInOrder-DDR2",
+        "gcc-Intel-DDR2",
+        "swim-Burst_BPW-DDR5",
+    ],
 )
 def test_python_calls_per_access_within_budget(
     bench, mechanism, config, budget, monkeypatch

@@ -412,3 +412,26 @@ def test_code_version_folds_checkpoint_schema(monkeypatch):
     bumped = runner.code_version()
     monkeypatch.setattr(runner, "_code_version", None)
     assert bumped != baseline
+
+
+def test_cells_sharing_a_trace_equal_fresh_runs():
+    """Consecutive cells on one (benchmark, accesses, seed) reuse one
+    immutable trace, and each still equals a fresh run."""
+    from repro.controller.system import MemorySystem
+    from repro.cpu.core import OoOCore
+    from repro.workloads.spec2000 import make_benchmark_trace
+
+    cfg = baseline_config()
+    runner._cell_trace.cache_clear()
+    for mechanism in MECHS:
+        cell = ("swim", mechanism, N, SEED, cfg)
+        run = runner.execute_cell(cell, checkpoint=False)
+        system = MemorySystem(cfg, mechanism)
+        fresh = OoOCore(system, make_benchmark_trace("swim", N, SEED)).run()
+        assert _dumps(run.stats) == _dumps(system.stats)
+        assert run.core == fresh
+    info = runner._cell_trace.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, len(MECHS) - 1, 1)
+    assert type(runner._cell_trace("swim", N, SEED)) is tuple
+    runner._cell_trace("mcf", N, SEED)
+    assert runner._cell_trace.cache_info().currsize == 1

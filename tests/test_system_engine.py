@@ -6,9 +6,9 @@ import pytest
 
 from repro.controller.access import AccessType, EnqueueStatus
 from repro.controller.system import MemorySystem
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, TraceError
 from repro.mapping.base import DecodedAddress
-from repro.sim.engine import OpenLoopDriver, run_requests
+from repro.sim.engine import FleetDriver, OpenLoopDriver, run_requests
 from tests.conftest import make_request_stream
 
 
@@ -115,3 +115,21 @@ def test_mechanism_name_recorded(quiet_config):
         "Burst_TH"
     )
     assert MemorySystem(quiet_config, "RowHit").mechanism_name == "RowHit"
+
+
+@pytest.mark.parametrize("fleet", [False, True], ids=["open", "fleet"])
+def test_driver_rejects_request_type_that_is_not_an_access_type(
+    quiet_config, fleet
+):
+    """The drivers enqueue every non-READ type as a write: two requests
+    typed ``"read"`` and ``"READ"`` used to complete as two writes."""
+    system = MemorySystem(quiet_config, "FCFS")
+    requests = [
+        (0, "read", _addr(system, row=1)),
+        (1, "READ", _addr(system, row=2)),
+    ]
+    if fleet:
+        requests = [request + (0,) for request in requests]
+    driver = FleetDriver if fleet else OpenLoopDriver
+    with pytest.raises(TraceError, match="AccessType"):
+        driver(system, requests)

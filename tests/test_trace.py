@@ -19,6 +19,14 @@ def test_record_validation():
         TraceRecord(0, AccessType.READ, -5)
 
 
+@pytest.mark.parametrize("op", ["WRITE", "write", "W", 1, None])
+def test_record_rejects_op_that_is_not_an_access_type(op):
+    """The cores run every non-WRITE op as a load: a record typed
+    ``"WRITE"`` used to become a read instead of failing."""
+    with pytest.raises(TraceError, match="AccessType"):
+        TraceRecord(0, op, 0x40)
+
+
 def test_roundtrip(tmp_path):
     records = [
         TraceRecord(0, AccessType.READ, 0x1000),
