@@ -5,11 +5,12 @@ chip level multiple processors, as the memory controller will have
 larger number of outstanding main memory accesses from which to
 select" (§6).  This benchmark runs the standard 4-core mixes through
 the mechanisms and checks that the burst scheduler's advantage holds
-(or grows) under combined traffic, and that no mechanism starves any
-core's accesses.
+(or grows) under combined traffic, that no mechanism starves any
+core's accesses, and that each core is reported as its own tenant.
 """
 
 from benchmarks.conftest import run_once
+from repro.analysis.fairness import per_source_read_latency
 from repro.analysis.tables import format_table
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
@@ -37,6 +38,15 @@ def _run():
                 + stats.forwarded_reads
             )
             assert completed == len(trace), (mix_name, mechanism)
+            # One tenant per core, and every read lands in exactly one
+            # tenant's record.
+            per_core = per_source_read_latency(stats)
+            assert sorted(per_core) == list(range(len(benches))), (
+                mix_name, mechanism, sorted(per_core)
+            )
+            assert sum(
+                s.completed_reads for s in stats.per_source.values()
+            ) == stats.completed_reads, (mix_name, mechanism)
         base = cycles["BkInOrder"]
         rows.append(
             tuple([mix_name] + [cycles[m] / base for m in MECHS])

@@ -1,18 +1,9 @@
-"""Fairness analysis: per-core mix views (§6) and fleet-mode metrics.
+"""Fairness analysis: per-tenant metrics against solo-run baselines.
 
-A CMP mix (:mod:`repro.workloads.mixes`) gives each core a private
-1 GB address slice, and the controller records read latency per slice.
-These helpers turn that into the standard fairness views: per-core
-mean latency, the max/min latency ratio, and the Jain fairness index
-
-    J = (sum x_i)^2 / (n * sum x_i^2)
-
-computed over per-core *service rates* (1/latency), so J = 1 means
-every core's reads are served equally fast and J -> 1/n means one
-core monopolises the controller.
-
-Fleet mode adds first-class per-source statistics
-(:class:`~repro.sim.stats.SourceStats`), and with them the standard
+Every access carries its tenant in ``MemoryAccess.source`` — a fleet
+scenario's tenant or a CMP mix's core (:mod:`repro.workloads.mixes`)
+— and the controller records per-source statistics
+(:class:`~repro.sim.stats.SourceStats`).  From those come the standard
 multiprogram metrics against *solo-run* baselines (each tenant run
 alone on the same machine and mechanism):
 
@@ -21,10 +12,10 @@ alone on the same machine and mechanism):
   cost nothing, lower means contention.
 * ``max_slowdown`` — ``max(shared_i / solo_i)``, the victim's view;
   the QoS schedulers exist to pull this down.
-* ``jain_index`` — the Jain formula over any per-tenant rate vector
-  (bounded in ``[1/n, 1]``); ``speedup_jain`` applies it to the
-  per-tenant speedups ``solo_i / shared_i``, so 1.0 means sharing
-  slowed every tenant by the same factor.
+* ``speedup_jain`` — the one Jain metric: the Jain formula
+  (``jain_index``, ``J = (sum x_i)^2 / (n * sum x_i^2)``, bounded in
+  ``[1/n, 1]``) over the per-tenant speedups ``solo_i / shared_i``,
+  so 1.0 means sharing slowed every tenant by the same factor.
 """
 
 from __future__ import annotations
@@ -33,44 +24,6 @@ from typing import Dict, Iterable
 
 from repro.errors import ConfigError
 from repro.sim.stats import SimStats
-
-
-def per_core_read_latency(stats: SimStats) -> Dict[int, float]:
-    """Mean read latency per 1 GB address slice (core)."""
-    return {
-        core: latency.mean
-        for core, latency in sorted(stats.read_latency_per_slice.items())
-        if latency.count
-    }
-
-
-def latency_disparity(stats: SimStats) -> float:
-    """Max/min ratio of per-core mean read latencies (1.0 = equal)."""
-    latencies = list(per_core_read_latency(stats).values())
-    if not latencies:
-        raise ConfigError("no per-core read latencies recorded")
-    lowest = min(latencies)
-    if lowest <= 0:
-        raise ConfigError("non-positive latency in fairness input")
-    return max(latencies) / lowest
-
-
-def jain_fairness(stats: SimStats) -> float:
-    """Jain index over per-core service rates; 1.0 is perfectly fair."""
-    latencies = list(per_core_read_latency(stats).values())
-    if not latencies:
-        raise ConfigError("no per-core read latencies recorded")
-    rates = [1.0 / value for value in latencies if value > 0]
-    if not rates:
-        raise ConfigError("non-positive latencies in fairness input")
-    total = sum(rates)
-    squares = sum(rate * rate for rate in rates)
-    return (total * total) / (len(rates) * squares)
-
-
-# ----------------------------------------------------------------------
-# Fleet-mode metrics (per-source stats, solo-run baselines)
-# ----------------------------------------------------------------------
 
 
 def jain_index(values: Iterable[float]) -> float:
@@ -89,11 +42,11 @@ def jain_index(values: Iterable[float]) -> float:
 
 def per_source_read_latency(stats: SimStats) -> Dict[int, float]:
     """Mean read latency per tenant, from the per-source stats."""
-    return {
-        source: stat.read_latency.mean
+    views = {
+        source: stat.read_latency
         for source, stat in sorted(stats.per_source.items())
-        if stat.read_latency.count
     }
+    return {source: view.mean for source, view in views.items() if view.count}
 
 
 def per_source_service_rate(stats: SimStats, cycles: int) -> Dict[int, float]:
@@ -151,11 +104,8 @@ def speedup_jain(solo: Dict[int, float], shared: Dict[int, float]) -> float:
 
 
 __all__ = [
-    "jain_fairness",
     "jain_index",
-    "latency_disparity",
     "max_slowdown",
-    "per_core_read_latency",
     "per_source_read_latency",
     "per_source_service_rate",
     "speedup_jain",

@@ -51,7 +51,9 @@ from repro.errors import CheckpointMismatchError
 #: (ready_column_any / ready_column_group / ready_read_group), the
 #: matching oracle shadows, and the Burst_BPW drain latch entered the
 #: payloads; schema-3 snapshots predate all of them.
-SCHEMA_VERSION = 4
+#: 5: staged trace records carry their source; the stats dropped
+#: ``read_latency_per_slice`` and the per-source ``read_latency``.
+SCHEMA_VERSION = 5
 
 
 class SaveContext:

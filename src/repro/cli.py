@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--micro", choices=sorted(MICROBENCHMARKS),
         help="directed microbenchmark pattern",
     )
-    source.add_argument("--trace", help="external trace file (gap R|W addr)")
+    source.add_argument("--trace", help="external trace file (gap R|W addr [source])")
 
     parser.add_argument(
         "--mechanism", default="Burst_TH", choices=sorted(MECHANISMS),

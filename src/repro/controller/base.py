@@ -560,16 +560,8 @@ class Scheduler(abc.ABC):
         ] -= 1
         latency = access.complete_cycle - access.arrival
         self.stats.read_latency.add(latency)
-        slice_stats = self.stats.read_latency_per_slice
-        key = access.address >> 30
-        if key not in slice_stats:
-            from repro.sim.stats import LatencyStat
-
-            slice_stats[key] = LatencyStat()
-        slice_stats[key].add(latency)
         self.stats.completed_reads += 1
         per_source = self.stats.for_source(access.source)
-        per_source.read_latency.add(latency)
         per_source.read_latencies.add(latency)
         per_source.completed_reads += 1
 

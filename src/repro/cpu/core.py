@@ -192,7 +192,7 @@ class OoOCore:
             # Gap consumed: handle the memory operation itself.
             if record.op is AccessType.WRITE:
                 access = system.make_access(
-                    AccessType.WRITE, record.address, cycle
+                    AccessType.WRITE, record.address, cycle, record.source
                 )
                 self._staged = None
                 self._pending_store = access
@@ -201,7 +201,9 @@ class OoOCore:
                 return
             if self._inflight_loads >= self.lsq_size:
                 return
-            access = system.make_access(AccessType.READ, record.address, cycle)
+            access = system.make_access(
+                AccessType.READ, record.address, cycle, record.source
+            )
             status = system.enqueue(access, cycle)
             if status is EnqueueStatus.REJECTED_FULL:
                 return
@@ -331,7 +333,8 @@ class OoOCore:
         if self._staged is not None:
             gap_remaining, record = self._staged
             staged = [
-                gap_remaining, record.gap, record.op.value, record.address
+                gap_remaining, record.gap, record.op.value, record.address,
+                record.source,
             ]
         return {
             "trace_consumed": self._trace_consumed,
@@ -373,10 +376,8 @@ class OoOCore:
         if state["staged"] is None:
             self._staged = None
         else:
-            gap_remaining, gap, op_value, address = state["staged"]
-            record = TraceRecord(
-                gap=gap, op=AccessType(op_value), address=address
-            )
+            gap_remaining, gap, op_value, address, source = state["staged"]
+            record = TraceRecord(gap, AccessType(op_value), address, source)
             self._staged = [gap_remaining, record]
         self._trace_done = state["trace_done"]
         self._inflight_loads = state["inflight_loads"]

@@ -97,11 +97,13 @@ class InOrderCore:
                     continue
             if record.op is AccessType.WRITE:
                 self._pending_store = system.make_access(
-                    AccessType.WRITE, record.address, cycle
+                    AccessType.WRITE, record.address, cycle, record.source
                 )
                 self._staged = None
                 continue
-            access = system.make_access(AccessType.READ, record.address, cycle)
+            access = system.make_access(
+                AccessType.READ, record.address, cycle, record.source
+            )
             status = system.enqueue(access, cycle)
             if status is EnqueueStatus.REJECTED_FULL:
                 break
@@ -180,7 +182,8 @@ class InOrderCore:
         if self._staged is not None:
             gap_remaining, record = self._staged
             staged = [
-                gap_remaining, record.gap, record.op.value, record.address
+                gap_remaining, record.gap, record.op.value, record.address,
+                record.source,
             ]
         return {
             "trace_consumed": self._trace_consumed,
@@ -211,10 +214,8 @@ class InOrderCore:
         if state["staged"] is None:
             self._staged = None
         else:
-            gap_remaining, gap, op_value, address = state["staged"]
-            record = TraceRecord(
-                gap=gap, op=AccessType(op_value), address=address
-            )
+            gap_remaining, gap, op_value, address, source = state["staged"]
+            record = TraceRecord(gap, AccessType(op_value), address, source)
             self._staged = [gap_remaining, record]
         self._trace_done = state["trace_done"]
         self._blocked_on = ctx.get_opt(state["blocked_on"])

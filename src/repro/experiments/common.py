@@ -15,10 +15,12 @@
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.cpu.core import CoreResult
+from repro.errors import ConfigError
 from repro.experiments import runner
 from repro.sim.config import SystemConfig, baseline_config
 from repro.sim.stats import SimStats
@@ -41,13 +43,24 @@ MECHANISMS = (
 
 
 def scale() -> float:
-    """The REPRO_SCALE multiplier (default 1.0)."""
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
+    """The REPRO_SCALE multiplier (default 1.0): a finite float > 0."""
+    text = os.environ.get("REPRO_SCALE", "1.0")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ConfigError(f"REPRO_SCALE must be a finite number > 0, got {text!r}")
+    return value
 
 
 def default_seed() -> int:
-    """The REPRO_SEED workload seed (default 1)."""
-    return int(os.environ.get("REPRO_SEED", "1"))
+    """The REPRO_SEED workload seed (default 1): an integer."""
+    text = os.environ.get("REPRO_SEED", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"REPRO_SEED must be an integer, got {text!r}") from None
 
 
 def scaled_accesses(accesses: Optional[int] = None) -> int:

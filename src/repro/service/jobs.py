@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -105,12 +104,37 @@ def sim_cell_from_wire(data: dict) -> runner.Cell:
         return (
             data["benchmark"],
             data["mechanism"],
-            int(data["accesses"]),
-            int(data["seed"]),
+            int(_int_param(data, "accesses", minimum=1)),
+            int(_int_param(data, "seed")),
             SystemConfig.from_dict(data["config"]),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ServiceError(f"malformed sim cell: {error!r}") from None
+
+
+def _int_param(data: dict, name: str, default=None, minimum=None):
+    """``data[name]`` (``default`` if absent or null): an int >= ``minimum``.
+
+    JSON lets ``"3"``, ``3.5`` and ``true`` through; each is a client
+    error, not a worker crash.
+    """
+    value = data.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ServiceError(f"{name!r} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _names_param(params: dict, name: str, default) -> List[str]:
+    """A list of strings, or ``default`` when absent or empty."""
+    value = params.get(name) or list(default)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ServiceError(f"{name!r} must be a list of strings, got {value!r}")
+    return value
 
 
 def fleet_cell_spec(
@@ -124,7 +148,7 @@ def fleet_cell_spec(
     ``accesses`` stays pre-scale (``run_scenario`` applies
     ``REPRO_SCALE`` itself, in the worker), so the effective scale is
     folded into the key: two servers at different scales never share a
-    memo entry.
+    memo entry, and spellings of one scale (``1`` and ``1.0``) do.
     """
     payload = {
         "scenario": scenario,
@@ -133,15 +157,17 @@ def fleet_cell_spec(
         "seed": int(seed),
     }
     key = hashlib.sha256(
-        canonical_json(
-            {"fleet": payload, "scale": os.environ.get("REPRO_SCALE", "1.0")}
-        ).encode("utf-8")
+        canonical_json({"fleet": payload, "scale": common.scale()}).encode(
+            "utf-8"
+        )
     ).hexdigest()
     return CellSpec(kind="fleet", key=key, payload=payload)
 
 
 def spec_from_wire(data: dict) -> CellSpec:
     """Validate + normalise one client-supplied cell dict."""
+    if not isinstance(data, dict):
+        raise ServiceError(f"a cell must be an object, got {data!r}")
     kind = data.get("kind", "sim")
     if kind == "sim":
         benchmark, mechanism, accesses, seed, config = sim_cell_from_wire(
@@ -159,11 +185,9 @@ def spec_from_wire(data: dict) -> CellSpec:
             )
         mechanism = data.get("mechanism", "Burst_TH")
         _check_mechanism(mechanism)
-        accesses = data.get("accesses")
         return fleet_cell_spec(
-            scenario, mechanism,
-            None if accesses is None else int(accesses),
-            int(data.get("seed", common.default_seed())),
+            scenario, mechanism, _int_param(data, "accesses", minimum=1),
+            _int_param(data, "seed", common.default_seed()),
         )
     raise ServiceError(f"unknown cell kind {kind!r}")
 
@@ -191,14 +215,16 @@ def _check_benchmark(benchmark: str) -> None:
 
 def _expand_fig7(params: dict) -> List[CellSpec]:
     """The shared benchmark × mechanism matrix behind Figures 7-10."""
-    benchmarks = list(params.get("benchmarks") or benchmark_names())
-    mechanisms = list(params.get("mechanisms") or common.MECHANISMS)
+    benchmarks = _names_param(params, "benchmarks", benchmark_names())
+    mechanisms = _names_param(params, "mechanisms", common.MECHANISMS)
     for benchmark in benchmarks:
         _check_benchmark(benchmark)
     for mechanism in mechanisms:
         _check_mechanism(mechanism)
-    accesses = common.scaled_accesses(params.get("accesses"))
-    seed = int(params.get("seed", common.default_seed()))
+    accesses = common.scaled_accesses(
+        _int_param(params, "accesses", minimum=1)
+    )
+    seed = _int_param(params, "seed", common.default_seed())
     config = baseline_config()
     return [
         sim_cell_spec(benchmark, mechanism, accesses, seed, config)
@@ -209,16 +235,16 @@ def _expand_fig7(params: dict) -> List[CellSpec]:
 
 def _expand_generations(params: dict) -> List[CellSpec]:
     """The generation-ladder fig7 matrix (experiments.generations)."""
-    benchmarks = list(params.get("benchmarks") or generations.BENCHMARKS)
-    mechanisms = list(params.get("mechanisms") or generations.MECHANISMS)
+    benchmarks = _names_param(params, "benchmarks", generations.BENCHMARKS)
+    mechanisms = _names_param(params, "mechanisms", generations.MECHANISMS)
     for benchmark in benchmarks:
         _check_benchmark(benchmark)
     for mechanism in mechanisms:
         _check_mechanism(mechanism)
     accesses = common.scaled_accesses(
-        params.get("accesses", generations.ACCESSES)
+        _int_param(params, "accesses", generations.ACCESSES, 1)
     )
-    seed = int(params.get("seed", common.default_seed()))
+    seed = _int_param(params, "seed", common.default_seed())
     specs = []
     from repro.dram.timing import GENERATIONS
 
@@ -234,8 +260,8 @@ def _expand_generations(params: dict) -> List[CellSpec]:
 
 def _expand_fleet(params: dict) -> List[CellSpec]:
     """The adversarial multi-tenant scenario matrix."""
-    scenarios = list(params.get("scenarios") or SCENARIOS)
-    mechanisms = list(params.get("mechanisms") or fleet.MECHANISMS)
+    scenarios = _names_param(params, "scenarios", SCENARIOS)
+    mechanisms = _names_param(params, "mechanisms", fleet.MECHANISMS)
     unknown = [s for s in scenarios if s not in SCENARIOS]
     if unknown:
         raise ServiceError(
@@ -244,13 +270,10 @@ def _expand_fleet(params: dict) -> List[CellSpec]:
         )
     for mechanism in mechanisms:
         _check_mechanism(mechanism)
-    accesses = params.get("accesses")
-    seed = int(params.get("seed", common.default_seed()))
+    accesses = _int_param(params, "accesses", minimum=1)
+    seed = _int_param(params, "seed", common.default_seed())
     return [
-        fleet_cell_spec(
-            scenario, mechanism,
-            None if accesses is None else int(accesses), seed,
-        )
+        fleet_cell_spec(scenario, mechanism, accesses, seed)
         for scenario in scenarios
         for mechanism in mechanisms
     ]
@@ -282,7 +305,10 @@ def expand_submission(request: dict) -> List[CellSpec]:
             raise ServiceError(
                 f"unknown matrix {matrix!r}; available: {sorted(MATRICES)}"
             )
-        specs = expander(request.get("params") or {})
+        params = request.get("params") or {}
+        if not isinstance(params, dict):
+            raise ServiceError(f"'params' must be an object, got {params!r}")
+        specs = expander(params)
     else:
         if not isinstance(cells, Sequence) or isinstance(cells, (str, bytes)):
             raise ServiceError("'cells' must be a list of cell dicts")

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import repro
 from repro.analysis.export import cell_record, filter_records
 from repro.cpu.core import CoreResult
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.experiments import runner
 from repro.service.jobs import (
     CellSpec,
@@ -729,7 +729,9 @@ class JobServer:
                 self._stopped.set()
             else:
                 raise ServiceError(f"unknown op {op!r}")
-        except ServiceError as error:
+        except ReproError as error:
+            # Any typed library error (a bad payload, an invalid
+            # config) is the client's reply, never a dropped connection.
             await self._reply(writer, {"ok": False, "error": str(error)})
 
     async def _op_submit(

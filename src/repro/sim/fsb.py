@@ -71,8 +71,8 @@ class FSBAdapter:
     def pool(self):
         return self.system.pool
 
-    def make_access(self, type, address, cycle) -> MemoryAccess:
-        return self.system.make_access(type, address, cycle)
+    def make_access(self, type, address, cycle, source=0) -> MemoryAccess:
+        return self.system.make_access(type, address, cycle, source)
 
     def enqueue(self, access: MemoryAccess, cycle: int) -> EnqueueStatus:
         """Claim the request bus, then hand to the real controller.

@@ -181,11 +181,11 @@ class SourceStats:
     events in both engine paths — so the per-source bundle is
     byte-identical across sequential, fast-forward and
     checkpoint-resumed runs, like everything else in
-    :class:`SimStats`.
+    :class:`SimStats`.  Each read is recorded once, in
+    :attr:`read_latencies`; :attr:`read_latency` is derived from it.
     """
 
     __slots__ = (
-        "read_latency",
         "write_latency",
         "read_latencies",
         "row_states",
@@ -196,7 +196,6 @@ class SourceStats:
     )
 
     def __init__(self) -> None:
-        self.read_latency = LatencyStat()
         self.write_latency = LatencyStat()
         #: Full read-latency histogram: tail metrics (p99) for the
         #: starvation regressions need more than mean/min/max.
@@ -206,6 +205,22 @@ class SourceStats:
         self.completed_writes = 0
         self.forwarded_reads = 0
         self.data_bus_cycles = 0
+
+    @property
+    def read_latency(self) -> LatencyStat:
+        """Mean/min/max view of :attr:`read_latencies` (read-only).
+
+        Equal to a :class:`LatencyStat` fed the same samples; built on
+        each access, so keep it off the hot path.
+        """
+        stat = LatencyStat()
+        counts = {k: w for k, w in self.read_latencies.counts.items() if w}
+        if counts:
+            stat.count = sum(counts.values())
+            stat.total = sum(k * w for k, w in counts.items())
+            stat.min = min(counts)
+            stat.max = max(counts)
+        return stat
 
     @property
     def row_hit_rate(self) -> float:
@@ -221,7 +236,6 @@ class SourceStats:
         return served / cycles if cycles else 0.0
 
     def merge(self, other: "SourceStats") -> None:
-        self.read_latency.merge(other.read_latency)
         self.write_latency.merge(other.write_latency)
         self.read_latencies.merge(other.read_latencies)
         for state, count in other.row_states.items():
@@ -233,7 +247,6 @@ class SourceStats:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "read_latency": self.read_latency.to_dict(),
             "write_latency": self.write_latency.to_dict(),
             "read_latencies": self.read_latencies.to_dict(),
             "row_states": {
@@ -249,7 +262,6 @@ class SourceStats:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SourceStats":
         stats = cls()
-        stats.read_latency = LatencyStat.from_dict(data["read_latency"])
         stats.write_latency = LatencyStat.from_dict(data["write_latency"])
         stats.read_latencies = Histogram.from_dict(data["read_latencies"])
         for label, count in data["row_states"].items():
@@ -289,12 +301,6 @@ class SimStats:
     #: payload distribution of Figure 2.  A mean near 1 means the
     #: workload gives the mechanism nothing to cluster.
     burst_sizes: Histogram = field(default_factory=Histogram)
-    #: Read latency per 1GB address slice.  Multiprogrammed mixes
-    #: (repro.workloads.mixes) give each core one slice, so this is
-    #: the per-core latency breakdown for fairness analysis.
-    read_latency_per_slice: Dict[int, LatencyStat] = field(
-        default_factory=dict
-    )
     #: Per-tenant statistics, keyed by ``MemoryAccess.source`` (fleet
     #: mode).  Single-stream runs put everything under source 0; use
     #: :meth:`for_source` to read-or-create an entry.
@@ -339,7 +345,7 @@ class SimStats:
         """Fold another run's statistics into this bundle.
 
         Counters add, latency accumulators and histograms merge, and
-        per-slice latencies merge slice-wise — the multi-shard
+        per-source bundles merge source-wise — the multi-shard
         counterpart of :meth:`LatencyStat.merge`.
         """
         for name in self._COUNTER_FIELDS:
@@ -351,9 +357,6 @@ class SimStats:
         self.outstanding_reads.merge(other.outstanding_reads)
         self.outstanding_writes.merge(other.outstanding_writes)
         self.burst_sizes.merge(other.burst_sizes)
-        for slot, stat in other.read_latency_per_slice.items():
-            mine = self.read_latency_per_slice.setdefault(slot, LatencyStat())
-            mine.merge(stat)
         for source, stat in other.per_source.items():
             self.per_source.setdefault(source, SourceStats()).merge(stat)
 
@@ -384,10 +387,6 @@ class SimStats:
         data["outstanding_reads"] = self.outstanding_reads.to_dict()
         data["outstanding_writes"] = self.outstanding_writes.to_dict()
         data["burst_sizes"] = self.burst_sizes.to_dict()
-        data["read_latency_per_slice"] = {
-            str(slot): stat.to_dict()
-            for slot, stat in sorted(self.read_latency_per_slice.items())
-        }
         data["per_source"] = {
             str(source): stat.to_dict()
             for source, stat in sorted(self.per_source.items())
@@ -414,10 +413,6 @@ class SimStats:
             data["outstanding_writes"]
         )
         stats.burst_sizes = Histogram.from_dict(data["burst_sizes"])
-        stats.read_latency_per_slice = {
-            int(slot): LatencyStat.from_dict(stat)
-            for slot, stat in data["read_latency_per_slice"].items()
-        }
         stats.per_source = {
             int(source): SourceStats.from_dict(stat)
             for source, stat in data.get("per_source", {}).items()

@@ -6,11 +6,13 @@
     select."  (§6)
 
 A mix interleaves the miss streams of several benchmark profiles as if
-independent cores shared one memory controller.  Each component's
-addresses are offset into a private slice of the physical address
-space (cores do not share data), and records are merged by accumulated
-instruction position — a proportional-progress interleaving that keeps
-each stream's intra-core gaps intact.
+independent cores shared one memory controller.  Each merged record
+carries its core as its ``source`` (the tenant id behind the
+per-source stats), its address is offset into the core's private
+slice of the physical address space (cores share no rows), and
+records are merged by accumulated instruction position — a
+proportional-progress interleaving that keeps each stream's
+intra-core gaps intact.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ def interleave_traces(traces: Sequence[List[TraceRecord]]) -> List[TraceRecord]:
     records are ordered by their cumulative instruction offset within
     their own stream, and gaps are recomputed so the merged trace's
     cumulative positions match the per-core ones on a shared timeline.
+    Each merged record's ``source`` is its core's index.
     """
     if not traces:
         raise ConfigError("interleave_traces needs at least one trace")
@@ -55,7 +58,9 @@ def interleave_traces(traces: Sequence[List[TraceRecord]]) -> List[TraceRecord]:
         offset = core * CORE_STRIDE_BYTES
         gap = max(position - last_position, 0)
         merged.append(
-            TraceRecord(int(gap), record.op, record.address + offset)
+            TraceRecord(
+                int(gap), record.op, record.address + offset, source=core
+            )
         )
         last_position = position
         if index + 1 < len(annotated):

@@ -3,12 +3,13 @@
 A trace is a sequence of :class:`TraceRecord` items, each carrying the
 number of non-memory instructions executed since the previous record
 (``gap``), the operation (READ linefill or WRITE writeback) and the
-physical byte address.  The text format is one record per line::
+physical byte address, plus the issuing tenant (``source``).  The
+text format is one record per line::
 
-    <gap> <R|W> <hex address>
+    <gap> <R|W> <hex address> [<source>]
 
 which keeps traces diffable and trivially producible by external
-tools.
+tools; the source column is written only when it is not 0.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ class TraceRecord:
     gap: int
     op: AccessType
     address: int
+    #: Tenant id (``MemoryAccess.source``): a CMP mix's core, else 0.
+    source: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.op, AccessType):
@@ -36,6 +39,8 @@ class TraceRecord:
             raise TraceError(f"negative instruction gap {self.gap}")
         if self.address < 0:
             raise TraceError(f"negative address {self.address:#x}")
+        if self.source < 0:
+            raise TraceError(f"negative source {self.source}")
 
 
 _OP_TO_CHAR = {AccessType.READ: "R", AccessType.WRITE: "W"}
@@ -47,9 +52,10 @@ def save_trace(records: Iterable[TraceRecord], path: Union[str, Path]) -> int:
     count = 0
     with open(path, "w") as handle:
         for record in records:
+            source = f" {record.source}" if record.source else ""
             handle.write(
                 f"{record.gap} {_OP_TO_CHAR[record.op]} "
-                f"{record.address:#x}\n"
+                f"{record.address:#x}{source}\n"
             )
             count += 1
     return count
@@ -57,20 +63,22 @@ def save_trace(records: Iterable[TraceRecord], path: Union[str, Path]) -> int:
 
 def _parse_line(line: str, lineno: int) -> TraceRecord:
     parts = line.split()
-    if len(parts) != 3:
+    if len(parts) not in (3, 4):
         raise TraceError(
-            f"line {lineno}: expected '<gap> <R|W> <address>', got {line!r}"
+            f"line {lineno}: expected '<gap> <R|W> <address> [<source>]', "
+            f"got {line!r}"
         )
-    gap_text, op_text, addr_text = parts
+    gap_text, op_text, addr_text = parts[:3]
     try:
         gap = int(gap_text)
         address = int(addr_text, 0)
+        source = int(parts[3]) if len(parts) == 4 else 0
     except ValueError as exc:
         raise TraceError(f"line {lineno}: {exc}") from None
     op = _CHAR_TO_OP.get(op_text.upper())
     if op is None:
         raise TraceError(f"line {lineno}: unknown op {op_text!r}")
-    return TraceRecord(gap, op, address)
+    return TraceRecord(gap, op, address, source)
 
 
 def load_trace(path: Union[str, Path]) -> List[TraceRecord]:

@@ -1,15 +1,12 @@
 """Tests for the AHB scheduler, the row-policy predictor and the
-per-core fairness analysis."""
+per-source fairness analysis of CMP mixes."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.analysis.fairness import (
-    jain_fairness,
-    latency_disparity,
-    per_core_read_latency,
-)
+from repro.analysis.fairness import per_source_read_latency, speedup_jain
+from repro.controller.access import AccessType
 from repro.controller.ahb import AHBScheduler
 from repro.controller.rowpolicy import (
     CLOSE_THRESHOLD,
@@ -20,8 +17,9 @@ from repro.cpu.core import OoOCore
 from repro.dram.channel import RowState
 from repro.errors import ConfigError
 from repro.sim.engine import OpenLoopDriver
-from repro.workloads.mixes import make_mix_trace
+from repro.workloads.mixes import interleave_traces, make_mix_trace
 from repro.workloads.spec2000 import make_benchmark_trace
+from repro.workloads.trace import TraceRecord, load_trace, save_trace
 from tests.conftest import make_request_stream
 
 
@@ -148,30 +146,65 @@ def test_predictive_beats_cpa_on_streaming(config):
 
 # ------------------------------------------------------------- fairness
 
+MIX = ("swim", "mcf", "gcc")
 
-def test_per_core_latency_and_fairness(config):
-    trace = make_mix_trace(("swim", "mcf", "gcc"), 400, seed=1)
+
+def _per_source(config, trace):
     system = MemorySystem(config, "Burst_TH")
     OoOCore(system, trace).run()
-    per_core = per_core_read_latency(system.stats)
-    assert len(per_core) == 3
-    assert all(v > 0 for v in per_core.values())
-    assert latency_disparity(system.stats) >= 1.0
-    fairness = jain_fairness(system.stats)
-    assert 1.0 / 3.0 <= fairness <= 1.0
+    return per_source_read_latency(system.stats)
+
+
+def test_per_source_latency_and_fairness(config):
+    """A CMP mix reports one tenant per core, and the one Jain metric
+    (over speedups against each core run alone) is in [1/3, 1]."""
+    traces = [
+        make_benchmark_trace(name, 400, seed=1 + core)
+        for core, name in enumerate(MIX)
+    ]
+    mix = make_mix_trace(MIX, 400, seed=1)
+    assert mix == interleave_traces(traces)
+    shared = _per_source(config, mix)
+    assert sorted(shared) == [0, 1, 2]
+    assert all(v > 0 for v in shared.values())
+    solo = {}
+    for core, trace in enumerate(traces):
+        # The core's own stream, alone: same slice, same source id.
+        alone = interleave_traces([[]] * core + [trace])
+        solo.update(_per_source(config, alone))
+    assert sorted(solo) == [0, 1, 2]
+    assert 1.0 / 3.0 <= speedup_jain(solo, shared) <= 1.0
 
 
 def test_fairness_requires_data():
     from repro.sim.stats import SimStats
 
+    assert per_source_read_latency(SimStats()) == {}
     with pytest.raises(ConfigError):
-        jain_fairness(SimStats())
+        speedup_jain({}, {})
     with pytest.raises(ConfigError):
-        latency_disparity(SimStats())
+        speedup_jain({}, {0: 10.0})  # no solo baseline
 
 
-def test_single_core_occupies_one_slice(config):
+def test_single_stream_trace_is_one_source(config):
     trace = make_benchmark_trace("gzip", 300, seed=1)
+    assert len(_per_source(config, trace)) == 1
+
+
+def test_trace_crossing_1gb_is_one_tenant(config, tmp_path):
+    """Tenancy is ``source``, not the address: a loaded single-stream
+    trace spanning several 1 GB slices is one tenant (the deleted
+    address-slice view reported it as two cores)."""
+    path = tmp_path / "wide.txt"
+    records = [
+        TraceRecord(3, AccessType.READ, (i % 2 << 30) + i * 64)
+        for i in range(200)
+    ]
+    save_trace(records, path)
     system = MemorySystem(config, "Burst_TH")
-    OoOCore(system, trace).run()
-    assert len(per_core_read_latency(system.stats)) == 1
+    OoOCore(system, load_trace(path)).run()
+    stats = system.stats
+    assert {r.address >> 30 for r in load_trace(path)} == {0, 1}
+    assert list(stats.per_source) == [0]
+    assert stats.per_source[0].completed_reads == stats.completed_reads
+    assert "read_latency_per_slice" not in stats.to_dict()

@@ -52,6 +52,7 @@ from repro.sim.engine import (
 )
 from repro.sim.fsb import FSBAdapter
 from repro.workloads.fleet import make_fleet_requests
+from repro.workloads.mixes import make_mix_trace
 from repro.workloads.spec2000 import make_benchmark_trace
 
 from tests.test_engine_fastfwd import (
@@ -392,6 +393,44 @@ def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
 
     core, system = build()
     load_checkpoint(str(path), core)
+    result = core.run()
+    assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
+
+
+@pytest.mark.parametrize("core_cls", [OoOCore, InOrderCore])
+def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
+    """A CMP mix cut while a core holds a staged record of a non-zero
+    source: the staged record keeps its source across the snapshot, and
+    the per-source stats (and the QoS quota that reads the source)
+    resume byte-identical."""
+    config = baseline_config(sources=3)  # each core owns a 1 GB slice
+    accesses = 300 if core_cls is OoOCore else 100
+
+    def build():
+        system = MemorySystem(config, "Burst_QW", oracle=True)
+        trace = make_mix_trace(("swim", "mcf", "gcc"), accesses, seed=2)
+        return core_cls(system, trace), system
+
+    core, system = build()
+    result = core.run()
+    reference = (_stats_blob(system), json.dumps(result.to_dict()))
+    assert sorted(system.stats.per_source) == [0, 1, 2]
+
+    core, system = build()
+    for _ in range(5000):
+        core.step()
+        if core._staged is not None and core._staged[1].source and (
+            system.cycle > 200
+        ):
+            break
+    staged_source = core._staged[1].source
+    assert staged_source
+    path = tmp_path / "mix.ckpt"
+    save_checkpoint(str(path), core)
+
+    core, system = build()
+    load_checkpoint(str(path), core)
+    assert core._staged[1].source == staged_source
     result = core.run()
     assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
 

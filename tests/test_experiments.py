@@ -19,11 +19,14 @@ from repro.experiments import (
     saturation,
     table1,
 )
+from repro.errors import ConfigError
 from repro.experiments.common import (
     MECHANISMS,
     clear_cache,
+    default_seed,
     run_benchmark,
     run_matrix,
+    scale,
     scaled_accesses,
 )
 
@@ -200,6 +203,28 @@ def test_scaled_accesses_env(monkeypatch):
     assert scaled_accesses(4000) == 2000
     monkeypatch.setenv("REPRO_SCALE", "0.0001")
     assert scaled_accesses(4000) == 500  # floor
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "-2", "0"])
+def test_scale_rejects_non_positive_or_non_finite(monkeypatch, value):
+    """Each used to raise ValueError / OverflowError, or (-2, 0) run
+    the 500-access floor silently."""
+    monkeypatch.setenv("REPRO_SCALE", value)
+    with pytest.raises(ConfigError, match="REPRO_SCALE"):
+        scaled_accesses(4000)
+
+
+def test_scale_accepts_any_spelling_of_a_positive_float(monkeypatch):
+    for value in ("1", "1.0", " 2 ", "1e0"):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        assert scale() == float(value)
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", ""])
+def test_seed_must_be_an_integer(monkeypatch, value):
+    monkeypatch.setenv("REPRO_SEED", value)
+    with pytest.raises(ConfigError, match="REPRO_SEED"):
+        default_seed()
 
 
 def test_cli_list_and_run(capsys):

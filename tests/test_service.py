@@ -9,6 +9,7 @@ jobs evict running work, and a single-worker server completes a fixed
 matrix in a reproducible order with reproducible digests.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -120,6 +121,46 @@ def test_expand_rejects_malformed_submissions():
         )
     with pytest.raises(ServiceError):
         spec_from_wire({"kind": "bogus"})
+
+
+#: Malformed payloads that used to escape as ValueError / TypeError /
+#: AttributeError (dropping the client connection) or, for a
+#: zero-access wire cell, be cached as a 1-cycle, 0-read result.
+MALFORMED = {
+    "params-not-object": {"matrix": "fig7", "params": [1]},
+    "seed-not-int": {"matrix": "fig7", "params": {"seed": "x"}},
+    "seed-bool": {"matrix": "fig7", "params": {"seed": True}},
+    "accesses-not-int": {"matrix": "fig7", "params": {"accesses": "abc"}},
+    "accesses-float": {"matrix": "generations", "params": {"accesses": 4.5}},
+    "accesses-zero": {"matrix": "fig7", "params": {"accesses": 0}},
+    "fleet-accesses-negative": {
+        "matrix": "fleet", "params": {"accesses": -3}
+    },
+    "benchmarks-not-list": {"matrix": "fig7", "params": {"benchmarks": 5}},
+    "mechanisms-not-strings": {
+        "matrix": "fig7", "params": {"mechanisms": ["Burst_TH", 3]}
+    },
+    "scenarios-string": {"matrix": "fleet", "params": {"scenarios": "x"}},
+    "cell-not-object": {"cells": [5]},
+    "sim-cell-zero-accesses": {"cells": [dict(_cells()[0], accesses=0)]},
+    "sim-cell-seed-string": {"cells": [dict(_cells()[0], seed="1")]},
+    "fleet-cell-seed-string": {
+        "cells": [{"kind": "fleet", "scenario": "symmetric2", "seed": "x"}]
+    },
+}
+
+
+@pytest.mark.parametrize("request_", MALFORMED.values(), ids=MALFORMED)
+def test_expand_rejects_malformed_payloads(request_):
+    with pytest.raises(ServiceError):
+        expand_submission(request_)
+
+
+def test_fleet_key_ignores_scale_spelling(monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "1")
+    one = fleet_cell_spec("symmetric2", "Burst_TH", None, SEED).key
+    monkeypatch.setenv("REPRO_SCALE", "1.0")
+    assert fleet_cell_spec("symmetric2", "Burst_TH", None, SEED).key == one
 
 
 def test_submission_dedupes_by_key():
@@ -379,3 +420,24 @@ def test_bad_requests_get_typed_errors(tmp_path):
             server.client.request({"op": "frobnicate"})
         with pytest.raises(ServiceError):
             server.client.preempt()  # nothing running
+
+
+def test_bad_params_payload_gets_reply_and_server_survives(tmp_path):
+    """A malformed ``params`` payload (or a cell whose config fails
+    validation with a ConfigError) is answered ``ok: false`` on the
+    same connection; the server keeps serving."""
+    bad_config = dict(_cells()[0]["config"], sources=0)
+    requests = [
+        {"op": "submit", "matrix": "fig7", "params": params}
+        for params in ({"seed": "x"}, [1], {"accesses": 0})
+    ] + [{"op": "submit", "cells": [dict(_cells()[0], config=bad_config)]}]
+    with Server(tmp_path, workers=1) as server:
+        for request in requests:
+            with server.client._connect() as sock:
+                handle = sock.makefile("rw", encoding="utf-8", newline="\n")
+                handle.write(json.dumps(request) + "\n")
+                handle.flush()
+                reply = json.loads(handle.readline())
+            assert reply["ok"] is False
+            assert "must" in reply["error"], reply
+        assert server.client.ping()["ok"] is True

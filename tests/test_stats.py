@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dram.channel import RowState
-from repro.sim.stats import Histogram, LatencyStat, SimStats
+from repro.sim.stats import Histogram, LatencyStat, SimStats, SourceStats
 
 
 def test_latency_stat_accumulates():
@@ -170,9 +170,7 @@ def _populated_stats():
     stats.outstanding_reads.add(3, 500)
     stats.outstanding_writes.add(1, 250)
     stats.burst_sizes.add(4, 6)
-    slice_stat = LatencyStat()
-    slice_stat.add(17)
-    stats.read_latency_per_slice[2] = slice_stat
+    stats.for_source(2).read_latencies.add(17)
     return stats
 
 
@@ -182,7 +180,7 @@ def test_simstats_round_trip_lossless():
     assert clone.to_dict() == stats.to_dict()
     assert clone.report() == stats.report()
     assert clone.row_states == stats.row_states
-    assert clone.read_latency_per_slice[2].min == 17
+    assert clone.per_source[2].read_latency.min == 17
     assert clone.burst_sizes.counts == stats.burst_sizes.counts
 
 
@@ -216,7 +214,7 @@ def test_simstats_merge():
     assert a.read_latency.min == 12
     assert a.row_states[RowState.HIT] == 100
     assert a.outstanding_reads.counts[3] == 1000
-    assert a.read_latency_per_slice[2].count == 2
+    assert a.per_source[2].read_latency.count == 2
     empty = SimStats()
     empty.merge(a)
     assert empty.to_dict() == a.to_dict()
@@ -259,3 +257,23 @@ def test_report_on_merged_empty_stats_is_all_finite():
     for key, value in report.items():
         assert value == value, f"{key} is NaN"
         assert value == 0.0, key
+
+
+@pytest.mark.parametrize(
+    "samples", [(), (42,), (30, 12, 30, 7, 250)], ids=["empty", "one", "five"]
+)
+def test_source_read_latency_view_equals_latency_stat(samples):
+    """Each read is recorded once, in the per-source histogram; the
+    mean/min/max view derived from it equals a LatencyStat fed the
+    same samples, empty bounds (None) included."""
+    source = SourceStats()
+    reference = LatencyStat()
+    for value in samples:
+        source.read_latencies.add(value)
+        reference.add(value)
+    view = source.read_latency
+    assert view.to_dict() == reference.to_dict()
+    assert view.mean == reference.mean
+    restored = SourceStats.from_dict(source.to_dict())
+    assert restored.read_latency.to_dict() == reference.to_dict()
+    assert "read_latency" not in source.to_dict()
