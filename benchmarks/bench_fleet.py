@@ -1,15 +1,16 @@
 """Fleet mode: adversarial tenant matrix, QoS vs plain Burst_TH.
 
 Not a paper figure — the 2007 paper predates multi-tenant controllers.
-This regenerates the fleet scenario matrix (ISSUE 8) and records the
-headline acceptance number in ``results/BENCH_fleet.json``: the victim
+This regenerates the fleet scenario matrix and records the headline
+acceptance number in ``results/BENCH_fleet.json``: the victim
 tenant's max slowdown on the row-buffer-hog scenario must be
 *measurably lower* under the write-quota scheduler (``Burst_QW``) than
 under plain ``Burst_TH``.
 
 The JSON keeps the whole matrix (weighted speedup, max slowdown, Jain
-over per-tenant solo/shared speedups per cell) so CI can track fairness drift over time the
-same way ``BENCH_engine.json`` tracks engine speedups.
+over per-tenant solo/shared speedups per cell) so CI can track fairness
+drift over time the same way ``BENCH_engine.json`` tracks engine
+speedups, and records the per-tenant access count and seed it ran at.
 """
 
 import json
@@ -17,6 +18,7 @@ import pathlib
 
 from benchmarks.conftest import run_once
 from repro.experiments import fleet
+from repro.experiments.common import default_seed, scaled_accesses
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -54,7 +56,12 @@ def _payload(result):
                 4,
             ),
         }
-    return {"headline": headline, "matrix": matrix}
+    return {
+        "accesses_per_tenant": scaled_accesses(fleet.ACCESSES),
+        "seed": default_seed(),
+        "headline": headline,
+        "matrix": matrix,
+    }
 
 
 def test_fleet_matrix(benchmark, archive):
@@ -80,10 +87,3 @@ def test_fleet_matrix(benchmark, archive):
             f"{scenario}: QW {cells['Burst_QW']['max_slowdown']:.3f} "
             f"vs TH {cells['Burst_TH']['max_slowdown']:.3f}"
         )
-    # The burst-budget variant improves read-burst fairness on the
-    # symmetric control cell (it is inert against write-based attacks).
-    symmetric = result["symmetric2"]
-    assert (
-        symmetric["Burst_QB"]["max_slowdown"]
-        <= symmetric["Burst_TH"]["max_slowdown"]
-    )

@@ -94,15 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--row-policy", default="open_page", choices=ROW_POLICIES
     )
     parser.add_argument(
-        "--sources", type=int, default=1, metavar="K",
-        help=(
-            "tenant sources the machine is provisioned for (sizes the "
-            "per-source quotas of the QoS mechanisms Burst_QW/Burst_QB "
-            "and the checkpoint fingerprint; the adversarial fleet "
-            "matrix itself runs via 'repro-experiments fleet')"
-        ),
-    )
-    parser.add_argument(
         "--cpu", default="ooo", choices=("ooo", "inorder"),
         help="CPU model: out-of-order ROB (paper) or blocking in-order",
     )
@@ -167,8 +158,8 @@ def _make_trace(args):
 #: the exact run without any source arguments.
 _META_FIELDS = (
     "benchmark", "mix", "micro", "trace", "mechanism", "accesses",
-    "seed", "threshold", "device", "mapping", "row_policy", "sources",
-    "cpu", "oracle",
+    "seed", "threshold", "device", "mapping", "row_policy", "cpu",
+    "oracle",
 )
 
 
@@ -197,15 +188,18 @@ def _run(args):
         from repro.checkpoint import read_header
 
         _apply_meta(args, read_header(args.resume).get("meta") or {})
+    workload, trace = _make_trace(args)
+    # One tenant per distinct source tag: a --mix core or a trace
+    # file's fourth column (Burst_QW sizes its write quota from it).
+    # An empty trace file still runs, as one idle source.
     config = baseline_config(
         timing=DEVICES[args.device],
         mapping=args.mapping,
         row_policy=args.row_policy,
-        sources=args.sources,
+        sources=len({record.source for record in trace}) or 1,
     )
     if args.threshold is not None:
         config = config.with_threshold(args.threshold)
-    workload, trace = _make_trace(args)
     system = MemorySystem(
         config, args.mechanism, oracle=True if args.oracle else None
     )

@@ -144,7 +144,7 @@ class Scheduler(abc.ABC):
         alongside the pool capacity check; returning False rejects the
         access exactly like a full pool (``REJECTED_FULL``, no side
         effects), so the CPU/driver retries later.  The default admits
-        everything — only QoS variants override this.
+        everything — only the QoS variant ``Burst_QW`` overrides this.
         """
         return True
 

@@ -84,12 +84,6 @@ def _burst_qw(config, channel, pool, stats):
     return WriteQuotaBurstScheduler(config, channel, pool, stats)
 
 
-def _burst_qb(config, channel, pool, stats):
-    from repro.core.qos import BurstBudgetScheduler
-
-    return BurstBudgetScheduler(config, channel, pool, stats)
-
-
 def _burst_bpw(config, channel, pool, stats):
     from repro.core.bpw import BankParallelWriteScheduler
 
@@ -125,9 +119,9 @@ MECHANISMS: Dict[str, SchedulerFactory] = {
 #: Extensions beyond Table 4 (not part of the paper's comparisons):
 #: Burst_DYN is the §7 dynamic threshold; FCFS is the fully serialised
 #: reference floor; AHB is the adaptive history-based scheduler of the
-#: paper's related work (§2.2, Hur & Lin MICRO'04); Burst_QW/Burst_QB
-#: are the multi-tenant QoS variants (per-source write-queue quota and
-#: per-source burst-slot budget — both ≡ Burst_TH when sources == 1);
+#: paper's related work (§2.2, Hur & Lin MICRO'04); Burst_QW is the
+#: multi-tenant QoS variant (per-source write-queue quota, ≡ Burst_TH
+#: when sources == 1);
 #: Burst_BPW is the BARD-style bank-parallel write drain aimed at the
 #: long write recoveries of the DDR5 generation profiles.
 EXTENSIONS: Dict[str, SchedulerFactory] = {
@@ -135,7 +129,6 @@ EXTENSIONS: Dict[str, SchedulerFactory] = {
     "FCFS": _fcfs,
     "AHB": _ahb,
     "Burst_QW": _burst_qw,
-    "Burst_QB": _burst_qb,
     "Burst_BPW": _burst_bpw,
 }
 MECHANISMS.update(EXTENSIONS)

@@ -107,10 +107,6 @@ class BurstQueue:
         """The burst currently first in line (oldest first arrival)."""
         return self.bursts[0] if self.bursts else None
 
-    def burst_for_row(self, row: int) -> Optional[Burst]:
-        """The open burst for ``row``, if any (QoS budget lookups)."""
-        return self._by_row.get(row)
-
     def promote_for_policy(
         self, policy: str, now: int, age_limit: int = 2000
     ) -> None:
@@ -140,40 +136,15 @@ class BurstQueue:
         Returns True when this completed (emptied) the burst — the
         "end of burst" event write piggybacking keys on.
         """
-        head = self.next_burst
-        if head is None:
+        if not self.bursts:
             raise SchedulerError("finish_head_read on an empty queue")
+        head = self.bursts[0]
         head.pop_head()
         head.served += 1
         if not head.accesses:
             self.bursts.pop(0)
             del self._by_row[head.row]
             self.last_completed_size = head.served
-            return True
-        return False
-
-    def finish_read(self, access: MemoryAccess) -> bool:
-        """Retire ``access`` (the head of *its* burst, not necessarily
-        the head burst).
-
-        The generalisation of :meth:`finish_head_read` that the QoS
-        budget scheduler needs: when burst grants round-robin across
-        sources, the burst being served may sit anywhere in the queue.
-        Removing an emptied burst from the middle preserves the
-        first-arrival sort invariant (deleting from a sorted list keeps
-        it sorted).  Returns True when the burst completed.
-        """
-        burst = self._by_row.get(access.row)
-        if burst is None or burst.accesses[0] is not access:
-            raise SchedulerError(
-                f"finish_read: {access!r} is not the head of its burst"
-            )
-        burst.pop_head()
-        burst.served += 1
-        if not burst.accesses:
-            self.bursts.remove(burst)
-            del self._by_row[burst.row]
-            self.last_completed_size = burst.served
             return True
         return False
 

@@ -1,43 +1,26 @@
-"""QoS-aware burst scheduling variants for multi-tenant fleet mode.
+"""QoS-aware burst scheduling for multi-tenant fleet mode.
 
 When ``config.sources > 1`` independent workload streams (tenants)
 share one controller, plain burst scheduling optimises aggregate bus
-utilisation with no regard for *who* owns each access.  Two adversarial
-failure modes follow (exercised by the fleet scenario matrix):
+utilisation with no regard for *who* owns each access.  A **write
+flooder** (exercised by the fleet scenario matrix) fills the shared
+write queue, driving the occupancy past the Burst_TH threshold so every
+bank piggybacks the flooder's writes while the victim's reads wait.
 
-* a **write flooder** fills the shared write queue, driving the
-  occupancy past the Burst_TH threshold so every bank piggybacks the
-  flooder's writes while the victim's reads wait;
-* a **row-buffer hog** streams row hits, growing huge bursts that the
-  Figure 5 arbiter serves to completion while the victim's small
-  bursts queue behind them.
-
-Each variant counters one failure mode with a per-source cap derived
-from ``config.sources``, and degrades to exactly ``Burst_TH`` when
-``sources == 1`` (the caps become unreachable), so both enroll in the
-single-stream differential harnesses unchanged:
-
-* :class:`WriteQuotaBurstScheduler` (``Burst_QW``) caps any tenant's
-  write-queue occupancy at ``write_queue_size // sources`` via the
-  admission hook — an over-quota write is rejected exactly like a full
-  pool, with zero side effects, so the next-event engine's quiet-cycle
-  fixpoint (and byte-identical fast mode) is preserved.
-* :class:`BurstBudgetScheduler` (``Burst_QB``) caps the number of
-  banks concurrently serving one tenant's read bursts at
-  ``banks_in_channel // sources``; at a burst boundary an over-budget
-  tenant's burst yields to the oldest burst of the least-granted
-  tenant.  Selection goes through the shared
-  :meth:`~repro.core.scheduler.BurstScheduler._select_read_burst`
-  hook, so the sequential and flat-mirror arbiters stay byte-identical.
+:class:`WriteQuotaBurstScheduler` (``Burst_QW``) counters it by capping
+any tenant's write-queue occupancy at ``write_queue_size // sources``
+via the admission hook — an over-quota write is rejected exactly like a
+full pool, with zero side effects, so the next-event engine's
+quiet-cycle fixpoint (and byte-identical fast mode) is preserved.  It
+degrades to exactly ``Burst_TH`` when ``sources == 1`` (the cap becomes
+unreachable), so it enrolls in the single-stream differential harnesses
+unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.controller.access import MemoryAccess
-from repro.core.burst import BurstQueue
-from repro.core.scheduler import BankKey, BurstScheduler
+from repro.core.scheduler import BurstScheduler
 
 
 class WriteQuotaBurstScheduler(BurstScheduler):
@@ -125,98 +108,4 @@ class WriteQuotaBurstScheduler(BurstScheduler):
         return None
 
 
-class BurstBudgetScheduler(BurstScheduler):
-    """Burst_TH plus a per-source burst-slot budget (``Burst_QB``).
-
-    A tenant holds one *grant* per bank currently mid-way through one
-    of its read bursts.  At a burst boundary the oldest burst is served
-    as usual unless its tenant is at the budget, in which case the
-    oldest burst of the least-granted under-budget tenant is served
-    instead (falling back to the oldest burst when every tenant is
-    over budget, so Figure 5 line 8 still always selects — the
-    ``next_wakeup`` fixpoint argument needs that).
-
-    A burst picked from the middle of the queue is remembered per bank
-    (``_serving_row``) so subsequent selections keep serving it to
-    completion; the row index is snapshot state (it cannot be derived
-    from the queues alone) and rides along in ``_mech_state``.
-    """
-
-    name = "Burst_QB"
-
-    def __init__(self, config, channel, pool, stats) -> None:
-        super().__init__(
-            config,
-            channel,
-            pool,
-            stats,
-            read_preemption=True,
-            write_piggybacking=True,
-        )
-        #: Per-tenant cap on banks concurrently serving its bursts.
-        #: With ``sources == 1`` this is every bank of the channel, and
-        #: the selecting bank never counts itself (it sits at a burst
-        #: boundary), so the budget never binds and Burst_QB ≡ Burst_TH.
-        self.burst_budget = max(1, len(self._bank_keys) // config.sources)
-        # row of the burst each bank is currently serving; None at a
-        # burst boundary (invariant: _end_of_burst[key] implies None).
-        self._serving_row: Dict[BankKey, Optional[int]] = {
-            key: None for key in self._bank_keys
-        }
-
-    def _grants_by_source(self) -> Dict[int, int]:
-        """Banks currently mid-burst, counted per owning tenant."""
-        grants: Dict[int, int] = {}
-        for key, row in self._serving_row.items():
-            if row is None or self._end_of_burst[key]:
-                continue
-            burst = self._read_queues[key].burst_for_row(row)
-            if burst is None:
-                continue
-            source = burst.head.source
-            grants[source] = grants.get(source, 0) + 1
-        return grants
-
-    def _select_read_burst(self, key: BankKey, reads: BurstQueue, cycle: int):
-        if not self._end_of_burst[key]:
-            # Mid-burst: keep serving the same burst to completion.
-            row = self._serving_row[key]
-            if row is not None:
-                burst = reads.burst_for_row(row)
-                if burst is not None:
-                    return burst
-        grants = self._grants_by_source()
-        pick = reads.next_burst
-        if grants.get(pick.head.source, 0) >= self.burst_budget:
-            best_grants: Optional[int] = None
-            for burst in reads.bursts:
-                held = grants.get(burst.head.source, 0)
-                if held >= self.burst_budget:
-                    continue
-                # Bursts iterate oldest first, so the first burst seen
-                # at each grant level is the oldest of that level.
-                if best_grants is None or held < best_grants:
-                    pick = burst
-                    best_grants = held
-        self._serving_row[key] = pick.row
-        return pick
-
-    def _retire_column(self, key: BankKey, access: MemoryAccess) -> None:
-        super()._retire_column(key, access)
-        if self._end_of_burst[key]:
-            self._serving_row[key] = None
-
-    def _mech_state(self, ctx) -> dict:
-        state = super()._mech_state(ctx)
-        state["serving_row"] = [
-            [list(key), self._serving_row[key]] for key in self._bank_keys
-        ]
-        return state
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        super()._load_mech_state(state, ctx)
-        for key, row in state["serving_row"]:
-            self._serving_row[tuple(key)] = row
-
-
-__all__ = ["BurstBudgetScheduler", "WriteQuotaBurstScheduler"]
+__all__ = ["WriteQuotaBurstScheduler"]

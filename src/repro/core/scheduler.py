@@ -274,17 +274,6 @@ class BurstScheduler(Scheduler):
                 return access
         return None
 
-    def _select_read_burst(self, key: BankKey, reads: BurstQueue, cycle: int):
-        """Pick the burst to serve when Figure 5 selects a read.
-
-        Called at the line-8 selection and the line-9 preemption sites,
-        for both the sequential and the flat-mirror arbiter (they share
-        :meth:`_arbitrate`).  The paper's mechanism always serves the
-        oldest burst; the QoS budget variant overrides this to
-        round-robin burst grants across sources.
-        """
-        return reads.next_burst
-
     def _write_pressure(self) -> bool:
         """Figure 5 line 2's "write queue is full" signal.
 
@@ -342,8 +331,7 @@ class BurstScheduler(Scheduler):
                     reads.promote_for_policy(
                         self.inter_burst_policy, cycle
                     )
-                burst = self._select_read_burst(key, reads, cycle)
-                selected = burst.accesses[0]                # line 8
+                selected = reads.bursts[0].accesses[0]      # line 8
                 self._end_of_burst[key] = False
             self._ongoing[key] = selected
         elif (
@@ -358,9 +346,7 @@ class BurstScheduler(Scheduler):
             # row empty (§5.2).
             ongoing.preempted = True
             self.stats.preemptions += 1
-            self._ongoing[key] = self._select_read_burst(
-                key, reads, cycle
-            ).accesses[0]
+            self._ongoing[key] = reads.bursts[0].accesses[0]
             self._end_of_burst[key] = False
 
     # ------------------------------------------------------------------
@@ -384,11 +370,7 @@ class BurstScheduler(Scheduler):
         self._pending -= 1
         if access.is_read:
             queue = self._read_queues[key]
-            # finish_read retires the head of *the access's own* burst;
-            # for the paper mechanisms that is always the head burst
-            # (== finish_head_read), but the QoS budget variant may be
-            # serving a burst from the middle of the queue.
-            ended = queue.finish_read(access)
+            ended = queue.finish_head_read()
             if ended:
                 self._end_of_burst[key] = True
                 self.stats.burst_sizes.add(queue.last_completed_size)

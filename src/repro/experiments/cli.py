@@ -244,6 +244,7 @@ def _summary() -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the repro-experiments command."""
+    from repro.errors import ReproError
     from repro.experiments import EXPERIMENTS
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -251,6 +252,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and (argv[0] in EXPERIMENTS or argv[0] == "all"):
         argv.insert(0, "run")
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     if args.command == "cache":
         return _cache_main(args)
     if args.command == "record-trace":

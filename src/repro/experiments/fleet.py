@@ -1,14 +1,14 @@
 """Fleet mode — adversarial multi-tenant scenario matrix.
 
 Runs every fleet scenario (:data:`repro.workloads.fleet.SCENARIOS`)
-against plain ``Burst_TH`` and the two QoS variants, open loop through
-:class:`~repro.sim.engine.FleetDriver`, and reports the standard
+against plain ``Burst_TH`` and the ``Burst_QW`` QoS variant, open loop
+through :class:`~repro.sim.engine.FleetDriver`, and reports the standard
 multiprogram fairness metrics against *solo-run* baselines (each
 tenant replayed alone on the identical machine and mechanism):
 
 * weighted speedup — 1.0 means sharing cost nothing;
 * max slowdown — the victim tenant's view, the number the QoS
-  variants exist to pull down on the aggressor scenarios;
+  variant exists to pull down on the aggressor scenarios;
 * Jain index over per-tenant speedups (solo / shared latency) — 1.0
   means sharing slowed every tenant equally, 1/K one tenant bearing
   all of the slowdown.
@@ -46,8 +46,8 @@ from repro.workloads.fleet import (
 )
 
 #: Mechanisms the matrix crosses the scenarios with: the paper's best
-#: single-stream scheduler and the two QoS variants built on it.
-MECHANISMS = ("Burst_TH", "Burst_QW", "Burst_QB")
+#: single-stream scheduler and the QoS variant built on it.
+MECHANISMS = ("Burst_TH", "Burst_QW")
 
 #: Default accesses per tenant before REPRO_SCALE.
 ACCESSES = 2000
@@ -161,7 +161,7 @@ def render(result) -> str:
         rows,
         title=(
             "Fleet mode: adversarial tenant matrix "
-            "(QoS variants vs plain Burst_TH)"
+            "(QoS variant vs plain Burst_TH)"
         ),
     )
 

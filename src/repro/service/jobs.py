@@ -104,15 +104,15 @@ def sim_cell_from_wire(data: dict) -> runner.Cell:
         return (
             data["benchmark"],
             data["mechanism"],
-            int(_int_param(data, "accesses", minimum=1)),
-            int(_int_param(data, "seed")),
+            int(int_param(data, "accesses", minimum=1)),
+            int(int_param(data, "seed")),
             SystemConfig.from_dict(data["config"]),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ServiceError(f"malformed sim cell: {error!r}") from None
 
 
-def _int_param(data: dict, name: str, default=None, minimum=None):
+def int_param(data: dict, name: str, default=None, minimum=None):
     """``data[name]`` (``default`` if absent or null): an int >= ``minimum``.
 
     JSON lets ``"3"``, ``3.5`` and ``true`` through; each is a client
@@ -186,8 +186,8 @@ def spec_from_wire(data: dict) -> CellSpec:
         mechanism = data.get("mechanism", "Burst_TH")
         _check_mechanism(mechanism)
         return fleet_cell_spec(
-            scenario, mechanism, _int_param(data, "accesses", minimum=1),
-            _int_param(data, "seed", common.default_seed()),
+            scenario, mechanism, int_param(data, "accesses", minimum=1),
+            int_param(data, "seed", common.default_seed()),
         )
     raise ServiceError(f"unknown cell kind {kind!r}")
 
@@ -222,9 +222,9 @@ def _expand_fig7(params: dict) -> List[CellSpec]:
     for mechanism in mechanisms:
         _check_mechanism(mechanism)
     accesses = common.scaled_accesses(
-        _int_param(params, "accesses", minimum=1)
+        int_param(params, "accesses", minimum=1)
     )
-    seed = _int_param(params, "seed", common.default_seed())
+    seed = int_param(params, "seed", common.default_seed())
     config = baseline_config()
     return [
         sim_cell_spec(benchmark, mechanism, accesses, seed, config)
@@ -242,9 +242,9 @@ def _expand_generations(params: dict) -> List[CellSpec]:
     for mechanism in mechanisms:
         _check_mechanism(mechanism)
     accesses = common.scaled_accesses(
-        _int_param(params, "accesses", generations.ACCESSES, 1)
+        int_param(params, "accesses", generations.ACCESSES, 1)
     )
-    seed = _int_param(params, "seed", common.default_seed())
+    seed = int_param(params, "seed", common.default_seed())
     specs = []
     from repro.dram.timing import GENERATIONS
 
@@ -270,8 +270,8 @@ def _expand_fleet(params: dict) -> List[CellSpec]:
         )
     for mechanism in mechanisms:
         _check_mechanism(mechanism)
-    accesses = _int_param(params, "accesses", minimum=1)
-    seed = _int_param(params, "seed", common.default_seed())
+    accesses = int_param(params, "accesses", minimum=1)
+    seed = int_param(params, "seed", common.default_seed())
     return [
         fleet_cell_spec(scenario, mechanism, accesses, seed)
         for scenario in scenarios
@@ -327,6 +327,7 @@ __all__ = [
     "canonical_json",
     "expand_submission",
     "fleet_cell_spec",
+    "int_param",
     "result_digest",
     "sim_cell_from_wire",
     "sim_cell_spec",

@@ -44,6 +44,7 @@ from repro.service.jobs import (
     CellSpec,
     canonical_json,
     expand_submission,
+    int_param,
     result_digest,
     sim_cell_from_wire,
 )
@@ -575,7 +576,7 @@ class JobServer:
 
     def _submit(self, request: dict) -> _Job:
         specs = expand_submission(request)
-        priority = int(request.get("priority", 0))
+        priority = int_param(request, "priority", 0)
         self._job_seq += 1
         job = _Job(
             job_id=f"job-{self._job_seq}",

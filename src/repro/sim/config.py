@@ -80,7 +80,7 @@ class SystemConfig:
     refresh_policy: str = "REFab"
     #: Independent workload streams (tenants) sharing the controller in
     #: fleet mode.  1 is the single-stream paper machine; the QoS
-    #: scheduler variants size their per-tenant quotas from this.
+    #: scheduler ``Burst_QW`` sizes its per-tenant quota from this.
     sources: int = 1
     cpu: CPUConfig = field(default_factory=CPUConfig)
 

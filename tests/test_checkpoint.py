@@ -290,8 +290,8 @@ def test_resume_equals_straight_run(tmp_path, workload, fraction,
 
 
 #: Mechanisms the K=4 fleet resume crosses: the paper's best scheduler
-#: plus both QoS variants (whose quota/budget state is mechanism state).
-FLEET_MECHANISMS = ("Burst_TH", "Burst_QW", "Burst_QB")
+#: plus the QoS variant (whose per-source quota rides in pool state).
+FLEET_MECHANISMS = ("Burst_TH", "Burst_QW")
 
 
 @settings(

@@ -186,3 +186,98 @@ def test_checkpoint_every_nonpositive_errors(tmp_path, capsys, every):
     ]) == 1
     assert "error: checkpoint interval" in capsys.readouterr().err
     assert not ckdir.exists()
+
+
+# ----------------------------------------------------------------------
+# The tenant count comes from the workload
+# ----------------------------------------------------------------------
+
+
+def _json_run(capsys, *argv):
+    assert main([*argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_mix_provisions_one_source_per_core(capsys):
+    """A 4-core mix is four tenants, so Burst_QW's per-source write
+    quota binds; with the old one-source default it ran as Burst_TH."""
+    mix = ("--mix", "swim,mcf,gcc,lucas", "--accesses", "1500")
+    plain = _json_run(capsys, *mix, "--mechanism", "Burst_TH")
+    quota = _json_run(capsys, *mix, "--mechanism", "Burst_QW")
+    assert plain["mem_cycles"] == 26399
+    assert quota["mem_cycles"] == 38073
+
+
+def test_trace_source_column_sets_tenant_count(tmp_path, monkeypatch):
+    import repro.cli as cli
+
+    provisioned = []
+
+    class Recording(cli.MemorySystem):
+        def __init__(self, config, *args, **kwargs):
+            provisioned.append(config.sources)
+            super().__init__(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "MemorySystem", Recording)
+    tagged = tmp_path / "tagged.trace"
+    tagged.write_text("0 R 0x1000\n5 W 0x2000 3\n2 R 0x40000000 3\n")
+    plain = tmp_path / "plain.trace"
+    plain.write_text("0 R 0x1000\n5 W 0x2000\n")
+    for path in (tagged, plain):
+        assert main(["--trace", str(path), "--mechanism", "Burst_QW"]) == 0
+    assert provisioned == [2, 1]
+
+
+def test_single_stream_runs_as_one_source(capsys):
+    """A lone benchmark is one tenant: Burst_QW's quota is the whole
+    write queue and the run is Burst_TH's, field for field."""
+    run = ("--benchmark", "swim", "--accesses", "1500")
+    plain = _json_run(capsys, *run, "--mechanism", "Burst_TH")
+    quota = _json_run(capsys, *run, "--mechanism", "Burst_QW")
+    assert quota == dict(plain, mechanism="Burst_QW")
+    assert (
+        plain["mem_cycles"], plain["read_latency"], plain["preemptions"],
+        plain["piggybacked_writes"],
+    ) == (6524, 107.4977, 23.0, 154.0)
+
+
+def test_sources_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--benchmark", "swim", "--sources", "2"])
+    assert exit_info.value.code == 2
+    assert "--sources" in capsys.readouterr().err
+
+
+def test_killed_mix_qos_run_resumes_identically(tmp_path, monkeypatch, capsys):
+    """SIGTERM after the first periodic snapshot: exit 143, and
+    --resume rebuilds the mix and its tenant count from the snapshot
+    metadata alone."""
+    import os
+    import signal
+
+    from repro.checkpoint import Checkpointer
+
+    run = ["--mix", "swim,mcf", "--accesses", "600", "--mechanism", "Burst_QW"]
+    ref = tmp_path / "ref.json"
+    assert main([*run, "--stats-out", str(ref)]) == 0
+
+    save = Checkpointer.save
+
+    def save_then_terminate(self, driver, preempting=False):
+        save(self, driver, preempting)
+        if not preempting:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(Checkpointer, "save", save_then_terminate)
+    ckdir = tmp_path / "ck"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*run, "--checkpoint-dir", str(ckdir),
+              "--checkpoint-every", "1000"])
+    assert exit_info.value.code == 143
+    monkeypatch.undo()
+
+    out = tmp_path / "resumed.json"
+    snapshot = ckdir / "swim+mcf-Burst_QW.ckpt"
+    assert main(["--resume", str(snapshot), "--stats-out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == ref.read_bytes()

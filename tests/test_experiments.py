@@ -237,3 +237,27 @@ def test_cli_list_and_run(capsys):
     assert main(["run", "table1"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        ({"REPRO_SCALE": "abc"}, ["run", "fig7"], "REPRO_SCALE"),
+        ({"REPRO_JOBS": "x"}, ["run", "fig7"], "REPRO_JOBS"),
+        ({}, ["cache", "gc", "--max-bytes", "-5"], "max_bytes"),
+    ],
+    ids=["bad-scale", "bad-jobs", "negative-max-bytes"],
+)
+def test_cli_typed_errors_exit_1_without_traceback(
+    env, argv, message, monkeypatch, tmp_path, capsys
+):
+    """Each used to escape ``main`` as an uncaught ConfigError."""
+    from repro.experiments.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -423,14 +423,19 @@ def test_bad_requests_get_typed_errors(tmp_path):
 
 
 def test_bad_params_payload_gets_reply_and_server_survives(tmp_path):
-    """A malformed ``params`` payload (or a cell whose config fails
-    validation with a ConfigError) is answered ``ok: false`` on the
-    same connection; the server keeps serving."""
+    """A malformed ``params`` payload, a cell whose config fails
+    validation with a ConfigError, or a non-integer ``priority`` (which
+    used to drop the connection, or be coerced to 1) is answered
+    ``ok: false`` on the same connection; the server keeps serving."""
     bad_config = dict(_cells()[0]["config"], sources=0)
     requests = [
         {"op": "submit", "matrix": "fig7", "params": params}
         for params in ({"seed": "x"}, [1], {"accesses": 0})
     ] + [{"op": "submit", "cells": [dict(_cells()[0], config=bad_config)]}]
+    requests += [
+        {"op": "submit", "cells": _cells()[:1], "priority": priority}
+        for priority in ("high", 1.7, True)
+    ]
     with Server(tmp_path, workers=1) as server:
         for request in requests:
             with server.client._connect() as sock:
