@@ -1,4 +1,4 @@
-"""Flat-array scheduler core: bitsets, age matrix, vectorized mins.
+"""Flat-array scheduler core: bitsets, age matrix, stamp-cached timing.
 
 The schedulers' hot path (DESIGN.md §11) keeps a *flat* mirror of the
 per-bank candidate state next to the object model: one slot per bank of
@@ -15,11 +15,7 @@ but a fast-mode schedule pass touches only:
   write-version (``ver``) moved since it was stamped;
 * ``age_row`` — a hardware-style age matrix (one bitmask row per slot
   holding the strictly-older occupied slots) so "oldest of this
-  candidate set" is an O(popcount) pick with no key comparisons;
-* ``ready`` — the per-slot full earliest-issue cycle of the current
-  pass, whose cross-slot min becomes ``_pass_wake`` (and, through the
-  schedule gate, ``next_wakeup``).  With numpy present and enough slots
-  the min runs vectorized; the pure-int fallback keeps numpy optional.
+  candidate set" is an O(popcount) pick with no key comparisons.
 
 Age keys compose ``(is_write, arrival, slot)`` into a single int, so
 equal-age ties (same arrival, same direction) break toward the lowest
@@ -29,20 +25,9 @@ path computes.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.channel import Channel
-from repro.timebase import NEVER
-
-try:  # optional [perf] extra; every path below has an int fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: Below this many slots the Python loop beats the numpy reduction
-#: (array round-trip overhead); the baseline channel has 16 slots.
-NUMPY_MIN_SLOTS = 32
 
 #: Cached candidate kinds (string constants cost an import cycle here).
 KIND_COLUMN = 1
@@ -51,12 +36,12 @@ KIND_ACTIVATE = 3
 
 
 def numpy_enabled() -> bool:
-    """True when the vectorized min may be used (numpy + not opted out).
+    """Always False: the simulator never imports numpy.
 
-    ``REPRO_NUMPY=0`` forces the pure-int fallback even with numpy
-    installed — the equivalence tests pin both paths with it.
+    Kept only because the benchmark harness (``perfbench/run.py``)
+    imports and calls it during set-up; nothing in ``src/`` calls it.
     """
-    return _np is not None and os.environ.get("REPRO_NUMPY", "1") != "0"
+    return False
 
 
 class FlatSlots:
@@ -83,9 +68,7 @@ class FlatSlots:
         "rstamp",
         "age_key",
         "age_row",
-        "ready",
         "occupied",
-        "use_numpy",
         "_slot_bits",
     )
 
@@ -121,11 +104,6 @@ class FlatSlots:
         self.rstamp = [-1] * n
         self.age_key = [0] * n
         self.age_row = [0] * n
-        self.use_numpy = numpy_enabled() and n >= NUMPY_MIN_SLOTS
-        if self.use_numpy:
-            self.ready = _np.full(n, NEVER, dtype=_np.int64)
-        else:
-            self.ready = [NEVER] * n
         self.occupied = 0
 
     def reset(self) -> None:
@@ -135,10 +113,6 @@ class FlatSlots:
         self.src = [-1] * n
         self.bstamp = [-1] * n
         self.rstamp = [-1] * n
-        if self.use_numpy:
-            self.ready[:] = NEVER
-        else:
-            self.ready = [NEVER] * n
         self.occupied = 0
 
     def install(self, slot: int, access) -> None:
@@ -154,7 +128,6 @@ class FlatSlots:
         # getattr: the age-matrix unit tests install minimal stubs.
         self.src[slot] = getattr(access, "source", 0)
         self.bstamp[slot] = -1  # device ver is never negative: recompute
-        self.ready[slot] = NEVER
         bit = 1 << slot
         key = (
             ((1 if access.is_write else 0) << 61)
@@ -203,7 +176,6 @@ class FlatSlots:
         """
         self.acc[slot] = None
         self.src[slot] = -1
-        self.ready[slot] = NEVER
         self.occupied &= ~(1 << slot)
 
     def oldest(self, mask: int) -> int:
@@ -223,32 +195,11 @@ class FlatSlots:
             m ^= b
         raise AssertionError("oldest() called with an empty mask")
 
-    def min_ready(self) -> int:
-        """Min earliest-issue cycle over all occupied slots.
-
-        Valid only right after a full no-issue pass (every occupied
-        slot's ``ready`` freshly written; cleared slots pinned at
-        NEVER).  Vectorized when the slot count warrants it.
-        """
-        ready = self.ready
-        if self.use_numpy:
-            return int(ready.min())
-        best = NEVER
-        m = self.occupied
-        while m:
-            b = m & -m
-            m ^= b
-            t = ready[b.bit_length() - 1]
-            if t < best:
-                best = t
-        return best
-
 
 __all__ = [
     "FlatSlots",
     "KIND_ACTIVATE",
     "KIND_COLUMN",
     "KIND_PRECHARGE",
-    "NUMPY_MIN_SLOTS",
     "numpy_enabled",
 ]

@@ -399,9 +399,7 @@ class IntelScheduler(Scheduler):
         if not occ:
             self._pass_wake = NEVER
             return
-        ready = flat.ready
         earliest = self._flat_earliest
-        vec = flat.use_numpy
         slot_bits = flat._slot_bits
         unstarted_bias = 1 << 61
         best_key = 0
@@ -414,7 +412,6 @@ class IntelScheduler(Scheduler):
             i = b.bit_length() - 1
             a = acc[i]
             t = earliest(flat, i, a, cycle)
-            ready[i] = t
             if t <= cycle:
                 sc = a.start_cycle
                 if sc is None:
@@ -424,10 +421,10 @@ class IntelScheduler(Scheduler):
                 if best_i < 0 or k < best_key:
                     best_key = k
                     best_i = i
-            elif not vec and t < wake:
+            elif t < wake:
                 wake = t
         if best_i < 0:
-            self._pass_wake = flat.min_ready() if vec else wake
+            self._pass_wake = wake
             return
         i = best_i
         a = acc[i]

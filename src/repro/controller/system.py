@@ -16,7 +16,6 @@ write-queue saturation), credited per run of constant pool occupancy.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Union
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
@@ -29,7 +28,7 @@ from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshController
 from repro.mapping.schemes import make_mapping
 from repro.sim.config import SystemConfig
-from repro.sim.profile import NEVER, fastfwd_enabled
+from repro.sim.profile import NEVER, env_flag, fastfwd_enabled
 from repro.sim.stats import SimStats
 
 
@@ -124,7 +123,7 @@ class MemorySystem:
         # device model accepts (``--oracle`` / ``REPRO_ORACLE=1``).
         self.oracles = []
         if oracle is None:
-            oracle = os.environ.get("REPRO_ORACLE", "0") not in ("", "0")
+            oracle = env_flag("REPRO_ORACLE", unset=False)
         if oracle:
             from repro.dram.oracle import attach_oracles
 

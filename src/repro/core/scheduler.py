@@ -545,9 +545,8 @@ class BurstScheduler(Scheduler):
         * ``earliest <= cycle`` classifies candidates into column /
           overhead bitsets, and the priority picks resolve through the
           age matrix instead of ``min()`` over tuples;
-        * the min of blocked candidates' earliests lands in
-          ``_pass_wake`` (vectorized via :meth:`FlatSlots.min_ready`
-          on wide channels), arming the schedule gate exactly.
+        * the min of blocked candidates' earliests, tracked inline,
+          lands in ``_pass_wake``, arming the schedule gate exactly.
         """
         if not self._pending:
             self._pass_wake = NEVER
@@ -573,9 +572,7 @@ class BurstScheduler(Scheduler):
                 else:
                     self._flat_set(i, a)
         kinds = flat.kind
-        ready = flat.ready
         earliest = self._flat_earliest
-        vec = flat.use_numpy
         col_mask = 0
         ovh_mask = 0
         wake = NEVER
@@ -588,20 +585,19 @@ class BurstScheduler(Scheduler):
             i = b.bit_length() - 1
             a = acc[i]
             t = earliest(flat, i, a, cycle)
-            ready[i] = t
             if t <= cycle:
                 if kinds[i] == KIND_COLUMN:
                     col_mask |= b
                 else:
                     ovh_mask |= b
-            elif not vec and t < wake:
+            elif t < wake:
                 wake = t
             arr = a.arrival
             if oldest_i < 0 or arr < oldest_arr:
                 oldest_i = i
                 oldest_arr = arr
         if not (col_mask | ovh_mask):
-            self._pass_wake = flat.min_ready() if vec else wake
+            self._pass_wake = wake
             # Figure 6 lines 14-15: favour the oldest ongoing access's
             # bank/rank next cycle.
             if oldest_i >= 0:

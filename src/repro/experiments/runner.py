@@ -53,6 +53,7 @@ from repro.controller.system import MemorySystem
 from repro.cpu.core import CoreResult, OoOCore
 from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
+from repro.sim.profile import env_flag
 from repro.sim.stats import SimStats
 from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace import TraceRecord
@@ -88,7 +89,7 @@ def default_jobs() -> int:
 
 def cache_enabled() -> bool:
     """Persistent caching is on unless ``REPRO_CACHE=0``."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
+    return env_flag("REPRO_CACHE", unset=True, empty=True)
 
 
 def cache_dir() -> Path:
@@ -303,7 +304,7 @@ def cache_gc(max_bytes: int) -> Tuple[int, int]:
 
 def checkpoint_enabled() -> bool:
     """In-flight cell snapshotting is opt-in via ``REPRO_CHECKPOINT=1``."""
-    return os.environ.get("REPRO_CHECKPOINT", "0") not in ("", "0")
+    return env_flag("REPRO_CHECKPOINT", unset=False)
 
 
 def checkpoint_every() -> int:

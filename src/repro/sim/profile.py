@@ -1,8 +1,15 @@
-"""The ``REPRO_FASTFWD`` switch for the next-event run loops.
+"""Boolean environment knobs and the ``REPRO_FASTFWD`` switch.
 
-This module is deliberately dependency-free (``os`` only) so every
-layer of the simulator — drivers, CPU models, the memory system and
-the schedulers — can import it without creating cycles.
+This module is deliberately dependency-free (``os`` and
+:mod:`repro.errors` only) so every layer of the simulator — drivers,
+CPU models, the memory system and the schedulers — can import it
+without creating cycles.
+
+:func:`env_flag` reads every on/off knob (``REPRO_FASTFWD``,
+``REPRO_ORACLE``, ``REPRO_CACHE``, ``REPRO_CHECKPOINT``) the same way:
+``1`` is on, ``0`` is off, unset and empty keep each knob's documented
+default, and anything else is a :class:`~repro.errors.ConfigError`
+rather than a silent "on".
 
 :func:`fastfwd_enabled` selects the next-event time-skipping run
 loops (default on).  ``REPRO_FASTFWD=0`` preserves the strictly
@@ -21,15 +28,35 @@ from __future__ import annotations
 
 import os
 
+from repro.errors import ConfigError
 from repro.timebase import NEVER
+
+
+def env_flag(name: str, unset: bool, empty: bool = False) -> bool:
+    """Read the on/off knob ``name``: ``1`` is on, ``0`` is off.
+
+    An unset variable reads as ``unset`` and an empty one as ``empty``;
+    any other value raises :class:`ConfigError` naming the variable.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return unset
+    if raw == "1":
+        return True
+    if raw == "0":
+        return False
+    if raw == "":
+        return empty
+    raise ConfigError(f"{name} must be 0 or 1, got {raw!r}")
 
 
 def fastfwd_enabled() -> bool:
     """True unless ``REPRO_FASTFWD`` is set to ``0`` (or empty)."""
-    return os.environ.get("REPRO_FASTFWD", "1") not in ("", "0")
+    return env_flag("REPRO_FASTFWD", unset=True)
 
 
 __all__ = [
     "NEVER",
+    "env_flag",
     "fastfwd_enabled",
 ]

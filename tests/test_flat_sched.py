@@ -2,7 +2,7 @@
 
 The fast-mode schedulers run their passes over :class:`FlatSlots`
 (DESIGN.md §11) — bitset candidate sets, stamp-cached timing, an age
-matrix for tie-breaks and an optionally-vectorized cross-bank min —
+matrix for tie-breaks and an inline cross-bank wake min —
 while ``REPRO_FASTFWD=0`` keeps the original object-model walk.  The
 flat mirror must be *invisible*: byte-identical stats, command traces
 and CPU results on every mechanism, with the protocol oracle watching.
@@ -10,7 +10,7 @@ and CPU results on every mechanism, with the protocol oracle watching.
 The directed tests pin the idioms the property test would only
 exercise by luck: equal-age tie-breaks at the age-matrix boundary,
 stale-bit reuse after ``clear``/``install``, cache invalidation on a
-``refresh_pending`` flip, and numpy/pure-int parity of the min.
+``refresh_pending`` flip.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.access import AccessType
 from repro.controller.base import Scheduler
-from repro.controller.flatcore import KIND_ACTIVATE, FlatSlots, numpy_enabled
+from repro.controller.flatcore import KIND_ACTIVATE, FlatSlots
 from repro.controller.registry import extension_names, mechanism_names
 from repro.controller.system import MemorySystem
 from repro.dram.timing import DDR2_800, DDR5_4800
@@ -200,26 +199,25 @@ def test_flat_pass_identical_to_object_pass(workload, refresh, device, policy):
     assert calls[0] > 0
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="numpy not installed")
 @settings(deadline=None, max_examples=10)
 @given(workload=workloads())
-def test_numpy_min_matches_pure_int_fallback(workload):
-    """Vectorized and pure-int cross-bank mins agree byte-for-byte.
+def test_wide_channel_flat_pass_identical_to_object_pass(workload):
+    """Flat passes stay byte-identical on a 32-slot channel.
 
-    The config crosses ``NUMPY_MIN_SLOTS`` (4 ranks x 8 banks = 32
-    slots) so ``REPRO_NUMPY=1`` genuinely takes the vectorized path;
-    ``REPRO_NUMPY=0`` forces the int fallback on the same machine.
+    4 ranks x 8 banks doubles the paper's 16 slots per channel, so
+    slot indices need a wider key field and the inline wake min walks
+    twice the bitset.  Burst (both arbiters) and Intel each track that
+    min in their own flat pass.
     """
     config = _config(QUIET, ranks=4, banks=8)
-    system = MemorySystem(config, "Burst_TH")
-    assert FlatSlots(system.channels[0]).use_numpy
+    assert FlatSlots(MemorySystem(config, "Burst_TH").channels[0]).n == 32
     requests = _encode(config, workload)
-    for mechanism in ("Burst_TH", "Burst_RP"):
-        vec = _run(mechanism, config, requests,
-                   REPRO_FASTFWD="1", REPRO_NUMPY="1")
-        pure = _run(mechanism, config, requests,
-                    REPRO_FASTFWD="1", REPRO_NUMPY="0")
-        assert vec == pure, f"{mechanism} numpy min diverged"
+    with kernel_parity_checked() as calls:
+        for mechanism in ("Burst_TH", "Burst_RP", "Intel"):
+            obj = _run(mechanism, config, requests, REPRO_FASTFWD="0")
+            flat = _run(mechanism, config, requests, REPRO_FASTFWD="1")
+            assert flat == obj, f"{mechanism} wide flat pass diverged"
+    assert calls[0] > 0
 
 
 # ----------------------------------------------------------------------
@@ -281,20 +279,6 @@ def test_clear_then_install_rewrites_stale_age_bits():
     flat.clear(1)
     flat.install(1, _access(arrival=4))
     assert flat.oldest(0b11) == 1
-
-
-def test_min_ready_numpy_and_pure_agree():
-    """Both min implementations see only occupied slots."""
-    flat = _flat()
-    flat.install(2, _access(arrival=1))
-    flat.install(4, _access(arrival=2))
-    flat.ready[2] = 100
-    flat.ready[4] = 90
-    assert flat.min_ready() == 90
-    flat.clear(4)
-    assert flat.min_ready() == 100
-    flat.clear(2)
-    assert flat.min_ready() == NEVER
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ matrix in a reproducible order with reproducible digests.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from repro.service.jobs import (
     sim_cell_spec,
     spec_from_wire,
 )
+from repro.service.server import MAX_ATTEMPTS
 from repro.sim.config import baseline_config
 
 N = 300
@@ -298,29 +300,76 @@ def test_preempted_cell_migrates_and_resumes(tmp_path):
         assert done["resumed"].get(key, 0) > 0
         migrated_digest = done["digests"][key]
 
-    # Reference: the same cell, uninterrupted, in this process, with
-    # the cache out of the loop.
+    assert _uninterrupted_digest(cells, key) == migrated_digest
+
+
+def _uninterrupted_digest(cells, key):
+    """Digest of the cell with ``key``, run in this process uncached."""
     cfg = baseline_config()
     for cell in cells:
-        k = runner.cell_key(
-            cell["benchmark"], cell["mechanism"], cell["accesses"],
-            cell["seed"], cfg,
-        )
-        if k == key:
-            run = runner.execute_cell(
-                (cell["benchmark"], cell["mechanism"], cell["accesses"],
-                 cell["seed"], cfg),
-                checkpoint=False,
-            )
-            fresh = result_digest({
-                "key": k,
+        args = (cell["benchmark"], cell["mechanism"], cell["accesses"],
+                cell["seed"], cfg)
+        if runner.cell_key(*args) == key:
+            run = runner.execute_cell(args, checkpoint=False)
+            return result_digest({
+                "key": key,
                 "stats": run.stats.to_dict(),
                 "core": run.core.to_dict(),
             })
-            assert fresh == migrated_digest
-            break
-    else:
-        pytest.fail("preempted key not in the submitted cells")
+    pytest.fail(f"{key} not in the submitted cells")
+
+
+def _kill_started_workers(server, job, kills):
+    """SIGKILL the worker of each of the first ``kills`` cell starts.
+
+    Returns the job's full event stream, ending at ``job_done``.
+    """
+    events = []
+    for event in server.client.watch(job):
+        events.append(event)
+        if event["event"] == "cell_started" and kills:
+            kills -= 1
+            pids = {w["index"]: w["pid"]
+                    for w in server.client.status()["workers"]}
+            os.kill(pids[event["worker"]], signal.SIGKILL)
+    return events
+
+
+def test_worker_killed_once_retries_cell_identically(tmp_path):
+    """A crashed worker's cell is retried on a fresh worker and its
+    result is byte-identical to an uninterrupted run."""
+    cells = _cells(benches=("swim",), mechs=("Burst_TH",), n=20_000)
+    with Server(tmp_path, workers=1) as server:
+        job = server.client.submit(cells=cells)["job"]
+        events = _kill_started_workers(server, job, kills=1)
+    starts = [e for e in events if e["event"] == "cell_started"]
+    done = events[-1]
+    assert len(starts) == 2
+    assert starts[0]["worker"] != starts[1]["worker"]
+    assert done["failed"] == 0
+    assert done["simulated"] == 1
+    [(key, digest)] = done["digests"].items()
+    assert _uninterrupted_digest(cells, key) == digest
+
+
+def test_worker_killed_every_attempt_fails_cell(tmp_path):
+    """A cell whose worker dies on every attempt fails after
+    ``MAX_ATTEMPTS`` and the server keeps serving."""
+    cells = _cells(benches=("swim",), mechs=("Burst_TH",), n=20_000)
+    with Server(tmp_path, workers=1) as server:
+        job = server.client.submit(cells=cells)["job"]
+        events = _kill_started_workers(server, job, kills=MAX_ATTEMPTS)
+        starts = [e for e in events if e["event"] == "cell_started"]
+        [failed] = [e for e in events if e["event"] == "cell_failed"]
+        done = events[-1]
+        assert len(starts) == MAX_ATTEMPTS
+        assert failed["error"] == (
+            f"worker exited {-signal.SIGKILL} (attempt {MAX_ATTEMPTS})"
+        )
+        assert done["failed"] == 1
+        assert done["simulated"] == 0
+        assert done["errors"] == {failed["key"]: failed["error"]}
+        assert server.client.ping()["ok"]
 
 
 def test_priority_preempts_running_work(tmp_path):
