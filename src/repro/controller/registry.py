@@ -96,12 +96,6 @@ def _fcfs(config, channel, pool, stats):
     return FCFSScheduler(config, channel, pool, stats)
 
 
-def _ahb(config, channel, pool, stats):
-    from repro.controller.ahb import AHBScheduler
-
-    return AHBScheduler(config, channel, pool, stats)
-
-
 #: Name -> factory(config, channel, pool, stats).  The first eight are
 #: the paper's Table 4; Burst_DYN is the §7 future-work extension
 #: (dynamic threshold from the observed read/write ratio).
@@ -118,16 +112,13 @@ MECHANISMS: Dict[str, SchedulerFactory] = {
 
 #: Extensions beyond Table 4 (not part of the paper's comparisons):
 #: Burst_DYN is the §7 dynamic threshold; FCFS is the fully serialised
-#: reference floor; AHB is the adaptive history-based scheduler of the
-#: paper's related work (§2.2, Hur & Lin MICRO'04); Burst_QW is the
-#: multi-tenant QoS variant (per-source write-queue quota, ≡ Burst_TH
-#: when sources == 1);
+#: reference floor; Burst_QW is the multi-tenant QoS variant
+#: (per-source write-queue quota, ≡ Burst_TH when sources == 1);
 #: Burst_BPW is the BARD-style bank-parallel write drain aimed at the
 #: long write recoveries of the DDR5 generation profiles.
 EXTENSIONS: Dict[str, SchedulerFactory] = {
     "Burst_DYN": _burst_dyn,
     "FCFS": _fcfs,
-    "AHB": _ahb,
     "Burst_QW": _burst_qw,
     "Burst_BPW": _burst_bpw,
 }
@@ -145,12 +136,12 @@ def extension_names() -> List[str]:
 
 
 def make_scheduler_factory(name: str) -> SchedulerFactory:
-    """Look up a mechanism factory by its Table 4 name."""
+    """Look up a mechanism factory by name (Table 4 or extension)."""
     try:
         return MECHANISMS[name]
     except KeyError:
         raise ConfigError(
-            f"unknown mechanism {name!r}; available: {mechanism_names()}"
+            f"unknown mechanism {name!r}; available: {sorted(MECHANISMS)}"
         ) from None
 
 

@@ -16,7 +16,7 @@ asserts it and the property tests exercise it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.controller.access import MemoryAccess
 from repro.errors import SchedulerError
@@ -101,34 +101,6 @@ class BurstQueue:
         self.bursts.append(burst)
         self._by_row[access.row] = burst
         return burst
-
-    @property
-    def next_burst(self) -> Optional[Burst]:
-        """The burst currently first in line (oldest first arrival)."""
-        return self.bursts[0] if self.bursts else None
-
-    def promote_for_policy(
-        self, policy: str, now: int, age_limit: int = 2000
-    ) -> None:
-        """Reorder bursts at a burst boundary (paper §7, future work).
-
-        ``arrival`` (the paper's default) keeps first-arrival order.
-        ``largest_first`` hoists the biggest burst to the front — the
-        §7 suggestion of sorting bursts "by the size of bursts" — but
-        never past a burst that has already waited ``age_limit``
-        cycles, the starvation consideration §7 calls for.
-        """
-        if policy == "arrival" or len(self.bursts) < 2:
-            return
-        if policy != "largest_first":
-            raise SchedulerError(f"unknown inter-burst policy {policy!r}")
-        head = self.bursts[0]
-        if now - head.first_arrival >= age_limit:
-            return
-        biggest = max(self.bursts, key=len)
-        if biggest is not head and len(biggest) > len(head):
-            self.bursts.remove(biggest)
-            self.bursts.insert(0, biggest)
 
     def finish_head_read(self) -> bool:
         """Retire the head read of the head burst.

@@ -46,7 +46,6 @@ class BurstScheduler(Scheduler):
         write_piggybacking: bool = False,
         threshold: Optional[int] = None,
         use_priority_table: bool = True,
-        inter_burst_policy: str = "arrival",
     ) -> None:
         super().__init__(config, channel, pool, stats)
         self.read_preemption = read_preemption
@@ -55,9 +54,6 @@ class BurstScheduler(Scheduler):
         #: transaction priority with naive round-robin issue — the
         #: "best effort" scheduling the paper criticises in §4.2.
         self.use_priority_table = use_priority_table
-        #: §7 future work: burst order within a bank ("arrival" is the
-        #: paper's mechanism; "largest_first" sorts by burst size).
-        self.inter_burst_policy = inter_burst_policy
         self._rr = 0
         if threshold is None:
             threshold = config.threshold
@@ -294,7 +290,7 @@ class BurstScheduler(Scheduler):
         """
         return self._oldest_write(key)
 
-    def _arbitrate(self, key: BankKey, cycle: int = 0) -> None:
+    def _arbitrate(self, key: BankKey) -> None:
         """One bank-arbiter step; mirrors Figure 5 line by line."""
         ongoing = self._ongoing[key]
         reads = self._read_queues[key]
@@ -325,12 +321,6 @@ class BurstScheduler(Scheduler):
             ):
                 selected = self._oldest_write(key)          # line 7
             if selected is None and reads.bursts:
-                if self._end_of_burst[key]:
-                    # At a burst boundary the next burst may be chosen
-                    # by an alternative policy (§7 future work).
-                    reads.promote_for_policy(
-                        self.inter_burst_policy, cycle
-                    )
                 selected = reads.bursts[0].accesses[0]      # line 8
                 self._end_of_burst[key] = False
             self._ongoing[key] = selected
@@ -464,7 +454,7 @@ class BurstScheduler(Scheduler):
         active = self._active_keys
         for key in self._bank_keys:
             if key in active:
-                self._arbitrate(key, cycle)
+                self._arbitrate(key)
         if not self.use_priority_table:
             self._pass_wake = -1  # ablation path computes no hint
             self._schedule_naive(cycle)
@@ -564,7 +554,7 @@ class BurstScheduler(Scheduler):
             need ^= b
             i = b.bit_length() - 1
             key = keys[i]
-            self._arbitrate(key, cycle)
+            self._arbitrate(key)
             a = ongoing[key]
             if a is not acc[i]:
                 if a is None:

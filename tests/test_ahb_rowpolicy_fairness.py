@@ -1,5 +1,5 @@
-"""Tests for the AHB scheduler, the row-policy predictor and the
-per-source fairness analysis of CMP mixes."""
+"""Tests for the row-policy predictor and the per-source fairness
+analysis of CMP mixes."""
 
 from dataclasses import replace
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.fairness import per_source_read_latency, speedup_jain
 from repro.controller.access import AccessType
-from repro.controller.ahb import AHBScheduler
 from repro.controller.rowpolicy import (
     CLOSE_THRESHOLD,
     RowPolicyPredictor,
@@ -21,55 +20,6 @@ from repro.workloads.mixes import interleave_traces, make_mix_trace
 from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace import TraceRecord, load_trace, save_trace
 from tests.conftest import make_request_stream
-
-
-# ------------------------------------------------------------------- AHB
-
-
-def test_ahb_completes_random_workload(small_config):
-    system = MemorySystem(small_config, "AHB")
-    assert isinstance(system.schedulers[0], AHBScheduler)
-    requests = make_request_stream(small_config, 300, seed=41, write_frac=0.4)
-    OpenLoopDriver(system, requests).run()
-    stats = system.stats
-    assert (
-        stats.completed_reads + stats.completed_writes + stats.forwarded_reads
-        == 300
-    )
-
-
-def test_ahb_tracks_arrival_mix(small_config):
-    system = MemorySystem(small_config, "AHB")
-    scheduler = system.schedulers[0]
-    start = scheduler.arrival_read_frac
-    requests = make_request_stream(
-        small_config, 200, seed=42, write_frac=0.8
-    )
-    OpenLoopDriver(system, requests).run()
-    assert scheduler.arrival_read_frac < start  # writes dominated
-
-
-def test_ahb_issues_writes_proportionally(small_config):
-    """With a write-heavy arrival mix AHB interleaves writes instead
-    of postponing them like the burst family."""
-    trace = make_benchmark_trace("lucas", 800, seed=1)
-    from repro.sim.config import baseline_config
-
-    cfg = baseline_config()
-    ahb = MemorySystem(cfg, "AHB")
-    OoOCore(ahb, trace).run()
-    burst = MemorySystem(cfg, "Burst")
-    OoOCore(burst, trace).run()
-    assert (
-        ahb.stats.mean_write_latency < burst.stats.mean_write_latency
-    )
-
-
-def test_ahb_reasonable_performance(config):
-    trace = make_benchmark_trace("swim", 1000, seed=1)
-    base = OoOCore(MemorySystem(config, "BkInOrder"), trace).run()
-    ahb = OoOCore(MemorySystem(config, "AHB"), trace).run()
-    assert ahb.mem_cycles < base.mem_cycles  # beats in-order
 
 
 # ------------------------------------------------------ row policy [22]

@@ -59,9 +59,9 @@ def test_finish_head_read_signals_end_of_burst():
     queue.add_read(_read(2, 2))
     assert queue.finish_head_read() is False  # burst row1 not empty
     assert queue.finish_head_read() is True   # row1 burst done
-    assert queue.next_burst.row == 2
+    assert queue.bursts[0].row == 2
     assert queue.finish_head_read() is True
-    assert queue.next_burst is None
+    assert not queue.bursts
 
 
 def test_finish_on_empty_queue_raises():
@@ -85,6 +85,6 @@ def test_reads_within_burst_stay_in_issue_order():
     first, second = _read(1, 0, col=7), _read(1, 4, col=2)
     queue.add_read(first)
     queue.add_read(second)
-    assert queue.next_burst.head is first
+    assert queue.bursts[0].head is first
     queue.finish_head_read()
-    assert queue.next_burst.head is second
+    assert queue.bursts[0].head is second

@@ -239,18 +239,18 @@ def test_wp_engages_at_exactly_threshold_occupancy(config):
     system.channels[0].issue_activate(0, 0, 1, 3)
     key = (0, 1)
     assert _fill_writes(system, 51) == 51
-    scheduler._arbitrate(key, 2)
+    scheduler._arbitrate(key)
     assert scheduler._ongoing[key] is None, (
         "occupancy 51 < TH 52 must not piggyback writes"
     )
     assert _fill_writes(system, 1, start_col=51) == 52
-    scheduler._arbitrate(key, 3)
+    scheduler._arbitrate(key)
     selected = scheduler._ongoing[key]
     assert selected is not None and selected.is_write and selected.piggybacked
     # Still engaged above the threshold (53).
     scheduler._ongoing[key] = None
     assert _fill_writes(system, 1, start_col=52) == 53
-    scheduler._arbitrate(key, 4)
+    scheduler._arbitrate(key)
     selected = scheduler._ongoing[key]
     assert selected is not None and selected.is_write
 
@@ -273,13 +273,13 @@ def test_rp_preempts_only_strictly_below_threshold(config):
         return system, scheduler, key
 
     system, scheduler, key = build(51)
-    scheduler._arbitrate(key, 4)
+    scheduler._arbitrate(key)
     assert scheduler._ongoing[key].is_read, "51 < TH 52: read preempts"
     assert system.stats.preemptions == 1
 
     system, scheduler, key = build(52)
     ongoing = scheduler._ongoing[key]
-    scheduler._arbitrate(key, 4)
+    scheduler._arbitrate(key)
     assert scheduler._ongoing[key] is ongoing, (
         "occupancy 52 >= TH 52: the write keeps the bank"
     )

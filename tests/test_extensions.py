@@ -1,31 +1,17 @@
 """Tests for the §7 future-work extensions.
 
 * dynamic threshold from the observed read/write ratio (Burst_DYN);
-* inter-burst ordering policies (largest-first with anti-starvation);
 * the naive-issue ablation switch (Table 2 priority off).
 """
 
-import pytest
-
-from repro.controller.access import AccessType, MemoryAccess
 from repro.controller.registry import extension_names
 from repro.controller.system import MemorySystem
-from repro.core.burst import BurstQueue
 from repro.core.dynamic import DynamicThresholdBurstScheduler
 from repro.core.scheduler import BurstScheduler
 from repro.cpu.core import OoOCore
-from repro.errors import SchedulerError
-from repro.mapping.base import DecodedAddress
 from repro.sim.engine import OpenLoopDriver
 from repro.workloads.spec2000 import make_benchmark_trace
 from tests.conftest import make_request_stream
-
-
-def _read(row, arrival=0, col=0):
-    return MemoryAccess(
-        AccessType.READ, row << 13 | col << 6,
-        DecodedAddress(0, 0, 0, row, col), arrival,
-    )
 
 
 def test_burst_dyn_registered_as_extension():
@@ -74,44 +60,6 @@ def test_dynamic_completes_benchmarks(config):
     )
 
 
-def test_largest_first_promotes_big_burst():
-    queue = BurstQueue()
-    queue.add_read(_read(1, arrival=0))
-    queue.add_read(_read(2, arrival=1))
-    queue.add_read(_read(2, arrival=2))
-    queue.add_read(_read(2, arrival=3))
-    queue.promote_for_policy("largest_first", now=10)
-    assert queue.next_burst.row == 2
-
-
-def test_largest_first_respects_age_limit():
-    queue = BurstQueue()
-    queue.add_read(_read(1, arrival=0))
-    queue.add_read(_read(2, arrival=1))
-    queue.add_read(_read(2, arrival=2))
-    # The head burst has starved past the limit: no promotion (§7's
-    # starvation consideration).
-    queue.promote_for_policy("largest_first", now=5000, age_limit=2000)
-    assert queue.next_burst.row == 1
-
-
-def test_arrival_policy_is_noop():
-    queue = BurstQueue()
-    queue.add_read(_read(1, arrival=0))
-    queue.add_read(_read(2, arrival=1))
-    queue.add_read(_read(2, arrival=2))
-    queue.promote_for_policy("arrival", now=10)
-    assert queue.next_burst.row == 1
-
-
-def test_unknown_policy_raises():
-    queue = BurstQueue()
-    queue.add_read(_read(1))
-    queue.add_read(_read(2))
-    with pytest.raises(SchedulerError):
-        queue.promote_for_policy("random", now=0)
-
-
 def _burst_factory(**kwargs):
     def factory(config, channel, pool, stats):
         return BurstScheduler(
@@ -120,19 +68,6 @@ def _burst_factory(**kwargs):
         )
 
     return factory
-
-
-def test_largest_first_scheduler_completes(small_config):
-    system = MemorySystem(
-        small_config, _burst_factory(inter_burst_policy="largest_first")
-    )
-    requests = make_request_stream(small_config, 300, seed=21)
-    OpenLoopDriver(system, requests).run()
-    stats = system.stats
-    assert (
-        stats.completed_reads + stats.completed_writes + stats.forwarded_reads
-        == 300
-    )
 
 
 def test_naive_issue_completes_but_slower_on_bursty_load(config):

@@ -15,6 +15,7 @@ from repro.controller.registry import (
 )
 from repro.controller.system import MemorySystem
 from repro.errors import ConfigError
+from repro.sim.config import baseline_config
 
 
 TABLE4 = [
@@ -42,6 +43,12 @@ def test_every_factory_builds(quiet_config):
 def test_unknown_mechanism_raises():
     with pytest.raises(ConfigError):
         make_scheduler_factory("FRFCFS_9000")
+
+
+def test_unknown_mechanism_error_lists_extensions():
+    """The error lists every accepted mechanism, extensions included."""
+    with pytest.raises(ConfigError, match="Burst_DYN"):
+        MemorySystem(baseline_config(), "AHB")
 
 
 def test_arithmetic_and_geometric_mean():
