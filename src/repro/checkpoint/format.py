@@ -53,7 +53,9 @@ from repro.errors import CheckpointMismatchError
 #: payloads; schema-3 snapshots predate all of them.
 #: 5: staged trace records carry their source; the stats dropped
 #: ``read_latency_per_slice`` and the per-source ``read_latency``.
-SCHEMA_VERSION = 5
+#: 6: one open-loop driver kind; its state is per-source lanes (the
+#: ``"fleet"`` kind is gone).
+SCHEMA_VERSION = 6
 
 
 class SaveContext:

@@ -596,10 +596,5 @@ class Scheduler(abc.ABC):
     def _on_read_complete(self, access: MemoryAccess) -> None:
         """Hook: a read's data has returned (subclass bookkeeping)."""
 
-    @property
-    def in_flight(self) -> int:
-        """Accesses issued to the device but not yet completed."""
-        return len(self._completions)
-
 
 __all__ = ["ACTIVATE", "COLUMN", "PRECHARGE", "Scheduler"]

@@ -159,9 +159,6 @@ class IntelScheduler(Scheduler):
                     return access
         return queue[0]
 
-    def _reads_pending(self) -> bool:
-        return any(self._read_queues.values())
-
     def _select_write_for(self, key: BankKey) -> Optional[MemoryAccess]:
         """The head of the shared write queue, if it targets ``key``.
 

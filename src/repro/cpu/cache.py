@@ -71,12 +71,6 @@ class Cache:
         ]
         self.stats = CacheStats()
 
-    def _locate(self, address: int) -> Tuple[OrderedDict, int]:
-        line = address >> self._line_shift
-        return self._sets[line & self._set_mask], line >> (
-            self.num_sets.bit_length() - 1
-        )
-
     def _tag_to_address(self, set_index: int, tag: int) -> int:
         line = (tag << (self.num_sets.bit_length() - 1)) | set_index
         return line << self._line_shift

@@ -23,13 +23,13 @@ simulator tick advances both clock domains consistently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Deque, Iterable, List, Optional, Set, Union
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
-from repro.errors import SchedulerError
-from repro.sim.profile import NEVER, fastfwd_enabled
+from repro.sim.engine import run_loop
+from repro.sim.profile import NEVER
 from repro.workloads.trace import TraceRecord
 
 
@@ -52,32 +52,20 @@ class CoreResult:
 
     def to_dict(self) -> dict:
         """JSON-safe snapshot (persistent result cache / workers)."""
-        return {
-            "mem_cycles": self.mem_cycles,
-            "cpu_cycles": self.cpu_cycles,
-            "instructions": self.instructions,
-            "loads": self.loads,
-            "stores": self.stores,
-            "head_block_cycles": self.head_block_cycles,
-            "store_stall_cycles": self.store_stall_cycles,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoreResult":
         """Inverse of :meth:`to_dict` (lossless round-trip)."""
-        return cls(**{key: int(data[key]) for key in (
-            "mem_cycles",
-            "cpu_cycles",
-            "instructions",
-            "loads",
-            "stores",
-            "head_block_cycles",
-            "store_stall_cycles",
-        )})
+        return cls(**{f.name: int(data[f.name]) for f in fields(cls)})
 
 
 class OoOCore:
     """Replays a miss trace closed-loop against a memory system."""
+
+    #: A core has no self-timed event: only memory events end its
+    #: stalls (see :func:`~repro.sim.engine.run_loop`).
+    next_arrival = NEVER
 
     def __init__(
         self,
@@ -393,101 +381,19 @@ class OoOCore:
         self, max_cycles: int = 50_000_000, checkpointer=None
     ) -> CoreResult:
         """Run to completion; returns the execution-time result."""
-        result = run_closed_loop(self, max_cycles, checkpointer)
-        self.system.stats.instructions = self.instructions
-        self.system.stats.cpu_stall_cycles = self.head_block_cycles
-        return result
+        return run_core(self, max_cycles, checkpointer)
 
 
-def run_closed_loop(core, max_cycles: int, checkpointer) -> CoreResult:
-    """The run loop shared by :class:`OoOCore` and ``InOrderCore``.
-
-    Next-event loop (see :meth:`OpenLoopDriver.run <repro.sim.engine.
-    OpenLoopDriver.run>`); every CPU stall here is resolved by a memory
-    event (data return, pool slot freeing, bus freeing), never by
-    core-internal timing, so the fast mode leaps two ways:
-
-    * **Waiting on data.**  After a step that leaves ``core._waiting()``
-      true, the core is provably frozen until a load returns: each
-      cycle only charges ``head_block_cycles`` and ticks the memory
-      system, so that is all the loop does — no ``step()`` — and after
-      a quiet tick it leaps straight to the memory system's next event.
-      Completions are applied as they arrive and the predicate is
-      tested again.
-    * **Other stalls** (store retry, enqueue retry, drain): after two
-      quiet ticks with an unchanged ``core._progress_marker()`` the
-      loop leaps to the next memory event and replays the stall
-      counters with ``core._account_skip``.
-
-    With ``REPRO_FASTFWD=0`` every cycle is one ``step()``.
-    """
-    fast = fastfwd_enabled()
-    system = core.system
-    # Progress markers are only captured once a quiet memory cycle
-    # has been seen: on busy cycles (the common case on saturated
-    # workloads) the capture would be discarded unused, and the
-    # first cycle of a quiet window is cheaper to just step.
-    check = False
-    waiting = False
-    while waiting or not core.done:
-        if (
-            checkpointer is not None
-            and system.cycle >= checkpointer.next_poll_cycle
-        ):
-            # Loop-iteration boundaries are the snapshot points:
-            # every pipeline invariant holds here, so a restored
-            # run re-enters the loop in an identical state.
-            checkpointer.poll(core)
-        if system.cycle > max_cycles:
-            raise SchedulerError(
-                f"{type(core).__name__} run exceeded {max_cycles} "
-                "memory cycles"
-            )
-        if waiting:
-            # Exactly what step() does on a waiting cycle.
-            core.head_block_cycles += 1
-            completed = system.tick()
-            if completed:
-                core._complete(completed)
-                waiting = core._waiting()
-            elif not system.last_tick_active:
-                cycle = system.cycle
-                wake = system.next_event_cycle(cycle)
-                if cycle < wake < NEVER:
-                    if wake > max_cycles:
-                        wake = max_cycles + 1
-                    core.head_block_cycles += wake - cycle
-                    system.skip_to(wake)
-            continue
-        before = core._progress_marker() if check else None
-        core.step()
-        if not fast:
-            continue
-        if core._waiting():
-            waiting = True
-            check = False
-            continue
-        if system.last_tick_active:
-            check = False
-            continue
-        if not check:
-            check = True
-            continue
-        if core._progress_marker() != before:
-            continue
-        cycle = system.cycle
-        wake = system.next_event_cycle(cycle)
-        if wake <= cycle or wake >= NEVER:
-            continue
-        if wake > max_cycles:
-            wake = max_cycles + 1
-        core._account_skip(cycle, wake - cycle)
-        system.skip_to(wake)
-    system.finalize()
-    mem_cycles = system.cycle
+def run_core(core, max_cycles: int, checkpointer) -> CoreResult:
+    """Run a closed-loop core through :func:`~repro.sim.engine.run_loop`
+    and record its totals, for :class:`OoOCore` and ``InOrderCore``."""
+    mem_cycles = run_loop(core, max_cycles, checkpointer)
+    stats = core.system.stats
+    stats.instructions = core.instructions
+    stats.cpu_stall_cycles = core.head_block_cycles
     return CoreResult(
         mem_cycles=mem_cycles,
-        cpu_cycles=mem_cycles * system.config.cpu_cycles_per_mem_cycle,
+        cpu_cycles=mem_cycles * core.system.config.cpu_cycles_per_mem_cycle,
         instructions=core.instructions,
         loads=core.loads,
         stores=core.stores,
@@ -496,4 +402,4 @@ def run_closed_loop(core, max_cycles: int, checkpointer) -> CoreResult:
     )
 
 
-__all__ = ["CoreResult", "OoOCore", "run_closed_loop"]
+__all__ = ["CoreResult", "OoOCore", "run_core"]

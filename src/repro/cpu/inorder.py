@@ -19,12 +19,17 @@ from typing import Iterable, List, Optional
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
-from repro.cpu.core import CoreResult, run_closed_loop
+from repro.cpu.core import CoreResult, run_core
+from repro.sim.profile import NEVER
 from repro.workloads.trace import TraceRecord
 
 
 class InOrderCore:
     """Single-outstanding-load blocking core."""
+
+    #: A core has no self-timed event: only memory events end its
+    #: stalls (see :func:`~repro.sim.engine.run_loop`).
+    next_arrival = NEVER
 
     def __init__(self, system: MemorySystem, trace: Iterable[TraceRecord]):
         self.system = system
@@ -128,7 +133,7 @@ class InOrderCore:
         """Is the core frozen until its blocking load's data returns?
 
         Then :meth:`step` only charges ``head_block_cycles`` and ticks
-        the memory system (see :func:`~repro.cpu.core.run_closed_loop`).
+        the memory system (see :func:`~repro.sim.engine.run_loop`).
         """
         blocked = self._blocked_on
         return blocked is not None and blocked.id not in self._done_ids
@@ -231,7 +236,7 @@ class InOrderCore:
         self, max_cycles: int = 50_000_000, checkpointer=None
     ) -> CoreResult:
         """Run to completion; returns the execution-time result."""
-        return run_closed_loop(self, max_cycles, checkpointer)
+        return run_core(self, max_cycles, checkpointer)
 
 
 __all__ = ["InOrderCore"]

@@ -228,18 +228,6 @@ class Channel:
             return False
         return self.data_bus_free(cycle, rank, is_read)
 
-    def can_refresh_pb_at(
-        self,
-        cycle: int,
-        rank: int,
-        bank: int,
-        subarray: Optional[int] = None,
-    ) -> bool:
-        r = self.ranks[rank]
-        return cycle >= r.refresh_busy_until and r.can_refresh_pb(
-            cycle, bank, subarray
-        )
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------

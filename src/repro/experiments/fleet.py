@@ -2,9 +2,10 @@
 
 Runs every fleet scenario (:data:`repro.workloads.fleet.SCENARIOS`)
 against plain ``Burst_TH`` and the ``Burst_QW`` QoS variant, open loop
-through :class:`~repro.sim.engine.FleetDriver`, and reports the standard
-multiprogram fairness metrics against *solo-run* baselines (each
-tenant replayed alone on the identical machine and mechanism):
+through :class:`~repro.sim.engine.OpenLoopDriver` (one request lane per
+tenant), and reports the standard multiprogram fairness metrics against
+*solo-run* baselines (each tenant replayed alone on the identical
+machine and mechanism):
 
 * weighted speedup — 1.0 means sharing cost nothing;
 * max slowdown — the victim tenant's view, the number the QoS
@@ -37,7 +38,7 @@ from repro.controller.system import MemorySystem
 from repro.errors import ConfigError
 from repro.experiments.common import default_seed, scaled_accesses
 from repro.sim.config import baseline_config
-from repro.sim.engine import FleetDriver
+from repro.sim.engine import OpenLoopDriver
 from repro.workloads.fleet import (
     SCENARIOS,
     make_fleet_requests,
@@ -62,7 +63,7 @@ def _fleet_config(scenario: str, config=None):
 def _drain(config, mechanism: str, requests):
     """One open-loop fleet run to drain; returns (cycles, stats)."""
     system = MemorySystem(config, mechanism)
-    driver = FleetDriver(system, requests)
+    driver = OpenLoopDriver(system, requests)
     cycles = driver.run()
     return cycles, system.stats
 

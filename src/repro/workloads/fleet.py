@@ -89,8 +89,8 @@ SCENARIOS: Dict[str, Tuple[str, ...]] = {
     "symmetric4": ("stream", "stream", "stream", "stream"),
 }
 
-#: (arrival_cycle, AccessType, address, source) — matches
-#: :data:`repro.sim.engine.FleetRequest`.
+#: (arrival_cycle, AccessType, address, source) — the 4-field form of
+#: :data:`repro.sim.engine.Request`.
 FleetRequestList = List[Tuple[int, object, int, int]]
 
 

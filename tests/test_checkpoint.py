@@ -45,7 +45,6 @@ from repro.errors import CheckpointMismatchError, ConfigError
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
 from repro.sim.engine import (
-    FleetDriver,
     OpenLoopDriver,
     run_requests,
     run_requests_resumed,
@@ -315,7 +314,7 @@ def test_fleet_resume_equals_straight_run(tmp_path, fraction, fast):
     for mechanism in FLEET_MECHANISMS:
         with fastfwd(fast):
             system = MemorySystem(config, mechanism, oracle=True)
-            driver = FleetDriver(system, list(requests))
+            driver = OpenLoopDriver(system, list(requests))
             steps = 0
             while not driver.done:
                 driver.step()
@@ -325,43 +324,21 @@ def test_fleet_resume_equals_straight_run(tmp_path, fraction, fast):
             assert len(system.stats.per_source) == 4
 
             partial = MemorySystem(config, mechanism, oracle=True)
-            driver = FleetDriver(partial, list(requests))
+            driver = OpenLoopDriver(partial, list(requests))
             for _ in range(int(steps * fraction)):
                 if driver.done:
                     break
                 driver.step()
             save_checkpoint(str(path), driver)
-            assert read_header(str(path))["driver"] == "fleet"
+            assert read_header(str(path))["driver"] == "open_loop"
 
             resumed = MemorySystem(config, mechanism, oracle=True)
-            fresh = FleetDriver(resumed, list(requests))
+            fresh = OpenLoopDriver(resumed, list(requests))
             load_checkpoint(str(path), fresh)
             fresh.run()
         assert _stats_blob(resumed) == reference, (
             f"{mechanism} fleet resume diverged at step "
             f"{int(steps * fraction)}/{steps} (fast={fast})"
-        )
-
-
-def test_fleet_snapshot_rejects_open_loop_driver(tmp_path):
-    """A fleet snapshot must not resume into a plain open-loop run."""
-    config = baseline_config(
-        channels=1, ranks=2, banks=2, rows=64,
-        pool_size=32, write_queue_size=8, threshold=6,
-        sources=2, timing=QUIET,
-    )
-    requests = make_fleet_requests("symmetric2", 40, config, seed=2)
-    system = MemorySystem(config, "Burst_QW")
-    driver = FleetDriver(system, requests)
-    for _ in range(10):
-        driver.step()
-    path = tmp_path / "fleet-kind.ckpt"
-    save_checkpoint(str(path), driver)
-    flat = [(c, t, a) for c, t, a, _ in requests]
-    with pytest.raises(CheckpointMismatchError, match="driver kind"):
-        load_checkpoint(
-            str(path),
-            OpenLoopDriver(MemorySystem(config, "Burst_QW"), flat),
         )
 
 

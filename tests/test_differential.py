@@ -145,8 +145,8 @@ def _run_mechanism(name, config, requests, fast=None):
         created = []
         make_access = system.make_access
 
-        def recording_make_access(type_, address, arrival):
-            access = make_access(type_, address, arrival)
+        def recording_make_access(type_, address, arrival, source=0):
+            access = make_access(type_, address, arrival, source)
             created.append(access)
             return access
 

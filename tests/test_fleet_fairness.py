@@ -31,7 +31,7 @@ from repro.analysis.fairness import (
 from repro.controller.system import MemorySystem
 from repro.experiments import fleet
 from repro.sim.config import baseline_config
-from repro.sim.engine import FleetDriver
+from repro.sim.engine import OpenLoopDriver
 from repro.workloads.fleet import make_fleet_requests
 
 from tests.test_engine_fastfwd import QUIET, fastfwd
@@ -154,7 +154,7 @@ def test_write_quota_never_exceeded(fast):
 
         for channel in system.channels:
             channel.add_command_listener(watch)
-        driver = FleetDriver(system, requests)
+        driver = OpenLoopDriver(system, requests)
         while not driver.done:
             driver.step()
             for count in system.pool.write_count_by_source.values():
@@ -175,7 +175,7 @@ def test_plain_burst_exceeds_the_quota_share():
     system = MemorySystem(config, "Burst_TH")
     share = config.write_queue_size // config.sources
     peak = 0
-    driver = FleetDriver(system, requests)
+    driver = OpenLoopDriver(system, requests)
     while not driver.done:
         driver.step()
         for count in system.pool.write_count_by_source.values():
@@ -201,7 +201,7 @@ def test_hog_cannot_starve_victim_under_quota(fast):
     def victim_p99(mechanism):
         with fastfwd(fast):
             system = MemorySystem(config, mechanism)
-            FleetDriver(system, list(requests)).run()
+            OpenLoopDriver(system, list(requests)).run()
         return system.stats.per_source[1].p99_read_latency()
 
     quota = victim_p99("Burst_QW")

@@ -68,17 +68,20 @@ def _calls_per_access(bench, mechanism, config) -> float:
     [
         # Counts with one latency record per read in the aggregate and
         # one in its source's histogram, the Figure 5 line-8 burst pick
-        # inlined and no inter-burst reorder call at burst boundaries:
-        # 92.3 (92.6 with the reorder call, 94.6 with a per-pick
-        # selection hook call too, 96.6 with the deleted per-slice and
-        # per-source LatencyStat records too).
+        # inlined, no inter-burst reorder call at burst boundaries, and
+        # one run loop for cores and open-loop streams that reads the
+        # driver's next arrival as a field: 92.3 (93.9 with a
+        # next-arrival call per wait and a per-wait stall-charge call,
+        # 92.6 with the reorder call, 94.6 with a per-pick selection
+        # hook call too, 96.6 with the deleted per-slice and per-source
+        # LatencyStat records too).
         ("swim", "Burst_TH", baseline_config(), 93),
         # 91.8 (93.8).
         ("mcf", "BkInOrder", baseline_config(), 92),
         # 93.6 (95.2).
         ("gcc", "Intel", baseline_config(), 94),
-        # 119.5 (119.9 with the reorder call, 121.9 with the hook
-        # call, 123.9 with the records).
+        # 119.5, also with one run loop (119.9 with the reorder call,
+        # 121.9 with the hook call, 123.9 with the records).
         ("swim", "Burst_BPW", generation_config(DDR5_4800), 120),
     ],
     ids=[

@@ -57,6 +57,16 @@ def test_inorder_counts_and_completion(quiet_config):
     assert system.idle
 
 
+def test_inorder_run_records_instructions_and_stalls(quiet_config):
+    """Both cores record their totals in SimStats, not only OoOCore."""
+    system = MemorySystem(quiet_config, "Burst_TH")
+    result = InOrderCore(system, make_benchmark_trace("swim", 300, 1)).run()
+    assert result.instructions > 0
+    assert result.head_block_cycles > 0
+    assert system.stats.instructions == result.instructions
+    assert system.stats.cpu_stall_cycles == result.head_block_cycles
+
+
 def test_inorder_forwarded_load_does_not_block(quiet_config):
     system = MemorySystem(quiet_config, "Burst_TH")
     trace = _trace(

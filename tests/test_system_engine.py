@@ -6,10 +6,13 @@ import pytest
 
 from repro.controller.access import AccessType, EnqueueStatus
 from repro.controller.system import MemorySystem
+from repro.cpu.core import OoOCore
 from repro.errors import SchedulerError, TraceError
 from repro.mapping.base import DecodedAddress
-from repro.sim.engine import FleetDriver, OpenLoopDriver, run_requests
+from repro.sim.engine import OpenLoopDriver, run_requests
+from repro.workloads.spec2000 import make_benchmark_trace
 from tests.conftest import make_request_stream
+from tests.test_engine_fastfwd import fastfwd
 
 
 def _addr(system, channel=0, row=0, col=0):
@@ -110,6 +113,34 @@ def test_driver_max_cycles_guard(quiet_config):
         driver.run(max_cycles=100)
 
 
+def test_core_max_cycles_guard(quiet_config):
+    """The closed-loop run shares the open loop's overrun guard."""
+    system = MemorySystem(quiet_config, "BkInOrder")
+    core = OoOCore(system, make_benchmark_trace("swim", 200, seed=1))
+    with pytest.raises(SchedulerError, match="exceeded 100 memory cycles"):
+        core.run(max_cycles=100)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["sequential", "fast"])
+def test_source_zero_requests_match_untagged_requests(quiet_config, fast):
+    """A stream tagged with source 0 is the untagged stream, byte for
+    byte: same stats, same completion order."""
+    requests = make_request_stream(quiet_config, 200, seed=5, gap=12)
+    tagged = [request + (0,) for request in requests]
+    runs = []
+    with fastfwd(fast):
+        for stream in (requests, tagged):
+            system = MemorySystem(quiet_config, "Burst_TH")
+            driver = OpenLoopDriver(system, stream)
+            driver.run()
+            runs.append((
+                system.stats.to_dict(),
+                [(a.arrival, a.address, a.complete_cycle)
+                 for a in driver.completed],
+            ))
+    assert runs[0] == runs[1]
+
+
 def test_mechanism_name_recorded(quiet_config):
     assert MemorySystem(quiet_config, "Burst_TH").mechanism_name.startswith(
         "Burst_TH"
@@ -121,7 +152,7 @@ def test_mechanism_name_recorded(quiet_config):
 def test_driver_rejects_request_type_that_is_not_an_access_type(
     quiet_config, fleet
 ):
-    """The drivers enqueue every non-READ type as a write: two requests
+    """The driver enqueues every non-READ type as a write: two requests
     typed ``"read"`` and ``"READ"`` used to complete as two writes."""
     system = MemorySystem(quiet_config, "FCFS")
     requests = [
@@ -130,6 +161,5 @@ def test_driver_rejects_request_type_that_is_not_an_access_type(
     ]
     if fleet:
         requests = [request + (0,) for request in requests]
-    driver = FleetDriver if fleet else OpenLoopDriver
     with pytest.raises(TraceError, match="AccessType"):
-        driver(system, requests)
+        OpenLoopDriver(system, requests)
