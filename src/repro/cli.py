@@ -8,7 +8,7 @@ machine variant, and reports the statistics as text, JSON or CSV::
     repro-sim --benchmark swim --mechanism Burst_TH --threshold 40
     repro-sim --mix swim,mcf,gcc,art --mechanism RowHit
     repro-sim --micro stream --mechanism BkInOrder --device DDR_266
-    repro-sim --trace mytrace.txt --cpu inorder --json
+    repro-sim --trace mytrace.txt --json
     repro-sim --benchmark gcc --mapping bit_reversal --csv out.csv
 
 (The experiment harness that regenerates the paper's tables/figures is
@@ -28,7 +28,6 @@ from repro.analysis.export import export_rows
 from repro.controller.registry import MECHANISMS
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.cpu.inorder import InOrderCore
 from repro.errors import ReproError
 from repro.sim.config import ROW_POLICIES, baseline_config
 from repro.workloads.microbench import MICROBENCHMARKS
@@ -94,10 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--row-policy", default="open_page", choices=ROW_POLICIES
     )
     parser.add_argument(
-        "--cpu", default="ooo", choices=("ooo", "inorder"),
-        help="CPU model: out-of-order ROB (paper) or blocking in-order",
-    )
-    parser.add_argument(
         "--oracle", action="store_true",
         help=(
             "attach the independent DDR2 protocol-conformance oracle "
@@ -158,8 +153,7 @@ def _make_trace(args):
 #: the exact run without any source arguments.
 _META_FIELDS = (
     "benchmark", "mix", "micro", "trace", "mechanism", "accesses",
-    "seed", "threshold", "device", "mapping", "row_policy", "cpu",
-    "oracle",
+    "seed", "threshold", "device", "mapping", "row_policy", "oracle",
 )
 
 
@@ -203,8 +197,7 @@ def _run(args):
     system = MemorySystem(
         config, args.mechanism, oracle=True if args.oracle else None
     )
-    core_cls = OoOCore if args.cpu == "ooo" else InOrderCore
-    core = core_cls(system, trace)
+    core = OoOCore(system, trace)
     checkpointer = None
     if args.checkpoint_dir:
         from repro.checkpoint import Checkpointer
@@ -242,7 +235,6 @@ def _run(args):
         "mechanism": system.mechanism_name,
         "device": args.device,
         "mapping": args.mapping,
-        "cpu": args.cpu,
         "accesses": len(trace),
         "mem_cycles": result.mem_cycles,
         "cpu_cycles": result.cpu_cycles,

@@ -3,7 +3,7 @@
 ``MemorySystem`` assembles the pieces of paper Table 3 — address
 mapping, per-channel DRAM devices with refresh controllers, one
 scheduler instance per channel and the shared 256-entry access pool —
-behind the interface the CPU models drive:
+behind the interface the drivers use:
 
 * :meth:`make_access` — translate a physical address;
 * :meth:`enqueue` — present an access (may be forwarded or rejected);

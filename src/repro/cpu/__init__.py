@@ -1,4 +1,4 @@
-"""CPU-side substrate: caches and the out-of-order core limit model.
+"""CPU-side substrate: the out-of-order core limit model.
 
 The paper runs SPEC CPU2000 on a detailed M5 Alpha core; what reaches
 the memory controller is the L2 miss stream, and what couples the
@@ -6,25 +6,16 @@ controller back to execution time is (a) read latency at the reorder
 buffer head, (b) the memory-level parallelism the ROB/LSQ allow, and
 (c) stalls when the controller's pool or write queue saturates.
 
-* :class:`~repro.cpu.cache.Cache` / :class:`~repro.cpu.hierarchy.
-  CacheHierarchy` — set-associative write-back LRU caches matching
-  Table 3 (128KB 2-way L1s, 2MB 16-way L2, 64B lines), used to filter
-  reference-level traces into miss streams.
-* :class:`~repro.cpu.core.OoOCore` — the USIMM-style ROB/LSQ limit
-  model (196-entry ROB, 32-entry LSQ, 8-wide, 4 GHz) that replays a
-  miss trace closed-loop against a memory system.
+:class:`~repro.cpu.core.OoOCore` is the USIMM-style ROB/LSQ limit
+model (196-entry ROB, 32-entry LSQ, 8-wide, 4 GHz) that replays a miss
+trace closed-loop against a memory system.  With
+``CPUConfig.lsq_entries=1`` it keeps one load outstanding, the
+contrast case of the §2 premise ablation.
 """
 
-from repro.cpu.cache import Cache, CacheStats
 from repro.cpu.core import CoreResult, OoOCore
-from repro.cpu.hierarchy import CacheHierarchy
-from repro.cpu.inorder import InOrderCore
 
 __all__ = [
-    "Cache",
-    "CacheHierarchy",
-    "CacheStats",
     "CoreResult",
-    "InOrderCore",
     "OoOCore",
 ]

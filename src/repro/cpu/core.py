@@ -380,26 +380,21 @@ class OoOCore:
     def run(
         self, max_cycles: int = 50_000_000, checkpointer=None
     ) -> CoreResult:
-        """Run to completion; returns the execution-time result."""
-        return run_core(self, max_cycles, checkpointer)
+        """Run to completion through :func:`~repro.sim.engine.run_loop`;
+        returns the execution-time result and records its totals."""
+        mem_cycles = run_loop(self, max_cycles, checkpointer)
+        system = self.system
+        system.stats.instructions = self.instructions
+        system.stats.cpu_stall_cycles = self.head_block_cycles
+        return CoreResult(
+            mem_cycles=mem_cycles,
+            cpu_cycles=mem_cycles * system.config.cpu_cycles_per_mem_cycle,
+            instructions=self.instructions,
+            loads=self.loads,
+            stores=self.stores,
+            head_block_cycles=self.head_block_cycles,
+            store_stall_cycles=self.store_stall_cycles,
+        )
 
 
-def run_core(core, max_cycles: int, checkpointer) -> CoreResult:
-    """Run a closed-loop core through :func:`~repro.sim.engine.run_loop`
-    and record its totals, for :class:`OoOCore` and ``InOrderCore``."""
-    mem_cycles = run_loop(core, max_cycles, checkpointer)
-    stats = core.system.stats
-    stats.instructions = core.instructions
-    stats.cpu_stall_cycles = core.head_block_cycles
-    return CoreResult(
-        mem_cycles=mem_cycles,
-        cpu_cycles=mem_cycles * core.system.config.cpu_cycles_per_mem_cycle,
-        instructions=core.instructions,
-        loads=core.loads,
-        stores=core.stores,
-        head_block_cycles=core.head_block_cycles,
-        store_stall_cycles=core.store_stall_cycles,
-    )
-
-
-__all__ = ["CoreResult", "OoOCore", "run_core"]
+__all__ = ["CoreResult", "OoOCore"]

@@ -7,8 +7,8 @@ MemorySystem`, both run by :func:`run_loop`:
   completion (infinite MLP), one lane per source.  Used by unit tests,
   the Figure 1 experiment, the fleet matrix and micro-benchmarks where
   CPU coupling is not wanted.
-* The closed-loop CPU models live in :mod:`repro.cpu` and couple
-  execution time to read latency and pool back-pressure; they are what
+* :class:`~repro.cpu.core.OoOCore`, the closed-loop CPU model, couples
+  execution time to read latency and pool back-pressure; it is what
   the paper's execution-time figures use.
 """
 
@@ -198,7 +198,8 @@ class OpenLoopDriver:
 def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
     """Run ``driver`` to completion; returns the final memory cycle.
 
-    The one run loop, for :class:`OpenLoopDriver` and both CPU models.
+    The one run loop, for :class:`OpenLoopDriver` and
+    :class:`~repro.cpu.core.OoOCore`.
     A driver offers ``step()``, ``done``, ``next_arrival`` (its next
     request's cycle, ``NEVER`` for a core), ``head_block_cycles``,
     ``_waiting()``, ``_complete()``, ``_progress_marker()`` and

@@ -13,8 +13,8 @@ with an explicit bus that
   completion the core observes.
 
 A 64-byte line at 16 bytes per memory clock takes 4 cycles each way.
-The adapter exposes the same interface the CPU models drive, so any
-core can run bus-limited by wrapping its memory system.  The FSB
+The adapter exposes the same interface the drivers use, so any
+driver can run bus-limited by wrapping its memory system.  The FSB
 ablation benchmark quantifies the (small, per the paper's implicit
 assumption) impact on the Figure 10 result.
 """

@@ -2,7 +2,7 @@
 
 This module is deliberately dependency-free (``os`` and
 :mod:`repro.errors` only) so every layer of the simulator — drivers,
-CPU models, the memory system and the schedulers — can import it
+the CPU model, the memory system and the schedulers — can import it
 without creating cycles.
 
 :func:`env_flag` reads every on/off knob (``REPRO_FASTFWD``,

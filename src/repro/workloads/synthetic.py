@@ -140,27 +140,4 @@ def generate_trace(
     return list(iter_trace(spec, accesses, seed))
 
 
-def reference_stream(
-    spec: WorkloadSpec, references: int, seed: int = 1
-):
-    """Yield raw ``(address, is_write)`` references (pre-cache).
-
-    A denser, higher-locality stream suitable for filtering through
-    :class:`~repro.cpu.hierarchy.CacheHierarchy`: each line is touched
-    several times (temporal locality the caches will absorb) before
-    the walker moves on.
-    """
-    rng = random.Random(seed)
-    footprint_lines = spec.footprint_mb * (1 << 20) // LINE_BYTES
-    position = rng.randrange(footprint_lines)
-    for _ in range(references):
-        if rng.random() < spec.stream_frac:
-            position = (position + rng.randrange(2)) % footprint_lines
-        else:
-            position = rng.randrange(footprint_lines)
-        address = position * LINE_BYTES + rng.randrange(0, LINE_BYTES, 8)
-        yield address, rng.random() < spec.write_frac
-
-
-__all__ = ["LINE_BYTES", "WorkloadSpec", "generate_trace", "iter_trace",
-           "reference_stream"]
+__all__ = ["LINE_BYTES", "WorkloadSpec", "generate_trace", "iter_trace"]

@@ -39,7 +39,6 @@ from repro.controller.access import AccessType
 from repro.controller.registry import extension_names, mechanism_names
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.cpu.inorder import InOrderCore
 from repro.dram.timing import DDR2_800
 from repro.errors import CheckpointMismatchError, ConfigError
 from repro.mapping.base import DecodedAddress
@@ -342,17 +341,16 @@ def test_fleet_resume_equals_straight_run(tmp_path, fraction, fast):
         )
 
 
-@pytest.mark.parametrize("core_cls", [OoOCore, InOrderCore])
+@pytest.mark.parametrize("core_cls", [OoOCore])
 @pytest.mark.parametrize("with_fsb", [False, True])
 def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
     """CPU-coupled (optionally bus-limited) resume is byte-identical,
     including the CoreResult and a regenerated trace iterator."""
     config = baseline_config(channels=1, ranks=2, banks=2)
-    accesses = 900 if core_cls is OoOCore else 250
 
     def build():
         system = MemorySystem(config, "Burst_TH", oracle=True)
-        trace = make_benchmark_trace("swim", accesses=accesses, seed=5)
+        trace = make_benchmark_trace("swim", accesses=900, seed=5)
         target = FSBAdapter(system) if with_fsb else system
         return core_cls(target, trace), system
 
@@ -374,18 +372,17 @@ def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
     assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
 
 
-@pytest.mark.parametrize("core_cls", [OoOCore, InOrderCore])
+@pytest.mark.parametrize("core_cls", [OoOCore])
 def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
     """A CMP mix cut while a core holds a staged record of a non-zero
     source: the staged record keeps its source across the snapshot, and
     the per-source stats (and the QoS quota that reads the source)
     resume byte-identical."""
     config = baseline_config(sources=3)  # each core owns a 1 GB slice
-    accesses = 300 if core_cls is OoOCore else 100
 
     def build():
         system = MemorySystem(config, "Burst_QW", oracle=True)
-        trace = make_mix_trace(("swim", "mcf", "gcc"), accesses, seed=2)
+        trace = make_mix_trace(("swim", "mcf", "gcc"), 300, seed=2)
         return core_cls(system, trace), system
 
     core, system = build()

@@ -77,19 +77,6 @@ def test_threshold_and_device_options(capsys):
     assert summary["device"] == "DDR_266"
 
 
-def test_inorder_cpu_option(capsys):
-    assert (
-        main(
-            [
-                "--micro", "random", "--accesses", "200",
-                "--cpu", "inorder", "--json",
-            ]
-        )
-        == 0
-    )
-    assert json.loads(capsys.readouterr().out)["cpu"] == "inorder"
-
-
 def test_csv_output(tmp_path, capsys):
     path = tmp_path / "out.csv"
     assert (
@@ -167,6 +154,55 @@ def test_checkpoint_resume_round_trip(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_cpu_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--benchmark", "swim", "--cpu", "ooo"])
+    assert exit_info.value.code == 2
+    assert "--cpu" in capsys.readouterr().err
+
+
+def _snapshot_with_header(tmp_path, capsys, **header):
+    """A --checkpoint-dir snapshot of a short swim run, its header
+    patched with ``header`` (``meta`` entries are merged)."""
+    ckdir = tmp_path / "ck"
+    assert main([
+        "--benchmark", "swim", "--accesses", "600",
+        "--checkpoint-dir", str(ckdir), "--checkpoint-every", "500",
+    ]) == 0
+    capsys.readouterr()
+    snapshot = ckdir / "swim-Burst_TH.ckpt"
+    lines = snapshot.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["meta"].update(header.pop("meta", {}))
+    first.update(header)
+    lines[0] = json.dumps(first, sort_keys=True)
+    snapshot.write_text("\n".join(lines) + "\n")
+    return snapshot
+
+
+def test_snapshot_with_legacy_cpu_meta_resumes(tmp_path, capsys):
+    """Snapshots taken while repro-sim still had a CPU-model option
+    record a "cpu" key in their metadata; the extra key is ignored and
+    the resume is exact."""
+    ref = tmp_path / "ref.json"
+    assert main([
+        "--benchmark", "swim", "--accesses", "600", "--stats-out", str(ref),
+    ]) == 0
+    snapshot = _snapshot_with_header(tmp_path, capsys, meta={"cpu": "ooo"})
+    out = tmp_path / "resumed.json"
+    assert main(["--resume", str(snapshot), "--stats-out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_resume_of_inorder_snapshot_is_refused(tmp_path, capsys):
+    snapshot = _snapshot_with_header(tmp_path, capsys, driver="inorder")
+    assert main(["--resume", str(snapshot)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "driver kind" in err
+    assert "Traceback" not in err
 
 
 def test_checkpoint_every_requires_dir(capsys):

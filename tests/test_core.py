@@ -7,6 +7,7 @@ from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
 from repro.sim.config import CPUConfig
+from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace import TraceRecord
 
 
@@ -75,6 +76,30 @@ def test_lsq_limits_outstanding_loads(quiet_config):
     assert peak <= 2
 
 
+def _one_load(config):
+    """The §2 ablation's core: one outstanding load."""
+    return replace(config, cpu=replace(config.cpu, lsq_entries=1))
+
+
+def test_one_entry_lsq_single_outstanding_load(quiet_config):
+    system = MemorySystem(_one_load(quiet_config), "Burst_TH")
+    trace = _trace([(0, AccessType.READ, i << 16) for i in range(6)])
+    core = OoOCore(system, trace)
+    while not core.done:
+        core.step()
+        assert system.pool.read_count <= 1
+    assert core.loads == 6
+
+
+def test_one_entry_lsq_slower_than_default_on_clustered_loads(quiet_config):
+    trace = make_benchmark_trace("swim", 600, seed=1)
+    one_load = OoOCore(
+        MemorySystem(_one_load(quiet_config), "Burst_TH"), trace
+    ).run()
+    default = OoOCore(MemorySystem(quiet_config, "Burst_TH"), trace).run()
+    assert one_load.mem_cycles > default.mem_cycles
+
+
 def test_writes_do_not_block_retirement(quiet_config):
     """Posted writes: a store-only trace is compute-bound."""
     system = MemorySystem(quiet_config, "Burst_TH")
@@ -118,6 +143,10 @@ def test_result_reports_cpu_cycles(quiet_config):
     ratio = quiet_config.cpu_cycles_per_mem_cycle
     assert result.cpu_cycles == result.mem_cycles * ratio
     assert 0 < result.ipc <= quiet_config.cpu.width * 1.0
+    # The run also records its totals in SimStats.
+    assert result.head_block_cycles > 0
+    assert system.stats.instructions == result.instructions
+    assert system.stats.cpu_stall_cycles == result.head_block_cycles
 
 
 def test_done_only_after_drain(quiet_config):

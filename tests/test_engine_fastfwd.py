@@ -26,7 +26,6 @@ from repro.controller.access import AccessType
 from repro.controller.registry import extension_names, mechanism_names
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.cpu.inorder import InOrderCore
 from repro.dram.timing import DDR2_800
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
@@ -138,7 +137,7 @@ def test_fastfwd_open_loop_identical_across_mechanisms(workload, refresh):
         assert fast == slow, f"{mechanism} diverged under fast-forward"
 
 
-def _run_closed_loop(mechanism, core_cls, with_fsb, fast, accesses=900):
+def _run_closed_loop(mechanism, core_cls, with_fsb, fast):
     with fastfwd(fast):
         config = baseline_config()
         system = MemorySystem(config, mechanism, oracle=True)
@@ -147,7 +146,7 @@ def _run_closed_loop(mechanism, core_cls, with_fsb, fast, accesses=900):
             channel.add_command_listener(
                 lambda event, log=commands: log.append(repr(event))
             )
-        trace = make_benchmark_trace("swim", accesses=accesses, seed=5)
+        trace = make_benchmark_trace("swim", accesses=900, seed=5)
         target = FSBAdapter(system) if with_fsb else system
         result = core_cls(target, trace).run()
         rejects = target.request_stall_rejects if with_fsb else 0
@@ -155,13 +154,12 @@ def _run_closed_loop(mechanism, core_cls, with_fsb, fast, accesses=900):
 
 
 @pytest.mark.parametrize("mechanism", ["Burst_TH", "BkInOrder", "Intel"])
-@pytest.mark.parametrize("core_cls", [OoOCore, InOrderCore])
+@pytest.mark.parametrize("core_cls", [OoOCore])
 @pytest.mark.parametrize("with_fsb", [False, True])
 def test_fastfwd_closed_loop_identical(mechanism, core_cls, with_fsb):
     """CPU-coupled runs (optionally bus-limited) are byte-identical."""
-    accesses = 900 if core_cls is OoOCore else 250
-    slow = _run_closed_loop(mechanism, core_cls, with_fsb, False, accesses)
-    fast = _run_closed_loop(mechanism, core_cls, with_fsb, True, accesses)
+    slow = _run_closed_loop(mechanism, core_cls, with_fsb, False)
+    fast = _run_closed_loop(mechanism, core_cls, with_fsb, True)
     assert fast == slow
 
 

@@ -1,11 +1,10 @@
-"""Tests for the in-order core model and multiprogrammed mixes (§6)."""
+"""Tests for multiprogrammed mixes (§6)."""
 
 import pytest
 
 from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.cpu.inorder import InOrderCore
 from repro.errors import ConfigError
 from repro.workloads.mixes import (
     CORE_STRIDE_BYTES,
@@ -19,62 +18,6 @@ from repro.workloads.trace import TraceRecord
 
 def _trace(entries):
     return [TraceRecord(g, op, a) for g, op, a in entries]
-
-
-# ----------------------------------------------------------------- core
-
-
-def test_inorder_single_outstanding_load(quiet_config):
-    system = MemorySystem(quiet_config, "Burst_TH")
-    trace = _trace([(0, AccessType.READ, i << 16) for i in range(6)])
-    core = InOrderCore(system, trace)
-    while not core.done:
-        core.step()
-        assert system.pool.read_count <= 1
-    assert core.loads == 6
-
-
-def test_inorder_slower_than_ooo_on_clustered_loads(quiet_config):
-    trace = make_benchmark_trace("swim", 600, seed=1)
-    in_order = InOrderCore(
-        MemorySystem(quiet_config, "Burst_TH"), trace
-    ).run()
-    out_of_order = OoOCore(
-        MemorySystem(quiet_config, "Burst_TH"), trace
-    ).run()
-    assert in_order.mem_cycles > out_of_order.mem_cycles
-
-
-def test_inorder_counts_and_completion(quiet_config):
-    system = MemorySystem(quiet_config, "RowHit")
-    trace = _trace(
-        [(10, AccessType.READ, 0x10000), (5, AccessType.WRITE, 0x20000)]
-    )
-    result = InOrderCore(system, trace).run()
-    assert result.loads == 1
-    assert result.stores == 1
-    assert result.instructions == 16  # 10 + 5 gap insts + the load
-    assert system.idle
-
-
-def test_inorder_run_records_instructions_and_stalls(quiet_config):
-    """Both cores record their totals in SimStats, not only OoOCore."""
-    system = MemorySystem(quiet_config, "Burst_TH")
-    result = InOrderCore(system, make_benchmark_trace("swim", 300, 1)).run()
-    assert result.instructions > 0
-    assert result.head_block_cycles > 0
-    assert system.stats.instructions == result.instructions
-    assert system.stats.cpu_stall_cycles == result.head_block_cycles
-
-
-def test_inorder_forwarded_load_does_not_block(quiet_config):
-    system = MemorySystem(quiet_config, "Burst_TH")
-    trace = _trace(
-        [(0, AccessType.WRITE, 0x3000), (0, AccessType.READ, 0x3000)]
-    )
-    result = InOrderCore(system, trace).run()
-    assert system.stats.forwarded_reads == 1
-    assert result.loads == 1
 
 
 # ----------------------------------------------------------------- mixes

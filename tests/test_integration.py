@@ -6,12 +6,8 @@ from repro import simulate_profile
 from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.cpu.hierarchy import CacheHierarchy
-from repro.cpu.cache import Cache
 from repro.experiments.common import MECHANISMS, clear_cache
 from repro.workloads.spec2000 import make_benchmark_trace
-from repro.workloads.synthetic import WorkloadSpec, reference_stream
-from repro.workloads.trace import TraceRecord
 
 
 @pytest.fixture(autouse=True)
@@ -60,34 +56,6 @@ def test_identical_trace_identical_result(config):
         system = MemorySystem(config, "Burst_TH")
         runs.append(OoOCore(system, trace).run().mem_cycles)
     assert runs[0] == runs[1]
-
-
-def test_cache_filtered_reference_stream_end_to_end(config):
-    """References -> L1/L2 -> miss trace -> memory system: the
-    full-system path a user without pre-filtered traces takes."""
-    spec = WorkloadSpec(
-        name="e2e",
-        mean_gap=10.0,
-        write_frac=0.3,
-        streams=2,
-        stream_frac=0.7,
-        footprint_mb=4,
-    )
-    hierarchy = CacheHierarchy(
-        l1d=Cache("L1D", 8 * 1024, 2), l2=Cache("L2", 64 * 1024, 4)
-    )
-    records = []
-    for address, is_write in reference_stream(spec, 20_000, seed=2):
-        for op, line in hierarchy.access(address, is_write):
-            records.append(TraceRecord(5, op, line))
-    assert records, "expected misses out of the tiny caches"
-    system = MemorySystem(config, "Burst_TH")
-    result = OoOCore(system, records).run()
-    stats = system.stats
-    assert stats.completed_reads + stats.forwarded_reads == sum(
-        r.op is AccessType.READ for r in records
-    )
-    assert result.mem_cycles > 0
 
 
 def test_row_hit_rate_ordering_on_streaming(config):

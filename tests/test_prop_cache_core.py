@@ -1,76 +1,13 @@
-"""Property-based tests: cache vs reference model; core conservation."""
-
-from collections import OrderedDict
+"""Property-based test: the core conserves instructions and accesses."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
-from repro.cpu.cache import Cache
 from repro.cpu.core import OoOCore
 from repro.sim.config import baseline_config
 from repro.workloads.trace import TraceRecord
-
-
-class ReferenceCache:
-    """Straight-line LRU model to check the production cache against."""
-
-    def __init__(self, sets, assoc, line):
-        self.sets = [OrderedDict() for _ in range(sets)]
-        self.assoc = assoc
-        self.line = line
-        self.num_sets = sets
-
-    def access(self, address, is_write):
-        line = address // self.line
-        bucket = self.sets[line % self.num_sets]
-        tag = line // self.num_sets
-        if tag in bucket:
-            bucket.move_to_end(tag)
-            if is_write:
-                bucket[tag] = True
-            return True, None
-        writeback = None
-        if len(bucket) >= self.assoc:
-            victim, dirty = bucket.popitem(last=False)
-            if dirty:
-                writeback = (
-                    victim * self.num_sets + line % self.num_sets
-                ) * self.line
-        bucket[tag] = is_write
-        return False, writeback
-
-
-references = st.lists(
-    st.tuples(st.integers(0, 63), st.booleans()),
-    min_size=1,
-    max_size=300,
-)
-
-
-@given(refs=references)
-@settings(max_examples=150, deadline=None)
-def test_cache_matches_reference_model(refs):
-    cache = Cache("sut", size_bytes=8 * 64, assoc=2, line_bytes=64)
-    model = ReferenceCache(sets=4, assoc=2, line=64)
-    for line_index, is_write in refs:
-        address = line_index * 64
-        got = cache.access(address, is_write)
-        expected = model.access(address, is_write)
-        assert got == expected
-
-
-@given(refs=references)
-@settings(max_examples=100, deadline=None)
-def test_cache_stats_consistent(refs):
-    cache = Cache("sut", size_bytes=8 * 64, assoc=2, line_bytes=64)
-    for line_index, is_write in refs:
-        cache.access(line_index * 64, is_write)
-    stats = cache.stats
-    assert stats.accesses == len(refs)
-    assert 0 <= stats.misses <= stats.accesses
-    assert stats.writebacks <= stats.write_misses + stats.writes
 
 
 trace_strategy = st.lists(

@@ -8,7 +8,6 @@ from repro.workloads.synthetic import (
     LINE_BYTES,
     WorkloadSpec,
     generate_trace,
-    reference_stream,
 )
 
 
@@ -117,11 +116,3 @@ def test_burstiness_creates_clusters():
     small_gaps_bursty = sum(r.gap <= 2 for r in bursty) / len(bursty)
     small_gaps_uniform = sum(r.gap <= 2 for r in uniform) / len(uniform)
     assert small_gaps_bursty > small_gaps_uniform + 0.3
-
-
-def test_reference_stream_shape():
-    refs = list(reference_stream(_spec(), 100, seed=1))
-    assert len(refs) == 100
-    for address, is_write in refs:
-        assert isinstance(address, int) and address >= 0
-        assert isinstance(is_write, bool)
