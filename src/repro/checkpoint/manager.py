@@ -81,9 +81,9 @@ class Checkpointer:
         ``signal.signal`` raises) it degrades to periodic-only.  Pair
         with :meth:`uninstall_signal_handler` once the run finishes:
         the flag-only handler must not outlive the run loop that polls
-        the flag, or a later SIGTERM (e.g. ``Pool.terminate()`` in a
-        forked worker that inherited the handler) is silently absorbed
-        and the process never dies.
+        the flag, or a later SIGTERM (e.g. the worker pool stopping an
+        idle worker between cells) is silently absorbed and the
+        process never dies.
         """
         try:
             self._prev_handler = signal.signal(

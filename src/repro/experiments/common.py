@@ -3,11 +3,11 @@
 * :func:`run_benchmark` — one (benchmark, mechanism) closed-loop run,
   memoised so experiments that share cells (fig7/fig9/fig10 all use
   the same matrix) don't recompute them.
-* :func:`run_matrix` — the full benchmark x mechanism sweep, fanned
-  out across worker processes when ``REPRO_JOBS`` (or ``jobs=``) asks
-  for more than one, and served from the persistent on-disk cache in
-  ``.repro-cache/`` when a cell has been simulated before (see
-  :mod:`repro.experiments.runner`).
+* :func:`run_matrix` — the full benchmark x mechanism sweep, run on
+  the job service's worker pool when ``REPRO_JOBS`` (or ``jobs=``)
+  asks for more than one worker, and served from the persistent
+  on-disk cache in ``.repro-cache/`` when a cell has been simulated
+  before (see :mod:`repro.experiments.runner`).
 * Scaling knobs: ``REPRO_SCALE`` multiplies the default access counts
   (use 0.25 for a quick look, 4 for a long, low-noise run) and
   ``REPRO_SEED`` changes the workload seed.

@@ -1,25 +1,21 @@
-"""Parallel experiment runner with a persistent on-disk result cache.
+"""Experiment runner: memo, persistent result cache, then simulation.
 
-``run_matrix`` used to compute its (benchmark, mechanism) cells one at
-a time and remembered them only in an in-process dict, so every figure
-script and every ``pytest benchmarks/`` invocation re-paid the full
-sequential simulation cost.  This module supplies the two layers that
-fix that:
+:func:`run_cells` resolves each (benchmark, mechanism) cell from the
+caller's in-process memo, else from the persistent store, else by
+simulating it:
 
-* **Parallelism** — :func:`run_cells` fans fully-resolved cells out
-  across a ``multiprocessing`` pool (processes, not threads: the
-  simulator is CPU-bound pure Python).  ``REPRO_JOBS`` (or the CLI's
-  ``--jobs``) selects the worker count; ``REPRO_JOBS=1`` — the default
-  — keeps the exact in-process sequential behaviour every existing
-  caller assumes, and ``REPRO_JOBS=0`` means "all cores".
 * **Persistence** — every simulated cell is written to a
   content-addressed JSON store under ``.repro-cache/`` keyed by a
   stable hash of (benchmark, mechanism, access count, seed, full
-  :class:`SystemConfig`, code version), so re-running fig7/fig9/fig10
-  — which share cells — hits disk instead of re-simulating, across
-  processes *and* across invocations.  Any source change under
-  ``src/repro`` changes the code-version component and cleanly
-  invalidates every stale entry.
+  :class:`SystemConfig`, code version), so re-running a figure hits
+  disk instead of re-simulating, across processes *and* across
+  invocations.  Any source change under ``src/repro`` changes the
+  code-version component and cleanly invalidates every stale entry.
+* **Simulation** — :func:`execute_cell`, inline while ``REPRO_JOBS``
+  (or the CLI's ``--jobs``) is 1, the default.  Above 1 the cells run
+  on the job service's :class:`~repro.service.pool.WorkerPool`
+  (processes: the simulator is CPU-bound pure Python), which retries
+  a crashed worker's cell.  Results are identical either way.
 
 Environment knobs::
 
@@ -27,7 +23,7 @@ Environment knobs::
     REPRO_CACHE=0       # disable the persistent cache entirely
     REPRO_CACHE_DIR=d   # cache location (default ./.repro-cache)
     REPRO_PROGRESS=1    # force progress lines on (0 = off,
-                        # unset = only when stderr is a tty)
+                        # unset or empty = only when stderr is a tty)
     REPRO_CHECKPOINT=1  # snapshot in-flight cells (SIGTERM + periodic)
                         # under <cache>/checkpoints/ and auto-resume
     REPRO_CHECKPOINT_EVERY=N  # periodic snapshot interval in memory
@@ -39,7 +35,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 import sys
@@ -51,7 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import repro
 from repro.controller.system import MemorySystem
 from repro.cpu.core import CoreResult, OoOCore
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.sim.config import SystemConfig
 from repro.sim.profile import env_flag
 from repro.sim.stats import SimStats
@@ -73,18 +68,17 @@ CACHE_VERSION = 1
 # ----------------------------------------------------------------------
 
 
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (0 = all cores, default 1)."""
-    raw = os.environ.get("REPRO_JOBS", "1")
+def default_jobs(jobs: Optional[int] = None) -> int:
+    """Worker count: ``jobs``, else ``REPRO_JOBS`` (0 = all cores, default 1)."""
+    name = "REPRO_JOBS" if jobs is None else "jobs"
+    raw = os.environ.get("REPRO_JOBS", "1") if jobs is None else jobs
     try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_JOBS must be an integer, got {raw!r}"
-        ) from None
-    if jobs < 0:
-        raise ConfigError(f"REPRO_JOBS must be >= 0, got {jobs}")
-    return jobs if jobs else (os.cpu_count() or 1)
+        count = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if count < 0:
+        raise ConfigError(f"{name} must be >= 0, got {count}")
+    return count if count else (os.cpu_count() or 1)
 
 
 def cache_enabled() -> bool:
@@ -178,21 +172,9 @@ def cache_load(key: str) -> Optional[Tuple[SimStats, CoreResult]]:
         return None
 
 
-def cache_store(
-    key: str, cell: Cell, stats: SimStats, core: CoreResult
-) -> None:
-    """Atomically persist one simulated cell (tmp file + rename)."""
-    cache_store_dicts(key, cell, stats.to_dict(), core.to_dict())
-
-
-def cache_store_dicts(
-    key: str, cell: Cell, stats_dict: dict, core_dict: dict
-) -> None:
-    """``cache_store`` for callers already holding serialized results.
-
-    The job server collects worker output as dicts; storing them
-    directly avoids a dict → object → dict round trip per cell.
-    """
+def cache_store(key: str, cell: Cell, stats_dict: dict, core_dict: dict) -> None:
+    """Atomically persist one cell's ``to_dict`` stats and core results
+    (tmp file + rename)."""
     benchmark, mechanism, accesses, seed, config = cell
     path = _cache_path(key)
     payload = {
@@ -415,8 +397,8 @@ def execute_cell(
         result = core.run(checkpointer=checkpointer)
     finally:
         # The flag-only SIGTERM handler is useless (and harmful: it
-        # absorbs Pool.terminate() in idle forked workers) once the
-        # polling run loop is gone.
+        # would absorb the SIGTERM that shuts an idle worker down) once
+        # the polling run loop is gone.
         if checkpointer is not None:
             checkpointer.uninstall_signal_handler()
     if snapshot is not None:
@@ -424,28 +406,44 @@ def execute_cell(
     return CellRun(system.stats, result, resumed_cycle)
 
 
-def simulate_cell(
-    benchmark: str,
-    mechanism: str,
-    accesses: int,
-    seed: int,
-    config: SystemConfig,
-) -> Tuple[SimStats, CoreResult]:
-    """:func:`execute_cell` under the environment's checkpoint knobs."""
-    run = execute_cell((benchmark, mechanism, accesses, seed, config))
-    return run.stats, run.core
+async def _run_on_pool(
+    pending: List[Cell],
+    workers: int,
+    finish: Callable[[Cell, SimStats, CoreResult], None],
+) -> None:
+    """Simulate ``pending`` on ``workers`` pool workers; ``finish`` each.
 
-
-def _worker(job: Tuple[int, Cell]) -> Tuple[int, dict, dict]:
-    """Pool worker: simulate one cell, ship dicts back to the parent.
-
-    The parent owns all cache traffic (lookups happen before dispatch,
-    stores after collection), so workers stay free of filesystem
-    coordination and the executed/cached accounting stays exact.
+    Imported and run only when ``jobs > 1``, so inline runs never load
+    ``asyncio``.  The parent owns all cache traffic, so the
+    executed/cached accounting stays exact.
     """
-    index, cell = job
-    stats, core = simulate_cell(*cell)
-    return index, stats.to_dict(), core.to_dict()
+    import asyncio
+
+    from repro.service.jobs import sim_cell_spec
+    from repro.service.pool import WorkerPool
+
+    outcomes: asyncio.Queue = asyncio.Queue()
+    pool = WorkerPool(
+        workers,
+        on_done=lambda task, worker, event: outcomes.put_nowait((task, event)),
+        on_failed=lambda task, error: outcomes.put_nowait((task, error)),
+        checkpoint=checkpoint_enabled(),
+    )
+    for index, cell in enumerate(pending):
+        pool.submit(sim_cell_spec(*cell), (0, 0, index))
+    try:
+        await pool.start()
+        for _ in pool.tasks:  # one outcome per task
+            task, outcome = await outcomes.get()
+            if isinstance(outcome, str):
+                raise ReproError(f"cell {task.spec.label} failed: {outcome}")
+            finish(
+                pending[task.sort_key[2]],  # sort keys end in the index
+                SimStats.from_dict(outcome["stats"]),
+                CoreResult.from_dict(outcome["core"]),
+            )
+    finally:
+        await pool.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -477,12 +475,11 @@ TOTALS = RunReport()
 
 
 def _auto_progress() -> Optional[Callable[[RunReport], None]]:
-    flag = os.environ.get("REPRO_PROGRESS")
-    if flag == "0":
-        return None
-    if flag != "1" and not sys.stderr.isatty():
-        return None
-    return _print_progress
+    """The progress reporter ``REPRO_PROGRESS`` asks for (tty default)."""
+    tty = sys.stderr.isatty()
+    if env_flag("REPRO_PROGRESS", unset=tty, empty=tty):
+        return _print_progress
+    return None
 
 
 def _print_progress(report: RunReport) -> None:
@@ -525,11 +522,13 @@ def run_cells(
 ) -> Tuple[Dict[Cell, Tuple[SimStats, CoreResult]], RunReport]:
     """Resolve every cell via memo -> disk cache -> simulation.
 
-    ``jobs`` defaults to ``REPRO_JOBS``; misses are simulated in a
-    process pool when ``jobs > 1`` and more than one cell misses,
-    otherwise inline (identical results either way — the simulator is
-    a pure function of the cell, and ``tests/test_runner.py`` asserts
-    byte-identical stats across both paths).
+    ``jobs`` defaults to ``REPRO_JOBS`` (see :func:`default_jobs`);
+    misses are simulated on a worker pool when ``jobs > 1`` and more
+    than one cell misses, otherwise inline (identical results either
+    way — the simulator is a pure function of the cell, and
+    ``tests/test_runner.py`` asserts byte-identical stats across both
+    paths).  A cell that fails on the pool stops the run: the workers
+    shut down and :class:`ReproError` names the cell.
 
     ``memo`` is the caller's in-process dict; hits return the *same*
     objects, preserving the memoisation identity semantics of
@@ -538,7 +537,7 @@ def run_cells(
     REPRO_PROGRESS / tty default.
     """
     cells = list(dict.fromkeys(cells))
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    jobs = default_jobs(jobs)
     memo = {} if memo is None else memo
     use_disk = cache_enabled()
     report = RunReport(total=len(cells))
@@ -580,7 +579,7 @@ def run_cells(
 
     def finish(cell: Cell, stats: SimStats, core: CoreResult) -> None:
         if use_disk:
-            cache_store(keys.get(cell) or cell_key(*cell), cell, stats, core)
+            cache_store(keys[cell], cell, stats.to_dict(), core.to_dict())
         memo[cell] = (stats, core)
         results[cell] = (stats, core)
         report.executed += 1
@@ -588,21 +587,13 @@ def run_cells(
         tick()
 
     if jobs > 1 and len(pending) > 1:
-        workers = min(jobs, len(pending))
-        with multiprocessing.Pool(processes=workers) as pool:
-            jobs_iter = pool.imap_unordered(
-                _worker, list(enumerate(pending)), chunksize=1
-            )
-            for index, stats_dict, core_dict in jobs_iter:
-                finish(
-                    pending[index],
-                    SimStats.from_dict(stats_dict),
-                    CoreResult.from_dict(core_dict),
-                )
+        import asyncio
+
+        asyncio.run(_run_on_pool(pending, min(jobs, len(pending)), finish))
     else:
         for cell in pending:
-            stats, core = simulate_cell(*cell)
-            finish(cell, stats, core)
+            run = execute_cell(cell)
+            finish(cell, run.stats, run.core)
 
     report.elapsed = time.monotonic() - started
     TOTALS.total += report.total
@@ -623,7 +614,6 @@ __all__ = [
     "cache_info",
     "cache_load",
     "cache_store",
-    "cache_store_dicts",
     "cell_key",
     "checkpoint_enabled",
     "checkpoint_every",
@@ -632,5 +622,4 @@ __all__ = [
     "default_jobs",
     "execute_cell",
     "run_cells",
-    "simulate_cell",
 ]

@@ -2,7 +2,7 @@
 experiment fleet (DESIGN.md §15).
 
 PRs 2 and 5 built the parts — a content-addressed result cache, a
-multiprocess cell runner, and SIGTERM-safe checkpoints with
+parallel cell runner, and SIGTERM-safe checkpoints with
 byte-identical resume.  This package composes them into a long-running
 job service:
 
@@ -11,10 +11,14 @@ job service:
 * :mod:`repro.service.workers` — the worker process: executes cells
   via :func:`repro.experiments.runner.execute_cell`, streams ND-JSON
   progress, snapshots and exits 143 on SIGTERM (preemption);
+* :mod:`repro.service.pool` — the worker pool: spawns the workers,
+  dispatches by priority, retries crashed cells, preempts and
+  migrates cells via their snapshots (``run_cells --jobs N`` drives
+  it too);
 * :mod:`repro.service.server` — the stdlib-asyncio job server:
   dedupes cells against ``.repro-cache/``, shards misses across the
-  worker pool, migrates preempted cells via their snapshots, streams
-  per-job events and answers matrix queries over a Unix socket;
+  worker pool, streams per-job events and answers matrix queries
+  over a Unix socket;
 * :mod:`repro.service.client` — the synchronous ND-JSON client used
   by tests and the ``repro-serve`` CLI (:mod:`repro.service.cli`).
 """

@@ -1,78 +1,42 @@
 """The stdlib-asyncio job server (``repro-serve start``).
 
-One process owns the result cache, a pool of worker subprocesses and a
-Unix-domain socket.  Clients speak newline-delimited JSON: one request
-object per line, one reply object per line, plus a stream of event
-lines for ``watch``.  See DESIGN.md §15 for the protocol.
+One process owns the result cache, a :class:`~repro.service.pool.WorkerPool`
+and a Unix-domain socket.  Clients speak newline-delimited JSON: one
+request object per line, one reply object per line, plus a stream of
+event lines for ``watch``.  See DESIGN.md §15 for the protocol.
 
-Scheduling is zero-bubble by construction: every queued cell is
-independent, so the only scheduling decision is "hand the next cell to
-the first idle worker".  Bubbles can then come from exactly two
-places — a drained worker holding a half-finished long cell hostage,
-and a tail where fewer cells remain than workers — and the preemption
-machinery addresses the first: SIGTERM → snapshot at a loop boundary →
-exit 143 → the cell re-enters the queue *with its progress* and
-resumes byte-identically on whichever worker frees up next.  The
-``bubble_fraction`` each job reports (idle worker-seconds over
-pool × window) is the measured residue.
-
-Dedupe happens before any of that: a submitted cell is served from
-server memory if some job already computed it, from the
-content-addressed ``.repro-cache/`` store if any *past process* did,
-or attached to an in-flight task if another job is already computing
-it.  Only genuinely novel cells reach the queue.
+The pool runs the cells; the server dedupes them first.  A submitted
+cell is served from server memory if some job already computed it,
+from the content-addressed ``.repro-cache/`` store if any *past
+process* did, or attached to an in-flight task if another job is
+already computing it.  Only genuinely novel cells reach the pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
 import json
-import os
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-import repro
 from repro.analysis.export import cell_record, filter_records
 from repro.cpu.core import CoreResult
 from repro.errors import ReproError, ServiceError
 from repro.experiments import runner
 from repro.service.jobs import (
     CellSpec,
-    canonical_json,
     expand_submission,
     int_param,
     result_digest,
     sim_cell_from_wire,
 )
+from repro.service.pool import PoolTask, PoolWorker, WorkerPool
 from repro.sim.stats import SimStats
-
-#: Exit code the checkpoint machinery uses for "preempted, snapshot
-#: saved" (128 + SIGTERM).  ``-15`` is the same fate seen through
-#: ``Process.returncode`` when the signal lands while no cell is
-#: running (no handler installed): also not a crash.
-PREEMPT_EXIT_CODES = (143, -15)
-
-#: Give up on a cell after this many *crashes* (preemptions are free).
-MAX_ATTEMPTS = 3
 
 #: Default progress-event cadence, in memory cycles.
 PROGRESS_EVERY = 200_000
-
-
-@dataclass
-class _Task:
-    """One unique cell, shared by every job that submitted it."""
-
-    spec: CellSpec
-    sort_key: Tuple[int, int, int]  # (-priority, job_seq, index)
-    jobs: Set[str] = field(default_factory=set)
-    state: str = "queued"           # queued | running | done | failed
-    attempts: int = 0
-    snapshot_cycle: Optional[int] = None
 
 
 @dataclass
@@ -102,48 +66,30 @@ class _Job:
     summary: Optional[dict] = None
 
 
-@dataclass
-class _Worker:
-    """One worker subprocess slot."""
-
-    index: int
-    proc: asyncio.subprocess.Process
-    current: Optional[str] = None   # key of the in-flight cell
-    dispatched_at: float = 0.0
-    ready: bool = False
-    draining: bool = False          # do not respawn on exit
-
-    @property
-    def idle(self) -> bool:
-        return self.ready and self.current is None
-
-
 class JobServer:
-    """Owns the socket, the worker pool and all job state."""
+    """Owns the socket, the job state and the result cache traffic."""
 
     def __init__(
         self,
         socket_path: str,
         workers: int = 2,
         progress_every: int = PROGRESS_EVERY,
-        cache: Optional[bool] = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
         self.socket_path = str(socket_path)
-        self.pool_size = workers
-        self.progress_every = progress_every
-        self.cache = runner.cache_enabled() if cache is None else cache
+        self.cache = runner.cache_enabled()
+        self._pool = WorkerPool(
+            workers,
+            on_done=self._on_cell_done,
+            on_failed=self._on_cell_failed,
+            on_event=self._cell_event,
+            progress_every=progress_every,
+        )
         self._jobs: Dict[str, _Job] = {}
-        self._tasks: Dict[str, _Task] = {}
-        self._queue: List[Tuple[Tuple[int, int, int], str]] = []  # heap
-        self._workers: Dict[int, _Worker] = {}
-        self._results: Dict[str, dict] = {}   # key -> digest payload
-        self._records: Dict[str, dict] = {}   # key -> query record
-        self._spans: List[Tuple[float, float]] = []  # closed busy spans
+        self._subscribers: Dict[str, Set[str]] = {}  # key -> job ids
+        self._records: Dict[str, dict] = {}   # key -> query record + digest
         self._job_seq = 0
-        self._worker_seq = 0
-        self._draining = False
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -160,8 +106,7 @@ class JobServer:
         self._server = await asyncio.start_unix_server(
             self._handle_client, path=self.socket_path
         )
-        for _ in range(self.pool_size):
-            await self._spawn_worker()
+        await self._pool.start()
 
     async def serve(self) -> None:
         """``start()`` then run until a ``shutdown`` request lands."""
@@ -169,7 +114,7 @@ class JobServer:
         try:
             await self._stopped.wait()
         finally:
-            await self._shutdown_workers()
+            await self._pool.shutdown()
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
@@ -178,173 +123,89 @@ class JobServer:
             except OSError:
                 pass
 
-    async def _shutdown_workers(self) -> None:
-        for worker in list(self._workers.values()):
-            worker.draining = True
-            if worker.current is None:
-                await self._send_worker(worker, {"op": "exit"})
-            else:
-                worker.proc.terminate()
-        for worker in list(self._workers.values()):
-            try:
-                await asyncio.wait_for(worker.proc.wait(), timeout=30)
-            except asyncio.TimeoutError:
-                worker.proc.kill()
-
     # ------------------------------------------------------------------
-    # Worker pool
+    # Pool callbacks
     # ------------------------------------------------------------------
 
-    async def _spawn_worker(self) -> _Worker:
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        extra = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + (os.pathsep + extra if extra else "")
-        env["REPRO_PROGRESS"] = "0"  # events carry progress, not stderr
-        proc = await asyncio.create_subprocess_exec(
-            sys.executable,
-            "-m",
-            "repro.service.workers",
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            env=env,
-        )
-        self._worker_seq += 1
-        worker = _Worker(index=self._worker_seq, proc=proc)
-        self._workers[worker.index] = worker
-        asyncio.ensure_future(self._read_worker(worker))
-        return worker
+    def _cell_event(
+        self, task: PoolTask, worker: Optional[PoolWorker], event: str, **fields
+    ) -> Set[str]:
+        """Emit ``event`` to every job subscribed to ``task``; return them."""
+        jobs = self._subscribers[task.spec.key]
+        for job_id in jobs:
+            job = self._jobs[job_id]
+            if event == "cell_started" and job.window_start is None:
+                job.window_start = worker.dispatched_at
+            elif event == "cell_preempted":
+                job.preemptions += 1
+        if worker is not None:
+            fields["worker"] = worker.index
+        self._emit_job_event(jobs, dict(
+            event=event, key=task.spec.key, cell=task.spec.label, **fields
+        ))
+        return jobs
 
-    async def _send_worker(self, worker: _Worker, payload: dict) -> None:
-        assert worker.proc.stdin is not None
-        worker.proc.stdin.write(
-            (json.dumps(payload) + "\n").encode("utf-8")
-        )
-        try:
-            await worker.proc.stdin.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # exit path handles the dead worker
-
-    async def _read_worker(self, worker: _Worker) -> None:
-        """Consume one worker's event stream until it exits."""
-        assert worker.proc.stdout is not None
-        while True:
-            line = await worker.proc.stdout.readline()
-            if not line:
-                break
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            self._on_worker_event(worker, event)
-            await self._dispatch()
-        returncode = await worker.proc.wait()
-        await self._on_worker_exit(worker, returncode)
-
-    def _on_worker_event(self, worker: _Worker, event: dict) -> None:
-        kind = event.get("event")
-        if kind == "ready":
-            worker.ready = True
-        elif kind == "progress":
-            task = self._tasks.get(event.get("key", ""))
-            if task is not None:
-                self._emit_job_event(task.jobs, {
-                    "event": "cell_progress",
-                    "key": event["key"],
-                    "cell": task.spec.label,
-                    "cycle": event.get("cycle"),
-                    "worker": worker.index,
-                })
-        elif kind == "snapshot":
-            task = self._tasks.get(event.get("key", ""))
-            if task is not None:
-                task.snapshot_cycle = event.get("cycle")
-        elif kind == "done":
-            self._on_cell_done(worker, event)
-        elif kind == "failed":
-            self._on_cell_failed(worker, event)
-
-    async def _on_worker_exit(self, worker: _Worker, returncode: int) -> None:
-        """EOF on a worker: preemption, crash, or orderly drain."""
-        self._workers.pop(worker.index, None)
-        key = worker.current
-        if key is not None:
-            self._close_span(worker)
-            task = self._tasks.get(key)
-            if task is not None and task.state == "running":
-                if returncode in PREEMPT_EXIT_CODES:
-                    # The cell keeps its place in line; its snapshot
-                    # (if the signal caught it mid-run) makes the
-                    # requeue a migration, not a restart.
-                    task.state = "queued"
-                    heapq.heappush(self._queue, (task.sort_key, key))
-                    for job_id in task.jobs:
-                        self._jobs[job_id].preemptions += 1
-                    self._emit_job_event(task.jobs, {
-                        "event": "cell_preempted",
-                        "key": key,
-                        "cell": task.spec.label,
-                        "worker": worker.index,
-                        "snapshot_cycle": task.snapshot_cycle,
-                    })
-                else:
-                    task.attempts += 1
-                    if task.attempts >= MAX_ATTEMPTS:
-                        self._fail_task(
-                            task,
-                            f"worker exited {returncode} "
-                            f"(attempt {task.attempts})",
-                        )
-                    else:
-                        task.state = "queued"
-                        heapq.heappush(self._queue, (task.sort_key, key))
-        if not self._draining and not worker.draining:
-            await self._spawn_worker()
-        await self._dispatch()
-
-    def _close_span(self, worker: _Worker) -> None:
-        if worker.current is not None:
-            self._spans.append((worker.dispatched_at, time.monotonic()))
-            worker.current = None
-
-    # ------------------------------------------------------------------
-    # Cell completion
-    # ------------------------------------------------------------------
-
-    def _on_cell_done(self, worker: _Worker, event: dict) -> None:
-        key = event.get("key", "")
-        self._close_span(worker)
-        task = self._tasks.get(key)
-        if task is None or task.state == "done":
-            return
-        task.state = "done"
-        spec = task.spec
-        if spec.kind == "sim":
-            payload = {
-                "key": key,
-                "stats": event["stats"],
-                "core": event["core"],
-            }
-            record = cell_record(
-                sim_cell_from_wire(spec.to_wire()),
-                SimStats.from_dict(event["stats"]),
-                CoreResult.from_dict(event["core"]),
-            )
+    def _on_cell_done(
+        self, task: PoolTask, worker: PoolWorker, event: dict
+    ) -> None:
+        key = task.spec.key
+        if task.spec.kind == "sim":
+            payload = {"stats": event["stats"], "core": event["core"]}
             if self.cache:
-                runner.cache_store_dicts(
+                runner.cache_store(
                     key,
-                    sim_cell_from_wire(spec.to_wire()),
+                    sim_cell_from_wire(task.spec.to_wire()),
                     event["stats"],
                     event["core"],
                 )
         else:
-            payload = {"key": key, "metrics": event["metrics"]}
+            payload = {"metrics": event["metrics"]}
+        digest = self._keep(task.spec, payload)
+        resumed_cycle = event.get("resumed_cycle")
+        for job_id in sorted(self._cell_event(
+            task, worker, "cell_done", digest=digest,
+            resumed_cycle=resumed_cycle, wall=event.get("wall"),
+        )):
+            job = self._jobs[job_id]
+            if key in job.pending:
+                job.pending.discard(key)
+                job.simulated += 1
+                job.mem_cycles += int(event.get("mem_cycles") or 0)
+                job.completion_order.append(key)
+                job.digests[key] = digest
+                if resumed_cycle:
+                    job.resumed[key] = resumed_cycle
+                self._maybe_finish_job(job)
+
+    def _on_cell_failed(self, task: PoolTask, error: str) -> None:
+        key = task.spec.key
+        for job_id in sorted(self._cell_event(task, None, "cell_failed", error=error)):
+            job = self._jobs[job_id]
+            if key in job.pending:
+                job.pending.discard(key)
+                job.failed += 1
+                job.errors[key] = error
+                self._maybe_finish_job(job)
+
+    def _keep(self, spec: CellSpec, payload: dict) -> str:
+        """Keep a finished cell's query record; return its result digest.
+
+        ``payload`` holds a ``sim`` cell's ``stats`` and ``core`` dicts or
+        a ``fleet`` cell's ``metrics``.
+        """
+        digest = result_digest(dict(payload, key=spec.key))
+        if spec.kind == "sim":
+            record = cell_record(
+                sim_cell_from_wire(spec.to_wire()),
+                SimStats.from_dict(payload["stats"]),
+                CoreResult.from_dict(payload["core"]),
+            )
+        else:
+            metrics = payload["metrics"]
             record = {
-                "scenario": spec.payload["scenario"],
-                "mechanism": spec.payload["mechanism"],
-                "seed": spec.payload["seed"],
+                name: spec.payload[name]
+                for name in ("scenario", "mechanism", "seed")
             }
-            metrics = event["metrics"]
             record.update({
                 name: metrics[name]
                 for name in (
@@ -355,137 +216,25 @@ class JobServer:
                 )
                 if name in metrics
             })
-        self._finish_key(
-            key,
-            payload,
-            record,
-            mem_cycles=int(event.get("mem_cycles") or 0),
-            resumed_cycle=event.get("resumed_cycle"),
-            wall=event.get("wall"),
-            worker=worker.index,
-        )
+        self._records.setdefault(spec.key, dict(record, digest=digest))
+        return digest
 
-    def _on_cell_failed(self, worker: _Worker, event: dict) -> None:
-        self._close_span(worker)
-        task = self._tasks.get(event.get("key", ""))
-        if task is not None and task.state == "running":
-            self._fail_task(task, event.get("error", "unknown error"))
-
-    def _fail_task(self, task: _Task, error: str) -> None:
-        task.state = "failed"
-        key = task.spec.key
-        self._emit_job_event(task.jobs, {
-            "event": "cell_failed",
-            "key": key,
-            "cell": task.spec.label,
-            "error": error,
-        })
-        for job_id in sorted(task.jobs):
-            job = self._jobs[job_id]
-            if key in job.pending:
-                job.pending.discard(key)
-                job.failed += 1
-                job.errors[key] = error
-                self._maybe_finish_job(job)
-
-    def _finish_key(
-        self,
-        key: str,
-        payload: dict,
-        record: dict,
-        mem_cycles: int = 0,
-        resumed_cycle: Optional[int] = None,
-        wall: Optional[float] = None,
-        worker: Optional[int] = None,
-    ) -> None:
-        """A cell's result exists now; settle every job waiting on it."""
-        digest = result_digest(payload)
-        self._results[key] = payload
-        self._records.setdefault(key, dict(record, digest=digest))
-        task = self._tasks.get(key)
-        jobs = sorted(task.jobs) if task is not None else []
-        self._emit_job_event(set(jobs), {
-            "event": "cell_done",
-            "key": key,
-            "cell": task.spec.label if task is not None else key,
-            "digest": digest,
-            "resumed_cycle": resumed_cycle,
-            "wall": wall,
-            "worker": worker,
-        })
-        for job_id in jobs:
-            job = self._jobs[job_id]
-            if key in job.pending:
-                job.pending.discard(key)
-                job.simulated += 1
-                job.mem_cycles += mem_cycles
-                job.completion_order.append(key)
-                job.digests[key] = digest
-                if resumed_cycle:
-                    job.resumed[key] = resumed_cycle
-                self._maybe_finish_job(job)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    async def _dispatch(self) -> None:
-        """Hand queued cells to idle workers (zero-bubble core loop)."""
-        while self._queue:
-            idle = [w for w in self._workers.values() if w.idle]
-            if not idle:
-                return
-            worker = min(idle, key=lambda w: w.index)
-            sort_key, key = heapq.heappop(self._queue)
-            task = self._tasks.get(key)
-            if task is None or task.state != "queued":
-                continue  # stale heap entry
-            task.state = "running"
-            worker.current = key
-            worker.dispatched_at = time.monotonic()
-            for job_id in task.jobs:
-                job = self._jobs[job_id]
-                if job.window_start is None:
-                    job.window_start = worker.dispatched_at
-            self._emit_job_event(task.jobs, {
-                "event": "cell_started",
-                "key": key,
-                "cell": task.spec.label,
-                "worker": worker.index,
-                "resuming": task.snapshot_cycle,
-            })
-            await self._send_worker(worker, {
-                "op": "run",
-                "cell": task.spec.to_wire(),
-                "progress_every": self.progress_every,
-            })
-
-    def _preempt_lowest(self, incoming_priority: int) -> Optional[int]:
-        """Preempt the lowest-priority running cell, if it is beaten.
-
-        Called when higher-priority work arrives and no worker is
-        idle.  Prefers ``sim`` cells (their snapshot preserves the
-        work); returns the preempted worker index or ``None``.
-        """
-        busy = [
-            w for w in self._workers.values()
-            if w.current is not None and not w.draining
-        ]
-        if not busy:
-            return None
-
-        def victim_rank(w: _Worker):
-            task = self._tasks[w.current]
-            # Highest sort_key = lowest priority / newest job; prefer
-            # preemptible (sim) cells among equals.
-            return (task.sort_key, task.spec.preemptible)
-
-        worker = max(busy, key=victim_rank)
-        task = self._tasks[worker.current]
-        if -task.sort_key[0] >= incoming_priority:
-            return None  # nothing running is lower priority
-        worker.proc.terminate()
-        return worker.index
+    def _cached_digest(self, spec: CellSpec) -> Optional[str]:
+        """Digest of a result held in server memory or the disk store."""
+        if spec.key in self._records:
+            # Memory hit: some earlier job already computed it.
+            return self._records[spec.key]["digest"]
+        if spec.kind == "sim" and self.cache:
+            loaded = runner.cache_load(spec.key)
+            if loaded is not None:
+                # Disk hit: a past process computed it.  Round-trip
+                # through from_dict/to_dict is lossless, so the digest
+                # matches what a fresh simulation would produce.
+                stats, core = loaded
+                return self._keep(
+                    spec, {"stats": stats.to_dict(), "core": core.to_dict()}
+                )
+        return None
 
     # ------------------------------------------------------------------
     # Job bookkeeping
@@ -526,7 +275,7 @@ class JobServer:
         window = (
             now - job.window_start if job.window_start is not None else 0.0
         )
-        bubble = self._bubble_fraction(job.window_start, now)
+        bubble = self._pool.bubble_fraction(job.window_start, now)
         cells = len(job.specs)
         job_digest = result_digest(
             {key: job.digests[key] for key in sorted(job.digests)}
@@ -554,22 +303,6 @@ class JobServer:
             "errors": dict(job.errors),
         }
 
-    def _bubble_fraction(
-        self, start: Optional[float], end: float
-    ) -> Optional[float]:
-        """Idle worker-seconds over pool × window, for one job window."""
-        if start is None or end <= start:
-            return None  # fully cache-served: no window, no bubbles
-        spans = list(self._spans)
-        for worker in self._workers.values():
-            if worker.current is not None:
-                spans.append((worker.dispatched_at, end))
-        busy = sum(
-            max(0.0, min(s1, end) - max(s0, start)) for s0, s1 in spans
-        )
-        pool = max(1, len(self._workers)) * (end - start)
-        return max(0.0, 1.0 - busy / pool)
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
@@ -589,51 +322,22 @@ class JobServer:
         queued = 0
         for index, spec in enumerate(specs):
             key = spec.key
-            if key in self._results:
-                # Memory hit: some earlier job already computed it.
+            digest = self._cached_digest(spec)
+            if digest is not None:
                 job.cached += 1
                 job.completion_order.append(key)
-                job.digests[key] = result_digest(self._results[key])
+                job.digests[key] = digest
                 continue
-            if spec.kind == "sim" and self.cache:
-                loaded = runner.cache_load(key)
-                if loaded is not None:
-                    # Disk hit: a past process computed it.  Round-trip
-                    # through from_dict/to_dict is lossless, so the
-                    # digest matches what a fresh simulation would
-                    # produce.
-                    stats, core = loaded
-                    payload = {
-                        "key": key,
-                        "stats": stats.to_dict(),
-                        "core": core.to_dict(),
-                    }
-                    record = cell_record(
-                        sim_cell_from_wire(spec.to_wire()), stats, core
-                    )
-                    self._results[key] = payload
-                    self._records.setdefault(
-                        key, dict(record, digest=result_digest(payload))
-                    )
-                    job.cached += 1
-                    job.completion_order.append(key)
-                    job.digests[key] = result_digest(payload)
-                    continue
-            task = self._tasks.get(key)
+            task = self._pool.tasks.get(key)
             if task is not None and task.state in ("queued", "running"):
                 # Another job is already computing it: attach.
-                task.jobs.add(job.job_id)
+                self._subscribers[key].add(job.job_id)
                 job.shared += 1
                 job.pending.add(key)
                 continue
-            task = _Task(
-                spec=spec,
-                sort_key=(-priority, job.seq, index),
-                jobs={job.job_id},
-            )
-            self._tasks[key] = task
+            self._subscribers[key] = {job.job_id}
+            self._pool.submit(spec, (-priority, job.seq, index))
             job.pending.add(key)
-            heapq.heappush(self._queue, (task.sort_key, key))
             queued += 1
         self._emit_job_event({job.job_id}, {
             "event": "job_submitted",
@@ -644,10 +348,9 @@ class JobServer:
             "priority": priority,
         })
         # Priority preemption: if this job outranks running work and
-        # no worker is idle, evict the lowest-priority running cell so
-        # the urgent job starts now instead of after someone's tail.
-        if queued and not any(w.idle for w in self._workers.values()):
-            self._preempt_lowest(priority)
+        # no worker is idle, evict the lowest-priority running cell.
+        if queued:
+            self._pool.preempt_lowest(priority)
         self._maybe_finish_job(job)
         return job
 
@@ -694,9 +397,9 @@ class JobServer:
             if op == "ping":
                 await self._reply(writer, {
                     "ok": True,
-                    "workers": len(self._workers),
+                    "workers": len(self._pool.workers),
                     "jobs": len(self._jobs),
-                    "queued": len(self._queue),
+                    "queued": len(self._pool.queue),
                     "records": len(self._records),
                 })
             elif op == "submit":
@@ -725,7 +428,7 @@ class JobServer:
             elif op == "preempt":
                 await self._op_preempt(request, writer)
             elif op == "shutdown":
-                self._draining = True
+                self._pool.draining = True
                 await self._reply(writer, {"ok": True, "draining": True})
                 self._stopped.set()
             else:
@@ -738,10 +441,10 @@ class JobServer:
     async def _op_submit(
         self, request: dict, writer: asyncio.StreamWriter
     ) -> None:
-        if self._draining:
+        if self._pool.draining:
             raise ServiceError("server is draining; not accepting jobs")
         job = self._submit(request)
-        await self._dispatch()
+        await self._pool.dispatch()
         reply = {
             "ok": True,
             "job": job.job_id,
@@ -785,20 +488,20 @@ class JobServer:
     def _op_status(self) -> dict:
         return {
             "ok": True,
-            "draining": self._draining,
-            "queued": len(self._queue),
+            "draining": self._pool.draining,
+            "queued": len(self._pool.queue),
             "workers": [
                 {
                     "index": w.index,
                     "pid": w.proc.pid,
                     "idle": w.idle,
                     "current": (
-                        self._tasks[w.current].spec.label
+                        self._pool.tasks[w.current].spec.label
                         if w.current else None
                     ),
                 }
                 for w in sorted(
-                    self._workers.values(), key=lambda w: w.index
+                    self._pool.workers.values(), key=lambda w: w.index
                 )
             ],
             "jobs": {
@@ -818,28 +521,17 @@ class JobServer:
     async def _op_preempt(
         self, request: dict, writer: asyncio.StreamWriter
     ) -> None:
-        """SIGTERM the busiest worker (drain simulation / tests).
-
-        ``respawn: false`` drains the slot for good — the pool
-        shrinks, modelling a worker being taken away rather than
-        restarted.
-        """
-        busy = [
-            w for w in self._workers.values()
-            if w.current is not None and not w.draining
-        ]
-        if not busy:
+        """SIGTERM the longest-running worker (drain simulation / tests)."""
+        worker = self._pool.preempt_oldest(
+            respawn=request.get("respawn") is not False
+        )
+        if worker is None:
             raise ServiceError("no busy worker to preempt")
-        worker = min(busy, key=lambda w: w.dispatched_at)
-        if request.get("respawn") is False:
-            worker.draining = True
-        task = self._tasks.get(worker.current)
-        worker.proc.terminate()
         await self._reply(writer, {
             "ok": True,
             "worker": worker.index,
             "key": worker.current,
-            "cell": task.spec.label if task is not None else None,
+            "cell": self._pool.tasks[worker.current].spec.label,
         })
 
     def _get_job(self, request: dict) -> _Job:
@@ -863,10 +555,7 @@ def run_server(
 
 
 __all__ = [
-    "MAX_ATTEMPTS",
-    "PREEMPT_EXIT_CODES",
     "PROGRESS_EVERY",
     "JobServer",
-    "canonical_json",
     "run_server",
 ]

@@ -1,9 +1,11 @@
 """The service worker process: ``python -m repro.service.workers``.
 
-One worker is one long-lived process owning one cell at a time.  The
-server writes run requests to its stdin (one JSON object per line) and
-reads events off its stdout (same framing, always flushed — stdout is
-a pipe, and a buffered event is an invisible event):
+One worker is one long-lived process owning one cell at a time.  Its
+:class:`~repro.service.pool.WorkerPool` writes run requests to its
+stdin (one JSON object per line; ``checkpoint`` says whether a ``sim``
+cell snapshots) and reads events off its stdout (same framing, always
+flushed — stdout is a pipe, and a buffered event is an invisible
+event):
 
 * ``ready``                 — worker booted, willing to take a cell
 * ``progress``              — every ``progress_every`` memory cycles
@@ -11,7 +13,7 @@ a pipe, and a buffered event is an invisible event):
 * ``done``                  — cell finished; carries the full result
 * ``failed``                — cell raised; carries the error text
 
-Preemption is the PR 5 checkpoint machinery end to end: the server
+Preemption is the checkpoint machinery (DESIGN.md §10) end to end: the pool
 SIGTERMs the process, :class:`~repro.checkpoint.Checkpointer`'s
 flag-only handler lets the run reach a clean loop boundary, the cell
 snapshots to its content-addressed path under
@@ -23,7 +25,7 @@ worker's progress out of the schedule's bubbles.
 
 ``fleet`` cells have no snapshot path (open-loop multi-tenant runs);
 preempting one simply restarts it later — still correct, just unpaid
-work, so the server prefers preempting ``sim`` cells.
+work, so the pool prefers preempting ``sim`` cells.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _emit(event: dict) -> None:
 
 
 def _run_sim(request: dict) -> None:
-    """Execute one checkpoint-armed closed-loop cell."""
+    """Execute one closed-loop cell, snapshotting if ``checkpoint``."""
     from repro.experiments.runner import execute_cell
 
     spec = request["cell"]
@@ -73,7 +75,7 @@ def _run_sim(request: dict) -> None:
 
     run = execute_cell(
         cell,
-        checkpoint=True,
+        checkpoint=request["checkpoint"],
         progress=progress if progress_every else None,
         progress_every=progress_every,
         on_save=on_save,

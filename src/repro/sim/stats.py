@@ -371,8 +371,8 @@ class SimStats:
         """Lossless JSON-safe snapshot of every field.
 
         ``from_dict(to_dict())`` reconstructs an equal bundle; the
-        persistent result cache and the multiprocessing workers both
-        ship stats through this form.  ``tests/test_stats.py`` asserts
+        persistent result cache and the worker pool's ``done`` events
+        both ship stats through this form.  ``tests/test_stats.py`` asserts
         the key set matches the dataclass fields, so a new field cannot
         silently skip serialization.
         """

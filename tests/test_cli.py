@@ -142,8 +142,8 @@ def test_checkpoint_resume_round_trip(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     # The flag-only SIGTERM handler must not leak out of the run: a
-    # leaked handler is inherited by forked pool workers and absorbs
-    # Pool.terminate(), wedging any later multiprocessing teardown.
+    # leaked handler absorbs any later SIGTERM, so a worker stopped
+    # between cells would never exit.
     assert signal.getsignal(signal.SIGTERM) is before
     snapshot = ckdir / "swim-Burst_TH.ckpt"
     assert snapshot.exists()

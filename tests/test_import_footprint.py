@@ -1,11 +1,14 @@
-"""The simulator's import footprint: no numpy in any process.
+"""The simulator's import footprint: no numpy in any process, and no
+``asyncio`` or ``multiprocessing`` in an in-process run.
 
-Every simulator process — ``repro-sim``, each ``repro-experiments``
-pool worker, the job server and its workers — imports the same
-packages.  None of them needs numpy (the flat scheduler core's wake
-min is plain int code), so importing it would only cost start-up time
-and resident memory.  The check runs in a fresh interpreter so that
-nothing this test session imported can hide or fake the result.
+Every simulator process — ``repro-sim``, ``repro-experiments``, the
+job server and its workers — imports the same packages.  None of them
+needs numpy (the flat scheduler core's wake min is plain int code), so
+importing it would only cost start-up time and resident memory.  Only
+a ``--jobs N`` run or the job server drives the worker pool, so a
+``jobs=1`` run loads no event loop either.  Each check runs in a fresh
+interpreter so that nothing this test session imported can hide or
+fake the result.
 """
 
 import os
@@ -28,11 +31,35 @@ assert not loaded, loaded[:5]
 """
 
 
-def test_simulator_never_imports_numpy():
-    env = dict(os.environ)
+INLINE = """
+import sys
+import repro.cli
+import repro.experiments
+from repro.experiments import runner
+from repro.sim.config import baseline_config
+runner.run_cells([("swim", "Burst_TH", 500, 1, baseline_config())], jobs=1)
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("asyncio", "multiprocessing")
+)
+assert not loaded, loaded[:5]
+"""
+
+
+def _run(code, **env_extra):
+    env = dict(os.environ, **env_extra)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", CODE], env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
+
+
+def test_simulator_never_imports_numpy():
+    proc = _run(CODE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_inline_run_loads_no_event_loop_or_process_pool():
+    proc = _run(INLINE, REPRO_CACHE="0", REPRO_PROGRESS="0")
     assert proc.returncode == 0, proc.stderr

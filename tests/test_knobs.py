@@ -1,12 +1,15 @@
 """On/off environment knobs: one reader, four accepted spellings.
 
-``REPRO_FASTFWD``, ``REPRO_ORACLE``, ``REPRO_CACHE`` and
-``REPRO_CHECKPOINT`` all read through :func:`repro.sim.profile.env_flag`.
-Unset, empty, ``0`` and ``1`` keep each knob's documented meaning; any
-other spelling (``false``, ``off``, ``true``) is a :class:`ConfigError`
-instead of silently reading as "on".
+``REPRO_FASTFWD``, ``REPRO_ORACLE``, ``REPRO_CACHE``,
+``REPRO_CHECKPOINT`` and ``REPRO_PROGRESS`` all read through
+:func:`repro.sim.profile.env_flag`.  Unset, empty, ``0`` and ``1`` keep
+each knob's documented meaning; any other spelling (``false``, ``off``,
+``true``) is a :class:`ConfigError` instead of silently reading as "on"
+(or, for ``REPRO_PROGRESS``, as "auto").
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -26,11 +29,18 @@ def _oracle_attached():
     return bool(MemorySystem(baseline_config(), "BkInOrder").oracles)
 
 
+def _progress_on_a_pipe():
+    # Unset and empty follow whether stderr is a tty; pin it to a pipe.
+    with contextlib.redirect_stderr(io.StringIO()):
+        return runner._auto_progress() is not None
+
+
 READERS = {
     "REPRO_FASTFWD": fastfwd_enabled,
     "REPRO_ORACLE": _oracle_attached,
     "REPRO_CACHE": runner.cache_enabled,
     "REPRO_CHECKPOINT": runner.checkpoint_enabled,
+    "REPRO_PROGRESS": _progress_on_a_pipe,
 }
 
 #: Each knob's reading when unset, ``""``, ``"0"`` and ``"1"``.
@@ -39,6 +49,7 @@ MEANINGS = {
     "REPRO_ORACLE": (False, False, False, True),
     "REPRO_CACHE": (True, True, False, True),
     "REPRO_CHECKPOINT": (False, False, False, True),
+    "REPRO_PROGRESS": (False, False, False, True),
 }
 
 

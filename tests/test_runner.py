@@ -10,6 +10,7 @@ The two load-bearing guarantees:
 """
 
 import json
+import os
 
 import pytest
 
@@ -58,6 +59,38 @@ def test_parallel_matches_sequential_byte_identical(tmp_path, monkeypatch):
     for cell in cells:
         assert _dumps(seq[cell][0]) == _dumps(par[cell][0])
         assert seq[cell][1].to_dict() == par[cell][1].to_dict()
+
+
+def _children():
+    """Pids of this process's live children (Linux ``/proc``)."""
+    from pathlib import Path
+
+    kids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # the process exited while we looked
+        if ppid == os.getpid():
+            kids.add(int(stat.parent.name))
+    return kids
+
+
+def test_failed_pool_cell_raises_and_stops_workers():
+    """A cell that fails on a worker stops a ``jobs=2`` run: the error
+    names the cell and carries the worker's text, and no worker
+    process outlives the call."""
+    from repro.errors import ReproError
+
+    good, = _cells()[:1]
+    bad = ("swim", "NoSuchMechanism", N, SEED, baseline_config())
+    before = _children()
+    with pytest.raises(ReproError) as error:
+        runner.run_cells([good, bad], jobs=2, memo={})
+    message = str(error.value)
+    assert "swim/NoSuchMechanism" in message
+    assert "ConfigError: unknown mechanism 'NoSuchMechanism'" in message
+    assert _children() <= before
 
 
 def test_second_invocation_all_from_disk_cache():
@@ -301,15 +334,23 @@ def test_progress_tty_redraws_in_place(monkeypatch):
 
 
 def test_default_jobs_env(monkeypatch):
+    from repro.errors import ConfigError
+
     assert runner.default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "7")
     assert runner.default_jobs() == 7
     monkeypatch.setenv("REPRO_JOBS", "0")
-    assert runner.default_jobs() >= 1
+    assert runner.default_jobs() == (os.cpu_count() or 1)
     monkeypatch.setenv("REPRO_JOBS", "bogus")
-    from repro.errors import ConfigError
-
     with pytest.raises(ConfigError):
+        runner.default_jobs()
+    # An explicit count wins over the environment and parses alike.
+    assert runner.default_jobs(3) == 3
+    assert runner.default_jobs(0) == (os.cpu_count() or 1)
+    with pytest.raises(ConfigError, match="^jobs must be >= 0, got -2$"):
+        runner.default_jobs(-2)
+    monkeypatch.setenv("REPRO_JOBS", "-2")
+    with pytest.raises(ConfigError, match="^REPRO_JOBS must be >= 0, got -2$"):
         runner.default_jobs()
 
 
@@ -386,16 +427,44 @@ def test_checkpoint_resume_of_interrupted_cell(monkeypatch):
     import signal
 
     before = signal.getsignal(signal.SIGTERM)
-    stats, core_result = runner.simulate_cell(*cell)
+    run = runner.execute_cell(cell)
     resumed = json.dumps(
-        [stats.to_dict(), core_result.to_dict()], sort_keys=True
+        [run.stats.to_dict(), run.core.to_dict()], sort_keys=True
     )
     assert resumed == reference
     assert not snapshot.exists()  # deleted after completing
-    # No leaked SIGTERM handler: forked pool workers inherit the
-    # process disposition, and a leaked flag-only handler absorbs
-    # Pool.terminate() forever.
+    # No leaked SIGTERM handler: a leaked flag-only handler absorbs
+    # the SIGTERM that stops the process between cells.
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_pool_workers_resume_only_under_repro_checkpoint(monkeypatch):
+    """``jobs=2`` workers consult a cell's snapshot exactly when
+    ``REPRO_CHECKPOINT=1``, and the resumed result is unchanged."""
+    from repro.checkpoint import save_checkpoint
+    from repro.controller.system import MemorySystem
+    from repro.cpu.core import OoOCore
+    from repro.workloads.spec2000 import make_benchmark_trace
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    cells = _cells()[:2]
+    reference, _ = runner.run_cells(cells, jobs=1, memo={})
+    benchmark, mechanism, accesses, seed, cfg = cells[0]
+    core = OoOCore(
+        MemorySystem(cfg, mechanism),
+        make_benchmark_trace(benchmark, accesses, seed),
+    )
+    for _ in range(300):
+        core.step()
+    snapshot = runner.checkpoint_path(runner.cell_key(*cells[0]))
+    save_checkpoint(str(snapshot), core)
+
+    for flag, kept in (("0", True), ("1", False)):
+        monkeypatch.setenv("REPRO_CHECKPOINT", flag)
+        results, _ = runner.run_cells(cells, jobs=2, memo={})
+        assert snapshot.exists() is kept
+        for cell in cells:
+            assert _dumps(results[cell][0]) == _dumps(reference[cell][0])
 
 
 def test_code_version_folds_checkpoint_schema(monkeypatch):

@@ -28,7 +28,7 @@ from repro.service.jobs import (
     sim_cell_spec,
     spec_from_wire,
 )
-from repro.service.server import MAX_ATTEMPTS
+from repro.service.pool import MAX_ATTEMPTS
 from repro.sim.config import baseline_config
 
 N = 300
