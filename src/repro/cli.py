@@ -33,7 +33,7 @@ from repro.sim.config import ROW_POLICIES, baseline_config
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.mixes import make_mix_trace
 from repro.workloads.spec2000 import benchmark_names, make_benchmark_trace
-from repro.workloads.trace import load_trace
+from repro.workloads.trace import load_trace, trace_rows
 
 #: Device presets selectable with --device — a view of the generation
 #: registry, so a profile appended to ``timing.GENERATIONS`` shows up
@@ -190,7 +190,7 @@ def _run(args):
         timing=DEVICES[args.device],
         mapping=args.mapping,
         row_policy=args.row_policy,
-        sources=len({record.source for record in trace}) or 1,
+        sources=len({row[3] for row in trace_rows(trace)}) or 1,
     )
     if args.threshold is not None:
         config = config.with_threshold(args.threshold)

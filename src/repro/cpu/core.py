@@ -23,14 +23,14 @@ simulator tick advances both clock domains consistently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Deque, Iterable, List, Optional, Set, Union
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
 from repro.sim.engine import run_loop
 from repro.sim.profile import NEVER
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Row, TraceRecord, trace_rows
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,9 @@ class OoOCore:
         self.budget_per_cycle = (
             cpu.width * system.config.cpu_cycles_per_mem_cycle
         )
-        self._trace = iter(trace)
+        # (gap, op, address, source) rows: a packed Trace's columns, or
+        # any other record iterable through a lazy adapter.
+        self._trace = trace_rows(trace)
         # Records pulled off the trace iterator so far.  Traces are
         # deterministic (regenerable from benchmark+accesses+seed), so
         # a checkpoint stores this count instead of iterator state and
@@ -89,7 +91,10 @@ class OoOCore:
         # MemoryAccess entries are loads awaiting in-order retirement.
         self._rob: Deque[Union[int, MemoryAccess]] = deque()
         self._rob_occupancy = 0
-        self._staged: Optional[List] = None  # [gap_remaining, record]
+        # The next (gap, op, address, source) row, and how much of its
+        # instruction gap is still to fetch.
+        self._staged: Optional[Row] = None
+        self._gap_left = 0
         self._trace_done = False
         self._inflight_loads = 0
         self._done_loads: Set[int] = set()
@@ -130,20 +135,6 @@ class OoOCore:
             self.head_block_cycles += 1
             return
 
-    def _stage_next(self) -> bool:
-        """Pull the next trace record; False when the trace is done."""
-        if self._staged is not None:
-            return True
-        if self._trace_done:
-            return False
-        record = next(self._trace, None)
-        if record is None:
-            self._trace_done = True
-            return False
-        self._trace_consumed += 1
-        self._staged = [record.gap, record]
-        return True
-
     def _append_instructions(self, count: int) -> None:
         rob = self._rob
         if rob and isinstance(rob[-1], int):
@@ -164,9 +155,18 @@ class OoOCore:
                     return
                 self.stores += 1
                 self._pending_store = None
-            if not self._stage_next():
-                return
-            gap_remaining, record = self._staged
+            row = self._staged
+            if row is None:
+                if self._trace_done:
+                    return
+                row = next(self._trace, None)
+                if row is None:
+                    self._trace_done = True
+                    return
+                self._trace_consumed += 1
+                self._staged = row
+                self._gap_left = row[0]
+            gap_remaining = self._gap_left
             if gap_remaining > 0:
                 room = self.rob_size - self._rob_occupancy
                 take = min(budget, gap_remaining, room)
@@ -174,13 +174,13 @@ class OoOCore:
                     return
                 self._append_instructions(take)
                 budget -= take
-                self._staged[0] = gap_remaining - take
-                if self._staged[0] > 0:
+                self._gap_left = gap_remaining = gap_remaining - take
+                if gap_remaining > 0:
                     continue
             # Gap consumed: handle the memory operation itself.
-            if record.op is AccessType.WRITE:
+            if row[1] is AccessType.WRITE:
                 access = system.make_access(
-                    AccessType.WRITE, record.address, cycle, record.source
+                    AccessType.WRITE, row[2], cycle, row[3]
                 )
                 self._staged = None
                 self._pending_store = access
@@ -190,7 +190,7 @@ class OoOCore:
             if self._inflight_loads >= self.lsq_size:
                 return
             access = system.make_access(
-                AccessType.READ, record.address, cycle, record.source
+                AccessType.READ, row[2], cycle, row[3]
             )
             status = system.enqueue(access, cycle)
             if status is EnqueueStatus.REJECTED_FULL:
@@ -242,9 +242,9 @@ class OoOCore:
         if staged is None:
             return self._trace_done
         full = self._rob_occupancy >= self.rob_size
-        if staged[0] > 0:
+        if self._gap_left > 0:
             return full
-        if staged[1].op is AccessType.WRITE:
+        if staged[1] is AccessType.WRITE:
             return False
         return full or self._inflight_loads >= self.lsq_size
 
@@ -294,8 +294,8 @@ class OoOCore:
             self.system.note_rejected_enqueues(cycle, k)
         elif (
             self._staged is not None
-            and self._staged[0] == 0
-            and self._staged[1].op is AccessType.READ
+            and self._gap_left == 0
+            and self._staged[1] is AccessType.READ
             and self._rob_occupancy < self.rob_size
             and self._inflight_loads < self.lsq_size
         ):
@@ -319,11 +319,8 @@ class OoOCore:
         """
         staged = None
         if self._staged is not None:
-            gap_remaining, record = self._staged
-            staged = [
-                gap_remaining, record.gap, record.op.value, record.address,
-                record.source,
-            ]
+            gap, op, address, source = self._staged
+            staged = [self._gap_left, gap, op.value, address, source]
         return {
             "trace_consumed": self._trace_consumed,
             "rob": [
@@ -366,7 +363,8 @@ class OoOCore:
         else:
             gap_remaining, gap, op_value, address, source = state["staged"]
             record = TraceRecord(gap, AccessType(op_value), address, source)
-            self._staged = [gap_remaining, record]
+            self._staged = astuple(record)
+            self._gap_left = gap_remaining
         self._trace_done = state["trace_done"]
         self._inflight_loads = state["inflight_loads"]
         self._done_loads = set(state["done_loads"])

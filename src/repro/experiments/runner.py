@@ -51,7 +51,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.profile import env_flag
 from repro.sim.stats import SimStats
 from repro.workloads.spec2000 import make_benchmark_trace
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace
 
 #: One fully-resolved unit of work: (benchmark, mechanism, accesses,
 #: seed, config).  Scaling (REPRO_SCALE) and defaulting happen in
@@ -327,17 +327,15 @@ class CellRun:
 
 
 @functools.lru_cache(maxsize=1)
-def _cell_trace(
-    benchmark: str, accesses: int, seed: int
-) -> Tuple[TraceRecord, ...]:
+def _cell_trace(benchmark: str, accesses: int, seed: int) -> Trace:
     """The cell's trace, kept for the next cell that shares it.
 
     Matrices expand benchmark-major, so consecutive cells on one worker
     differ only in mechanism and reuse one trace.  A single entry keeps
-    memory flat however large the matrix; the tuple and its frozen
-    records are immutable, so every cell may share them.
+    memory flat however large the matrix; a packed trace is immutable,
+    so every cell may share it.
     """
-    return tuple(make_benchmark_trace(benchmark, accesses, seed))
+    return make_benchmark_trace(benchmark, accesses, seed)
 
 
 def execute_cell(

@@ -23,9 +23,29 @@ job service:
   by tests and the ``repro-serve`` CLI (:mod:`repro.service.cli`).
 """
 
-from repro.service.client import ServiceClient
-from repro.service.jobs import CellSpec, expand_submission, result_digest
-from repro.service.server import JobServer
+import importlib
+
+#: Each export's home module.  They load on first use (PEP 562), so a
+#: worker or a client that imports this package never loads the job
+#: server and its ``asyncio``.
+_EXPORTS = {
+    "CellSpec": "repro.service.jobs",
+    "JobServer": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+    "expand_submission": "repro.service.jobs",
+    "result_digest": "repro.service.jobs",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "CellSpec",

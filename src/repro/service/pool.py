@@ -38,7 +38,9 @@ if TYPE_CHECKING:
 #: running (no handler installed): also not a crash.
 PREEMPT_EXIT_CODES = (143, -15)
 
-#: Give up on a cell after this many *crashes* (preemptions are free).
+#: Give up on a cell after this many *crashes* (preemptions are free),
+#: and stop spawning after this many workers in a row exit before they
+#: report ``ready``.
 MAX_ATTEMPTS = 3
 
 
@@ -102,6 +104,9 @@ class WorkerPool:
         self.draining = False
         self._spans: List[Tuple[float, float]] = []  # closed busy spans
         self._worker_seq = 0
+        self._unready_exits = 0  # consecutive exits before ``ready``
+        # Why the pool stopped spawning workers (None: it has not).
+        self._spawn_error: Optional[str] = None
 
     async def start(self) -> None:
         """Spawn the workers; each takes a cell once it reports ready."""
@@ -184,6 +189,7 @@ class WorkerPool:
         kind = event.get("event")
         if kind == "ready":
             worker.ready = True
+            self._unready_exits = 0
             return
         if kind in ("done", "failed"):
             self._close_span(worker)
@@ -229,7 +235,15 @@ class WorkerPool:
                     else:
                         task.state = "queued"
                         heapq.heappush(self.queue, (task.sort_key, key))
-        if not self.draining and not worker.draining:
+        respawn = not self.draining and not worker.draining
+        if respawn and not worker.ready:
+            self._unready_exits += 1
+            if self._unready_exits == MAX_ATTEMPTS:
+                self._spawn_error = (
+                    f"worker exited {returncode} before it was ready "
+                    f"({self._unready_exits} times in a row)"
+                )
+        if respawn and self._spawn_error is None:
             await self._spawn_worker()
         await self.dispatch()
 
@@ -247,7 +261,18 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     async def dispatch(self) -> None:
-        """Hand queued cells to idle workers (zero-bubble core loop)."""
+        """Hand queued cells to idle workers (zero-bubble core loop).
+
+        A pool that stopped spawning and has no worker left fails
+        every queued cell instead.
+        """
+        if self._spawn_error is not None and not self.workers:
+            while self.queue:
+                _, key = heapq.heappop(self.queue)
+                task = self.tasks.get(key)
+                if task is not None and task.state == "queued":
+                    self._fail(task, self._spawn_error)
+            return
         while self.queue and not self.draining:
             idle = [w for w in self.workers.values() if w.idle]
             if not idle:

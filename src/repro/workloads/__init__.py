@@ -9,7 +9,7 @@ schedulers actually react to — row locality, bank spread, read/write
 mix, eviction-echo write locality and arrival burstiness.
 """
 
-from repro.workloads.trace import TraceRecord, load_trace, save_trace
+from repro.workloads.trace import Trace, TraceRecord, load_trace, save_trace
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 from repro.workloads.mixes import (
     STANDARD_MIXES,
@@ -27,6 +27,7 @@ __all__ = [
     "BENCHMARKS",
     "SPEC_PROFILES",
     "STANDARD_MIXES",
+    "Trace",
     "TraceRecord",
     "WorkloadSpec",
     "benchmark_names",

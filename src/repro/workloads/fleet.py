@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
-from repro.workloads.synthetic import LINE_BYTES, WorkloadSpec, iter_trace
+from repro.workloads.synthetic import LINE_BYTES, WorkloadSpec, generate_trace
 
 #: Memory-bus cycles per instruction of trace gap (4 GHz 8-wide core
 #: at IPC ~1 retires ~10 instructions per 400 MHz memory cycle).
@@ -116,12 +116,11 @@ def tenant_requests(
     base = source * slice_lines * LINE_BYTES
     requests: FleetRequestList = []
     clock = 0.0
-    for record in iter_trace(spec, accesses, seed + 7919 * source):
-        clock += record.gap * INSTR_TO_MEM_CYCLES
-        line = (record.address // LINE_BYTES) % slice_lines
-        requests.append(
-            (int(clock), record.op, base + line * LINE_BYTES, source)
-        )
+    trace = generate_trace(spec, accesses, seed + 7919 * source)
+    for gap, op, address, _ in trace.rows():
+        clock += gap * INSTR_TO_MEM_CYCLES
+        line = (address // LINE_BYTES) % slice_lines
+        requests.append((int(clock), op, base + line * LINE_BYTES, source))
     return requests
 
 

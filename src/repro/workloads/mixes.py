@@ -18,61 +18,52 @@ intra-core gaps intact.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence
+from itertools import starmap
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigError
 from repro.workloads.spec2000 import make_benchmark_trace
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace, TraceRecord, trace_rows
 
 #: Address-space slice given to each core of a mix (1 GB).
 CORE_STRIDE_BYTES = 1 << 30
 
 
-def interleave_traces(traces: Sequence[List[TraceRecord]]) -> List[TraceRecord]:
+def interleave_traces(traces: Sequence[Iterable[TraceRecord]]) -> Trace:
     """Merge per-core traces by instruction position.
 
     Each core is assumed to progress at the same instruction rate;
     records are ordered by their cumulative instruction offset within
-    their own stream, and gaps are recomputed so the merged trace's
-    cumulative positions match the per-core ones on a shared timeline.
-    Each merged record's ``source`` is its core's index.
+    their own stream (ties go to the lower core), and gaps are
+    recomputed so the merged trace's cumulative positions match the
+    per-core ones on a shared timeline.  Each merged record's
+    ``source`` is its core's index.
     """
     if not traces:
         raise ConfigError("interleave_traces needs at least one trace")
-    heap = []
-    for core, trace in enumerate(traces):
-        position = 0
-        annotated = []
-        for record in trace:
-            position += record.gap
-            annotated.append((position, record))
-        if annotated:
-            heap.append((annotated[0][0], core, 0, annotated))
-    heapq.heapify(heap)
 
-    merged: List[TraceRecord] = []
-    last_position = 0
-    while heap:
-        position, core, index, annotated = heapq.heappop(heap)
-        record = annotated[index][1]
+    def positioned(core: int, trace: Iterable[TraceRecord]):
+        position = 0
         offset = core * CORE_STRIDE_BYTES
-        gap = max(position - last_position, 0)
-        merged.append(
-            TraceRecord(
-                int(gap), record.op, record.address + offset, source=core
-            )
-        )
-        last_position = position
-        if index + 1 < len(annotated):
-            heapq.heappush(
-                heap, (annotated[index + 1][0], core, index + 1, annotated)
-            )
-    return merged
+        for gap, op, address, _ in trace_rows(trace):
+            position += gap
+            yield position, op, address + offset, core
+
+    def merged():
+        last_position = 0
+        for position, op, address, core in heapq.merge(
+            *starmap(positioned, enumerate(traces)), key=itemgetter(0)
+        ):
+            yield position - last_position, op, address, core
+            last_position = position
+
+    return Trace.from_rows(merged())
 
 
 def make_mix_trace(
     benchmarks: Sequence[str], accesses_per_core: int, seed: int = 1
-) -> List[TraceRecord]:
+) -> Trace:
     """A CMP mix of named benchmark profiles, one core each.
 
     At most four cores fit the baseline 4 GB address space (each core

@@ -30,7 +30,7 @@ from typing import Dict, List
 
 from repro.errors import ConfigError
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace
 
 
 def _spec(name, apki, write_frac, streams, stream_frac, **kwargs):
@@ -104,9 +104,7 @@ def get_profile(name: str) -> WorkloadSpec:
         ) from None
 
 
-def make_benchmark_trace(
-    name: str, accesses: int, seed: int = 1
-) -> List[TraceRecord]:
+def make_benchmark_trace(name: str, accesses: int, seed: int = 1) -> Trace:
     """Generate the synthetic miss trace for one benchmark."""
     return generate_trace(get_profile(name), accesses, seed)
 

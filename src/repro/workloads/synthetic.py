@@ -26,15 +26,18 @@ from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.controller.access import AccessType
 from repro.errors import ConfigError
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import OPS, Trace
 
 LINE_BYTES = 64
+_READ = OPS.index(AccessType.READ)
+_WRITE = OPS.index(AccessType.WRITE)
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,12 @@ class WorkloadSpec:
             raise ConfigError("alignment_lines must be positive")
 
 
-def iter_trace(
-    spec: WorkloadSpec, accesses: int, seed: int = 1
-) -> Iterator[TraceRecord]:
-    """Yield ``accesses`` miss-trace records for ``spec``.
+def generate_trace(spec: WorkloadSpec, accesses: int, seed: int = 1) -> Trace:
+    """The ``accesses``-record miss trace of ``spec``.
 
     Deterministic for a given ``(spec, accesses, seed)`` triple, so
     every mechanism in a comparison replays the identical stream.
+    Records are generated straight into the packed trace's columns.
     """
     # zlib.crc32 is stable across processes (unlike hash(), which is
     # salted by PYTHONHASHSEED) so traces are reproducible everywhere.
@@ -106,19 +108,21 @@ def iter_trace(
     between = max(
         (spec.mean_gap - stay * in_cluster_mean) / (1.0 - stay), 0.0
     )
+    gaps, ops, addresses = array("q"), bytearray(), array("q")
 
     for _ in range(accesses):
         if rng.random() < stay:
             gap = rng.randrange(3)
         else:
             gap = int(rng.expovariate(1.0 / between)) if between else 0
+        gaps.append(gap)
 
         if evictions and (
             len(evictions) > spec.eviction_lag
             and rng.random() < spec.write_frac
         ):
-            line = evictions.popleft()
-            yield TraceRecord(gap, AccessType.WRITE, line * LINE_BYTES)
+            ops.append(_WRITE)
+            addresses.append(evictions.popleft() * LINE_BYTES)
             continue
 
         if spec.streams and rng.random() < spec.stream_frac:
@@ -130,14 +134,9 @@ def iter_trace(
         else:
             line = rng.randrange(footprint_lines)
         evictions.append(line)
-        yield TraceRecord(gap, AccessType.READ, line * LINE_BYTES)
+        ops.append(_READ)
+        addresses.append(line * LINE_BYTES)
+    return Trace(gaps, ops, addresses)
 
 
-def generate_trace(
-    spec: WorkloadSpec, accesses: int, seed: int = 1
-) -> List[TraceRecord]:
-    """Materialise :func:`iter_trace` as a list."""
-    return list(iter_trace(spec, accesses, seed))
-
-
-__all__ = ["LINE_BYTES", "WorkloadSpec", "generate_trace", "iter_trace"]
+__all__ = ["LINE_BYTES", "WorkloadSpec", "generate_trace"]

@@ -393,18 +393,18 @@ def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
     core, system = build()
     for _ in range(5000):
         core.step()
-        if core._staged is not None and core._staged[1].source and (
+        if core._staged is not None and core._staged[3] and (
             system.cycle > 200
         ):
             break
-    staged_source = core._staged[1].source
+    staged_source = core._staged[3]
     assert staged_source
     path = tmp_path / "mix.ckpt"
     save_checkpoint(str(path), core)
 
     core, system = build()
     load_checkpoint(str(path), core)
-    assert core._staged[1].source == staged_source
+    assert core._staged[3] == staged_source
     result = core.run()
     assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
 

@@ -1,4 +1,5 @@
-"""Hot-path conventions: a call budget, and fields that stay in sync.
+"""Hot-path conventions: a call budget, a trace memory budget, and
+fields that stay in sync.
 
 Per-cycle, per-command and per-access code reads plain fields; a value
 is written where it changes, and properties are for cold API (DESIGN.md
@@ -7,7 +8,10 @@ calls (``sys.setprofile`` "call" events) per simulated access.  The
 count is deterministic — it does not depend on host speed or Python
 version — so a regression that puts a property back on the hot path,
 or checks a device gate twice per command, fails here instead of hiding
-in timing noise.
+in timing noise.  The memory budget does the same for the miss trace
+every closed-loop cell holds for its whole run: its retained bytes per
+record under ``tracemalloc``, which a trace of record objects exceeds
+fourfold.
 
 The second half checks that each field replacing a property or helper
 holds exactly what that property computed, across every place the
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import pickle
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
@@ -70,18 +75,20 @@ def _calls_per_access(bench, mechanism, config) -> float:
         # one in its source's histogram, the Figure 5 line-8 burst pick
         # inlined, no inter-burst reorder call at burst boundaries, and
         # one run loop for cores and open-loop streams that reads the
-        # driver's next arrival as a field: 92.3 (93.9 with a
-        # next-arrival call per wait and a per-wait stall-charge call,
+        # driver's next arrival as a field, and the core staging trace
+        # rows inside its fetch loop: 90.0 (92.3 with a staging call
+        # per fetch iteration, 93.9 with a next-arrival call per wait
+        # and a per-wait stall-charge call,
         # 92.6 with the reorder call, 94.6 with a per-pick selection
         # hook call too, 96.6 with the deleted per-slice and per-source
         # LatencyStat records too).
         ("swim", "Burst_TH", baseline_config(), 93),
-        # 91.8 (93.8).
+        # 89.9 (91.8, 93.8).
         ("mcf", "BkInOrder", baseline_config(), 92),
-        # 93.6 (95.2).
+        # 90.6 (93.6, 95.2).
         ("gcc", "Intel", baseline_config(), 94),
-        # 119.5, also with one run loop (119.9 with the reorder call,
-        # 121.9 with the hook call, 123.9 with the records).
+        # 115.4 (119.5 with the staging call, 119.9 with the reorder
+        # call, 121.9 with the hook call, 123.9 with the records).
         ("swim", "Burst_BPW", generation_config(DDR5_4800), 120),
     ],
     ids=[
@@ -101,6 +108,28 @@ def test_python_calls_per_access_within_budget(
     assert per_access <= budget, (
         f"{bench}/{mechanism}: {per_access:.1f} Python calls per "
         f"access, budget {budget}"
+    )
+
+
+#: Retained bytes per generated trace record (17.4 packed; the record
+#: objects of a ``list`` retained 144).
+BYTES_PER_RECORD = 32
+
+
+def test_trace_memory_per_record_within_budget():
+    """The memory budget: a trace keeps columns, not record objects."""
+    records = 100_000
+    tracemalloc.start()
+    try:
+        trace = make_benchmark_trace("swim", records, 1)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == records
+    per_record = retained / records
+    assert per_record <= BYTES_PER_RECORD, (
+        f"{per_record:.1f} bytes per trace record, budget "
+        f"{BYTES_PER_RECORD}"
     )
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments import common, runner
 from repro.sim.config import baseline_config
+from repro.workloads.trace import Trace
 
 BENCHES = ("swim", "mcf")
 MECHS = ("BkInOrder", "Burst_TH")
@@ -91,6 +92,61 @@ def test_failed_pool_cell_raises_and_stops_workers():
     assert "swim/NoSuchMechanism" in message
     assert "ConfigError: unknown mechanism 'NoSuchMechanism'" in message
     assert _children() <= before
+
+
+#: Runs two pool cells, prints the error, then whether a child is left.
+NEVER_READY = """
+import os
+from repro.errors import ReproError
+from repro.experiments import runner
+from repro.sim.config import baseline_config
+
+cells = [("swim", m, 300, 1, baseline_config()) for m in ("FCFS", "Burst")]
+try:
+    runner.run_cells(cells, jobs=2, memo={})
+except ReproError as error:
+    print(error)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child survived")
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_pool_stops_respawning_workers_that_never_start(tmp_path):
+    """Workers that exit before ``ready`` are respawned at most
+    ``MAX_ATTEMPTS`` times in a row; then every queued cell fails, so a
+    ``jobs=2`` run raises with the exit status instead of hanging."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.service.pool import MAX_ATTEMPTS
+
+    (tmp_path / "sitecustomize.py").write_text(
+        "import os\n"
+        "with open('/proc/self/cmdline', 'rb') as cmdline:\n"
+        "    if b'repro.service.workers' in cmdline.read():\n"
+        "        os._exit(3)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, REPRO_CACHE="0",
+        PYTHONPATH=os.pathsep.join([src, str(tmp_path)]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", NEVER_READY], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    error, left = proc.stdout.splitlines()
+    assert error.endswith(
+        f"failed: worker exited 3 before it was ready "
+        f"({MAX_ATTEMPTS} times in a row)"
+    )
+    assert left == "no child left"
 
 
 def test_second_invocation_all_from_disk_cache():
@@ -501,6 +557,6 @@ def test_cells_sharing_a_trace_equal_fresh_runs():
         assert run.core == fresh
     info = runner._cell_trace.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, len(MECHS) - 1, 1)
-    assert type(runner._cell_trace("swim", N, SEED)) is tuple
+    assert type(runner._cell_trace("swim", N, SEED)) is Trace
     runner._cell_trace("mcf", N, SEED)
     assert runner._cell_trace.cache_info().currsize == 1

@@ -1,18 +1,22 @@
-"""Unit tests for trace records and the trace file format."""
+"""Unit tests for trace records, the packed trace and the trace file
+format."""
 
 import hashlib
+from array import array
 
 import pytest
 
 from repro.controller.access import AccessType
 from repro.errors import TraceError
 from repro.workloads.mixes import make_mix_trace
-from repro.workloads.spec2000 import make_benchmark_trace
+from repro.workloads.spec2000 import BENCHMARKS, make_benchmark_trace
 from repro.workloads.trace import (
+    Trace,
     TraceRecord,
     iter_trace,
     load_trace,
     save_trace,
+    trace_rows,
 )
 
 
@@ -104,3 +108,110 @@ def test_single_stream_file_is_three_columns(tmp_path):
         "eb7d816afb7269413f2fae8aed6b666cef28d19dd5b8ecb50f7fc1876ee9c3f8"
     )
     assert all(record.source == 0 for record in load_trace(path))
+
+
+# ----------------------------------------------------------------------
+# The packed trace
+# ----------------------------------------------------------------------
+
+
+def _records(trace):
+    """Every record of ``trace`` by index, independent of iteration."""
+    return [trace[index] for index in range(len(trace))]
+
+
+PACKED = [(name, make_benchmark_trace(name, 400, 2)) for name in BENCHMARKS]
+PACKED.append(("mix", make_mix_trace(("swim", "mcf", "gcc"), 300, seed=2)))
+
+
+@pytest.mark.parametrize("name, trace", PACKED, ids=[n for n, _ in PACKED])
+def test_packed_trace_views_agree(name, trace):
+    """``len``, iteration, indexing, rows and equality are one trace."""
+    records = _records(trace)
+    assert isinstance(trace, Trace)
+    assert len(trace) == len(records) == (900 if name == "mix" else 400)
+    assert list(trace) == records
+    assert all(isinstance(record, TraceRecord) for record in records)
+    assert trace[-1] == records[-1]
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    assert list(trace.rows()) == list(trace_rows(records))
+    assert trace == records and records == trace
+    assert trace == Trace.from_rows(trace_rows(records))
+    assert trace[:10] == records[:10]
+    assert trace != records[:-1]
+    assert {record.source for record in trace} == (
+        {0, 1, 2} if name == "mix" else {0}
+    )
+
+
+@pytest.mark.parametrize("name, trace", PACKED, ids=[n for n, _ in PACKED])
+def test_packed_trace_file_round_trip(name, trace, tmp_path):
+    """A saved packed trace writes the same file as its record list and
+    loads back equal."""
+    packed, listed = tmp_path / "packed.txt", tmp_path / "listed.txt"
+    assert save_trace(trace, packed) == save_trace(_records(trace), listed)
+    assert packed.read_bytes() == listed.read_bytes()
+    assert load_trace(packed) == trace
+
+
+def test_packed_traces_equal_the_record_lists_they_replaced(tmp_path):
+    """The files of every SPEC profile and a 3-core mix hash to the
+    digest the record-list generator produced."""
+    digest = hashlib.sha256()
+    for name, trace in PACKED:
+        path = tmp_path / name
+        save_trace(trace, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "256d00a32519f2db181d8dfd5737540ab5b3faf4aad7192ab6753605dd883197"
+    )
+
+
+def test_trace_without_sources_keeps_no_source_column():
+    assert make_benchmark_trace("swim", 50, 1)._sources is None
+    assert make_mix_trace(("swim", "mcf"), 50)._sources is not None
+    zeros = [TraceRecord(1, AccessType.READ, 64, source=0)] * 3
+    assert Trace.from_rows(trace_rows(zeros))._sources is None
+
+
+def test_packed_trace_applies_the_record_rules(tmp_path):
+    path = tmp_path / "trace.txt"
+    for bad, message in (("0 R 0x40\n-1 W 0x80\n", "gap -1"),
+                         ("0 R 0x40\n1 W 0x80 -3\n", "source -3"),
+                         ("0 R 0x40 99999999999999999999\n", "64 bits")):
+        path.write_text(bad)
+        with pytest.raises(TraceError, match=message):
+            load_trace(path)
+    with pytest.raises(TraceError, match="AccessType"):
+        Trace(array("q", [0]), bytes([2]), array("q", [64]))
+    with pytest.raises(TraceError, match="AccessType"):
+        Trace.from_rows([(0, "W", 64, 0)])
+    with pytest.raises(TraceError, match="length"):
+        Trace(array("q", [0, 1]), bytes([0]), array("q", [64]))
+
+
+def test_core_streams_a_record_iterator(tmp_path):
+    """A streamed ``iter_trace`` feeds the core record by record, and
+    runs exactly like the packed trace of the same file."""
+    from repro.controller.system import MemorySystem
+    from repro.cpu.core import OoOCore
+    from repro.sim.config import baseline_config
+
+    path = tmp_path / "swim.txt"
+    save_trace(make_benchmark_trace("swim", 300, 1), path)
+    pulled = []
+
+    def counted():
+        for record in iter_trace(path):
+            pulled.append(record)
+            yield record
+
+    results = []
+    for trace in (load_trace(path), counted()):
+        core = OoOCore(MemorySystem(baseline_config(), "Burst_TH"), trace)
+        for _ in range(20):
+            core.step()
+        results.append(core.run())
+    assert len(pulled) == 300
+    assert results[0] == results[1]
