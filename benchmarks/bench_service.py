@@ -8,7 +8,7 @@ preempted one — must be byte-identical to fresh uninterrupted
 in-process simulations.  ``results/BENCH_service.json`` records the
 throughput (cells/sec, simulated events/sec) and the measured bubble
 fraction (idle worker-seconds over pool x window), which must stay
-under 0.25: the zero-bubble claim, with the preemption cost included.
+under 0.25, with the preemption cost included.
 """
 
 import json
@@ -103,7 +103,7 @@ def test_service_throughput(benchmark, tmp_path):
     assert warm["cached"] == cells
     assert warm["digest"] == cold["digest"]
 
-    # The zero-bubble claim, preemption cost included.
+    # The bubble bound, preemption cost included.
     bubble = cold["bubble_fraction"]
     assert bubble is not None and bubble < BUBBLE_BUDGET, (
         f"bubble fraction {bubble:.3f} exceeds {BUBBLE_BUDGET}"

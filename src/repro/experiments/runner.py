@@ -41,7 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import repro
 from repro.controller.system import MemorySystem
@@ -132,9 +132,13 @@ def cell_key(
     mechanism: str,
     accesses: int,
     seed: int,
-    config: SystemConfig,
+    config: Union[SystemConfig, Dict[str, object]],
 ) -> str:
-    """Content address of one cell — stable across processes."""
+    """Content address of one cell — stable across processes.
+
+    ``config`` may be given as its ``to_dict()``, so cells that share
+    a config serialise it once.
+    """
     payload = {
         "cache_version": CACHE_VERSION,
         "code_version": code_version(),
@@ -142,7 +146,7 @@ def cell_key(
         "mechanism": mechanism,
         "accesses": accesses,
         "seed": seed,
-        "config": config.to_dict(),
+        "config": config if isinstance(config, dict) else config.to_dict(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

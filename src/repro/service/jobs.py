@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.controller.registry import MECHANISMS as MECHANISM_REGISTRY
@@ -58,6 +58,9 @@ class CellSpec:
     kind: str           # "sim" | "fleet"
     key: str            # content address (sim) / synthetic digest (fleet)
     payload: dict       # kind-specific wire fields
+    #: A ``sim`` cell as the runner's :data:`~repro.experiments.runner.Cell`
+    #: (what ``sim_cell_from_wire`` would rebuild from the payload).
+    cell: Optional[runner.Cell] = field(default=None, compare=False, repr=False)
 
     def to_wire(self) -> dict:
         return {"kind": self.kind, "key": self.key, **self.payload}
@@ -82,9 +85,16 @@ def sim_cell_spec(
     accesses: int,
     seed: int,
     config: SystemConfig,
+    wire_config: Optional[dict] = None,
 ) -> CellSpec:
-    """A ``sim`` cell keyed exactly like the runner's result cache."""
-    key = runner.cell_key(benchmark, mechanism, accesses, seed, config)
+    """A ``sim`` cell keyed exactly like the runner's result cache.
+
+    ``wire_config`` is ``config.to_dict()`` when the caller already
+    holds it: a matrix serialises its shared config once, not per cell.
+    """
+    if wire_config is None:
+        wire_config = config.to_dict()
+    key = runner.cell_key(benchmark, mechanism, accesses, seed, wire_config)
     return CellSpec(
         kind="sim",
         key=key,
@@ -93,8 +103,9 @@ def sim_cell_spec(
             "mechanism": mechanism,
             "accesses": int(accesses),
             "seed": int(seed),
-            "config": config.to_dict(),
+            "config": wire_config,
         },
+        cell=(benchmark, mechanism, int(accesses), int(seed), config),
     )
 
 
@@ -213,6 +224,22 @@ def _check_benchmark(benchmark: str) -> None:
 # ----------------------------------------------------------------------
 
 
+def _sim_matrix(
+    benchmarks: List[str],
+    mechanisms: List[str],
+    accesses: int,
+    seed: int,
+    config: SystemConfig,
+) -> List[CellSpec]:
+    """Benchmark-major ``sim`` cells on one config, serialised once."""
+    wire_config = config.to_dict()
+    return [
+        sim_cell_spec(benchmark, mechanism, accesses, seed, config, wire_config)
+        for benchmark in benchmarks
+        for mechanism in mechanisms
+    ]
+
+
 def _expand_fig7(params: dict) -> List[CellSpec]:
     """The shared benchmark × mechanism matrix behind Figures 7-10."""
     benchmarks = _names_param(params, "benchmarks", benchmark_names())
@@ -225,12 +252,9 @@ def _expand_fig7(params: dict) -> List[CellSpec]:
         int_param(params, "accesses", minimum=1)
     )
     seed = int_param(params, "seed", common.default_seed())
-    config = baseline_config()
-    return [
-        sim_cell_spec(benchmark, mechanism, accesses, seed, config)
-        for benchmark in benchmarks
-        for mechanism in mechanisms
-    ]
+    return _sim_matrix(
+        benchmarks, mechanisms, accesses, seed, baseline_config()
+    )
 
 
 def _expand_generations(params: dict) -> List[CellSpec]:
@@ -249,12 +273,10 @@ def _expand_generations(params: dict) -> List[CellSpec]:
     from repro.dram.timing import GENERATIONS
 
     for timing in GENERATIONS:
-        config = generations.generation_config(timing)
-        specs.extend(
-            sim_cell_spec(benchmark, mechanism, accesses, seed, config)
-            for benchmark in benchmarks
-            for mechanism in mechanisms
-        )
+        specs.extend(_sim_matrix(
+            benchmarks, mechanisms, accesses, seed,
+            generations.generation_config(timing),
+        ))
     return specs
 
 

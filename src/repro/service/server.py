@@ -30,7 +30,6 @@ from repro.service.jobs import (
     expand_submission,
     int_param,
     result_digest,
-    sim_cell_from_wire,
 )
 from repro.service.pool import PoolTask, PoolWorker, WorkerPool
 from repro.sim.stats import SimStats
@@ -135,7 +134,7 @@ class JobServer:
         for job_id in jobs:
             job = self._jobs[job_id]
             if event == "cell_started" and job.window_start is None:
-                job.window_start = worker.dispatched_at
+                job.window_start = worker.started_at
             elif event == "cell_preempted":
                 job.preemptions += 1
         if worker is not None:
@@ -153,10 +152,7 @@ class JobServer:
             payload = {"stats": event["stats"], "core": event["core"]}
             if self.cache:
                 runner.cache_store(
-                    key,
-                    sim_cell_from_wire(task.spec.to_wire()),
-                    event["stats"],
-                    event["core"],
+                    key, task.spec.cell, event["stats"], event["core"]
                 )
         else:
             payload = {"metrics": event["metrics"]}
@@ -196,7 +192,7 @@ class JobServer:
         digest = result_digest(dict(payload, key=spec.key))
         if spec.kind == "sim":
             record = cell_record(
-                sim_cell_from_wire(spec.to_wire()),
+                spec.cell,
                 SimStats.from_dict(payload["stats"]),
                 CoreResult.from_dict(payload["core"]),
             )
@@ -329,7 +325,7 @@ class JobServer:
                 job.digests[key] = digest
                 continue
             task = self._pool.tasks.get(key)
-            if task is not None and task.state in ("queued", "running"):
+            if task is not None and task.state in ("queued", "sent", "running"):
                 # Another job is already computing it: attach.
                 self._subscribers[key].add(job.job_id)
                 job.shared += 1

@@ -1,13 +1,21 @@
 """The service worker process: ``python -m repro.service.workers``.
 
-One worker is one long-lived process owning one cell at a time.  Its
-:class:`~repro.service.pool.WorkerPool` writes run requests to its
-stdin (one JSON object per line; ``checkpoint`` says whether a ``sim``
-cell snapshots) and reads events off its stdout (same framing, always
+One worker is one long-lived process running one cell at a time.  Its
+:class:`~repro.service.pool.WorkerPool` writes requests to its stdin
+(one JSON object per line): ``run`` (``checkpoint`` says whether a
+``sim`` cell snapshots), ``recall`` (drop the named cell if it has not
+started) and ``exit``.  The pool sends a worker its next cell while
+the current one runs, so the worker starts it the moment it has
+reported the last one.  A thread of its own reads stdin
+(:class:`_Inbox`), so a recall is honoured as soon as it arrives, even
+while a cell runs: a cell is either dropped (``recalled``) or already
+``started``, never both.  Events go to stdout (same framing, always
 flushed — stdout is a pipe, and a buffered event is an invisible
 event):
 
 * ``ready``                 — worker booted, willing to take a cell
+* ``started``               — a cell began running
+* ``recalled``              — a recalled cell was dropped unstarted
 * ``progress``              — every ``progress_every`` memory cycles
 * ``snapshot``              — a preemption snapshot was just written
 * ``done``                  — cell finished; carries the full result
@@ -33,16 +41,21 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.service.jobs import sim_cell_from_wire
 
 
+_EMIT_LOCK = threading.Lock()
+
+
 def _emit(event: dict) -> None:
-    sys.stdout.write(json.dumps(event, sort_keys=True) + "\n")
-    sys.stdout.flush()
+    with _EMIT_LOCK:  # the inbox thread emits ``recalled``
+        sys.stdout.write(json.dumps(event, sort_keys=True) + "\n")
+        sys.stdout.flush()
 
 
 def _run_sim(request: dict) -> None:
@@ -115,17 +128,82 @@ def _run_fleet(request: dict) -> None:
     })
 
 
+def _key(request: dict) -> Optional[str]:
+    return (request.get("cell") or {}).get("key")
+
+
+class _Inbox:
+    """The worker's requests, read off fd 0 by a daemon thread.
+
+    The thread applies a ``recall`` the moment it arrives, and
+    :meth:`next` reports ``started`` under the same lock, so a recall
+    and the start of the cell it names cannot both happen.  The thread
+    reads the raw descriptor: blocked in ``os.read`` it holds no lock
+    of ``sys.stdin``'s that interpreter shutdown would wait on.
+    """
+
+    def __init__(self, fd: int = 0) -> None:
+        self._cond = threading.Condition()
+        self._requests: List[dict] = []
+        self._eof = False
+        threading.Thread(target=self._read, args=(fd,), daemon=True).start()
+
+    def _read(self, fd: int) -> None:
+        pending = b""
+        try:
+            while True:
+                data = os.read(fd, 1 << 16)
+                if not data:
+                    break
+                *lines, pending = (pending + data).split(b"\n")
+                for line in filter(bytes.strip, lines):
+                    self._take(json.loads(line))
+        except ValueError:
+            pass  # not the pool's framing: stop taking requests
+        finally:
+            with self._cond:
+                self._eof = True
+                self._cond.notify()
+
+    def _take(self, request: dict) -> None:
+        with self._cond:
+            if request.get("op") == "recall":
+                self._recall(request.get("key"))
+            else:
+                self._requests.append(request)
+                self._cond.notify()
+
+    def _recall(self, key: Optional[str]) -> None:
+        for request in self._requests:
+            if request.get("op") == "run" and _key(request) == key:
+                self._requests.remove(request)
+                _emit({"event": "recalled", "key": key})
+                return
+        # Not held: the cell already started, and the pool knows it.
+
+    def next(self) -> Optional[dict]:
+        """Wait for the next request (``None`` at EOF); a ``run``
+        request is reported ``started`` before it is returned."""
+        with self._cond:
+            while not self._requests and not self._eof:
+                self._cond.wait()
+            if not self._requests:
+                return None
+            request = self._requests.pop(0)
+            if request.get("op") == "run":
+                _emit({"event": "started", "key": _key(request)})
+            return request
+
+
 def main() -> int:
-    """Read run requests off stdin until EOF or an ``exit`` op."""
+    """Serve requests off stdin until EOF or an ``exit`` op."""
     _emit({"event": "ready", "pid": os.getpid()})
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        request = json.loads(line)
-        if request.get("op") == "exit":
+    inbox = _Inbox()
+    while True:
+        request = inbox.next()
+        if request is None or request.get("op") == "exit":
             break
-        key = (request.get("cell") or {}).get("key")
+        key = _key(request)
         try:
             if request.get("op") != "run":
                 raise ReproError(f"unknown op {request.get('op')!r}")

@@ -204,10 +204,7 @@ class SystemConfig:
         dictionaries, so the result survives ``json.dumps`` and feeds
         :meth:`fingerprint`.
         """
-        data = asdict(self)
-        data["timing"] = asdict(self.timing)
-        data["cpu"] = asdict(self.cpu)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SystemConfig":

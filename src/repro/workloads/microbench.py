@@ -14,34 +14,36 @@ the memory system independently of SPEC-like workloads:
 * ``pingpong``      — read-write alternation on one row: exercises
   the data bus direction-turnaround penalties.
 
-Each builder returns plain :class:`~repro.workloads.trace.TraceRecord`
-lists with a constant instruction gap, so latency/bandwidth effects
-come from the memory system alone.
+Each builder returns a packed :class:`~repro.workloads.trace.Trace`
+with a constant instruction gap, so latency/bandwidth effects come
+from the memory system alone.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.controller.access import AccessType
 from repro.errors import ConfigError
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import Trace
 
 LINE = 64
 
 
-def stream(accesses: int, gap: int = 4, start: int = 0) -> List[TraceRecord]:
+READ, WRITE = AccessType.READ, AccessType.WRITE
+
+
+def stream(accesses: int, gap: int = 4, start: int = 0) -> Trace:
     """Sequential reads, one line after another."""
-    return [
-        TraceRecord(gap, AccessType.READ, start + i * LINE)
-        for i in range(accesses)
-    ]
+    return Trace.from_rows(
+        (gap, READ, start + i * LINE, 0) for i in range(accesses)
+    )
 
 
 def bank_thrash(
     accesses: int, gap: int = 4, row_stride: int = 256 * 1024 * 32
-) -> List[TraceRecord]:
+) -> Trace:
     """Alternate two rows that collide in the same bank.
 
     With the baseline page-interleaved mapping, addresses one full
@@ -49,51 +51,45 @@ def bank_thrash(
     default stride places the second row 32 rotations away so both
     land in bank 0 with different row indices.
     """
-    return [
-        TraceRecord(gap, AccessType.READ, (i % 2) * row_stride + (i // 2) % 64 * LINE)
+    return Trace.from_rows(
+        (gap, READ, (i % 2) * row_stride + (i // 2) % 64 * LINE, 0)
         for i in range(accesses)
-    ]
+    )
 
 
 def stride(
     accesses: int, stride_bytes: int, gap: int = 4, start: int = 0
-) -> List[TraceRecord]:
+) -> Trace:
     """Fixed-stride reads."""
     if stride_bytes <= 0:
         raise ConfigError("stride must be positive")
-    return [
-        TraceRecord(gap, AccessType.READ, start + i * stride_bytes)
-        for i in range(accesses)
-    ]
+    return Trace.from_rows(
+        (gap, READ, start + i * stride_bytes, 0) for i in range(accesses)
+    )
 
 
 def random_reads(
     accesses: int, footprint_mb: int = 512, gap: int = 4, seed: int = 1
-) -> List[TraceRecord]:
+) -> Trace:
     """Uniformly random reads over a footprint."""
     rng = random.Random(seed)
     lines = footprint_mb * (1 << 20) // LINE
-    return [
-        TraceRecord(gap, AccessType.READ, rng.randrange(lines) * LINE)
-        for _ in range(accesses)
-    ]
+    return Trace.from_rows(
+        (gap, READ, rng.randrange(lines) * LINE, 0) for _ in range(accesses)
+    )
 
 
-def pingpong(accesses: int, gap: int = 4) -> List[TraceRecord]:
+def pingpong(accesses: int, gap: int = 4) -> Trace:
     """Alternate reads and writes within one row (bus turnaround)."""
-    records = []
-    for i in range(accesses):
-        op = AccessType.READ if i % 2 == 0 else AccessType.WRITE
-        if op is AccessType.WRITE:
-            address = (i - 1) // 2 % 64 * LINE  # write back what we read
-        else:
-            address = i // 2 % 64 * LINE
-        records.append(TraceRecord(gap, op, address))
-    return records
+    # Each write writes back the line the read before it read.
+    return Trace.from_rows(
+        (gap, WRITE if i % 2 else READ, i // 2 % 64 * LINE, 0)
+        for i in range(accesses)
+    )
 
 
 #: name -> builder(accesses) with default parameters.
-MICROBENCHMARKS: Dict[str, Callable[[int], List[TraceRecord]]] = {
+MICROBENCHMARKS: Dict[str, Callable[[int], Trace]] = {
     "stream": stream,
     "bank_thrash": bank_thrash,
     "stride64": lambda n: stride(n, 64),

@@ -42,6 +42,7 @@ from repro.experiments.generations import generation_config
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
 from repro.timebase import NEVER
+from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.spec2000 import make_benchmark_trace
 
 from tests.test_refresh_pb import _QuietScheduler, _channel
@@ -116,19 +117,39 @@ def test_python_calls_per_access_within_budget(
 BYTES_PER_RECORD = 32
 
 
-def test_trace_memory_per_record_within_budget():
-    """The memory budget: a trace keeps columns, not record objects."""
-    records = 100_000
+def _bytes_per_record(build, records: int) -> float:
+    """Retained bytes per record of the trace ``build()`` returns."""
     tracemalloc.start()
     try:
-        trace = make_benchmark_trace("swim", records, 1)
+        trace = build()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(trace) == records
-    per_record = retained / records
+    return retained / records
+
+
+def test_trace_memory_per_record_within_budget():
+    """The memory budget: a trace keeps columns, not record objects."""
+    records = 100_000
+    per_record = _bytes_per_record(
+        lambda: make_benchmark_trace("swim", records, 1), records
+    )
     assert per_record <= BYTES_PER_RECORD, (
         f"{per_record:.1f} bytes per trace record, budget "
+        f"{BYTES_PER_RECORD}"
+    )
+
+
+def test_microbench_trace_memory_per_record_within_budget():
+    """The microbenchmark builders pack their traces too (a record
+    list retained 144 bytes a record)."""
+    records = 100_000
+    per_record = _bytes_per_record(
+        lambda: MICROBENCHMARKS["random"](records), records
+    )
+    assert per_record <= BYTES_PER_RECORD, (
+        f"{per_record:.1f} bytes per microbenchmark record, budget "
         f"{BYTES_PER_RECORD}"
     )
 

@@ -9,11 +9,14 @@ jobs evict running work, and a single-worker server completes a fixed
 matrix in a reproducible order with reproducible digests.
 """
 
+import asyncio
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,7 @@ from repro.service.jobs import (
     sim_cell_spec,
     spec_from_wire,
 )
-from repro.service.pool import MAX_ATTEMPTS
+from repro.service.pool import MAX_ATTEMPTS, WorkerPool
 from repro.sim.config import baseline_config
 
 N = 300
@@ -495,3 +498,260 @@ def test_bad_params_payload_gets_reply_and_server_survives(tmp_path):
             assert reply["ok"] is False
             assert "must" in reply["error"], reply
         assert server.client.ping()["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# Pipelined dispatch: an in-process pool, every event in one order
+# ----------------------------------------------------------------------
+
+
+def _run_pool(cells, workers=1, react=None, on_done=None, **options):
+    """Run ``(wire cell, sort key)`` pairs on a fresh in-process
+    :class:`WorkerPool` until every task it holds is done.
+
+    Returns the pool, its log — ``(event, key, worker index)`` per
+    ``cell_started``, ``cell_preempted`` and ``cell_done``, in the
+    order the pool reported them — and each key's ``done`` event.
+    ``react(pool, name, task, worker)`` sees each event as it happens.
+    """
+    log, results, errors = [], {}, []
+
+    async def main():
+        finished = asyncio.Event()
+
+        def event(task, worker, name, **fields):
+            if name == "cell_progress":
+                return
+            log.append((name, task.spec.key, worker.index))
+            if react is not None:
+                react(pool, name, task, worker)
+
+        def done(task, worker, event):
+            log.append(("cell_done", task.spec.key, worker.index))
+            results[task.spec.key] = event
+            if on_done is not None:
+                on_done()
+            if len(results) == len(pool.tasks):
+                finished.set()
+
+        def failed(task, error):
+            errors.append(error)
+            finished.set()
+
+        pool = WorkerPool(workers, done, failed, event, **options)
+        for cell, sort_key in cells:
+            pool.submit(spec_from_wire(cell), sort_key)
+        try:
+            await pool.start()
+            await asyncio.wait_for(finished.wait(), timeout=300)
+        finally:
+            await pool.shutdown()
+        return pool
+
+    pool = asyncio.run(main())
+    assert errors == []
+    return pool, log, results
+
+
+def _keys(cells):
+    return [spec_from_wire(cell).key for cell in cells]
+
+
+def _starts(log):
+    return [key for name, key, _ in log if name == "cell_started"]
+
+
+def _submit_later(pool, cell, priority, seq):
+    """What the job server does for a submission: queue, then preempt.
+
+    Called from a pool callback, so the dispatch that follows every
+    worker event sends it.
+    """
+    pool.submit(spec_from_wire(cell), (-priority, seq, 0))
+    pool.preempt_lowest(priority)
+
+
+def test_worker_killed_holding_prefetched_cell_spends_no_attempt():
+    """SIGKILL a worker while it runs one cell and holds the next: the
+    running cell is retried (one attempt spent), the prefetched one is
+    requeued as it was (none spent), and both finish once with the
+    digests of uninterrupted runs."""
+    cells = _cells(benches=("swim", "gcc"), mechs=("Burst_TH",), n=3000)
+    running, prefetched = _keys(cells)
+    kills = []
+
+    def react(pool, name, task, worker):
+        if name == "cell_started" and not kills:
+            assert worker.sent == [prefetched]
+            kills.append(worker.index)
+            os.kill(worker.proc.pid, signal.SIGKILL)
+
+    pool, log, results = _run_pool(
+        [(cell, (0, 0, i)) for i, cell in enumerate(cells)],
+        react=react, checkpoint=False,
+    )
+    assert _starts(log) == [running, running, prefetched]
+    assert [key for name, key, _ in log if name == "cell_done"] == [
+        running, prefetched
+    ]
+    assert pool.tasks[running].attempts == 1
+    assert pool.tasks[prefetched].attempts == 0
+    for key, event in results.items():
+        digest = result_digest(
+            {"key": key, "stats": event["stats"], "core": event["core"]}
+        )
+        assert digest == _uninterrupted_digest(cells, key)
+
+
+def test_priority_submission_starts_before_prefetched_cell():
+    """One worker runs a long low-priority cell and holds a prefetched
+    one; a priority-5 cell submitted meanwhile starts before the
+    prefetched cell, which starts once."""
+    low = _cells(benches=("swim",), mechs=("Burst_TH",), n=20_000)
+    low += _cells(benches=("gcc",), mechs=("FCFS",))
+    urgent = _cells(benches=("mcf",), mechs=("FCFS",))[0]
+    _, prefetched = _keys(low)
+    (urgent_key,) = _keys([urgent])
+
+    def react(pool, name, task, worker):
+        if name == "cell_started" and len(pool.tasks) == 2:
+            assert worker.sent == [prefetched]
+            _submit_later(pool, urgent, priority=5, seq=2)
+
+    _, log, _ = _run_pool(
+        [(cell, (0, 1, i)) for i, cell in enumerate(low)], react=react
+    )
+    starts = _starts(log)
+    assert starts.index(urgent_key) < starts.index(prefetched)
+    assert starts.count(prefetched) == 1
+
+
+def test_preempting_submission_is_not_prefetched_behind_lower_priority():
+    """Two workers run priority-0 cells and a priority-5 cell arrives:
+    one worker is preempted, and the urgent cell waits for its
+    replacement, which runs it before the preempted cell, instead of
+    queueing behind the other worker's running cell."""
+    long_cells = _cells(benches=("swim",), mechs=("Burst_TH",), n=40_000)
+    long_cells += _cells(benches=("gcc",), mechs=("Burst_TH",), n=20_000)
+    urgent = _cells(benches=("mcf",), mechs=("FCFS",))[0]
+    kept, preempted = _keys(long_cells)
+    (urgent_key,) = _keys([urgent])
+
+    def react(pool, name, task, worker):
+        running = [w for w in pool.workers.values() if w.current]
+        if name == "cell_started" and len(pool.tasks) == len(running) == 2:
+            _submit_later(pool, urgent, priority=5, seq=2)
+
+    _, log, _ = _run_pool(
+        [(cell, (0, 1, i)) for i, cell in enumerate(long_cells)],
+        workers=2, react=react,
+    )
+    assert ("cell_preempted", preempted) in [entry[:2] for entry in log]
+    starts = _starts(log)
+    assert sorted(starts[:2]) == sorted([kept, preempted])
+    assert starts[2:] == [urgent_key, preempted]
+
+
+def test_recalled_cell_starts_once_after_the_cell_that_outranks_it():
+    """No preemption (the running cell has priority 5 too): the pool
+    recalls the outranked prefetched cell, the worker drops it
+    unstarted, and every cell starts exactly once."""
+    long_cell = _cells(benches=("swim",), mechs=("Burst_TH",), n=20_000)[0]
+    low = _cells(benches=("gcc",), mechs=("FCFS",))[0]
+    urgent = _cells(benches=("mcf",), mechs=("FCFS",))[0]
+    long_key, low_key, urgent_key = _keys([long_cell, low, urgent])
+
+    def react(pool, name, task, worker):
+        if name == "cell_started" and len(pool.tasks) == 2:
+            assert worker.sent == [low_key]
+            _submit_later(pool, urgent, priority=5, seq=3)
+
+    _, log, results = _run_pool(
+        [(long_cell, (-5, 1, 0)), (low, (0, 2, 0))], react=react,
+        checkpoint=False,
+    )
+    assert _starts(log) == [long_key, urgent_key, low_key]
+    assert len(_starts(log)) == len(results) == 3
+    assert not [entry for entry in log if entry[0] == "cell_preempted"]
+
+
+def test_idle_worker_recalls_a_cell_stranded_behind_a_running_one():
+    """With nothing queued, a worker that goes idle takes back the
+    cell another worker holds behind a long one."""
+    long_cell = _cells(benches=("swim",), mechs=("Burst_TH",), n=20_000)[0]
+    short = _cells(benches=("gcc",), mechs=("FCFS", "Burst_TH"))
+    keys = _keys([long_cell] + short)
+    _, log, _ = _run_pool(
+        [(cell, (0, 0, i)) for i, cell in enumerate([long_cell] + short)],
+        workers=2, checkpoint=False,
+    )
+    done = [key for name, key, _ in log if name == "cell_done"]
+    assert done[-1] == keys[0]
+    [long_worker] = [w for name, key, w in log
+                     if name == "cell_started" and key == keys[0]]
+    assert len(_starts(log)) == 3
+    assert all(w != long_worker for name, key, w in log
+               if name == "cell_started" and key != keys[0])
+
+
+def test_slow_bookkeeping_does_not_stall_the_worker():
+    """The worker simulates its prefetched cell while the pool's
+    ``on_done`` is busy: 50 ms of bookkeeping per cell adds far less
+    than 50 ms per cell to the run."""
+    cells = _cells(benches=("swim", "gcc", "mcf"), n=1500)
+    stamps = []
+
+    def react(pool, name, task, worker):
+        if name == "cell_started" and not stamps:
+            stamps.append(time.monotonic())
+
+    def on_done():
+        stamps.append(time.monotonic())
+        time.sleep(0.05)
+
+    _, _, results = _run_pool(
+        [(cell, (0, 0, i)) for i, cell in enumerate(cells)],
+        react=react, on_done=on_done, checkpoint=False,
+    )
+    extra = stamps[-1] - stamps[0] - sum(e["wall"] for e in results.values())
+    assert extra < len(cells) * 0.05 / 2, f"{extra:.3f} s between cells"
+
+
+def test_worker_inbox_starts_or_recalls_each_cell_never_both(monkeypatch):
+    """Stress the worker's reader thread: recalls race the main thread
+    starting cells, and each cell is started or recalled exactly once."""
+    from repro.service import workers
+
+    events = []
+    monkeypatch.setattr(workers, "_emit", events.append)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    read_fd, write_fd = os.pipe()
+    try:
+        inbox = workers._Inbox(read_fd)
+        keys = [f"cell-{i}" for i in range(2000)]
+
+        def send():
+            with os.fdopen(write_fd, "w") as pipe:
+                for key in keys:
+                    run = {"op": "run", "cell": {"kind": "sim", "key": key}}
+                    pipe.write(json.dumps(run) + "\n")
+                    if int(key[5:]) % 2:
+                        pipe.write(json.dumps({"op": "recall", "key": key}) + "\n")
+                    pipe.flush()
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        taken = []
+        while (request := inbox.next()) is not None:
+            taken.append(request["cell"]["key"])
+        sender.join(timeout=60)
+        assert not sender.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+        os.close(read_fd)
+    started = [e["key"] for e in events if e["event"] == "started"]
+    recalled = [e["key"] for e in events if e["event"] == "recalled"]
+    assert started == taken
+    assert sorted(started + recalled) == sorted(keys)
+    assert recalled  # some recalls won their race
