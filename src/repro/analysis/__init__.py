@@ -1,10 +1,6 @@
 """Metric aggregation and rendering helpers for the experiments."""
 
-from repro.analysis.export import (
-    export_nested_mapping,
-    export_rows,
-    export_series,
-)
+from repro.analysis.export import export_rows
 from repro.analysis.metrics import (
     arithmetic_mean,
     geometric_mean,
@@ -15,9 +11,7 @@ from repro.analysis.tables import format_series, format_table
 
 __all__ = [
     "arithmetic_mean",
-    "export_nested_mapping",
     "export_rows",
-    "export_series",
     "format_series",
     "format_table",
     "geometric_mean",

@@ -1,20 +1,16 @@
-"""CSV/JSON export and the queryable record shape of the result matrix.
+"""CSV export of tabular results.
 
-Every experiment returns plain dict/list structures; these helpers
-flatten the common shapes into CSV files so results can be pulled into
-pandas/gnuplot/spreadsheets without re-running simulations.
-
-:func:`cell_record` / :func:`filter_records` define the flat record
-shape the job service's query endpoint speaks: one JSON-able dict per
-completed (benchmark, mechanism) cell, filterable by benchmark,
-mechanism and device generation.
+Every experiment returns plain dict/list structures; :func:`export_rows`
+writes a header and rows to a CSV file (``repro-sim --csv`` uses it) so
+results can be pulled into pandas/gnuplot/spreadsheets without
+re-running simulations.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from repro.errors import ConfigError
 
@@ -41,108 +37,4 @@ def export_rows(
     return count
 
 
-def export_nested_mapping(
-    path: PathLike,
-    data: Mapping[str, Mapping[str, object]],
-    index_name: str = "name",
-) -> int:
-    """Write a {row -> {column -> value}} mapping (e.g. fig7/fig9).
-
-    Columns are the union of inner keys, in first-seen order; missing
-    cells are left empty.
-    """
-    columns: list = []
-    for inner in data.values():
-        for key in inner:
-            if key not in columns:
-                columns.append(key)
-    rows = [
-        [name] + [inner.get(column, "") for column in columns]
-        for name, inner in data.items()
-    ]
-    return export_rows(path, [index_name] + columns, rows)
-
-
-def export_series(
-    path: PathLike,
-    series: Mapping[str, Iterable[Sequence[object]]],
-    x_name: str = "x",
-    y_name: str = "y",
-) -> int:
-    """Write long-form (series, x, y) rows (e.g. fig8 distributions)."""
-    rows = [
-        (name, x, y)
-        for name, points in series.items()
-        for x, y in points
-    ]
-    return export_rows(path, ["series", x_name, y_name], rows)
-
-
-def cell_record(cell, stats, core) -> Dict[str, object]:
-    """Flatten one completed matrix cell into a queryable record.
-
-    ``cell`` is a runner :data:`~repro.experiments.runner.Cell`;
-    ``stats``/``core`` the :class:`~repro.sim.stats.SimStats` /
-    :class:`~repro.cpu.core.CoreResult` it produced.  The record is
-    pure JSON (strings/numbers only) — the job service streams these
-    from its query endpoint and they drop straight into
-    :func:`export_rows` for CSV.
-    """
-    benchmark, mechanism, accesses, seed, config = cell
-    record: Dict[str, object] = {
-        "benchmark": benchmark,
-        "mechanism": mechanism,
-        "accesses": accesses,
-        "seed": seed,
-        "generation": config.timing.name,
-        "mem_cycles": core.mem_cycles,
-        "ipc": core.ipc,
-    }
-    record.update(stats.report())
-    return record
-
-
-def filter_records(
-    records: Iterable[Mapping[str, object]],
-    benchmark: Optional[str] = None,
-    mechanism: Optional[str] = None,
-    generation: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Exact-match filter over :func:`cell_record` rows.
-
-    ``None`` means "any"; the result preserves input order so repeated
-    queries against a deterministic server paginate stably.
-    """
-    out: List[Dict[str, object]] = []
-    for record in records:
-        if benchmark is not None and record.get("benchmark") != benchmark:
-            continue
-        if mechanism is not None and record.get("mechanism") != mechanism:
-            continue
-        if generation is not None and record.get("generation") != generation:
-            continue
-        out.append(dict(record))
-    return out
-
-
-def export_records_csv(
-    path: PathLike, records: Sequence[Mapping[str, object]]
-) -> int:
-    """Write :func:`cell_record` rows as CSV (union of keys, in order)."""
-    headers: List[str] = []
-    for record in records:
-        for key in record:
-            if key not in headers:
-                headers.append(key)
-    rows = [[record.get(h, "") for h in headers] for record in records]
-    return export_rows(path, headers, rows)
-
-
-__all__ = [
-    "cell_record",
-    "export_nested_mapping",
-    "export_records_csv",
-    "export_rows",
-    "export_series",
-    "filter_records",
-]
+__all__ = ["export_rows"]

@@ -1,6 +1,6 @@
 """Fairness analysis: per-tenant metrics against solo-run baselines.
 
-Every access carries its tenant in ``MemoryAccess.source`` — a fleet
+Every access carries its tenant in ``MemoryAccess.source`` — a multi-tenant
 scenario's tenant or a CMP mix's core (:mod:`repro.workloads.mixes`)
 — and the controller records per-source statistics
 (:class:`~repro.sim.stats.SourceStats`).  From those come the standard

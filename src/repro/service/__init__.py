@@ -1,13 +1,15 @@
-"""Simulation-as-a-service: a sharded, preemptible, cache-fronted
-experiment fleet (DESIGN.md §15).
+"""Simulation-as-a-service: experiment matrices sharded across a
+cache-fronted worker pool that preempts and migrates cells
+(DESIGN.md §15).
 
 PRs 2 and 5 built the parts — a content-addressed result cache, a
 parallel cell runner, and SIGTERM-safe checkpoints with
 byte-identical resume.  This package composes them into a long-running
 job service:
 
-* :mod:`repro.service.jobs` — the cell/job model: wire format, matrix
-  expansion (``fig7``, ``generations``, ``fleet``) and result digests;
+* :mod:`repro.service.jobs` — the cell/job model: one cell kind (the
+  runner's cell), wire format, matrix expansion (``fig7``,
+  ``generations``) and result digests;
 * :mod:`repro.service.workers` — the worker process: executes cells
   via :func:`repro.experiments.runner.execute_cell`, streams ND-JSON
   progress, snapshots and exits 143 on SIGTERM (preemption);
@@ -17,8 +19,7 @@ job service:
   it too);
 * :mod:`repro.service.server` — the stdlib-asyncio job server:
   dedupes cells against ``.repro-cache/``, shards misses across the
-  worker pool, streams per-job events and answers matrix queries
-  over a Unix socket;
+  worker pool and streams per-job events over a Unix socket;
 * :mod:`repro.service.client` — the synchronous ND-JSON client used
   by tests and the ``repro-serve`` CLI (:mod:`repro.service.cli`).
 """

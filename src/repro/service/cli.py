@@ -4,10 +4,9 @@ Examples::
 
     repro-serve start --socket /tmp/repro.sock --workers 4
     repro-serve submit --socket /tmp/repro.sock --matrix fig7 --wait
-    repro-serve submit --socket /tmp/repro.sock --matrix fleet \\
+    repro-serve submit --socket /tmp/repro.sock --matrix generations \\
         --params '{"mechanisms": ["Burst_TH"]}'
     repro-serve watch  --socket /tmp/repro.sock --job job-1
-    repro-serve query  --socket /tmp/repro.sock --mechanism Burst_TH
     repro-serve preempt --socket /tmp/repro.sock    # drain one worker
     repro-serve status --socket /tmp/repro.sock
     repro-serve shutdown --socket /tmp/repro.sock
@@ -33,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description=(
-            "Shard simulation matrices across a preemptible, "
-            "cache-fronted worker pool (DESIGN.md §15)."
+            "Shard simulation matrices across a cache-fronted worker "
+            "pool that preempts and migrates cells (DESIGN.md §15)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ))
     group = submit.add_mutually_exclusive_group(required=True)
     group.add_argument(
-        "--matrix", help="experiment matrix: fig7 | generations | fleet"
+        "--matrix", help="experiment matrix: fig7 | generations"
     )
     group.add_argument(
         "--cells", metavar="JSON",
@@ -89,16 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "watch", help="stream a job's progress events"
     ))
     watch.add_argument("--job", required=True)
-
-    query = common(sub.add_parser(
-        "query", help="filter the completed result matrix"
-    ))
-    query.add_argument("--benchmark")
-    query.add_argument("--mechanism")
-    query.add_argument("--generation")
-    query.add_argument(
-        "--csv", metavar="PATH", help="also write the records as CSV"
-    )
 
     common(sub.add_parser("status", help="jobs, workers and queue depth"))
     common(sub.add_parser("ping", help="liveness check"))
@@ -156,17 +145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "watch":
             for event in client.watch(args.job):
                 print(json.dumps(event))
-        elif args.command == "query":
-            records = client.query(
-                benchmark=args.benchmark,
-                mechanism=args.mechanism,
-                generation=args.generation,
-            )
-            if args.csv:
-                from repro.analysis.export import export_records_csv
-
-                export_records_csv(args.csv, records)
-            _print(records)
         elif args.command == "status":
             _print(client.status())
         elif args.command == "ping":

@@ -124,21 +124,6 @@ class ServiceClient:
     def status(self) -> dict:
         return self.request({"op": "status"})
 
-    def query(
-        self,
-        benchmark: Optional[str] = None,
-        mechanism: Optional[str] = None,
-        generation: Optional[str] = None,
-    ) -> List[dict]:
-        """Filtered view of every completed cell the server has seen."""
-        reply = self.request({
-            "op": "query",
-            "benchmark": benchmark,
-            "mechanism": mechanism,
-            "generation": generation,
-        })
-        return reply["records"]
-
     def preempt(self, respawn: bool = True) -> dict:
         """SIGTERM the longest-running busy worker (drain/migration)."""
         return self.request({"op": "preempt", "respawn": respawn})

@@ -2,18 +2,12 @@
 
 A submission is either an explicit list of cells or the name of a
 known experiment matrix; either way it expands — deterministically, in
-a stable order — into :class:`CellSpec` units the server schedules:
+a stable order — into :class:`CellSpec` units the server schedules.
+Every cell is one of the runner's content-addressed (benchmark,
+mechanism, accesses, seed, config) closed-loop cells: deduped against
+``.repro-cache/``, checkpointable, migratable.
 
-* ``sim`` cells are the runner's content-addressed
-  (benchmark, mechanism, accesses, seed, config) closed-loop cells:
-  deduped against ``.repro-cache/``, checkpointable, migratable.
-* ``fleet`` cells drive the open-loop multi-tenant scenarios of
-  :mod:`repro.experiments.fleet`.  They are deliberately *not* in the
-  persistent store (the cache is shaped around single-stream
-  closed-loop runs), so they dedupe in server memory only and restart
-  rather than resume when preempted.
-
-The wire format is plain JSON: a ``sim`` cell ships its full
+The wire format is plain JSON: a cell ships its full
 ``SystemConfig.to_dict()`` so server and worker agree on the exact
 machine, and the server-computed ``key`` rides along so the worker
 checkpoints at the path the next worker will look in.
@@ -28,9 +22,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.controller.registry import MECHANISMS as MECHANISM_REGISTRY
 from repro.errors import ServiceError
-from repro.experiments import common, fleet, generations, runner
+from repro.experiments import common, generations, runner
 from repro.sim.config import SystemConfig, baseline_config
-from repro.workloads.fleet import SCENARIOS
 from repro.workloads.spec2000 import benchmark_names
 
 
@@ -55,28 +48,19 @@ def result_digest(payload: object) -> str:
 class CellSpec:
     """One schedulable unit of work, with its dedupe key."""
 
-    kind: str           # "sim" | "fleet"
-    key: str            # content address (sim) / synthetic digest (fleet)
-    payload: dict       # kind-specific wire fields
-    #: A ``sim`` cell as the runner's :data:`~repro.experiments.runner.Cell`
+    key: str            # the runner's content address
+    payload: dict       # wire fields
+    #: The cell as the runner's :data:`~repro.experiments.runner.Cell`
     #: (what ``sim_cell_from_wire`` would rebuild from the payload).
-    cell: Optional[runner.Cell] = field(default=None, compare=False, repr=False)
+    cell: runner.Cell = field(compare=False, repr=False)
 
     def to_wire(self) -> dict:
-        return {"kind": self.kind, "key": self.key, **self.payload}
+        return {"key": self.key, **self.payload}
 
     @property
     def label(self) -> str:
         """Short human identity for logs and events."""
-        p = self.payload
-        if self.kind == "sim":
-            return f"{p['benchmark']}/{p['mechanism']}"
-        return f"{p['scenario']}/{p['mechanism']}"
-
-    @property
-    def preemptible(self) -> bool:
-        """Whether preempting this cell preserves work (snapshots)."""
-        return self.kind == "sim"
+        return f"{self.payload['benchmark']}/{self.payload['mechanism']}"
 
 
 def sim_cell_spec(
@@ -87,7 +71,7 @@ def sim_cell_spec(
     config: SystemConfig,
     wire_config: Optional[dict] = None,
 ) -> CellSpec:
-    """A ``sim`` cell keyed exactly like the runner's result cache.
+    """A cell keyed exactly like the runner's result cache.
 
     ``wire_config`` is ``config.to_dict()`` when the caller already
     holds it: a matrix serialises its shared config once, not per cell.
@@ -96,7 +80,6 @@ def sim_cell_spec(
         wire_config = config.to_dict()
     key = runner.cell_key(benchmark, mechanism, accesses, seed, wire_config)
     return CellSpec(
-        kind="sim",
         key=key,
         payload={
             "benchmark": benchmark,
@@ -110,7 +93,7 @@ def sim_cell_spec(
 
 
 def sim_cell_from_wire(data: dict) -> runner.Cell:
-    """Decode a ``sim`` wire payload back into a runner cell."""
+    """Decode a cell's wire payload back into a runner cell."""
     try:
         return (
             data["benchmark"],
@@ -148,59 +131,21 @@ def _names_param(params: dict, name: str, default) -> List[str]:
     return value
 
 
-def fleet_cell_spec(
-    scenario: str,
-    mechanism: str,
-    accesses: Optional[int],
-    seed: int,
-) -> CellSpec:
-    """A ``fleet`` cell with a synthetic in-memory dedupe key.
-
-    ``accesses`` stays pre-scale (``run_scenario`` applies
-    ``REPRO_SCALE`` itself, in the worker), so the effective scale is
-    folded into the key: two servers at different scales never share a
-    memo entry, and spellings of one scale (``1`` and ``1.0``) do.
-    """
-    payload = {
-        "scenario": scenario,
-        "mechanism": mechanism,
-        "accesses": accesses,
-        "seed": int(seed),
-    }
-    key = hashlib.sha256(
-        canonical_json({"fleet": payload, "scale": common.scale()}).encode(
-            "utf-8"
-        )
-    ).hexdigest()
-    return CellSpec(kind="fleet", key=key, payload=payload)
-
-
 def spec_from_wire(data: dict) -> CellSpec:
-    """Validate + normalise one client-supplied cell dict."""
+    """Validate + normalise one client-supplied cell dict.
+
+    A ``kind`` field is optional; ``"sim"``, the one cell kind, is the
+    only value accepted.
+    """
     if not isinstance(data, dict):
         raise ServiceError(f"a cell must be an object, got {data!r}")
     kind = data.get("kind", "sim")
-    if kind == "sim":
-        benchmark, mechanism, accesses, seed, config = sim_cell_from_wire(
-            data
-        )
-        _check_mechanism(mechanism)
-        _check_benchmark(benchmark)
-        return sim_cell_spec(benchmark, mechanism, accesses, seed, config)
-    if kind == "fleet":
-        scenario = data.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ServiceError(
-                f"unknown fleet scenario {scenario!r}; "
-                f"available: {sorted(SCENARIOS)}"
-            )
-        mechanism = data.get("mechanism", "Burst_TH")
-        _check_mechanism(mechanism)
-        return fleet_cell_spec(
-            scenario, mechanism, int_param(data, "accesses", minimum=1),
-            int_param(data, "seed", common.default_seed()),
-        )
-    raise ServiceError(f"unknown cell kind {kind!r}")
+    if kind != "sim":
+        raise ServiceError(f"unknown cell kind {kind!r}")
+    benchmark, mechanism, accesses, seed, config = sim_cell_from_wire(data)
+    _check_mechanism(mechanism)
+    _check_benchmark(benchmark)
+    return sim_cell_spec(benchmark, mechanism, accesses, seed, config)
 
 
 def _check_mechanism(mechanism: str) -> None:
@@ -231,7 +176,7 @@ def _sim_matrix(
     seed: int,
     config: SystemConfig,
 ) -> List[CellSpec]:
-    """Benchmark-major ``sim`` cells on one config, serialised once."""
+    """Benchmark-major cells on one config, serialised once."""
     wire_config = config.to_dict()
     return [
         sim_cell_spec(benchmark, mechanism, accesses, seed, config, wire_config)
@@ -280,31 +225,9 @@ def _expand_generations(params: dict) -> List[CellSpec]:
     return specs
 
 
-def _expand_fleet(params: dict) -> List[CellSpec]:
-    """The adversarial multi-tenant scenario matrix."""
-    scenarios = _names_param(params, "scenarios", SCENARIOS)
-    mechanisms = _names_param(params, "mechanisms", fleet.MECHANISMS)
-    unknown = [s for s in scenarios if s not in SCENARIOS]
-    if unknown:
-        raise ServiceError(
-            f"unknown fleet scenario(s) {unknown}; "
-            f"available: {sorted(SCENARIOS)}"
-        )
-    for mechanism in mechanisms:
-        _check_mechanism(mechanism)
-    accesses = int_param(params, "accesses", minimum=1)
-    seed = int_param(params, "seed", common.default_seed())
-    return [
-        fleet_cell_spec(scenario, mechanism, accesses, seed)
-        for scenario in scenarios
-        for mechanism in mechanisms
-    ]
-
-
 MATRICES = {
     "fig7": _expand_fig7,
     "generations": _expand_generations,
-    "fleet": _expand_fleet,
 }
 
 
@@ -348,7 +271,6 @@ __all__ = [
     "CellSpec",
     "canonical_json",
     "expand_submission",
-    "fleet_cell_spec",
     "int_param",
     "result_digest",
     "sim_cell_from_wire",

@@ -405,20 +405,14 @@ class WorkerPool:
         """Preempt the lowest-priority running cell, if it is beaten.
 
         Acts only when no worker is idle, so the higher-priority work
-        starts now instead of after someone's tail.  Prefers ``sim``
-        cells (their snapshot preserves the work).
+        starts now instead of after someone's tail.  The victim's
+        snapshot preserves its work.
         """
         busy = self._busy()
         if not busy or any(w.idle for w in self.workers.values()):
             return
-
-        def victim_rank(w: PoolWorker):
-            task = self.tasks[w.current]
-            # Highest sort_key = lowest priority / newest job; prefer
-            # preemptible (sim) cells among equals.
-            return (task.sort_key, task.spec.preemptible)
-
-        worker = max(busy, key=victim_rank)
+        # Highest sort_key = lowest priority / newest job.
+        worker = max(busy, key=lambda w: self.tasks[w.current].sort_key)
         if -self.tasks[worker.current].sort_key[0] < incoming_priority:
             self._terminate(worker)
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.export import cell_record, filter_records
-from repro.cpu.core import CoreResult
 from repro.errors import ReproError, ServiceError
 from repro.experiments import runner
 from repro.service.jobs import (
@@ -32,7 +30,6 @@ from repro.service.jobs import (
     result_digest,
 )
 from repro.service.pool import PoolTask, PoolWorker, WorkerPool
-from repro.sim.stats import SimStats
 
 #: Default progress-event cadence, in memory cycles.
 PROGRESS_EVERY = 200_000
@@ -87,7 +84,7 @@ class JobServer:
         )
         self._jobs: Dict[str, _Job] = {}
         self._subscribers: Dict[str, Set[str]] = {}  # key -> job ids
-        self._records: Dict[str, dict] = {}   # key -> query record + digest
+        self._digests: Dict[str, str] = {}    # key -> result digest
         self._job_seq = 0
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -148,15 +145,9 @@ class JobServer:
         self, task: PoolTask, worker: PoolWorker, event: dict
     ) -> None:
         key = task.spec.key
-        if task.spec.kind == "sim":
-            payload = {"stats": event["stats"], "core": event["core"]}
-            if self.cache:
-                runner.cache_store(
-                    key, task.spec.cell, event["stats"], event["core"]
-                )
-        else:
-            payload = {"metrics": event["metrics"]}
-        digest = self._keep(task.spec, payload)
+        if self.cache:
+            runner.cache_store(key, task.spec.cell, event["stats"], event["core"])
+        digest = self._keep(key, event["stats"], event["core"])
         resumed_cycle = event.get("resumed_cycle")
         for job_id in sorted(self._cell_event(
             task, worker, "cell_done", digest=digest,
@@ -183,53 +174,25 @@ class JobServer:
                 job.errors[key] = error
                 self._maybe_finish_job(job)
 
-    def _keep(self, spec: CellSpec, payload: dict) -> str:
-        """Keep a finished cell's query record; return its result digest.
-
-        ``payload`` holds a ``sim`` cell's ``stats`` and ``core`` dicts or
-        a ``fleet`` cell's ``metrics``.
-        """
-        digest = result_digest(dict(payload, key=spec.key))
-        if spec.kind == "sim":
-            record = cell_record(
-                spec.cell,
-                SimStats.from_dict(payload["stats"]),
-                CoreResult.from_dict(payload["core"]),
-            )
-        else:
-            metrics = payload["metrics"]
-            record = {
-                name: spec.payload[name]
-                for name in ("scenario", "mechanism", "seed")
-            }
-            record.update({
-                name: metrics[name]
-                for name in (
-                    "cycles",
-                    "weighted_speedup",
-                    "max_slowdown",
-                    "jain_index",
-                )
-                if name in metrics
-            })
-        self._records.setdefault(spec.key, dict(record, digest=digest))
+    def _keep(self, key: str, stats: dict, core: dict) -> str:
+        """Remember a finished cell's result digest and return it."""
+        digest = result_digest({"stats": stats, "core": core, "key": key})
+        self._digests.setdefault(key, digest)
         return digest
 
     def _cached_digest(self, spec: CellSpec) -> Optional[str]:
         """Digest of a result held in server memory or the disk store."""
-        if spec.key in self._records:
+        if spec.key in self._digests:
             # Memory hit: some earlier job already computed it.
-            return self._records[spec.key]["digest"]
-        if spec.kind == "sim" and self.cache:
+            return self._digests[spec.key]
+        if self.cache:
             loaded = runner.cache_load(spec.key)
             if loaded is not None:
                 # Disk hit: a past process computed it.  Round-trip
                 # through from_dict/to_dict is lossless, so the digest
                 # matches what a fresh simulation would produce.
                 stats, core = loaded
-                return self._keep(
-                    spec, {"stats": stats.to_dict(), "core": core.to_dict()}
-                )
+                return self._keep(spec.key, stats.to_dict(), core.to_dict())
         return None
 
     # ------------------------------------------------------------------
@@ -396,7 +359,6 @@ class JobServer:
                     "workers": len(self._pool.workers),
                     "jobs": len(self._jobs),
                     "queued": len(self._pool.queue),
-                    "records": len(self._records),
                 })
             elif op == "submit":
                 await self._op_submit(request, writer)
@@ -410,17 +372,6 @@ class JobServer:
                 await self._op_watch(request, writer)
             elif op == "status":
                 await self._reply(writer, self._op_status())
-            elif op == "query":
-                records = filter_records(
-                    self._records.values(),
-                    benchmark=request.get("benchmark"),
-                    mechanism=request.get("mechanism"),
-                    generation=request.get("generation"),
-                )
-                await self._reply(
-                    writer,
-                    {"ok": True, "count": len(records), "records": records},
-                )
             elif op == "preempt":
                 await self._op_preempt(request, writer)
             elif op == "shutdown":

@@ -2,8 +2,8 @@
 
 One worker is one long-lived process running one cell at a time.  Its
 :class:`~repro.service.pool.WorkerPool` writes requests to its stdin
-(one JSON object per line): ``run`` (``checkpoint`` says whether a
-``sim`` cell snapshots), ``recall`` (drop the named cell if it has not
+(one JSON object per line): ``run`` (``checkpoint`` says whether the
+cell snapshots), ``recall`` (drop the named cell if it has not
 started) and ``exit``.  The pool sends a worker its next cell while
 the current one runs, so the worker starts it the moment it has
 reported the last one.  A thread of its own reads stdin
@@ -30,10 +30,6 @@ the process exits 143.  Whichever worker is handed the cell next finds
 the snapshot (``execute_cell`` resumes it byte-identically) — the cell
 *migrates* instead of restarting, which is what keeps a drained
 worker's progress out of the schedule's bubbles.
-
-``fleet`` cells have no snapshot path (open-loop multi-tenant runs);
-preempting one simply restarts it later — still correct, just unpaid
-work, so the pool prefers preempting ``sim`` cells.
 """
 
 from __future__ import annotations
@@ -54,11 +50,11 @@ _EMIT_LOCK = threading.Lock()
 
 def _emit(event: dict) -> None:
     with _EMIT_LOCK:  # the inbox thread emits ``recalled``
-        sys.stdout.write(json.dumps(event, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(event) + "\n")
         sys.stdout.flush()
 
 
-def _run_sim(request: dict) -> None:
+def _run(request: dict) -> None:
     """Execute one closed-loop cell, snapshotting if ``checkpoint``."""
     from repro.experiments.runner import execute_cell
 
@@ -96,34 +92,10 @@ def _run_sim(request: dict) -> None:
     _emit({
         "event": "done",
         "key": key,
-        "kind": "sim",
         "stats": run.stats.to_dict(),
         "core": run.core.to_dict(),
         "mem_cycles": run.core.mem_cycles,
         "resumed_cycle": run.resumed_cycle,
-        "wall": time.monotonic() - started,
-    })
-
-
-def _run_fleet(request: dict) -> None:
-    """Execute one open-loop fleet scenario cell."""
-    from repro.experiments.fleet import run_scenario
-
-    spec = request["cell"]
-    started = time.monotonic()
-    metrics = run_scenario(
-        spec["scenario"],
-        spec["mechanism"],
-        accesses=spec.get("accesses"),
-        seed=spec.get("seed"),
-    )
-    _emit({
-        "event": "done",
-        "key": spec["key"],
-        "kind": "fleet",
-        "metrics": metrics,
-        "mem_cycles": int(metrics.get("cycles", 0)),
-        "resumed_cycle": None,
         "wall": time.monotonic() - started,
     })
 
@@ -207,10 +179,7 @@ def main() -> int:
         try:
             if request.get("op") != "run":
                 raise ReproError(f"unknown op {request.get('op')!r}")
-            if request["cell"]["kind"] == "fleet":
-                _run_fleet(request)
-            else:
-                _run_sim(request)
+            _run(request)
         except SystemExit:
             raise       # preemption: exit 143, snapshot already flushed
         except (ReproError, OSError, KeyError, ValueError) as error:

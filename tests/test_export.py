@@ -4,11 +4,7 @@ import csv
 
 import pytest
 
-from repro.analysis.export import (
-    export_nested_mapping,
-    export_rows,
-    export_series,
-)
+from repro.analysis.export import export_rows
 from repro.errors import ConfigError
 
 
@@ -27,45 +23,3 @@ def test_export_rows(tmp_path):
 def test_export_rows_width_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         export_rows(tmp_path / "bad.csv", ("a",), [(1, 2)])
-
-
-def test_export_nested_mapping(tmp_path):
-    path = tmp_path / "nested.csv"
-    data = {
-        "Burst": {"read": 10.0, "write": 20.0},
-        "Intel": {"read": 12.0, "extra": 1.0},
-    }
-    export_nested_mapping(path, data, index_name="mechanism")
-    rows = _read(path)
-    assert rows[0] == ["mechanism", "read", "write", "extra"]
-    assert rows[1] == ["Burst", "10.0", "20.0", ""]
-    assert rows[2] == ["Intel", "12.0", "", "1.0"]
-
-
-def test_export_series(tmp_path):
-    path = tmp_path / "series.csv"
-    count = export_series(
-        path,
-        {"reads": [(0, 0.5), (1, 0.5)], "writes": [(0, 1.0)]},
-        x_name="outstanding",
-        y_name="fraction",
-    )
-    assert count == 3
-    rows = _read(path)
-    assert rows[0] == ["series", "outstanding", "fraction"]
-    assert rows[1][0] == "reads"
-
-
-def test_roundtrip_with_experiment_shape(tmp_path):
-    """fig9-style result exports cleanly."""
-    from repro.experiments import fig9
-    from repro.experiments.common import clear_cache
-
-    clear_cache()
-    result = fig9.run(benchmarks=("swim",), accesses=600)
-    clear_cache()
-    path = tmp_path / "fig9.csv"
-    export_nested_mapping(path, result, index_name="mechanism")
-    rows = _read(path)
-    assert len(rows) == 1 + len(result)
-    assert "row_hit" in rows[0]

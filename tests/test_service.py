@@ -26,7 +26,6 @@ from repro.experiments import runner
 from repro.service.client import ServiceClient
 from repro.service.jobs import (
     expand_submission,
-    fleet_cell_spec,
     result_digest,
     sim_cell_spec,
     spec_from_wire,
@@ -70,7 +69,6 @@ def test_expand_fig7_matrix_subset():
         },
     })
     assert len(specs) == 4
-    assert all(spec.kind == "sim" for spec in specs)
     assert len({spec.key for spec in specs}) == 4
     # Expansion order is benchmark-major: the dispatch tie-break.
     assert [spec.label for spec in specs] == [
@@ -78,7 +76,7 @@ def test_expand_fig7_matrix_subset():
     ]
 
 
-def test_expand_generations_and_fleet():
+def test_expand_generations():
     gens = expand_submission({
         "matrix": "generations",
         "params": {
@@ -91,14 +89,6 @@ def test_expand_generations_and_fleet():
     assert len(gens) == len(GENERATIONS)
     names = {spec.payload["config"]["timing"]["name"] for spec in gens}
     assert len(names) == len(GENERATIONS)
-
-    fleet = expand_submission({
-        "matrix": "fleet",
-        "params": {"scenarios": ["symmetric2"], "mechanisms": ["Burst_TH"]},
-    })
-    assert len(fleet) == 1
-    assert fleet[0].kind == "fleet"
-    assert not fleet[0].preemptible
 
 
 def test_expand_rejects_malformed_submissions():
@@ -121,11 +111,21 @@ def test_expand_rejects_malformed_submissions():
             {"matrix": "fig7", "params": {"benchmarks": ["bogus"]}}
         )
     with pytest.raises(ServiceError):
-        expand_submission(
-            {"matrix": "fleet", "params": {"scenarios": ["bogus"]}}
-        )
-    with pytest.raises(ServiceError):
         spec_from_wire({"kind": "bogus"})
+
+
+def test_wire_kind_is_optional_and_only_sim():
+    """A cell may carry ``"kind": "sim"`` or no kind at all; any other
+    kind is refused, and so is a ``fleet`` matrix."""
+    bare = {k: v for k, v in _cells()[0].items() if k != "kind"}
+    tagged = dict(bare, kind="sim")
+    assert expand_submission({"cells": [bare]})[0].key == (
+        expand_submission({"cells": [tagged]})[0].key
+    )
+    with pytest.raises(ServiceError):
+        expand_submission({"cells": [dict(bare, kind="fleet")]})
+    with pytest.raises(ServiceError):
+        expand_submission({"matrix": "fleet"})
 
 
 #: Malformed payloads that used to escape as ValueError / TypeError /
@@ -138,20 +138,13 @@ MALFORMED = {
     "accesses-not-int": {"matrix": "fig7", "params": {"accesses": "abc"}},
     "accesses-float": {"matrix": "generations", "params": {"accesses": 4.5}},
     "accesses-zero": {"matrix": "fig7", "params": {"accesses": 0}},
-    "fleet-accesses-negative": {
-        "matrix": "fleet", "params": {"accesses": -3}
-    },
     "benchmarks-not-list": {"matrix": "fig7", "params": {"benchmarks": 5}},
     "mechanisms-not-strings": {
         "matrix": "fig7", "params": {"mechanisms": ["Burst_TH", 3]}
     },
-    "scenarios-string": {"matrix": "fleet", "params": {"scenarios": "x"}},
     "cell-not-object": {"cells": [5]},
     "sim-cell-zero-accesses": {"cells": [dict(_cells()[0], accesses=0)]},
     "sim-cell-seed-string": {"cells": [dict(_cells()[0], seed="1")]},
-    "fleet-cell-seed-string": {
-        "cells": [{"kind": "fleet", "scenario": "symmetric2", "seed": "x"}]
-    },
 }
 
 
@@ -159,13 +152,6 @@ MALFORMED = {
 def test_expand_rejects_malformed_payloads(request_):
     with pytest.raises(ServiceError):
         expand_submission(request_)
-
-
-def test_fleet_key_ignores_scale_spelling(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "1")
-    one = fleet_cell_spec("symmetric2", "Burst_TH", None, SEED).key
-    monkeypatch.setenv("REPRO_SCALE", "1.0")
-    assert fleet_cell_spec("symmetric2", "Burst_TH", None, SEED).key == one
 
 
 def test_submission_dedupes_by_key():
@@ -182,12 +168,6 @@ def test_sim_spec_wire_round_trip_and_cache_key():
     # The service key IS the runner's cache key: dedupe against
     # .repro-cache/ and the sequential CLI is exact, not approximate.
     assert spec.key == runner.cell_key("swim", "Burst_TH", N, SEED, cfg)
-
-
-def test_fleet_key_folds_scale(monkeypatch):
-    base = fleet_cell_spec("symmetric2", "Burst_TH", None, SEED).key
-    monkeypatch.setenv("REPRO_SCALE", "0.5")
-    assert fleet_cell_spec("symmetric2", "Burst_TH", None, SEED).key != base
 
 
 def test_result_digest_is_order_insensitive():
@@ -233,7 +213,7 @@ class Server:
             self.proc.wait()
 
 
-def test_server_dedupe_and_query(tmp_path):
+def test_server_dedupe(tmp_path):
     cells = _cells()
     with Server(tmp_path) as server:
         first = server.client.submit(cells=cells, wait=True)["summary"]
@@ -249,13 +229,6 @@ def test_server_dedupe_and_query(tmp_path):
         assert warm["cached"] == len(cells)
         assert warm["digest"] == first["digest"]
         assert warm["events_per_sec"] is None  # no simulation window
-
-        # The query endpoint filters the accumulated record matrix.
-        records = server.client.query(mechanism="Burst_TH")
-        assert {r["benchmark"] for r in records} == {"swim", "gcc"}
-        assert all("ipc" in r and "row_hit" in r for r in records)
-        assert server.client.query(benchmark="swim", mechanism="FCFS")
-        assert server.client.query(mechanism="NoSuch") == []
 
     # The server's store is the runner's store: a sequential run_cells
     # over the same cells simulates nothing.
@@ -427,39 +400,6 @@ def test_single_worker_completion_is_deterministic(tmp_path):
     assert a["completion_order"] == b["completion_order"]
     assert a["digests"] == b["digests"]
     assert a["digest"] == b["digest"]
-
-
-def test_fleet_matrix_over_service(tmp_path):
-    with Server(tmp_path, workers=2) as server:
-        summary = server.client.submit(
-            matrix="fleet",
-            params={
-                "scenarios": ["symmetric2"],
-                "mechanisms": ["Burst_TH"],
-                "accesses": 300,
-            },
-            wait=True,
-        )["summary"]
-        assert summary["failed"] == 0
-        assert summary["simulated"] == 1
-        records = server.client.query(mechanism="Burst_TH")
-        (record,) = records
-        assert record["scenario"] == "symmetric2"
-        assert "weighted_speedup" in record
-
-        # In-memory dedupe: fleet cells are not on disk, but a second
-        # submission within the server's lifetime is still free.
-        warm = server.client.submit(
-            matrix="fleet",
-            params={
-                "scenarios": ["symmetric2"],
-                "mechanisms": ["Burst_TH"],
-                "accesses": 300,
-            },
-            wait=True,
-        )["summary"]
-        assert warm["simulated"] == 0
-        assert warm["cached"] == 1
 
 
 def test_bad_requests_get_typed_errors(tmp_path):
