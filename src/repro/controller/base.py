@@ -587,14 +587,24 @@ class Scheduler(abc.ABC):
             _, _, access = heapq.heappop(heap)
             if access.is_read:
                 self._finish_read_bookkeeping(access)
-                self._on_read_complete(access)
+                if (
+                    self._on_read_complete(access)
+                    or access.address in self._writes_by_addr
+                ):
+                    # Selection state changed, or a queued write to
+                    # this address may be WAR-released: break the gate.
+                    self._gate_cmds = -1
                 done.append(access)
-        if done:
-            self._gate_cmds = -1  # WAR/selection state may have changed
         return done
 
-    def _on_read_complete(self, access: MemoryAccess) -> None:
-        """Hook: a read's data has returned (subclass bookkeeping)."""
+    def _on_read_complete(self, access: MemoryAccess) -> bool:
+        """Hook: a read's data has returned (subclass bookkeeping).
+
+        Returns whether a schedule pass could now decide differently,
+        which breaks the no-op schedule gate.  Every mechanism but
+        burst scheduling keeps the safe default.
+        """
+        return True
 
 
 __all__ = ["ACTIVATE", "COLUMN", "PRECHARGE", "Scheduler"]

@@ -98,9 +98,9 @@ class MemorySystem:
         self.last_tick_active = False
         #: Cycle before which :meth:`tick` is a proven no-op (set after
         #: a quiet tick, invalidated by :meth:`enqueue`); -1 = unknown.
-        #: Lets the memory side fast-forward even while the CPU model
-        #: keeps stepping through compute cycles the run loops cannot
-        #: leap over.
+        #: Lets the memory side fast-forward even on cycles where the
+        #: run loop still steps its driver (an enqueue retry, the last
+        #: cycle of an instruction gap).
         self._quiet_until = -1
         #: Consecutive quiet ticks.  Computing the next-event cycle
         #: costs about as much as one no-op tick, so an isolated quiet

@@ -187,8 +187,11 @@ class BurstScheduler(Scheduler):
     def pending_accesses(self) -> int:
         return self._pending
 
-    def _on_read_complete(self, access: MemoryAccess) -> None:
+    def _on_read_complete(self, access: MemoryAccess) -> bool:
+        # A pass reads completions only through Figure 5 line 6 (no
+        # outstanding reads) and WAR blocking, which the caller checks.
         self._outstanding_reads -= 1
+        return self._outstanding_reads == 0
 
     # ------------------------------------------------------------------
     # Checkpointing

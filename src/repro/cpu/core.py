@@ -109,31 +109,32 @@ class OoOCore:
     # Pipeline stages (one call each per memory cycle)
     # ------------------------------------------------------------------
 
-    def _retire(self) -> None:
-        budget = self.budget_per_cycle
+    def _retire(self, budget: int) -> int:
+        """Retire up to ``budget`` instructions in order; returns how
+        many.  Stops early at an outstanding load or an empty ROB."""
         rob = self._rob
-        while budget > 0 and rob:
+        done = self._done_loads
+        left = budget
+        while left > 0 and rob:
             head = rob[0]
             if isinstance(head, int):
-                take = head if head <= budget else budget
-                budget -= take
-                self.instructions += take
-                self._rob_occupancy -= take
-                if take == head:
+                if head <= left:
+                    left -= head
                     rob.popleft()
                 else:
-                    rob[0] = head - take
-                continue
-            if head.id in self._done_loads:
-                self._done_loads.discard(head.id)
+                    rob[0] = head - left
+                    left = 0
+            elif head.id in done:
+                done.discard(head.id)
                 rob.popleft()
-                self._rob_occupancy -= 1
-                self.instructions += 1
-                budget -= 1
-                continue
-            # In-order retirement blocked on outstanding load data.
-            self.head_block_cycles += 1
-            return
+                left -= 1
+            else:
+                # In-order retirement blocked on outstanding load data.
+                break
+        retired = budget - left
+        self.instructions += retired
+        self._rob_occupancy -= retired
+        return retired
 
     def _append_instructions(self, count: int) -> None:
         rob = self._rob
@@ -208,7 +209,10 @@ class OoOCore:
     def step(self) -> None:
         """Advance one memory cycle: retire, fetch/issue, tick memory."""
         cycle = self.system.cycle
-        self._retire()
+        budget = self.budget_per_cycle
+        if self._retire(budget) < budget and self._rob:
+            # Reached a load still waiting on data with budget left.
+            self.head_block_cycles += 1
         self._fetch(cycle)
         completed = self.system.tick()
         if completed:
@@ -220,33 +224,81 @@ class OoOCore:
             self._done_loads.add(access.id)
         self._inflight_loads -= len(completed)
 
-    def _waiting(self) -> bool:
-        """Is the core frozen until a load's data returns?
+    # ------------------------------------------------------------------
+    # Frozen spans (see :func:`~repro.sim.engine.run_loop`)
+    # ------------------------------------------------------------------
 
-        True when the ROB head is an outstanding load (retire blocks)
-        and fetch is blocked by capacity alone: a staged instruction
-        run or READ facing a full ROB, a staged READ facing a full LSQ,
-        or an exhausted trace.  On such a cycle :meth:`step` only
-        charges ``head_block_cycles`` and ticks the memory system — it
-        makes no call into the memory system that could change it.  A
-        pending store or a staged WRITE with its gap consumed is not a
-        wait: fetch would retry ``enqueue`` or call ``make_access``.
+    def _span(self) -> int:
+        """How many coming steps are certain to make no memory call.
+
+        A step calls into the memory system only to retry a pending
+        store or to issue the staged record once its gap is fetched, so
+        with no store pending and a staged gap over one cycle's budget
+        the next ``(gap - 1) // budget`` steps only retire and fetch
+        instructions.  ``NEVER`` means only a load's data can unfreeze
+        the core: a staged READ facing a full LSQ; a blocked ROB head
+        with less room behind it than the staged gap (or none, for a
+        staged READ); and an exhausted trace with loads in flight.
         """
-        rob = self._rob
-        if not rob or self._pending_store is not None:
-            return False
-        head = rob[0]
-        if isinstance(head, int) or head.id in self._done_loads:
-            return False
+        if self._pending_store is not None:
+            return 0
         staged = self._staged
         if staged is None:
-            return self._trace_done
-        full = self._rob_occupancy >= self.rob_size
-        if self._gap_left > 0:
-            return full
-        if staged[1] is AccessType.WRITE:
-            return False
-        return full or self._inflight_loads >= self.lsq_size
+            return NEVER if self._trace_done and self._inflight_loads else 0
+        gap = self._gap_left
+        if gap == 0:
+            if staged[1] is AccessType.WRITE:
+                return 0
+            if self._inflight_loads >= self.lsq_size:
+                return NEVER
+        rob = self._rob
+        if rob:
+            head = rob[0]
+            if not isinstance(head, int) and head.id not in self._done_loads:
+                room = self.rob_size - self._rob_occupancy
+                if room < gap or room <= 0:
+                    return NEVER
+        budget = self.budget_per_cycle
+        return (gap - 1) // budget if gap > budget else 0
+
+    def _advance(self, k: int) -> None:
+        """Apply ``k`` steps inside a :meth:`_span` in closed form.
+
+        No completion lands within them.  With a load in flight,
+        retirement stops at the oldest one, every cycle that reaches it
+        with budget left charges ``head_block_cycles``, and fetch fills
+        the ROB behind it.  With none in flight everything retires:
+        above one budget the ROB stays level (a budget out, a budget
+        in); at or below, the first cycle empties it and each cycle
+        then cycles ``min(budget, ROB size)`` instructions.  The staged
+        gap outlasts a finite span, and a ``NEVER`` span fetches no
+        more than the ROB's room.
+        """
+        budget = self.budget_per_cycle
+        occupancy = self._rob_occupancy
+        in_flight = self._inflight_loads
+        if in_flight:
+            head = self._rob[0]
+            if isinstance(head, int) or head.id in self._done_loads:
+                retired = self._retire(k * budget)
+            else:
+                retired = 0  # the usual wait: a blocked head, no call
+            self.head_block_cycles += k - retired // budget
+            fetched = 0
+            if self._staged is not None and self._gap_left:
+                fetched = min(k * budget, self.rob_size - self._rob_occupancy)
+        elif occupancy > budget:
+            retired = fetched = k * budget
+        else:
+            level = min(budget, self.rob_size)
+            fetched = k * level
+            retired = occupancy + fetched - level
+        if fetched:
+            self._append_instructions(fetched)
+            self._gap_left -= fetched
+        if not in_flight:
+            # Fetched instructions retire too, so they go in first.
+            self._retire(retired)
 
     @property
     def done(self) -> bool:

@@ -65,19 +65,24 @@ class OpenLoopDriver:
         self.next_arrival = self._earliest_arrival()
         self.completed: List[MemoryAccess] = []
         self.issued = 0
+        #: Did the last step leave a rejected request staged?
+        self._stalled = False
         #: Memory cycles spent waiting for the next arrival, charged
-        #: by :meth:`step` and by :func:`run_loop`'s wait branch as a
-        #: core's wait on load data is, so both engine modes count the
-        #: same.  Nothing reports it and snapshots omit it.
+        #: by :meth:`step` and :meth:`_advance` as a core's wait on
+        #: load data is, so both engine modes count the same.  Nothing
+        #: reports it and snapshots omit it.
         self.head_block_cycles = 0
 
     def step(self) -> None:
         """Stage and enqueue every due request lane by lane, then tick."""
         system = self.system
         cycle = system.cycle
-        due = self.next_arrival <= cycle
-        if not due and self._waiting():
+        next_arrival = self.next_arrival
+        due = next_arrival <= cycle
+        if not due and not self._stalled and next_arrival < NEVER:
+            # Waiting for the next arrival (see :meth:`_span`).
             self.head_block_cycles += 1
+        stalled = False
         for source, pending, staged in self._lanes:
             while pending and pending[0][0] <= cycle:
                 arrival, type_, address = pending.popleft()
@@ -87,11 +92,13 @@ class OpenLoopDriver:
             while staged:
                 status = system.enqueue(staged[0], cycle)
                 if status is EnqueueStatus.REJECTED_FULL:
+                    stalled = True
                     break
                 access = staged.popleft()
                 self.issued += 1
                 if status is EnqueueStatus.FORWARDED:
                     self.completed.append(access)
+        self._stalled = stalled
         if due:
             self.next_arrival = self._earliest_arrival()
         self.completed.extend(system.tick())
@@ -100,8 +107,8 @@ class OpenLoopDriver:
     def done(self) -> bool:
         return (
             self.next_arrival >= NEVER
+            and not self._stalled
             and self.system.idle
-            and not any(staged for _, _, staged in self._lanes)
         )
 
     # ------------------------------------------------------------------
@@ -115,15 +122,21 @@ class OpenLoopDriver:
                 wake = pending[0][0]
         return wake
 
-    def _waiting(self) -> bool:
-        """Nothing staged and the next request still in the future?
+    def _span(self) -> int:
+        """Cycles until the next arrival, when nothing is staged.
 
-        Then, until that arrival, a step stages and enqueues nothing:
-        it only ticks the memory system.
+        Until then a step stages and enqueues nothing: it only ticks
+        the memory system (0 when something is staged or nothing is
+        left to arrive).
         """
-        if any(staged for _, _, staged in self._lanes):
-            return False
-        return self.system.cycle < self.next_arrival < NEVER
+        arrival = self.next_arrival
+        if self._stalled or arrival >= NEVER:
+            return 0
+        return arrival - self.system.cycle
+
+    def _advance(self, k: int) -> None:
+        """Apply ``k`` steps inside a :meth:`_span`: each only waits."""
+        self.head_block_cycles += k
 
     def _complete(self, completed: List[MemoryAccess]) -> None:
         """Record accesses the memory system completed this cycle."""
@@ -187,6 +200,7 @@ class OpenLoopDriver:
             for source, pending, staged in state["lanes"]
         ]
         self.next_arrival = self._earliest_arrival()
+        self._stalled = any(staged for _, _, staged in self._lanes)
         self.completed = []
         self.issued = state["issued"]
 
@@ -201,80 +215,89 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
     The one run loop, for :class:`OpenLoopDriver` and
     :class:`~repro.cpu.core.OoOCore`.
     A driver offers ``step()``, ``done``, ``next_arrival`` (its next
-    request's cycle, ``NEVER`` for a core), ``head_block_cycles``,
-    ``_waiting()``, ``_complete()``, ``_progress_marker()`` and
+    request's cycle, ``NEVER`` for a core), ``_span()``,
+    ``_advance()``, ``_complete()``, ``_progress_marker()`` and
     ``_account_skip()``.  With ``REPRO_FASTFWD=0`` every cycle is one
     ``step()``.  With it on (the default) the loop single steps after
     any cycle where something happened (a request enqueued, a command
     issued, data delivered), because scheduler decisions may depend on
     the fresh state; after a *quiet* cycle every component is frozen at
-    a fixpoint, so the loop leaps to the memory system's next event,
-    never past the driver's next arrival:
+    a fixpoint, so the loop leaps to the memory system's next event:
 
-    * **Waiting.**  While ``driver._waiting()`` holds, a step would
-      only charge ``head_block_cycles`` and tick the memory system, so
-      that is all the loop does, leaping after a quiet tick.
-      Completions are applied as they arrive and the predicate is
-      tested again; reaching the arrival ends the wait, so the next
-      iteration steps and stages the request.
+    * **Frozen driver.**  ``driver._span()`` counts the coming steps
+      certain to make no call into the memory system (``NEVER`` when
+      only a load's data can end the freeze).  For that many cycles
+      memory runs alone: it ticks, and leaps after a quiet tick, never
+      past the span.  Then ``driver._advance(k)`` applies the ``k``
+      skipped steps in one closed form.  A completion ends the window
+      early (the steps up to and including its cycle are applied
+      before ``_complete()``), as does reaching the checkpointer's next
+      poll or ``max_cycles``, so the driver is always settled where
+      the loop polls, raises or ends.
     * **Other stalls** (store or request retry, drain): after two
       quiet ticks with an unchanged ``driver._progress_marker()`` the
       loop leaps and replays the stall counters with
-      ``driver._account_skip``.
+      ``driver._account_skip``.  A retry is a memory call whose outcome
+      any memory event may change (a write's column issue frees its
+      slot, the FSB's request lane frees on its own timer), so it
+      cannot be counted ahead like a span: it is observed frozen.
 
     Skipped cycles are provably no-ops, so results are byte-identical
     with ``REPRO_FASTFWD=0`` (property-tested).
     """
     fast = fastfwd_enabled()
     system = driver.system
+    tick = system.tick
+    next_event_cycle = system.next_event_cycle
     # Progress markers are only captured once a quiet memory cycle
     # has been seen: on busy cycles (the common case on saturated
     # workloads) the capture would be discarded unused, and the
     # first cycle of a quiet window is cheaper to just step.
     check = False
-    waiting = False
-    while waiting or not driver.done:
-        if (
-            checkpointer is not None
-            and system.cycle >= checkpointer.next_poll_cycle
-        ):
+    while not driver.done:
+        cycle = system.cycle
+        if checkpointer is not None and cycle >= checkpointer.next_poll_cycle:
             # Loop-iteration boundaries are the snapshot points:
             # every invariant holds here, so a restored run re-enters
             # the loop in an identical state.
             checkpointer.poll(driver)
-        if system.cycle > max_cycles:
+        if cycle > max_cycles:
             raise SchedulerError(
                 f"{type(driver).__name__} run exceeded {max_cycles} "
                 f"memory cycles without draining (pool={system.pool.count})"
             )
-        if waiting:
-            # Exactly what step() does on a waiting cycle.
-            driver.head_block_cycles += 1
-            completed = system.tick()
+        span = driver._span() if fast else 0
+        if span > 0:
+            # Frozen driver: memory runs alone until the span, the next
+            # poll, the cycle limit or a completion ends the window.
+            check = False
+            end = cycle + span
+            if end > max_cycles:
+                end = max_cycles + 1
+            if checkpointer is not None and checkpointer.next_poll_cycle < end:
+                end = checkpointer.next_poll_cycle
+            now = cycle
+            while True:
+                completed = tick()
+                now += 1
+                if completed:
+                    break
+                if not system.last_tick_active:
+                    wake = next_event_cycle(now)
+                    if wake > end:
+                        wake = end
+                    if wake > now:
+                        system.skip_to(wake)
+                        now = wake
+                if now >= end:
+                    break
+            driver._advance(now - cycle)
             if completed:
                 driver._complete(completed)
-                waiting = driver._waiting()
-            elif not system.last_tick_active:
-                cycle = system.cycle
-                wake = system.next_event_cycle(cycle)
-                if arrival < wake:
-                    wake = arrival
-                if cycle < wake < NEVER:
-                    if wake > max_cycles:
-                        wake = max_cycles + 1
-                    driver.head_block_cycles += wake - cycle
-                    system.skip_to(wake)
-            if system.cycle >= arrival:
-                waiting = False
             continue
         before = driver._progress_marker() if check else None
         driver.step()
         if not fast:
-            continue
-        if driver._waiting():
-            waiting = True
-            check = False
-            arrival = driver.next_arrival
             continue
         if system.last_tick_active:
             check = False

@@ -39,8 +39,9 @@ from repro.controller.access import AccessType
 from repro.controller.registry import extension_names, mechanism_names
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.dram.timing import DDR2_800
+from repro.dram.timing import DDR2_800, DDR5_4800
 from repro.errors import CheckpointMismatchError, ConfigError
+from repro.experiments.generations import generation_config
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
 from repro.sim.engine import (
@@ -49,6 +50,7 @@ from repro.sim.engine import (
     run_requests_resumed,
 )
 from repro.sim.fsb import FSBAdapter
+from repro.timebase import NEVER
 from repro.workloads.fleet import make_fleet_requests
 from repro.workloads.mixes import make_mix_trace
 from repro.workloads.spec2000 import make_benchmark_trace
@@ -411,11 +413,12 @@ def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
 
 @pytest.mark.parametrize("with_fsb", [False, True])
 def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
-    """A periodic snapshot cut while the core waits on its ROB head.
+    """A periodic snapshot cut while the core waits on load data.
 
-    In the fast loop a waiting core is not stepped — only the memory
-    system ticks — so these snapshots are taken from inside that wait.
-    Resuming each must reproduce the straight run byte for byte.
+    In the fast loop a core frozen until a load returns (a ``NEVER``
+    span) is not stepped — only the memory system ticks — so these
+    snapshots are taken from inside that wait.  Resuming each must
+    reproduce the straight run byte for byte.
     """
     config = baseline_config(channels=1, ranks=2, banks=2)
 
@@ -433,10 +436,9 @@ def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
         mid_wait = []
 
         def keep_mid_wait(driver, preempting):
-            if driver._waiting() and len(mid_wait) < 3:
-                head = driver._rob[0]
-                assert not isinstance(head, int)
-                assert head.id not in driver._done_loads
+            if driver._span() >= NEVER and len(mid_wait) < 3:
+                # Only a load's data can end such a wait.
+                assert driver._inflight_loads > 0
                 copy = tmp_path / f"wait-{len(mid_wait)}.ckpt"
                 shutil.copyfile(checkpointer.path, copy)
                 mid_wait.append(copy)
@@ -454,6 +456,49 @@ def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
             result = core.run()
             resumed = (_stats_blob(system), json.dumps(result.to_dict()))
             assert resumed == reference
+
+
+def test_snapshot_inside_frozen_span_resumes_identical(tmp_path):
+    """Every periodic snapshot of a DDR5 closed loop resumes exactly.
+
+    DDR5-4800 fetches 16 instructions per memory cycle, so most cycles
+    lie inside a frozen span: memory runs alone and the core's skipped
+    steps are applied in one ``_advance`` when the span ends.  A poll
+    cut mid-span must see those steps applied, or the snapshot holds a
+    core that lags its memory system and the resumed run diverges.
+    """
+    config = generation_config(DDR5_4800)
+
+    def build():
+        system = MemorySystem(config, "Burst_TH")
+        trace = make_benchmark_trace("swim", accesses=600, seed=5)
+        return OoOCore(system, trace), system
+
+    with fastfwd(True):
+        core, system = build()
+        result = core.run()
+        reference = (_stats_blob(system), json.dumps(result.to_dict()))
+
+        snapshots = []
+
+        def keep(driver, preempting):
+            copy = tmp_path / f"span-{len(snapshots)}.ckpt"
+            shutil.copyfile(checkpointer.path, copy)
+            snapshots.append(copy)
+
+        checkpointer = Checkpointer(
+            str(tmp_path / "ddr5.ckpt"), every=211, on_save=keep
+        )
+        core, _ = build()
+        core.run(checkpointer=checkpointer)
+        assert len(snapshots) > 20
+
+        for path in snapshots:
+            core, system = build()
+            load_checkpoint(str(path), core)
+            result = core.run()
+            resumed = (_stats_blob(system), json.dumps(result.to_dict()))
+            assert resumed == reference, path.name
 
 
 def test_restored_references_share_identity(tmp_path):

@@ -26,9 +26,10 @@ from repro.controller.access import AccessType
 from repro.controller.registry import extension_names, mechanism_names
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.dram.timing import DDR2_800
+from repro.dram.timing import DDR2_800, DDR5_4800
+from repro.experiments.generations import generation_config
 from repro.mapping.base import DecodedAddress
-from repro.sim.config import baseline_config
+from repro.sim.config import CPUConfig, baseline_config
 from repro.sim.engine import OpenLoopDriver, run_requests
 from repro.sim.fsb import FSBAdapter
 from repro.workloads.spec2000 import make_benchmark_trace
@@ -137,10 +138,24 @@ def test_fastfwd_open_loop_identical_across_mechanisms(workload, refresh):
         assert fast == slow, f"{mechanism} diverged under fast-forward"
 
 
-def _run_closed_loop(mechanism, core_cls, with_fsb, fast):
+#: Machines for the closed-loop A/B: the DDR2-800 baseline (80
+#: instructions per memory cycle), DDR5-4800 (16, so instruction gaps
+#: span many frozen cycles), and a core with a 1-entry LSQ and a ROB
+#: smaller than one cycle's budget.
+CLOSED_LOOP_CONFIGS = {
+    "ddr2": baseline_config(),
+    "ddr5": generation_config(DDR5_4800),
+    "small_core": baseline_config(
+        cpu=CPUConfig(lsq_entries=1, rob_entries=12)
+    ),
+}
+
+
+def _run_closed_loop(mechanism, core_cls, with_fsb, fast, config="ddr2"):
     with fastfwd(fast):
-        config = baseline_config()
-        system = MemorySystem(config, mechanism, oracle=True)
+        system = MemorySystem(
+            CLOSED_LOOP_CONFIGS[config], mechanism, oracle=True
+        )
         commands = []
         for channel in system.channels:
             channel.add_command_listener(
@@ -160,6 +175,26 @@ def test_fastfwd_closed_loop_identical(mechanism, core_cls, with_fsb):
     """CPU-coupled runs (optionally bus-limited) are byte-identical."""
     slow = _run_closed_loop(mechanism, core_cls, with_fsb, False)
     fast = _run_closed_loop(mechanism, core_cls, with_fsb, True)
+    assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "config, mechanism",
+    [
+        ("ddr5", "Burst_BPW"),
+        ("ddr5", "Burst_TH"),
+        ("small_core", "Burst_TH"),
+        ("small_core", "Intel"),
+    ],
+)
+@pytest.mark.parametrize("with_fsb", [False, True])
+def test_fastfwd_closed_loop_identical_across_machines(
+    config, mechanism, with_fsb
+):
+    """The same A/B where frozen spans are long (DDR5) or the ROB and
+    LSQ bind on every few accesses (small core)."""
+    slow = _run_closed_loop(mechanism, OoOCore, with_fsb, False, config)
+    fast = _run_closed_loop(mechanism, OoOCore, with_fsb, True, config)
     assert fast == slow
 
 
@@ -219,6 +254,46 @@ def test_waiting_core_is_not_stepped(monkeypatch):
     trace = make_benchmark_trace("swim", accesses=900, seed=5)
     result = OoOCore(system, trace).run()
     assert len(steps) < 0.5 * result.mem_cycles
+
+
+def test_computing_core_is_not_stepped(monkeypatch):
+    """A core fetching an instruction gap is not stepped per cycle.
+
+    On DDR5-4800 a trace record's gap takes many memory cycles to
+    fetch; those steps only retire and fetch, so the fast loop applies
+    them in closed form and steps the core about once per access (to
+    issue it) and once per returned read (to retire behind it).
+    """
+    monkeypatch.setenv("REPRO_FASTFWD", "1")
+    steps = []
+    step = OoOCore.step
+
+    def counting_step(core):
+        steps.append(core.system.cycle)
+        step(core)
+
+    monkeypatch.setattr(OoOCore, "step", counting_step)
+    system = MemorySystem(generation_config(DDR5_4800), "Burst_TH")
+    trace = make_benchmark_trace("swim", accesses=900, seed=5)
+    OoOCore(system, trace).run()
+    assert len(steps) <= 900 + system.stats.completed_reads + 50
+
+
+def test_sequential_mode_steps_the_core_every_cycle(monkeypatch):
+    """REPRO_FASTFWD=0 keeps the core's one-step-per-cycle reference."""
+    monkeypatch.setenv("REPRO_FASTFWD", "0")
+    steps = []
+    step = OoOCore.step
+
+    def counting_step(core):
+        steps.append(core.system.cycle)
+        step(core)
+
+    monkeypatch.setattr(OoOCore, "step", counting_step)
+    system = MemorySystem(generation_config(DDR5_4800), "Burst_TH")
+    trace = make_benchmark_trace("swim", accesses=300, seed=5)
+    result = OoOCore(system, trace).run()
+    assert steps == list(range(result.mem_cycles))
 
 
 def _count_skips(monkeypatch):

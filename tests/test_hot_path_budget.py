@@ -76,21 +76,33 @@ def _calls_per_access(bench, mechanism, config) -> float:
         # one in its source's histogram, the Figure 5 line-8 burst pick
         # inlined, no inter-burst reorder call at burst boundaries, and
         # one run loop for cores and open-loop streams that reads the
-        # driver's next arrival as a field, and the core staging trace
-        # rows inside its fetch loop: 90.0 (92.3 with a staging call
+        # driver's next arrival as a field, the core staging trace
+        # rows inside its fetch loop, the run loop applying a frozen
+        # core's memory-free steps in one closed-form advance instead
+        # of stepping it, and a burst scheduler's read completion
+        # breaking the schedule gate only at zero outstanding reads or
+        # a WAR release: 86.6 (88.2 with every read completion breaking
+        # the gate, 90.0 with the core also stepped through its
+        # instruction gaps, 92.3 with a staging call
         # per fetch iteration, 93.9 with a next-arrival call per wait
         # and a per-wait stall-charge call,
         # 92.6 with the reorder call, 94.6 with a per-pick selection
         # hook call too, 96.6 with the deleted per-slice and per-source
         # LatencyStat records too).
-        ("swim", "Burst_TH", baseline_config(), 93),
-        # 89.9 (91.8, 93.8).
+        ("swim", "Burst_TH", baseline_config(), 89),
+        # 90.2 (89.9 with the stepped gaps: mcf's short gaps end most
+        # spans at a completion, which costs a settle and a re-derive;
+        # 91.8, 93.8).
         ("mcf", "BkInOrder", baseline_config(), 92),
-        # 90.6 (93.6, 95.2).
-        ("gcc", "Intel", baseline_config(), 94),
-        # 115.4 (119.5 with the staging call, 119.9 with the reorder
-        # call, 121.9 with the hook call, 123.9 with the records).
-        ("swim", "Burst_BPW", generation_config(DDR5_4800), 120),
+        # 83.8 (90.6 with the stepped gaps, 93.6, 95.2).
+        ("gcc", "Intel", baseline_config(), 86),
+        # 92.6 (94.8 with every completion breaking the gate, 115.4
+        # with the stepped gaps too: DDR5-4800 fetches 16 instructions
+        # per memory cycle, so a gap spans five times as many cycles as
+        # on DDR2-800; 119.5 with the staging call,
+        # 119.9 with the reorder call, 121.9 with the hook call, 123.9
+        # with the records).
+        ("swim", "Burst_BPW", generation_config(DDR5_4800), 95),
     ],
     ids=[
         "swim-Burst_TH-DDR2",

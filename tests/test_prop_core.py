@@ -1,12 +1,14 @@
-"""Property-based test: the core conserves instructions and accesses."""
+"""Property-based tests of the core: it conserves instructions and
+accesses, and its closed-form frozen-span advance equals stepping."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.controller.access import AccessType
+from repro.controller.access import AccessType, MemoryAccess
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.sim.config import baseline_config
+from repro.mapping.base import DecodedAddress
+from repro.sim.config import CPUConfig, baseline_config
 from repro.workloads.trace import TraceRecord
 
 
@@ -47,3 +49,120 @@ def test_core_conserves_instructions_and_accesses(raw):
     assert stats.completed_reads + stats.forwarded_reads == reads
     assert stats.completed_writes == writes
     assert system.idle
+
+
+class _CycleCounter:
+    """A memory system that only counts cycles.
+
+    Steps inside a core's frozen span must make no memory call, so
+    ``enqueue`` and ``make_access`` fail the test outright.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.cycle = 0
+
+    def tick(self):
+        self.cycle += 1
+        return []
+
+    def enqueue(self, access, cycle):
+        raise AssertionError("enqueue inside a frozen span")
+
+    def make_access(self, *args):
+        raise AssertionError("make_access inside a frozen span")
+
+
+_ADDRESS = DecodedAddress(0, 0, 0, 0, 0)
+
+
+@st.composite
+def frozen_core_states(draw):
+    """A width/ROB/LSQ, a coalesced ROB of instruction runs and loads
+    (returned or not), and a staged record or an exhausted trace."""
+    cpu = CPUConfig(
+        width=draw(st.sampled_from([1, 2, 8])),
+        rob_entries=draw(st.sampled_from([4, 12, 40, 196])),
+        lsq_entries=draw(st.integers(1, 8)),
+    )
+    entries = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 120),
+                st.sampled_from(["done", "waiting"]),
+            ),
+            max_size=12,
+        )
+    )
+    staged = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 2000), st.sampled_from(list(AccessType))),
+        )
+    )
+    return cpu, entries, staged
+
+
+def _frozen_core(cpu, entries, staged):
+    core = OoOCore(_CycleCounter(baseline_config(cpu=cpu)), [])
+    room = cpu.rob_entries
+    for entry in entries:
+        if isinstance(entry, int):
+            take = min(entry, room)
+            if take:
+                core._append_instructions(take)
+            room -= take
+            continue
+        if room == 0:
+            continue
+        access = MemoryAccess(AccessType.READ, 0, _ADDRESS, 0)
+        if entry == "waiting" and core._inflight_loads < cpu.lsq_entries:
+            core._inflight_loads += 1
+        else:
+            core._done_loads.add(access.id)
+        core._rob.append(access)
+        core._rob_occupancy += 1
+        room -= 1
+    if staged is None:
+        core._trace_done = True
+    else:
+        gap, op = staged
+        core._staged = (gap, op, 0, 0)
+        core._gap_left = gap
+    return core
+
+
+def _pipeline(core):
+    rob = [
+        entry if isinstance(entry, int) else entry.id in core._done_loads
+        for entry in core._rob
+    ]
+    return (
+        rob,
+        core._rob_occupancy,
+        core._gap_left,
+        core._inflight_loads,
+        len(core._done_loads),
+        core.instructions,
+        core.head_block_cycles,
+        core.system.cycle,
+    )
+
+
+@given(state=frozen_core_states(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_advance_equals_the_steps_of_a_frozen_span(state, data):
+    """``_advance(k)`` leaves the core exactly as ``k`` steps would,
+    for any ``k`` within ``_span()``, and those steps make no memory
+    call."""
+    stepped = _frozen_core(*state)
+    span = stepped._span()
+    if span == 0:
+        return
+    k = data.draw(st.integers(1, min(span, 60)))
+    for _ in range(k):
+        stepped.step()
+    advanced = _frozen_core(*state)
+    advanced._advance(k)
+    advanced.system.cycle += k
+    assert _pipeline(advanced) == _pipeline(stepped)
