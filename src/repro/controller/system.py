@@ -96,27 +96,14 @@ class MemorySystem:
         #: The next-event run loops only consider skipping after a
         #: quiet (False) tick — see :meth:`next_event_cycle`.
         self.last_tick_active = False
-        #: Cycle before which :meth:`tick` is a proven no-op (set after
-        #: a quiet tick, invalidated by :meth:`enqueue`); -1 = unknown.
-        #: Lets the memory side fast-forward even on cycles where the
-        #: run loop still steps its driver (an enqueue retry, the last
-        #: cycle of an instruction gap).
+        #: The quiet horizon: the cycle before which :meth:`tick` is a
+        #: proven no-op.  Every quiet tick sets it from its one
+        #: lookout; an active tick and an accepted :meth:`enqueue`
+        #: reset it to -1 (unknown).  The run loop reads it to leap,
+        #: and the tick's fast path lets the memory side fast-forward
+        #: even on cycles where the loop still steps its driver (an
+        #: enqueue retry, the last cycle of an instruction gap).
         self._quiet_until = -1
-        #: Consecutive quiet ticks.  Computing the next-event cycle
-        #: costs about as much as one no-op tick, so an isolated quiet
-        #: cycle between two busy ones is cheaper to just step; only a
-        #: streak suggests a window long enough to pay for the lookout.
-        self._quiet_streak = 0
-        #: Quiet ticks required before computing the next-event cycle.
-        #: Adaptive: unproductive lookouts (short windows, typical of
-        #: the 1-3 dead cycles between commands in a burst) raise the
-        #: bar, a productive one drops it back — so dense phases pay
-        #: almost nothing and idle phases arm almost immediately.
-        #: With the armed-gate reuse in :meth:`next_event_cycle` a scan
-        #: costs a handful of comparisons, so the bar starts at 1 and
-        #: stays low — even the 1-3 dead cycles inside a command burst
-        #: are worth leaping now that finding them is nearly free.
-        self._arm_after = 1
         self._fastfwd = fastfwd_enabled()
         # Opt-in independent protocol conformance oracle: one shadow
         # verifier per channel, re-checking every SDRAM command the
@@ -187,12 +174,13 @@ class MemorySystem:
     def tick(self) -> List[MemoryAccess]:
         """Advance one memory cycle; returns reads whose data returned.
 
-        Fast path: after a quiet tick established a fixpoint (and no
-        enqueue has disturbed it), every tick before ``_quiet_until``
-        would find the same frozen state — no command legal, no
-        completion due, the schedulers' selection state idempotent —
-        and the same pool occupancy, so :meth:`skip_to` only moves the
-        clock.
+        A quiet tick (fast-forward on) ends with one lookout,
+        :meth:`next_event_cycle`, whose result becomes the quiet
+        horizon ``_quiet_until``.  Fast path: until an enqueue disturbs
+        that fixpoint, every tick before the horizon would find the
+        same frozen state — no command legal, no completion due, the
+        schedulers' selection state idempotent — and the same pool
+        occupancy, so :meth:`skip_to` only moves the clock.
         """
         cycle = self.cycle
         if cycle < self._quiet_until:
@@ -254,14 +242,11 @@ class MemorySystem:
             self._close_run(cycle)
         self.last_tick_active = active
         self.cycle = cycle + 1
-        # Feed the dead-cycle fast path.
+        # Feed the dead-cycle fast path and the run loop's leaps.
         if active or not fast:
-            self._quiet_streak = 0
             self._quiet_until = -1
         else:
-            # Quiet tick: let the (throttled) lookout decide whether the
-            # window is worth computing; it arms _quiet_until on success.
-            self.next_event_cycle(cycle + 1)
+            self._quiet_until = self.next_event_cycle(cycle + 1)
         return completed
 
     # ------------------------------------------------------------------
@@ -271,27 +256,14 @@ class MemorySystem:
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest cycle any memory-side component can change state.
 
-        Valid only immediately after a quiet tick (every queue, bank
-        register and bus frozen); the run loops advance straight to the
-        returned cycle via :meth:`skip_to`.  A value ``<= cycle`` means
-        "no skip": single-step as before.
-
-        The component scan costs about as much as one no-op tick, and
-        the dead windows between commands of a saturated channel are
-        often 1-3 cycles — not worth it.  So the lookout is throttled:
-        a quiet streak must build up before the scan runs, and the bar
-        adapts (short windows raise it, a real window resets it).  A
-        successful scan is memoised in ``_quiet_until``, which both
-        short-circuits repeat calls and drives the in-tick fast path.
+        The lookout.  Valid only immediately after a quiet tick (every
+        queue, bank register and bus frozen), so :meth:`tick` is its
+        one caller: it runs once per quiet tick and its result becomes
+        the quiet horizon ``_quiet_until``.  A value ``<= cycle`` means
+        "no skip": the next tick runs in full.  An armed scheduler gate
+        makes the scan a handful of comparisons, so even the 1-3 dead
+        cycles between commands of a burst are worth looking for.
         """
-        if self._quiet_until > cycle:
-            return self._quiet_until
-        stats = self.stats
-        self._quiet_streak += 1
-        if self._quiet_streak < self._arm_after:
-            stats.lookout_throttled += 1
-            return cycle  # throttled: keep single-stepping
-        self._quiet_streak = 0
         pool = self.pool
         wake = NEVER
         for scheduler, channel, refresher, pool_sens in self._units:
@@ -326,21 +298,17 @@ class MemorySystem:
                 candidate = scheduler.next_wakeup(cycle)
             if candidate < wake:
                 wake = candidate
-        self._quiet_until = wake
         if wake - cycle >= 2:
-            stats.lookout_hits += 1
-            self._arm_after = 1
+            self.stats.lookout_hits += 1
         else:
-            stats.lookout_misses += 1
-            if self._arm_after < 4:
-                self._arm_after += 1
+            self.stats.lookout_misses += 1
         return wake
 
     def skip_to(self, target: int) -> None:
         """Jump from the current cycle to ``target`` across dead cycles.
 
-        The caller guarantees (via :meth:`next_event_cycle` after a
-        quiet tick) that every skipped cycle would have been a no-op:
+        The caller guarantees (via the quiet horizon a quiet tick
+        left) that every skipped cycle would have been a no-op:
         no command legal, no completion due, no enqueue accepted.  Pool
         occupancy therefore stays constant, so the skipped cycles join
         the open occupancy run (see :meth:`_close_run`) and only the
@@ -378,14 +346,6 @@ class MemorySystem:
         self._run_reads = pool.read_count
         self._run_writes = pool.write_count
 
-    def note_rejected_enqueues(self, start: int, cycles: int) -> None:
-        """Account for ``cycles`` skipped back-to-back enqueue retries.
-
-        The plain memory system rejects with no side effects, so there
-        is nothing to record; :class:`~repro.sim.fsb.FSBAdapter`
-        overrides this to reproduce its per-retry stall counter.
-        """
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -393,11 +353,11 @@ class MemorySystem:
     def state_dict(self, ctx) -> dict:
         """Serialize cycle, pool, stats and every per-channel component.
 
-        The next-event bookkeeping (``_quiet_until``, streak, arming
-        bar) is *not* serialized: it is reset on load, which is safe
-        because skipping is results-invariant (the fast==slow property
-        PR 4 pinned) — the restored run may tick a few extra cycles
-        before re-arming, producing identical statistics.  The open
+        The quiet horizon ``_quiet_until`` is *not* serialized: it is
+        reset on load, which is safe because skipping is
+        results-invariant (fast and sequential runs agree, which the
+        engine tests pin) — the restored run ticks once before it
+        leaps again, producing identical statistics.  The open
         occupancy run is closed first so the stats are complete.
         """
         self._close_run(self.cycle)
@@ -440,8 +400,6 @@ class MemorySystem:
         self._close_run(self.cycle)
         self.last_tick_active = False
         self._quiet_until = -1
-        self._quiet_streak = 0
-        self._arm_after = 1
 
     # ------------------------------------------------------------------
     # Run-state inspection

@@ -327,31 +327,20 @@ class OoOCore:
             self._pending_store is None,
         )
 
-    def _account_skip(self, cycle: int, k: int) -> None:
+    def _account_skip(self, k: int) -> None:
         """Replay ``k`` frozen stall cycles' worth of counters.
 
         Mirrors what :meth:`step` does on a cycle where nothing can
         progress: a blocked load at the ROB head charges
-        ``head_block_cycles``; a rejected store charges
-        ``store_stall_cycles`` and retries its enqueue every cycle; a
-        rejected load retries without a counter.  The retry attempts
-        are reported to the memory system so a front-side-bus wrapper
-        can reproduce its per-attempt stall statistic.
+        ``head_block_cycles`` and a rejected store charges
+        ``store_stall_cycles``; a rejected load retries without a
+        counter.
         """
         rob = self._rob
         if rob and not isinstance(rob[0], int):
             self.head_block_cycles += k
         if self._pending_store is not None:
             self.store_stall_cycles += k
-            self.system.note_rejected_enqueues(cycle, k)
-        elif (
-            self._staged is not None
-            and self._gap_left == 0
-            and self._staged[1] is AccessType.READ
-            and self._rob_occupancy < self.rob_size
-            and self._inflight_loads < self.lsq_size
-        ):
-            self.system.note_rejected_enqueues(cycle, k)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -67,21 +67,12 @@ class OpenLoopDriver:
         self.issued = 0
         #: Did the last step leave a rejected request staged?
         self._stalled = False
-        #: Memory cycles spent waiting for the next arrival, charged
-        #: by :meth:`step` and :meth:`_advance` as a core's wait on
-        #: load data is, so both engine modes count the same.  Nothing
-        #: reports it and snapshots omit it.
-        self.head_block_cycles = 0
 
     def step(self) -> None:
         """Stage and enqueue every due request lane by lane, then tick."""
         system = self.system
         cycle = system.cycle
-        next_arrival = self.next_arrival
-        due = next_arrival <= cycle
-        if not due and not self._stalled and next_arrival < NEVER:
-            # Waiting for the next arrival (see :meth:`_span`).
-            self.head_block_cycles += 1
+        due = self.next_arrival <= cycle
         stalled = False
         for source, pending, staged in self._lanes:
             while pending and pending[0][0] <= cycle:
@@ -135,8 +126,11 @@ class OpenLoopDriver:
         return arrival - self.system.cycle
 
     def _advance(self, k: int) -> None:
-        """Apply ``k`` steps inside a :meth:`_span`: each only waits."""
-        self.head_block_cycles += k
+        """Apply ``k`` steps inside a :meth:`_span`, or ``k`` skipped
+        retries of a rejected request: each only waits, which changes
+        nothing a driver records."""
+
+    _account_skip = _advance
 
     def _complete(self, completed: List[MemoryAccess]) -> None:
         """Record accesses the memory system completed this cycle."""
@@ -145,17 +139,6 @@ class OpenLoopDriver:
     def _progress_marker(self) -> tuple:
         """What a step's progress shows in: enqueues and completions."""
         return (self.issued, len(self.completed))
-
-    def _account_skip(self, cycle: int, k: int) -> None:
-        """Replay ``k`` skipped cycles of enqueue retries.
-
-        Each lane with a staged request would have retried it on every
-        skipped cycle; the retries are reported to the memory system so
-        a front-side-bus wrapper can reproduce its per-retry stat.
-        """
-        for _, _, staged in self._lanes:
-            if staged:
-                self.system.note_rejected_enqueues(cycle, k)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -222,7 +205,8 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
     any cycle where something happened (a request enqueued, a command
     issued, data delivered), because scheduler decisions may depend on
     the fresh state; after a *quiet* cycle every component is frozen at
-    a fixpoint, so the loop leaps to the memory system's next event:
+    a fixpoint, so the loop leaps to the quiet horizon that tick left
+    (``system._quiet_until``, the result of its one lookout):
 
     * **Frozen driver.**  ``driver._span()`` counts the coming steps
       certain to make no call into the memory system (``NEVER`` when
@@ -236,11 +220,12 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
       the loop polls, raises or ends.
     * **Other stalls** (store or request retry, drain): after two
       quiet ticks with an unchanged ``driver._progress_marker()`` the
-      loop leaps and replays the stall counters with
-      ``driver._account_skip``.  A retry is a memory call whose outcome
-      any memory event may change (a write's column issue frees its
-      slot, the FSB's request lane frees on its own timer), so it
-      cannot be counted ahead like a span: it is observed frozen.
+      loop leaps and ``driver._account_skip(k)`` replays the ``k``
+      skipped cycles' stall counters.  A retry is a memory call whose
+      outcome any memory event may change (a write's column issue
+      frees its slot, the FSB's request lane frees on its own timer),
+      so it cannot be counted ahead like a span: it is observed
+      frozen.
 
     Skipped cycles are provably no-ops, so results are byte-identical
     with ``REPRO_FASTFWD=0`` (property-tested).
@@ -248,7 +233,6 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
     fast = fastfwd_enabled()
     system = driver.system
     tick = system.tick
-    next_event_cycle = system.next_event_cycle
     # Progress markers are only captured once a quiet memory cycle
     # has been seen: on busy cycles (the common case on saturated
     # workloads) the capture would be discarded unused, and the
@@ -283,7 +267,7 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
                 if completed:
                     break
                 if not system.last_tick_active:
-                    wake = next_event_cycle(now)
+                    wake = system._quiet_until
                     if wake > end:
                         wake = end
                     if wake > now:
@@ -308,14 +292,14 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
         if driver._progress_marker() != before:
             continue
         cycle = system.cycle
-        wake = system.next_event_cycle(cycle)
+        wake = system._quiet_until
         if driver.next_arrival < wake:
             wake = driver.next_arrival
         if wake <= cycle or wake >= NEVER:
             continue
         if wake > max_cycles:
             wake = max_cycles + 1
-        driver._account_skip(cycle, wake - cycle)
+        driver._account_skip(wake - cycle)
         system.skip_to(wake)
     system.finalize()
     return system.cycle

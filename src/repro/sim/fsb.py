@@ -48,7 +48,6 @@ class FSBAdapter:
         #: The wrapped system's flag, or a read fill delivered by the
         #: most recent :meth:`tick` (same protocol as MemorySystem).
         self.last_tick_active = False
-        self.request_stall_rejects = 0
         self.response_transfer_cycles = 0
 
     # ------------------------------------------------------------------
@@ -81,7 +80,6 @@ class FSBAdapter:
         are address-sized and cost a single bus slot.
         """
         if cycle < self._request_busy_until:
-            self.request_stall_rejects += 1
             return EnqueueStatus.REJECTED_FULL
         status = self.system.enqueue(access, cycle)
         if status is EnqueueStatus.REJECTED_FULL:
@@ -135,7 +133,6 @@ class FSBAdapter:
                 [done, ident, ctx.ref(access)]
                 for done, ident, access in self._pending_responses
             ],
-            "request_stall_rejects": self.request_stall_rejects,
             "response_transfer_cycles": self.response_transfer_cycles,
         }
 
@@ -147,26 +144,28 @@ class FSBAdapter:
             for done, ident, ref in state["pending_responses"]
         ]
         self.last_tick_active = False
-        self.request_stall_rejects = state["request_stall_rejects"]
         self.response_transfer_cycles = state["response_transfer_cycles"]
 
     # ------------------------------------------------------------------
     # Next-event time skipping (same protocol as MemorySystem)
     # ------------------------------------------------------------------
 
-    def next_event_cycle(self, cycle: int) -> int:
-        """Inner memory events plus the bus's own self-timed ones:
-        a buffered read fill coming due, or the request lane freeing
-        (which can turn a rejected enqueue into an accepted one)."""
-        wake = self.system.next_event_cycle(cycle)
+    @property
+    def _quiet_until(self) -> int:
+        """The wrapped system's quiet horizon, cut at the bus's own
+        self-timed events: a buffered read fill coming due, or the
+        request lane freeing (which can turn a rejected enqueue into
+        an accepted one)."""
+        cycle = self.system.cycle
+        wake = self.system._quiet_until
         if self._pending_responses:
             due = self._pending_responses[0][0]
             if due < wake:
                 wake = due
-        # The quiet step ran at ``cycle - 1``: a lane still busy then
+        # The quiet tick ran at ``cycle - 1``: a lane still busy then
         # (busy > cycle - 1) may have been what rejected the enqueue,
         # so its expiry — even when that is ``cycle`` itself — is a
-        # wakeup.  A lane already free during the quiet step cannot
+        # wakeup.  A lane already free during the quiet tick cannot
         # unblock anything by staying free.
         busy = self._request_busy_until
         if cycle <= busy < wake:
@@ -175,18 +174,6 @@ class FSBAdapter:
 
     def skip_to(self, target: int) -> None:
         self.system.skip_to(target)
-
-    def note_rejected_enqueues(self, start: int, cycles: int) -> None:
-        """Skipped-window accounting for the per-retry bus-busy stat.
-
-        The CPU would have retried its rejected enqueue on every one
-        of the ``cycles`` skipped cycles starting at ``start``; each
-        retry that lands while the request lane is still busy bumps
-        :attr:`request_stall_rejects` exactly as :meth:`enqueue` does.
-        """
-        overlap = min(start + cycles, self._request_busy_until) - start
-        if overlap > 0:
-            self.request_stall_rejects += overlap
 
     @property
     def idle(self) -> bool:

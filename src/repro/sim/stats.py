@@ -308,14 +308,12 @@ class SimStats:
 
     def __post_init__(self) -> None:
         # Next-event lookout diagnostics (deliberately NOT dataclass
-        # fields): how often the adaptive streak throttle suppressed a
-        # next_event_cycle scan, and how scans split into productive
-        # windows (>= 3 cycles, resets the arming bar) versus short
-        # ones (raises it).  Engine bookkeeping, not simulation
-        # results — keeping them out of the field set keeps them out
-        # of to_dict()/report(), so checkpoints and cached results
-        # stay byte-identical whether or not fast-forward ran.
-        self.lookout_throttled = 0
+        # fields): how next_event_cycle scans split into productive
+        # windows (a leap of >= 2 cycles) versus short ones.  Engine
+        # bookkeeping, not simulation results — keeping them out of
+        # the field set keeps them out of to_dict()/report(), so
+        # checkpoints and cached results stay byte-identical whether
+        # or not fast-forward ran.
         self.lookout_hits = 0
         self.lookout_misses = 0
 

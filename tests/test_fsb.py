@@ -22,7 +22,7 @@ def test_write_payload_occupies_request_bus(quiet_config):
     assert bus.enqueue(w1, 0) is EnqueueStatus.ACCEPTED
     # The 4-cycle payload blocks the next request.
     assert bus.enqueue(w2, 2) is EnqueueStatus.REJECTED_FULL
-    assert bus.request_stall_rejects == 1
+    assert bus.enqueue(w2, 3) is EnqueueStatus.REJECTED_FULL
     assert bus.enqueue(w2, 4) is EnqueueStatus.ACCEPTED
 
 

@@ -79,30 +79,34 @@ def _calls_per_access(bench, mechanism, config) -> float:
         # driver's next arrival as a field, the core staging trace
         # rows inside its fetch loop, the run loop applying a frozen
         # core's memory-free steps in one closed-form advance instead
-        # of stepping it, and a burst scheduler's read completion
+        # of stepping it, a burst scheduler's read completion
         # breaking the schedule gate only at zero outstanding reads or
-        # a WAR release: 86.6 (88.2 with every read completion breaking
-        # the gate, 90.0 with the core also stepped through its
-        # instruction gaps, 92.3 with a staging call
-        # per fetch iteration, 93.9 with a next-arrival call per wait
+        # a WAR release, and one lookout per quiet tick whose horizon
+        # the run loop reads: 82.7 (86.6 with the run loop asking the
+        # lookout again and the adaptive throttle, 88.2 with every
+        # read completion breaking the gate, 90.0 with the core also
+        # stepped through its instruction gaps, 92.3 with a staging
+        # call per fetch iteration, 93.9 with a next-arrival call per wait
         # and a per-wait stall-charge call,
         # 92.6 with the reorder call, 94.6 with a per-pick selection
         # hook call too, 96.6 with the deleted per-slice and per-source
         # LatencyStat records too).
-        ("swim", "Burst_TH", baseline_config(), 89),
-        # 90.2 (89.9 with the stepped gaps: mcf's short gaps end most
-        # spans at a completion, which costs a settle and a re-derive;
-        # 91.8, 93.8).
+        ("swim", "Burst_TH", baseline_config(), 85),
+        # 89.8 (90.2 with the second lookout, 89.9 with the stepped
+        # gaps: mcf's short gaps end most spans at a completion, which
+        # costs a settle and a re-derive; 91.8, 93.8).
         ("mcf", "BkInOrder", baseline_config(), 92),
-        # 83.8 (90.6 with the stepped gaps, 93.6, 95.2).
-        ("gcc", "Intel", baseline_config(), 86),
-        # 92.6 (94.8 with every completion breaking the gate, 115.4
+        # 79.5 (83.8 with the second lookout, 90.6 with the stepped
+        # gaps, 93.6, 95.2).
+        ("gcc", "Intel", baseline_config(), 82),
+        # 91.1 (92.6 with the second lookout, 94.8 with every
+        # completion breaking the gate, 115.4
         # with the stepped gaps too: DDR5-4800 fetches 16 instructions
         # per memory cycle, so a gap spans five times as many cycles as
         # on DDR2-800; 119.5 with the staging call,
         # 119.9 with the reorder call, 121.9 with the hook call, 123.9
         # with the records).
-        ("swim", "Burst_BPW", generation_config(DDR5_4800), 95),
+        ("swim", "Burst_BPW", generation_config(DDR5_4800), 93),
     ],
     ids=[
         "swim-Burst_TH-DDR2",
