@@ -101,8 +101,8 @@ class MemorySystem:
         #: lookout; an active tick and an accepted :meth:`enqueue`
         #: reset it to -1 (unknown).  The run loop reads it to leap,
         #: and the tick's fast path lets the memory side fast-forward
-        #: even on cycles where the loop still steps its driver (an
-        #: enqueue retry, the last cycle of an instruction gap).
+        #: even on cycles where the loop still steps its driver (the
+        #: last cycle of an instruction gap, a rejected new request).
         self._quiet_until = -1
         self._fastfwd = fastfwd_enabled()
         # Opt-in independent protocol conformance oracle: one shadow

@@ -63,10 +63,6 @@ class CoreResult:
 class OoOCore:
     """Replays a miss trace closed-loop against a memory system."""
 
-    #: A core has no self-timed event: only memory events end its
-    #: stalls (see :func:`~repro.sim.engine.run_loop`).
-    next_arrival = NEVER
-
     def __init__(
         self,
         system: MemorySystem,
@@ -99,6 +95,8 @@ class OoOCore:
         self._inflight_loads = 0
         self._done_loads: Set[int] = set()
         self._pending_store: Optional[MemoryAccess] = None
+        #: Did the last fetch have a store or load rejected?
+        self._stalled = False
         self.instructions = 0
         self.loads = 0
         self.stores = 0
@@ -147,12 +145,14 @@ class OoOCore:
     def _fetch(self, cycle: int) -> None:
         budget = self.budget_per_cycle
         system = self.system
+        self._stalled = False
         while budget > 0:
             # A store rejected earlier blocks fetch until accepted.
             if self._pending_store is not None:
                 status = system.enqueue(self._pending_store, cycle)
                 if status is EnqueueStatus.REJECTED_FULL:
                     self.store_stall_cycles += 1
+                    self._stalled = True
                     return
                 self.stores += 1
                 self._pending_store = None
@@ -195,6 +195,7 @@ class OoOCore:
             )
             status = system.enqueue(access, cycle)
             if status is EnqueueStatus.REJECTED_FULL:
+                self._stalled = True
                 return
             if status is EnqueueStatus.FORWARDED:
                 self._done_loads.add(access.id)
@@ -229,20 +230,36 @@ class OoOCore:
     # ------------------------------------------------------------------
 
     def _span(self) -> int:
-        """How many coming steps are certain to make no memory call.
+        """How many coming steps are certain to make no accepted
+        memory call.
 
         A step calls into the memory system only to retry a pending
-        store or to issue the staged record once its gap is fetched, so
-        with no store pending and a staged gap over one cycle's budget
-        the next ``(gap - 1) // budget`` steps only retire and fetch
-        instructions.  ``NEVER`` means only a load's data can unfreeze
-        the core: a staged READ facing a full LSQ; a blocked ROB head
-        with less room behind it than the staged gap (or none, for a
-        staged READ); and an exhausted trace with loads in flight.
+        store or to issue the staged record once its gap is fetched.  A
+        rejected retry, or the drain once nothing is left to send (no
+        trace, record, store or ROB entry), waits from a quiet tick to
+        its quiet horizon: memory is frozen until then, so every retry
+        before it is rejected again (0 after an active tick).
+        Otherwise, with no store pending and a staged gap over one
+        cycle's budget, the next ``(gap - 1) // budget`` steps only
+        retire and fetch instructions.  ``NEVER`` means only a load's
+        data can unfreeze the core: a staged READ facing a full LSQ; a
+        blocked ROB head with less room behind it than the staged gap
+        (or none, for a staged READ); and an exhausted trace with loads
+        in flight.
         """
+        staged = self._staged
+        if self._stalled or (
+            staged is None
+            and self._trace_done
+            and self._pending_store is None
+            and not self._rob
+        ):
+            system = self.system
+            if system.last_tick_active:
+                return 0
+            return system._quiet_until - system.cycle
         if self._pending_store is not None:
             return 0
-        staged = self._staged
         if staged is None:
             return NEVER if self._trace_done and self._inflight_loads else 0
         gap = self._gap_left
@@ -264,17 +281,22 @@ class OoOCore:
     def _advance(self, k: int) -> None:
         """Apply ``k`` steps inside a :meth:`_span` in closed form.
 
-        No completion lands within them.  With a load in flight,
+        No completion lands within them.  A pending store charges
+        ``store_stall_cycles`` each step.  With a load in flight,
         retirement stops at the oldest one, every cycle that reaches it
         with budget left charges ``head_block_cycles``, and fetch fills
         the ROB behind it.  With none in flight everything retires:
-        above one budget the ROB stays level (a budget out, a budget
-        in); at or below, the first cycle empties it and each cycle
-        then cycles ``min(budget, ROB size)`` instructions.  The staged
-        gap outlasts a finite span, and a ``NEVER`` span fetches no
-        more than the ROB's room.
+        with nothing to fetch (a rejected retry, the drain) the ROB
+        just empties; else above one budget it stays level (a budget
+        out, a budget in); at or below, the first cycle empties it and
+        each cycle then cycles ``min(budget, ROB size)`` instructions.
+        The staged gap outlasts a finite span, and a ``NEVER`` span
+        fetches no more than the ROB's room.
         """
         budget = self.budget_per_cycle
+        if self._pending_store is not None:
+            self.store_stall_cycles += k
+        fetching = self._staged is not None and self._gap_left
         occupancy = self._rob_occupancy
         in_flight = self._inflight_loads
         if in_flight:
@@ -285,8 +307,11 @@ class OoOCore:
                 retired = 0  # the usual wait: a blocked head, no call
             self.head_block_cycles += k - retired // budget
             fetched = 0
-            if self._staged is not None and self._gap_left:
+            if fetching:
                 fetched = min(k * budget, self.rob_size - self._rob_occupancy)
+        elif not fetching:
+            retired = k * budget
+            fetched = 0
         elif occupancy > budget:
             retired = fetched = k * budget
         else:
@@ -309,38 +334,6 @@ class OoOCore:
             and not self._rob
             and self.system.idle
         )
-
-    def _progress_marker(self) -> tuple:
-        """Everything the pipeline can change besides stall counters.
-
-        Two equal markers around a quiet memory tick mean the whole
-        core is frozen: nothing retired, fetched, staged or issued.
-        """
-        return (
-            self.instructions,
-            self.loads,
-            self.stores,
-            self._rob_occupancy,
-            self._inflight_loads,
-            len(self._done_loads),
-            self._staged is None,
-            self._pending_store is None,
-        )
-
-    def _account_skip(self, k: int) -> None:
-        """Replay ``k`` frozen stall cycles' worth of counters.
-
-        Mirrors what :meth:`step` does on a cycle where nothing can
-        progress: a blocked load at the ROB head charges
-        ``head_block_cycles`` and a rejected store charges
-        ``store_stall_cycles``; a rejected load retries without a
-        counter.
-        """
-        rob = self._rob
-        if rob and not isinstance(rob[0], int):
-            self.head_block_cycles += k
-        if self._pending_store is not None:
-            self.store_stall_cycles += k
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -114,31 +114,35 @@ class OpenLoopDriver:
         return wake
 
     def _span(self) -> int:
-        """Cycles until the next arrival, when nothing is staged.
+        """How many coming steps are certain to make no accepted
+        memory call.
 
-        Until then a step stages and enqueues nothing: it only ticks
-        the memory system (0 when something is staged or nothing is
-        left to arrive).
+        With nothing staged it is the cycles to the next arrival: until
+        then a step stages and enqueues nothing, it only ticks the
+        memory system.  A rejected request, or a drained stream, waits
+        from a quiet tick to its quiet horizon (or the next arrival, if
+        sooner): memory is frozen until then, so every retry before it
+        is rejected again.  0 after an active tick.
         """
+        system = self.system
         arrival = self.next_arrival
         if self._stalled or arrival >= NEVER:
-            return 0
-        return arrival - self.system.cycle
+            if system.last_tick_active:
+                return 0
+            wake = system._quiet_until
+            if arrival < wake:
+                wake = arrival
+            return wake - system.cycle
+        return arrival - system.cycle
 
     def _advance(self, k: int) -> None:
-        """Apply ``k`` steps inside a :meth:`_span`, or ``k`` skipped
-        retries of a rejected request: each only waits, which changes
-        nothing a driver records."""
-
-    _account_skip = _advance
+        """Apply ``k`` steps inside a :meth:`_span`: each only waits or
+        has a request rejected, which changes nothing a driver
+        records."""
 
     def _complete(self, completed: List[MemoryAccess]) -> None:
         """Record accesses the memory system completed this cycle."""
         self.completed.extend(completed)
-
-    def _progress_marker(self) -> tuple:
-        """What a step's progress shows in: enqueues and completions."""
-        return (self.issued, len(self.completed))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -196,48 +200,33 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
     """Run ``driver`` to completion; returns the final memory cycle.
 
     The one run loop, for :class:`OpenLoopDriver` and
-    :class:`~repro.cpu.core.OoOCore`.
-    A driver offers ``step()``, ``done``, ``next_arrival`` (its next
-    request's cycle, ``NEVER`` for a core), ``_span()``,
-    ``_advance()``, ``_complete()``, ``_progress_marker()`` and
-    ``_account_skip()``.  With ``REPRO_FASTFWD=0`` every cycle is one
-    ``step()``.  With it on (the default) the loop single steps after
-    any cycle where something happened (a request enqueued, a command
-    issued, data delivered), because scheduler decisions may depend on
-    the fresh state; after a *quiet* cycle every component is frozen at
-    a fixpoint, so the loop leaps to the quiet horizon that tick left
-    (``system._quiet_until``, the result of its one lookout):
+    :class:`~repro.cpu.core.OoOCore`.  A driver offers ``step()``,
+    ``done``, ``_span()``, ``_advance()`` and ``_complete()``.  With
+    ``REPRO_FASTFWD=0`` every cycle is one ``step()``.  With it on (the
+    default) the loop steps the driver unless ``driver._span()`` proves
+    it frozen: the count of coming steps certain to make no accepted
+    call into the memory system (``NEVER`` when only a load's data can
+    end the freeze).  That holds while a core fetches an instruction
+    gap or waits on a load, while a stream waits for its next arrival,
+    and, from a quiet tick (``system.last_tick_active`` false) to the
+    quiet horizon it left (``system._quiet_until``), while a retry is
+    rejected or the driver drains: memory is frozen until the horizon,
+    so a rejected call is rejected again at every cycle before it.
 
-    * **Frozen driver.**  ``driver._span()`` counts the coming steps
-      certain to make no call into the memory system (``NEVER`` when
-      only a load's data can end the freeze).  For that many cycles
-      memory runs alone: it ticks, and leaps after a quiet tick, never
-      past the span.  Then ``driver._advance(k)`` applies the ``k``
-      skipped steps in one closed form.  A completion ends the window
-      early (the steps up to and including its cycle are applied
-      before ``_complete()``), as does reaching the checkpointer's next
-      poll or ``max_cycles``, so the driver is always settled where
-      the loop polls, raises or ends.
-    * **Other stalls** (store or request retry, drain): after two
-      quiet ticks with an unchanged ``driver._progress_marker()`` the
-      loop leaps and ``driver._account_skip(k)`` replays the ``k``
-      skipped cycles' stall counters.  A retry is a memory call whose
-      outcome any memory event may change (a write's column issue
-      frees its slot, the FSB's request lane frees on its own timer),
-      so it cannot be counted ahead like a span: it is observed
-      frozen.
-
-    Skipped cycles are provably no-ops, so results are byte-identical
-    with ``REPRO_FASTFWD=0`` (property-tested).
+    For the span memory runs alone: it ticks, and after a quiet tick
+    leaps to the horizon, never past the span.  Then
+    ``driver._advance(k)`` applies the ``k`` skipped steps in one
+    closed form.  A completion ends the window early (the steps up to
+    and including its cycle are applied before ``_complete()``), as
+    does reaching the checkpointer's next poll or ``max_cycles``, so
+    the driver is always settled where the loop polls, raises or ends.
+    Skipped steps are provably no-ops past what ``_advance`` applies,
+    so results are byte-identical with ``REPRO_FASTFWD=0``
+    (property-tested).
     """
     fast = fastfwd_enabled()
     system = driver.system
     tick = system.tick
-    # Progress markers are only captured once a quiet memory cycle
-    # has been seen: on busy cycles (the common case on saturated
-    # workloads) the capture would be discarded unused, and the
-    # first cycle of a quiet window is cheaper to just step.
-    check = False
     while not driver.done:
         cycle = system.cycle
         if checkpointer is not None and cycle >= checkpointer.next_poll_cycle:
@@ -251,56 +240,34 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
                 f"memory cycles without draining (pool={system.pool.count})"
             )
         span = driver._span() if fast else 0
-        if span > 0:
-            # Frozen driver: memory runs alone until the span, the next
-            # poll, the cycle limit or a completion ends the window.
-            check = False
-            end = cycle + span
-            if end > max_cycles:
-                end = max_cycles + 1
-            if checkpointer is not None and checkpointer.next_poll_cycle < end:
-                end = checkpointer.next_poll_cycle
-            now = cycle
-            while True:
-                completed = tick()
-                now += 1
-                if completed:
-                    break
-                if not system.last_tick_active:
-                    wake = system._quiet_until
-                    if wake > end:
-                        wake = end
-                    if wake > now:
-                        system.skip_to(wake)
-                        now = wake
-                if now >= end:
-                    break
-            driver._advance(now - cycle)
+        if span <= 0:
+            driver.step()
+            continue
+        # Frozen driver: memory runs alone until the span, the next
+        # poll, the cycle limit or a completion ends the window.
+        end = cycle + span
+        if end > max_cycles:
+            end = max_cycles + 1
+        if checkpointer is not None and checkpointer.next_poll_cycle < end:
+            end = checkpointer.next_poll_cycle
+        now = cycle
+        while True:
+            completed = tick()
+            now += 1
             if completed:
-                driver._complete(completed)
-            continue
-        before = driver._progress_marker() if check else None
-        driver.step()
-        if not fast:
-            continue
-        if system.last_tick_active:
-            check = False
-            continue
-        if not check:
-            check = True
-            continue
-        if driver._progress_marker() != before:
-            continue
-        cycle = system.cycle
-        wake = system._quiet_until
-        if driver.next_arrival < wake:
-            wake = driver.next_arrival
-        if wake <= cycle or wake >= NEVER:
-            continue
-        if wake > max_cycles:
-            wake = max_cycles + 1
-        driver._account_skip(wake - cycle)
-        system.skip_to(wake)
+                break
+            if not system.last_tick_active:
+                wake = system._quiet_until
+                if wake > end:
+                    wake = end
+                if wake > now:
+                    system.skip_to(wake)
+                    now = wake
+            if now >= end:
+                break
+        driver._advance(now - cycle)
+        if completed:
+            driver._complete(completed)
     system.finalize()
     return system.cycle
 

@@ -48,7 +48,6 @@ class FSBAdapter:
         #: The wrapped system's flag, or a read fill delivered by the
         #: most recent :meth:`tick` (same protocol as MemorySystem).
         self.last_tick_active = False
-        self.response_transfer_cycles = 0
 
     # ------------------------------------------------------------------
     # MemorySystem interface
@@ -99,7 +98,6 @@ class FSBAdapter:
             start = max(cycle, self._response_busy_until)
             done = start + self.transfer_cycles
             self._response_busy_until = done
-            self.response_transfer_cycles += self.transfer_cycles
             heapq.heappush(
                 self._pending_responses, (done, access.id, access)
             )
@@ -133,7 +131,6 @@ class FSBAdapter:
                 [done, ident, ctx.ref(access)]
                 for done, ident, access in self._pending_responses
             ],
-            "response_transfer_cycles": self.response_transfer_cycles,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
@@ -144,7 +141,6 @@ class FSBAdapter:
             for done, ident, ref in state["pending_responses"]
         ]
         self.last_tick_active = False
-        self.response_transfer_cycles = state["response_transfer_cycles"]
 
     # ------------------------------------------------------------------
     # Next-event time skipping (same protocol as MemorySystem)

@@ -374,6 +374,41 @@ def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
     assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
 
 
+def test_fsb_snapshot_with_dropped_counters_resumes(tmp_path):
+    """A snapshot from before the FSB's unread counters were dropped
+    (it carries ``request_stall_rejects`` and
+    ``response_transfer_cycles``) still loads and resumes exactly."""
+    config = baseline_config(channels=1, ranks=2, banks=2)
+
+    def build():
+        system = MemorySystem(config, "Burst_TH")
+        trace = make_benchmark_trace("swim", accesses=300, seed=5)
+        return OoOCore(FSBAdapter(system), trace), system
+
+    core, system = build()
+    result = core.run()
+    reference = (_stats_blob(system), json.dumps(result.to_dict()))
+
+    core, _ = build()
+    for _ in range(300):
+        core.step()
+    path = tmp_path / "fsb.ckpt"
+    save_checkpoint(str(path), core)
+    lines = path.read_text().splitlines()
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("name") == "fsb":
+            record["state"]["request_stall_rejects"] = 3
+            record["state"]["response_transfer_cycles"] = 120
+            lines[index] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+    core, system = build()
+    load_checkpoint(str(path), core)
+    result = core.run()
+    assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
+
+
 @pytest.mark.parametrize("core_cls", [OoOCore])
 def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
     """A CMP mix cut while a core holds a staged record of a non-zero
@@ -413,12 +448,14 @@ def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
 
 @pytest.mark.parametrize("with_fsb", [False, True])
 def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
-    """A periodic snapshot cut while the core waits on load data.
+    """Periodic snapshots cut while the core waits on load data or
+    retries a rejected store.
 
     In the fast loop a core frozen until a load returns (a ``NEVER``
-    span) is not stepped — only the memory system ticks — so these
-    snapshots are taken from inside that wait.  Resuming each must
-    reproduce the straight run byte for byte.
+    span), or whose store was rejected before a quiet tick (a span to
+    the quiet horizon), is not stepped — only the memory system ticks
+    — so these snapshots are taken from inside that wait.  Resuming
+    each must reproduce the straight run byte for byte.
     """
     config = baseline_config(channels=1, ranks=2, banks=2)
 
@@ -433,24 +470,34 @@ def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
         result = core.run()
         reference = (_stats_blob(system), json.dumps(result.to_dict()))
 
-        mid_wait = []
+        kept = {"wait": [], "store": []}
 
         def keep_mid_wait(driver, preempting):
-            if driver._span() >= NEVER and len(mid_wait) < 3:
+            span = driver._span()
+            if span >= NEVER:
                 # Only a load's data can end such a wait.
                 assert driver._inflight_loads > 0
-                copy = tmp_path / f"wait-{len(mid_wait)}.ckpt"
+                kind = "wait"
+            elif span > 0 and driver._pending_store is not None:
+                # A rejected store, between a quiet tick and its horizon.
+                kind = "store"
+            else:
+                return
+            if len(kept[kind]) < 3:
+                copy = tmp_path / f"{kind}-{len(kept[kind])}.ckpt"
                 shutil.copyfile(checkpointer.path, copy)
-                mid_wait.append(copy)
+                kept[kind].append(copy)
 
+        # Store-retry windows last a few cycles, so polls come often
+        # enough to land inside some with the bus and without.
         checkpointer = Checkpointer(
-            str(tmp_path / "cpu.ckpt"), every=97, on_save=keep_mid_wait
+            str(tmp_path / "cpu.ckpt"), every=13, on_save=keep_mid_wait
         )
         core, _ = build()
         core.run(checkpointer=checkpointer)
-        assert mid_wait
+        assert kept["wait"] and kept["store"]
 
-        for path in mid_wait:
+        for path in kept["wait"] + kept["store"]:
             core, system = build()
             load_checkpoint(str(path), core)
             result = core.run()

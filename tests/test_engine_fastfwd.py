@@ -32,6 +32,7 @@ from repro.mapping.base import DecodedAddress
 from repro.sim.config import CPUConfig, baseline_config
 from repro.sim.engine import OpenLoopDriver, run_requests
 from repro.sim.fsb import FSBAdapter
+from repro.timebase import NEVER
 from repro.workloads.spec2000 import make_benchmark_trace
 from tests.conftest import make_request_stream
 
@@ -247,6 +248,60 @@ def test_one_lookout_per_cycle(monkeypatch, target):
         OoOCore(memory, trace).run()
     assert cycles
     assert len(cycles) == len(set(cycles))
+
+
+@pytest.mark.parametrize("target", ["closed", "open_sparse"])
+def test_stalled_or_draining_driver_steps_once_per_quiet_window(
+    monkeypatch, target
+):
+    """A rejected retry or a drain waits out its quiet window unstepped.
+
+    After a quiet tick memory is frozen until the horizon that tick
+    left, so a retry rejected in the step is rejected again at every
+    cycle before it, and a draining driver has nothing to send: the
+    fast loop must not step such a driver again before that horizon
+    (or the stream's next arrival).
+    """
+    monkeypatch.setenv("REPRO_FASTFWD", "1")
+    system = MemorySystem(baseline_config(), "Burst_TH")
+    if target == "open_sparse":
+        requests = make_request_stream(
+            system.config, 400, seed=4, write_frac=0.5, gap=300
+        )
+        driver = OpenLoopDriver(system, requests)
+    else:
+        trace = make_benchmark_trace("swim", accesses=3000, seed=5)
+        driver = OoOCore(system, trace)
+    cls = type(driver)
+    step = cls.step
+    horizon = [0]
+    early = []
+
+    def watched_step(driver):
+        if system.cycle < horizon[0]:
+            early.append(system.cycle)
+        stalls = getattr(driver, "store_stall_cycles", 0)
+        step(driver)
+        horizon[0] = 0
+        if system.last_tick_active:
+            return
+        wake = system._quiet_until
+        if cls is OpenLoopDriver:
+            waiting = driver._stalled or driver.next_arrival >= NEVER
+            wake = min(wake, driver.next_arrival)
+        else:
+            waiting = driver.store_stall_cycles > stalls or (
+                driver._trace_done
+                and driver._staged is None
+                and driver._pending_store is None
+                and not driver._rob
+            )
+        if waiting:
+            horizon[0] = wake
+
+    monkeypatch.setattr(cls, "step", watched_step)
+    driver.run()
+    assert not early, f"{len(early)} steps inside a quiet window"
 
 
 def test_waiting_core_is_not_stepped(monkeypatch):

@@ -75,15 +75,18 @@ def _calls_per_access(bench, mechanism, config) -> float:
         # Counts with one latency record per read in the aggregate and
         # one in its source's histogram, the Figure 5 line-8 burst pick
         # inlined, no inter-burst reorder call at burst boundaries, and
-        # one run loop for cores and open-loop streams that reads the
-        # driver's next arrival as a field, the core staging trace
+        # one run loop for cores and open-loop streams that makes no
+        # next-arrival call, the core staging trace
         # rows inside its fetch loop, the run loop applying a frozen
         # core's memory-free steps in one closed-form advance instead
         # of stepping it, a burst scheduler's read completion
         # breaking the schedule gate only at zero outstanding reads or
-        # a WAR release, and one lookout per quiet tick whose horizon
-        # the run loop reads: 82.7 (86.6 with the run loop asking the
-        # lookout again and the adaptive throttle, 88.2 with every
+        # a WAR release, one lookout per quiet tick whose horizon
+        # the run loop reads, and a rejected retry or the drain leaping
+        # through the span contract from its first quiet tick: 82.7
+        # (the same with the progress-marker leap after a second quiet
+        # tick; 86.6 with the run loop asking the lookout again and
+        # the adaptive throttle, 88.2 with every
         # read completion breaking the gate, 90.0 with the core also
         # stepped through its instruction gaps, 92.3 with a staging
         # call per fetch iteration, 93.9 with a next-arrival call per wait
@@ -96,8 +99,8 @@ def _calls_per_access(bench, mechanism, config) -> float:
         # gaps: mcf's short gaps end most spans at a completion, which
         # costs a settle and a re-derive; 91.8, 93.8).
         ("mcf", "BkInOrder", baseline_config(), 92),
-        # 79.5 (83.8 with the second lookout, 90.6 with the stepped
-        # gaps, 93.6, 95.2).
+        # 79.4 (79.5 with the marker leap, 83.8 with the second
+        # lookout, 90.6 with the stepped gaps, 93.6, 95.2).
         ("gcc", "Intel", baseline_config(), 82),
         # 91.1 (92.6 with the second lookout, 94.8 with every
         # completion breaking the gate, 115.4
