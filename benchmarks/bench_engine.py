@@ -30,7 +30,7 @@ import pathlib
 import random
 import time
 
-from repro.experiments.common import clear_cache, run_matrix
+from repro.experiments.common import clear_cache, matrix, resolve
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -39,11 +39,11 @@ MATRIX_ROUNDS = 2
 SPARSE_ROUNDS = 3
 
 
-def _matrix_snapshot(matrix):
+def _matrix_snapshot(runs):
     """Byte-comparable view of a matrix: every stat of every cell."""
     return {
         pair: (stats.to_dict(), result.to_dict())
-        for pair, (stats, result) in sorted(matrix.items())
+        for pair, (stats, result) in sorted(runs.items())
     }
 
 
@@ -51,10 +51,10 @@ def _run_matrix_once():
     """Simulate the fig7 matrix from scratch, in this process."""
     clear_cache()
     started = time.process_time()
-    matrix = run_matrix(jobs=1)
+    runs = resolve(matrix(), jobs=1)
     elapsed = time.process_time() - started
-    events = sum(result.mem_cycles for _, result in matrix.values())
-    return elapsed, _matrix_snapshot(matrix), events
+    events = sum(result.mem_cycles for _, result in runs.values())
+    return elapsed, _matrix_snapshot(runs), events
 
 
 def _sparse_driver():

@@ -69,12 +69,7 @@ def simulate_profile(
     closed-loop CPU model against a memory system using ``mechanism``,
     and returns the finalized statistics bundle.
     """
-    from repro.experiments.common import run_benchmark
+    from repro.experiments.common import cell, resolve
 
-    return run_benchmark(
-        benchmark,
-        mechanism,
-        accesses=accesses,
-        config=config,
-        seed=seed,
-    )
+    run = {benchmark: cell(benchmark, mechanism, accesses, config, seed)}
+    return resolve(run, jobs=1, progress=False)[benchmark][0]

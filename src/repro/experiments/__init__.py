@@ -36,7 +36,6 @@ from repro.experiments import (  # noqa: F401  (registry import)
     saturation,
     table1,
 )
-from repro.experiments.common import run_benchmark, run_matrix
 
 EXPERIMENTS = {
     "table1": table1,
@@ -53,4 +52,4 @@ EXPERIMENTS = {
     "generations": generations,
 }
 
-__all__ = ["EXPERIMENTS", "run_benchmark", "run_matrix"]
+__all__ = ["EXPERIMENTS"]

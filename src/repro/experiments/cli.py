@@ -115,11 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_knobs(args: argparse.Namespace) -> None:
-    """Thread --jobs / --no-progress to the runner via environment.
+    """Thread --jobs / --no-progress / --oracle to the runner via
+    environment.
 
-    The figure modules call ``run_matrix`` internally, so the
-    environment is the one channel that reaches every cell regardless
-    of which experiment asked for it.
+    Each experiment resolves its own cells, so the environment is the
+    one channel that reaches every cell regardless of which
+    experiment asked for it.
     """
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)

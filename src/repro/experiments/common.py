@@ -1,13 +1,17 @@
-"""Shared machinery for the experiment modules.
+"""Shared machinery for the closed-loop experiment modules.
 
-* :func:`run_benchmark` — one (benchmark, mechanism) closed-loop run,
-  memoised so experiments that share cells (fig7/fig9/fig10 all use
-  the same matrix) don't recompute them.
-* :func:`run_matrix` — the full benchmark x mechanism sweep, run on
-  the job service's worker pool when ``REPRO_JOBS`` (or ``jobs=``)
-  asks for more than one worker, and served from the persistent
-  on-disk cache in ``.repro-cache/`` when a cell has been simulated
-  before (see :mod:`repro.experiments.runner`).
+Each experiment builds its whole cell dict, then resolves it with one
+:func:`resolve` call:
+
+* :func:`cell` — one (benchmark, mechanism, config) run, with scaling
+  and the default seed and config applied;
+* :func:`matrix` — the benchmark x mechanism sweep behind Figures 7,
+  9 and 10 (also the job service's ``fig7`` matrix);
+* :func:`resolve` — one :func:`runner.run_cells` call: each cell comes
+  from the in-process memo (fig7/fig9/fig10 share one matrix), the
+  on-disk cache in ``.repro-cache/``, or simulation, on the job
+  service's worker pool when ``REPRO_JOBS`` (or ``jobs=``) asks for
+  more than one worker.
 * Scaling knobs: ``REPRO_SCALE`` multiplies the default access counts
   (use 0.25 for a quick look, 4 for a long, low-noise run) and
   ``REPRO_SEED`` changes the workload seed.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.cpu.core import CoreResult
 from repro.errors import ConfigError
@@ -82,15 +86,15 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def _resolve_cell(
+def cell(
     benchmark: str,
     mechanism: str,
-    accesses: Optional[int],
-    config: Optional[SystemConfig],
-    seed: Optional[int],
+    accesses: Optional[int] = None,
+    config: Optional[SystemConfig] = None,
+    seed: Optional[int] = None,
     threshold: Optional[int] = None,
 ) -> runner.Cell:
-    """Apply scaling and defaults, yielding a fully-resolved cell."""
+    """One closed-loop run, with REPRO_SCALE and the defaults applied."""
     n = scaled_accesses(accesses)
     seed = default_seed() if seed is None else seed
     cfg = config if config is not None else baseline_config()
@@ -99,77 +103,49 @@ def _resolve_cell(
     return (benchmark, mechanism, n, seed, cfg)
 
 
-def run_benchmark(
-    benchmark: str,
-    mechanism: str,
-    accesses: Optional[int] = None,
-    config: Optional[SystemConfig] = None,
-    seed: Optional[int] = None,
-    threshold: Optional[int] = None,
-) -> SimStats:
-    """Run one benchmark through one mechanism; returns its stats."""
-    stats, _ = run_benchmark_full(
-        benchmark, mechanism, accesses, config, seed, threshold
-    )
-    return stats
-
-
-def run_benchmark_full(
-    benchmark: str,
-    mechanism: str,
-    accesses: Optional[int] = None,
-    config: Optional[SystemConfig] = None,
-    seed: Optional[int] = None,
-    threshold: Optional[int] = None,
-) -> Tuple[SimStats, CoreResult]:
-    """Memoised closed-loop run returning (stats, core result)."""
-    cell = _resolve_cell(
-        benchmark, mechanism, accesses, config, seed, threshold
-    )
-    hit = _cache.get(cell)
-    if hit is not None:
-        return hit
-    results, _ = runner.run_cells(
-        [cell], jobs=1, memo=_cache, progress=False
-    )
-    return results[cell]
-
-
-def run_matrix(
+def matrix(
     benchmarks: Optional[Iterable[str]] = None,
     mechanisms: Optional[Iterable[str]] = None,
     accesses: Optional[int] = None,
     config: Optional[SystemConfig] = None,
     seed: Optional[int] = None,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, str], Tuple[SimStats, CoreResult]]:
-    """Run the benchmark x mechanism sweep behind Figures 7, 9 and 10.
-
-    ``jobs`` (default: the ``REPRO_JOBS`` environment knob) selects
-    the worker-process count; cells already in the in-process memo or
-    the persistent cache are never re-simulated.
-    """
+) -> Dict[Tuple[str, str], runner.Cell]:
+    """The benchmark-major ``{(benchmark, mechanism): cell}`` sweep
+    behind Figures 7, 9 and 10 (all benchmarks x :data:`MECHANISMS`
+    by default)."""
     benchmarks = list(benchmarks) if benchmarks else benchmark_names()
     mechanisms = list(mechanisms) if mechanisms else list(MECHANISMS)
-    cells = {
-        (benchmark, mechanism): _resolve_cell(
+    return {
+        (benchmark, mechanism): cell(
             benchmark, mechanism, accesses, config, seed
         )
         for benchmark in benchmarks
         for mechanism in mechanisms
     }
-    resolved, _ = runner.run_cells(cells.values(), jobs=jobs, memo=_cache)
-    return {pair: resolved[cell] for pair, cell in cells.items()}
+
+
+def resolve(
+    cells: Dict[Hashable, runner.Cell],
+    jobs: Optional[int] = None,
+    progress: object = None,
+) -> Dict[Hashable, Tuple[SimStats, CoreResult]]:
+    """Every cell's ``(stats, core result)``, under the caller's keys,
+    from one :func:`runner.run_cells` call (``jobs`` and ``progress``
+    as there)."""
+    resolved, _ = runner.run_cells(
+        cells.values(), jobs=jobs, memo=_cache, progress=progress
+    )
+    return {key: resolved[c] for key, c in cells.items()}
 
 
 __all__ = [
     "DEFAULT_ACCESSES",
     "MECHANISMS",
+    "cell",
     "clear_cache",
     "default_seed",
-    "run_benchmark",
-    "run_benchmark_full",
-    "run_matrix",
+    "matrix",
+    "resolve",
     "scale",
     "scaled_accesses",
 ]

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.analysis.tables import format_table
-from repro.experiments.common import MECHANISMS, run_matrix
+from repro.experiments.common import MECHANISMS, matrix, resolve
 from repro.workloads.spec2000 import benchmark_names
 
 BASELINE = "BkInOrder"
@@ -30,12 +30,12 @@ def run(
 ) -> Dict[str, object]:
     """Normalized execution time per (benchmark, mechanism) + averages."""
     benchmarks = list(benchmarks) if benchmarks else benchmark_names()
-    matrix = run_matrix(benchmarks, MECHANISMS, accesses, config)
+    runs = resolve(matrix(benchmarks, MECHANISMS, accesses, config))
     normalized: Dict[str, Dict[str, float]] = {}
     for bench in benchmarks:
-        base_cycles = matrix[(bench, BASELINE)][1].mem_cycles
+        base_cycles = runs[(bench, BASELINE)][1].mem_cycles
         normalized[bench] = {
-            mechanism: matrix[(bench, mechanism)][1].mem_cycles / base_cycles
+            mechanism: runs[(bench, mechanism)][1].mem_cycles / base_cycles
             for mechanism in MECHANISMS
         }
     average = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import run_benchmark
+from repro.experiments.common import cell, resolve
 
 BENCHMARK = "swim"
 
@@ -40,11 +40,14 @@ def run(
     config=None,
 ) -> Dict[str, Dict[str, object]]:
     """Outstanding-access distributions per threshold."""
-    result = {}
-    for threshold in thresholds:
-        stats = run_benchmark(
+    runs = resolve({
+        threshold: cell(
             benchmark, "Burst_TH", accesses, config, threshold=threshold
         )
+        for threshold in thresholds
+    })
+    result = {}
+    for threshold, (stats, _) in runs.items():
         result[label(threshold)] = {
             "threshold": threshold,
             "reads": list(stats.outstanding_reads.series()),

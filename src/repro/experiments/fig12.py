@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import format_table
-from repro.experiments.common import run_benchmark_full
+from repro.experiments.common import cell, resolve
 from repro.experiments.fig11 import label
 from repro.workloads.spec2000 import benchmark_names
 
@@ -36,26 +36,22 @@ def run(
     if "Burst" not in sweep:
         # Everything is normalized to plain Burst; it must be swept.
         sweep.insert(0, "Burst")
+    resolved = resolve({
+        (bench, point): (
+            cell(bench, "Burst", accesses, config)
+            if point == "Burst"
+            else cell(bench, "Burst_TH", accesses, config, threshold=point)
+        )
+        for bench in benchmarks
+        for point in sweep
+    })
+    base_cycles = {
+        bench: resolved[(bench, "Burst")][1].mem_cycles for bench in benchmarks
+    }
     result: Dict[str, Dict[str, float]] = {}
-    base_cycles: Dict[str, int] = {}
     for point in sweep:
-        if point == "Burst":
-            name = "Burst"
-            runs = [
-                run_benchmark_full(bench, "Burst", accesses, config)
-                for bench in benchmarks
-            ]
-        else:
-            name = label(point)
-            runs = [
-                run_benchmark_full(
-                    bench, "Burst_TH", accesses, config, threshold=point
-                )
-                for bench in benchmarks
-            ]
-        if point == "Burst":
-            for bench, (_, core) in zip(benchmarks, runs):
-                base_cycles[bench] = core.mem_cycles
+        name = "Burst" if point == "Burst" else label(point)
+        runs = [resolved[(bench, point)] for bench in benchmarks]
         result[name] = {
             "read_latency": arithmetic_mean(
                 [stats.mean_read_latency for stats, _ in runs]

@@ -17,23 +17,23 @@ from typing import Dict, Optional
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import format_table
-from repro.experiments.common import MECHANISMS, run_matrix
+from repro.experiments.common import MECHANISMS, matrix, resolve
 
 
 def run(
     benchmarks=None, accesses: Optional[int] = None, config=None
 ) -> Dict[str, Dict[str, float]]:
     """Per-mechanism latencies averaged across the benchmarks."""
-    matrix = run_matrix(benchmarks, MECHANISMS, accesses, config)
-    benchmarks_run = sorted({bench for bench, _ in matrix})
+    runs = resolve(matrix(benchmarks, MECHANISMS, accesses, config))
+    benchmarks_run = sorted({bench for bench, _ in runs})
     result: Dict[str, Dict[str, float]] = {}
     for mechanism in MECHANISMS:
         reads = [
-            matrix[(bench, mechanism)][0].mean_read_latency
+            runs[(bench, mechanism)][0].mean_read_latency
             for bench in benchmarks_run
         ]
         writes = [
-            matrix[(bench, mechanism)][0].mean_write_latency
+            runs[(bench, mechanism)][0].mean_write_latency
             for bench in benchmarks_run
         ]
         result[mechanism] = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_series
-from repro.experiments.common import run_benchmark
+from repro.experiments.common import cell, resolve
 
 #: The mechanisms plotted in the paper's Figure 8.
 FIG8_MECHANISMS = (
@@ -38,9 +38,11 @@ def run(
     config=None,
 ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """Time-weighted outstanding-access distributions per mechanism."""
+    runs = resolve(
+        {m: cell(benchmark, m, accesses, config) for m in FIG8_MECHANISMS}
+    )
     result = {}
-    for mechanism in FIG8_MECHANISMS:
-        stats = run_benchmark(benchmark, mechanism, accesses, config)
+    for mechanism, (stats, _) in runs.items():
         result[mechanism] = {
             "reads": list(stats.outstanding_reads.series()),
             "writes": list(stats.outstanding_writes.series()),

@@ -18,18 +18,18 @@ from typing import Dict, Optional
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import format_table
-from repro.experiments.common import MECHANISMS, run_matrix
+from repro.experiments.common import MECHANISMS, matrix, resolve
 
 
 def run(
     benchmarks=None, accesses: Optional[int] = None, config=None
 ) -> Dict[str, Dict[str, float]]:
     """Per-mechanism row-state rates and bus utilisation."""
-    matrix = run_matrix(benchmarks, MECHANISMS, accesses, config)
-    benchmarks_run = sorted({bench for bench, _ in matrix})
+    runs = resolve(matrix(benchmarks, MECHANISMS, accesses, config))
+    benchmarks_run = sorted({bench for bench, _ in runs})
     result: Dict[str, Dict[str, float]] = {}
     for mechanism in MECHANISMS:
-        cells = [matrix[(bench, mechanism)][0] for bench in benchmarks_run]
+        cells = [runs[(bench, mechanism)][0] for bench in benchmarks_run]
         rates = [stats.row_state_rates() for stats in cells]
         result[mechanism] = {
             "row_hit": arithmetic_mean([r["hit"] for r in rates]),

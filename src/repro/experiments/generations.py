@@ -23,12 +23,13 @@ so the generation is measured with its native refresh mode.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import format_table
 from repro.dram.timing import GENERATIONS
-from repro.experiments.common import run_benchmark_full
+from repro.experiments.common import cell, resolve
+from repro.experiments.runner import Cell
 from repro.sim.config import baseline_config
 
 #: Mechanisms per generation cell: the paper's baseline and best, the
@@ -57,6 +58,30 @@ def generation_config(timing, base=None):
     return replace(base, timing=timing, refresh_policy=policy)
 
 
+def cells(
+    benchmarks: Sequence[str],
+    mechanisms: Sequence[str],
+    accesses: Optional[int] = None,
+    config=None,
+    seed: Optional[int] = None,
+    generations=GENERATIONS,
+) -> Dict[Tuple[str, str, str], Cell]:
+    """The ``{(generation, benchmark, mechanism): cell}`` ladder.
+
+    Generation-major, then benchmark-major within a generation; the
+    job service's ``generations`` matrix is this list.
+    """
+    n = ACCESSES if accesses is None else accesses
+    return {
+        (timing.name, bench, mechanism): cell(
+            bench, mechanism, n, generation_config(timing, config), seed
+        )
+        for timing in generations
+        for bench in benchmarks
+        for mechanism in mechanisms
+    }
+
+
 def run(
     benchmarks: Optional[Sequence[str]] = None,
     generations=GENERATIONS,
@@ -67,14 +92,15 @@ def run(
     """The generation x mechanism x benchmark sweep."""
     benchmarks = list(benchmarks) if benchmarks else list(BENCHMARKS)
     mechanisms = list(mechanisms)
-    n = ACCESSES if accesses is None else accesses
+    resolved = resolve(cells(
+        benchmarks, mechanisms, accesses, config, generations=generations
+    ))
     result: Dict[str, Dict[str, object]] = {}
     for timing in generations:
-        cfg = generation_config(timing, config)
         per_mechanism: Dict[str, Dict[str, float]] = {}
         for mechanism in mechanisms:
             runs = [
-                run_benchmark_full(bench, mechanism, n, cfg)
+                resolved[(timing.name, bench, mechanism)]
                 for bench in benchmarks
             ]
             per_mechanism[mechanism] = {
@@ -91,7 +117,7 @@ def run(
                     [float(core.store_stall_cycles) for _, core in runs]
                 ),
             }
-        cell: Dict[str, object] = {
+        entry: Dict[str, object] = {
             "row_hit": timing.tCL,
             "row_empty": timing.tRCD + timing.tCL,
             "row_conflict": timing.tRP + timing.tRCD + timing.tCL,
@@ -100,7 +126,7 @@ def run(
         if "Burst_TH" in per_mechanism and "Burst_BPW" in per_mechanism:
             th = per_mechanism["Burst_TH"]
             bpw = per_mechanism["Burst_BPW"]
-            cell["bpw_write_drain"] = {
+            entry["bpw_write_drain"] = {
                 "write_latency_reduction_pct": (
                     (th["write_latency"] - bpw["write_latency"])
                     / th["write_latency"]
@@ -120,19 +146,19 @@ def run(
                     * 100.0
                 ),
             }
-        result[timing.name] = cell
+        result[timing.name] = entry
     return result
 
 
 def render(result) -> str:
     """Render the sweep as one paper-style text table."""
     rows = []
-    for generation, cell in result.items():
-        for mechanism, values in cell["mechanisms"].items():
+    for generation, entry in result.items():
+        for mechanism, values in entry["mechanisms"].items():
             rows.append(
                 (
                     generation,
-                    cell["row_conflict"],
+                    entry["row_conflict"],
                     mechanism,
                     values["read_latency"],
                     values["write_latency"],
@@ -159,12 +185,12 @@ def render(result) -> str:
     drains = [
         (
             generation,
-            cell["bpw_write_drain"]["write_latency_reduction_pct"],
-            cell["bpw_write_drain"]["store_stall_reduction_pct"],
-            cell["bpw_write_drain"]["execution_reduction_pct"],
+            entry["bpw_write_drain"]["write_latency_reduction_pct"],
+            entry["bpw_write_drain"]["store_stall_reduction_pct"],
+            entry["bpw_write_drain"]["execution_reduction_pct"],
         )
-        for generation, cell in result.items()
-        if "bpw_write_drain" in cell
+        for generation, entry in result.items()
+        if "bpw_write_drain" in entry
     ]
     if drains:
         table += "\n\n" + format_table(
@@ -190,6 +216,7 @@ __all__ = [
     "ACCESSES",
     "BENCHMARKS",
     "MECHANISMS",
+    "cells",
     "generation_config",
     "main",
     "render",

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import format_table
-from repro.experiments.common import run_benchmark_full
+from repro.experiments.common import cell, resolve
 from repro.sim.config import REFRESH_POLICIES, baseline_config
 
 #: Density ladder: (label, tRFC in cycles).  The real 8/16/32 Gb tRFC
@@ -83,21 +83,29 @@ def run(
         policies.insert(0, "REFab")
     base = config if config is not None else baseline_config()
     n = ACCESSES if accesses is None else accesses
+    resolved = resolve({
+        (bench, label, policy, mechanism): cell(
+            bench, mechanism, n,
+            replace(_density_config(base, trfc), refresh_policy=policy),
+        )
+        for bench in benchmarks
+        for label, trfc in densities
+        for policy in policies
+        for mechanism in mechanisms
+    })
     result: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for label, trfc in densities:
-        cell_config = _density_config(base, trfc)
+    for label, _ in densities:
         per_density: Dict[str, Dict[str, float]] = {}
-        base_cycles: Dict[tuple, int] = {}
         for policy in policies:
-            cfg = replace(cell_config, refresh_policy=policy)
             for mechanism in mechanisms:
                 runs = [
-                    run_benchmark_full(bench, mechanism, n, cfg)
+                    resolved[(bench, label, policy, mechanism)]
                     for bench in benchmarks
                 ]
-                if policy == "REFab":
-                    for bench, (_, core) in zip(benchmarks, runs):
-                        base_cycles[(mechanism, bench)] = core.mem_cycles
+                refab = [
+                    resolved[(bench, label, "REFab", mechanism)]
+                    for bench in benchmarks
+                ]
                 per_density[f"{policy}/{mechanism}"] = {
                     "read_latency": arithmetic_mean(
                         [s.mean_read_latency for s, _ in runs]
@@ -107,9 +115,8 @@ def run(
                     ),
                     "execution_vs_REFab": arithmetic_mean(
                         [
-                            core.mem_cycles
-                            / base_cycles[(mechanism, bench)]
-                            for bench, (_, core) in zip(benchmarks, runs)
+                            core.mem_cycles / base.mem_cycles
+                            for (_, core), (_, base) in zip(runs, refab)
                         ]
                     ),
                 }

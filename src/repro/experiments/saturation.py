@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import run_benchmark
+from repro.experiments.common import cell, resolve
 
 BENCHMARK = "swim"
 
@@ -31,14 +31,16 @@ def run(
     config=None,
 ) -> Dict[str, Dict[str, float]]:
     """Measured write-queue saturation per mechanism."""
-    result = {}
-    for mechanism, paper in PAPER_RATES.items():
-        stats = run_benchmark(benchmark, mechanism, accesses, config)
-        result[mechanism] = {
+    runs = resolve(
+        {m: cell(benchmark, m, accesses, config) for m in PAPER_RATES}
+    )
+    return {
+        mechanism: {
             "paper": paper,
-            "measured": stats.write_queue_saturation,
+            "measured": runs[mechanism][0].write_queue_saturation,
         }
-    return result
+        for mechanism, paper in PAPER_RATES.items()
+    }
 
 
 def render(result) -> str:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.controller.registry import MECHANISMS as MECHANISM_REGISTRY
 from repro.errors import ServiceError
 from repro.experiments import common, generations, runner
-from repro.sim.config import SystemConfig, baseline_config
+from repro.sim.config import SystemConfig
 from repro.workloads.spec2000 import benchmark_names
 
 
@@ -169,60 +169,38 @@ def _check_benchmark(benchmark: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _sim_matrix(
-    benchmarks: List[str],
-    mechanisms: List[str],
-    accesses: int,
-    seed: int,
-    config: SystemConfig,
-) -> List[CellSpec]:
-    """Benchmark-major cells on one config, serialised once."""
-    wire_config = config.to_dict()
-    return [
-        sim_cell_spec(benchmark, mechanism, accesses, seed, config, wire_config)
-        for benchmark in benchmarks
-        for mechanism in mechanisms
-    ]
+def _expand(params: dict, benchmarks, mechanisms, cells) -> List[CellSpec]:
+    """Specs for an experiment's own cell list, ``cells(benchmarks,
+    mechanisms, accesses, seed=seed)``; each distinct config is
+    serialised once."""
+    benchmarks = _names_param(params, "benchmarks", benchmarks)
+    mechanisms = _names_param(params, "mechanisms", mechanisms)
+    for benchmark in benchmarks:
+        _check_benchmark(benchmark)
+    for mechanism in mechanisms:
+        _check_mechanism(mechanism)
+    accesses = int_param(params, "accesses", minimum=1)
+    seed = int_param(params, "seed")
+    wire: Dict[SystemConfig, dict] = {}
+    specs = []
+    for cell in cells(benchmarks, mechanisms, accesses, seed=seed).values():
+        if cell[4] not in wire:
+            wire[cell[4]] = cell[4].to_dict()
+        specs.append(sim_cell_spec(*cell, wire[cell[4]]))
+    return specs
 
 
 def _expand_fig7(params: dict) -> List[CellSpec]:
     """The shared benchmark × mechanism matrix behind Figures 7-10."""
-    benchmarks = _names_param(params, "benchmarks", benchmark_names())
-    mechanisms = _names_param(params, "mechanisms", common.MECHANISMS)
-    for benchmark in benchmarks:
-        _check_benchmark(benchmark)
-    for mechanism in mechanisms:
-        _check_mechanism(mechanism)
-    accesses = common.scaled_accesses(
-        int_param(params, "accesses", minimum=1)
-    )
-    seed = int_param(params, "seed", common.default_seed())
-    return _sim_matrix(
-        benchmarks, mechanisms, accesses, seed, baseline_config()
-    )
+    return _expand(params, benchmark_names(), common.MECHANISMS, common.matrix)
 
 
 def _expand_generations(params: dict) -> List[CellSpec]:
     """The generation-ladder fig7 matrix (experiments.generations)."""
-    benchmarks = _names_param(params, "benchmarks", generations.BENCHMARKS)
-    mechanisms = _names_param(params, "mechanisms", generations.MECHANISMS)
-    for benchmark in benchmarks:
-        _check_benchmark(benchmark)
-    for mechanism in mechanisms:
-        _check_mechanism(mechanism)
-    accesses = common.scaled_accesses(
-        int_param(params, "accesses", generations.ACCESSES, 1)
+    return _expand(
+        params, generations.BENCHMARKS, generations.MECHANISMS,
+        generations.cells,
     )
-    seed = int_param(params, "seed", common.default_seed())
-    specs = []
-    from repro.dram.timing import GENERATIONS
-
-    for timing in GENERATIONS:
-        specs.extend(_sim_matrix(
-            benchmarks, mechanisms, accesses, seed,
-            generations.generation_config(timing),
-        ))
-    return specs
 
 
 MATRICES = {

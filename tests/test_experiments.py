@@ -22,10 +22,11 @@ from repro.experiments import (
 from repro.errors import ConfigError
 from repro.experiments.common import (
     MECHANISMS,
+    cell,
     clear_cache,
     default_seed,
-    run_benchmark,
-    run_matrix,
+    matrix,
+    resolve,
     scale,
     scaled_accesses,
 )
@@ -190,12 +191,13 @@ def test_generations_ddr5_write_drain():
     assert "write-drain win" in rendered
 
 
-def test_run_matrix_caches(config):
-    stats_a = run_benchmark("swim", "Burst_TH", accesses=800)
-    stats_b = run_benchmark("swim", "Burst_TH", accesses=800)
+def test_resolve_caches(config):
+    run = {"swim": cell("swim", "Burst_TH", accesses=800)}
+    stats_a = resolve(run)["swim"][0]
+    stats_b = resolve(run)["swim"][0]
     assert stats_a is stats_b  # memoised
-    matrix = run_matrix(("swim",), ("Burst_TH",), accesses=800)
-    assert matrix[("swim", "Burst_TH")][0] is stats_a
+    runs = resolve(matrix(("swim",), ("Burst_TH",), accesses=800))
+    assert runs[("swim", "Burst_TH")][0] is stats_a
 
 
 def test_scaled_accesses_env(monkeypatch):

@@ -177,20 +177,78 @@ def test_disk_cache_round_trip_preserves_reports():
     assert cached[cell][1] == fresh[cell][1]
 
 
-def test_run_matrix_parallel_equals_sequential(monkeypatch):
-    seq = common.run_matrix(BENCHES, MECHS, accesses=N, jobs=1)
+def test_resolve_parallel_equals_sequential(monkeypatch):
+    seq = common.resolve(common.matrix(BENCHES, MECHS, accesses=N), jobs=1)
     common.clear_cache()
     monkeypatch.setenv("REPRO_CACHE", "0")  # force re-simulation
-    par = common.run_matrix(BENCHES, MECHS, accesses=N, jobs=2)
+    par = common.resolve(common.matrix(BENCHES, MECHS, accesses=N), jobs=2)
     assert set(seq) == set(par)
     for pair in seq:
         assert _dumps(seq[pair][0]) == _dumps(par[pair][0])
 
 
-def test_run_matrix_memo_identity_preserved():
-    stats = common.run_benchmark("swim", "Burst_TH", accesses=N)
-    matrix = common.run_matrix(("swim",), ("Burst_TH",), accesses=N, jobs=2)
+def test_resolve_memo_identity_preserved():
+    run = {"one": common.cell("swim", "Burst_TH", accesses=N)}
+    stats = common.resolve(run)["one"][0]
+    matrix = common.resolve(
+        common.matrix(("swim",), ("Burst_TH",), accesses=N), jobs=2
+    )
     assert matrix[("swim", "Burst_TH")][0] is stats
+
+
+def test_memo_hits_reach_the_session_totals(monkeypatch):
+    """A cell served from the memo is counted like any other."""
+    from repro.experiments import fig7, fig8
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    fig7.run(benchmarks=["swim"], accesses=500)
+    before = (runner.TOTALS.total, runner.TOTALS.cached_memo)
+    fig8.run(accesses=500)  # its six swim cells are all fig7 cells
+    after = (runner.TOTALS.total, runner.TOTALS.cached_memo)
+    assert (after[0] - before[0], after[1] - before[1]) == (6, 6)
+
+
+def _one_call_cases():
+    from repro.dram.timing import GENERATIONS
+    from repro.experiments import (
+        fig7, fig8, fig9, fig10, fig11, fig12, generations,
+        refresh_pressure, saturation,
+    )
+
+    pair = ["swim", "mcf"]
+    # fig12 and refresh_pressure get their baseline ("Burst", "REFab")
+    # last: results are normalised to it wherever it sits in the sweep.
+    return {
+        "fig7": lambda: fig7.run(pair, accesses=500),
+        "fig8": lambda: fig8.run(accesses=500),
+        "fig9": lambda: fig9.run(pair, accesses=500),
+        "fig10": lambda: fig10.run(pair, accesses=500),
+        "fig11": lambda: fig11.run(thresholds=(0, 32, 64), accesses=500),
+        "fig12": lambda: fig12.run(pair, sweep=(0, "Burst"), accesses=500),
+        "saturation": lambda: saturation.run(accesses=500),
+        "generations": lambda: generations.run(
+            pair, GENERATIONS[:2], ("BkInOrder", "RowHit"), accesses=500
+        ),
+        "refresh_pressure": lambda: refresh_pressure.run(
+            pair, policies=("DARP", "REFab"), mechanisms=("FCFS",),
+            accesses=500,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_one_call_cases()))
+def test_each_experiment_resolves_its_cells_in_one_call(name, monkeypatch):
+    calls = []
+    run_cells = runner.run_cells
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_cells(*args, **kwargs)
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setattr(runner, "run_cells", counting)
+    _one_call_cases()[name]()
+    assert len(calls) == 1
 
 
 def test_cell_key_sensitivity():

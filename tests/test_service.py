@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServiceError
-from repro.experiments import runner
+from repro.experiments import common, generations, runner
 from repro.service.client import ServiceClient
 from repro.service.jobs import (
     expand_submission,
@@ -74,6 +74,11 @@ def test_expand_fig7_matrix_subset():
     assert [spec.label for spec in specs] == [
         "swim/FCFS", "swim/Burst_TH", "mcf/FCFS", "mcf/Burst_TH",
     ]
+    # The service's matrix is the experiments' own cell list.
+    cells = common.matrix(["swim", "mcf"], ["FCFS", "Burst_TH"], N)
+    assert [spec.key for spec in specs] == [
+        runner.cell_key(*cell) for cell in cells.values()
+    ]
 
 
 def test_expand_generations():
@@ -89,6 +94,10 @@ def test_expand_generations():
     assert len(gens) == len(GENERATIONS)
     names = {spec.payload["config"]["timing"]["name"] for spec in gens}
     assert len(names) == len(GENERATIONS)
+    cells = generations.cells(["swim"], ["Burst_TH"], N)
+    assert [spec.key for spec in gens] == [
+        runner.cell_key(*cell) for cell in cells.values()
+    ]
 
 
 def test_expand_rejects_malformed_submissions():
