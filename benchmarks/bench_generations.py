@@ -1,11 +1,15 @@
-"""Generation matrix: fig7/table1 per device profile, Burst_BPW drain.
+"""Generation matrix: fig7/table1 per device profile, the §6 Burst_TH
+gain, the Burst_BPW drain.
 
 Regenerates the :mod:`repro.experiments.generations` sweep (ISSUE 9)
 and records the headline acceptance number in
 ``results/BENCH_generations.json``: on the DDR5-4800 profile the
 bank-parallel write drain (``Burst_BPW``) must deliver a *measurable*
 mean-write-latency improvement over plain ``Burst_TH`` without giving
-back execution time.
+back execution time.  It also checks the §6 claim on the sweep's own
+cells: Burst_TH's gain over BkInOrder is larger on the newest
+generation than on the oldest, and the row-conflict latency in cycles
+grows down the ladder.
 
 The JSON keeps the whole generation x mechanism matrix (Table 1
 latencies, read/write latency, execution cycles, the per-generation
@@ -93,3 +97,10 @@ def test_generation_matrix(benchmark, archive):
         ddr5["write_latency_reduction_pct"]
         > ddr2["write_latency_reduction_pct"]
     ), "the DDR5 write-drain win must exceed the DDR2-800 win"
+    # The §6 claim: the newest generation shows a larger reordering
+    # gain than the oldest.
+    gains = [cell["burst_th_gain_pct"] for cell in result.values()]
+    assert gains[-1] > gains[0], gains
+    # And conflict latency in cycles is monotone across the ladder.
+    conflicts = [cell["row_conflict"] for cell in result.values()]
+    assert conflicts == sorted(conflicts)

@@ -30,9 +30,9 @@ from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
 from repro.errors import ReproError
 from repro.sim.config import ROW_POLICIES, baseline_config
+from repro.workloads import make_trace
 from repro.workloads.microbench import MICROBENCHMARKS
-from repro.workloads.mixes import make_mix_trace
-from repro.workloads.spec2000 import benchmark_names, make_benchmark_trace
+from repro.workloads.spec2000 import benchmark_names
 from repro.workloads.trace import load_trace, trace_rows
 
 #: Device presets selectable with --device — a view of the generation
@@ -135,18 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_trace(args):
-    if args.benchmark:
-        return args.benchmark, make_benchmark_trace(
-            args.benchmark, args.accesses, args.seed
-        )
+    if args.trace:
+        return args.trace, load_trace(args.trace)
     if args.mix:
         names = [n.strip() for n in args.mix.split(",") if n.strip()]
-        return "+".join(names), make_mix_trace(
-            names, args.accesses, args.seed
-        )
-    if args.micro:
-        return args.micro, MICROBENCHMARKS[args.micro](args.accesses)
-    return args.trace, load_trace(args.trace)
+        workload = "+".join(names)
+    else:
+        workload = args.benchmark or args.micro
+    return workload, make_trace(workload, args.accesses, args.seed)
 
 
 #: Workload/machine knobs a snapshot records so --resume can rebuild

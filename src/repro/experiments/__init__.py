@@ -18,11 +18,15 @@ fig12      latency & execution time vs threshold (Fig. 12)
 saturation write queue saturation rates, swim (§5.1)
 refresh_pressure density x refresh policy x mechanism (HPCA 2014)
 fleet      multi-tenant adversarial matrix, QoS vs plain Burst_TH
-generations fig7/table1 matrix per device profile, Burst_BPW drain (§6)
+generations fig7/table1 matrix per device profile, Burst_TH gain and
+           Burst_BPW drain (§6)
+ablations  §2 CPU model, §7 mapping and dynamic threshold, row
+           policies, §6 CMP mixes, microbenchmark datasheet
 ========== ==========================================================
 """
 
 from repro.experiments import (  # noqa: F401  (registry import)
+    ablations,
     fig1,
     fig7,
     fig8,
@@ -50,6 +54,7 @@ EXPERIMENTS = {
     "saturation": saturation,
     "fleet": fleet,
     "generations": generations,
+    "ablations": ablations,
 }
 
 __all__ = ["EXPERIMENTS"]

@@ -12,6 +12,8 @@ refresh) and reports, per generation:
   cycles, the paper's "latencies grow" axis;
 * per-mechanism read/write latencies and execution cycles, Figure 7
   style, including the BARD-style ``Burst_BPW`` extension;
+* the §6 claim itself: Burst_TH's execution-time gain over BkInOrder,
+  the mean of the per-benchmark gains;
 * the DDR5-era headline: ``Burst_BPW``'s write-drain improvement over
   ``Burst_TH`` (mean write latency, store-stall cycles and execution
   time), which should widen down the ladder as write recovery grows.
@@ -82,6 +84,12 @@ def cells(
     }
 
 
+def _cut(before: float, after: float) -> Optional[float]:
+    """How much lower ``after`` is than ``before``, in percent; ``None``
+    when ``before`` is 0 (a write-free cell has no write latency)."""
+    return (before - after) / before * 100.0 if before else None
+
+
 def run(
     benchmarks: Optional[Sequence[str]] = None,
     generations=GENERATIONS,
@@ -98,11 +106,13 @@ def run(
     result: Dict[str, Dict[str, object]] = {}
     for timing in generations:
         per_mechanism: Dict[str, Dict[str, float]] = {}
+        cycles = {}
         for mechanism in mechanisms:
             runs = [
                 resolved[(timing.name, bench, mechanism)]
                 for bench in benchmarks
             ]
+            cycles[mechanism] = [core.mem_cycles for _, core in runs]
             per_mechanism[mechanism] = {
                 "read_latency": arithmetic_mean(
                     [s.mean_read_latency for s, _ in runs]
@@ -111,7 +121,7 @@ def run(
                     [s.mean_write_latency for s, _ in runs]
                 ),
                 "mem_cycles": arithmetic_mean(
-                    [float(core.mem_cycles) for _, core in runs]
+                    [float(c) for c in cycles[mechanism]]
                 ),
                 "store_stall_cycles": arithmetic_mean(
                     [float(core.store_stall_cycles) for _, core in runs]
@@ -123,35 +133,32 @@ def run(
             "row_conflict": timing.tRP + timing.tRCD + timing.tCL,
             "mechanisms": per_mechanism,
         }
+        if "BkInOrder" in per_mechanism and "Burst_TH" in per_mechanism:
+            entry["burst_th_gain_pct"] = arithmetic_mean([
+                (1.0 - burst / inorder) * 100.0
+                for inorder, burst in zip(
+                    cycles["BkInOrder"], cycles["Burst_TH"]
+                )
+            ])
         if "Burst_TH" in per_mechanism and "Burst_BPW" in per_mechanism:
             th = per_mechanism["Burst_TH"]
             bpw = per_mechanism["Burst_BPW"]
             entry["bpw_write_drain"] = {
-                "write_latency_reduction_pct": (
-                    (th["write_latency"] - bpw["write_latency"])
-                    / th["write_latency"]
-                    * 100.0
-                ),
-                "store_stall_reduction_pct": (
-                    (
-                        th["store_stall_cycles"]
-                        - bpw["store_stall_cycles"]
-                    )
-                    / max(1.0, th["store_stall_cycles"])
-                    * 100.0
-                ),
-                "execution_reduction_pct": (
-                    (th["mem_cycles"] - bpw["mem_cycles"])
-                    / th["mem_cycles"]
-                    * 100.0
-                ),
+                f"{name}_reduction_pct": _cut(th[key], bpw[key])
+                for name, key in (
+                    ("write_latency", "write_latency"),
+                    ("store_stall", "store_stall_cycles"),
+                    ("execution", "mem_cycles"),
+                )
             }
         result[timing.name] = entry
     return result
 
 
 def render(result) -> str:
-    """Render the sweep as one paper-style text table."""
+    """Render the sweep as paper-style text tables: the per-mechanism
+    matrix, the Burst_TH gain per generation and the Burst_BPW drain
+    win (a cut whose Burst_TH base is 0 reads ``n/a``)."""
     rows = []
     for generation, entry in result.items():
         for mechanism, values in entry["mechanisms"].items():
@@ -182,12 +189,26 @@ def render(result) -> str:
         ),
         float_format="{:.1f}",
     )
+    gains = [
+        (generation, entry["row_conflict"], entry["burst_th_gain_pct"])
+        for generation, entry in result.items()
+        if "burst_th_gain_pct" in entry
+    ]
+    if gains:
+        table += "\n\n" + format_table(
+            ("generation", "conflict (cycles)",
+             "Burst_TH gain over BkInOrder (%)"),
+            gains,
+            title=(
+                "§6: Burst_TH execution-time gain over BkInOrder "
+                "(mean of per-benchmark gains)"
+            ),
+            float_format="{:.1f}",
+        )
     drains = [
-        (
-            generation,
-            entry["bpw_write_drain"]["write_latency_reduction_pct"],
-            entry["bpw_write_drain"]["store_stall_reduction_pct"],
-            entry["bpw_write_drain"]["execution_reduction_pct"],
+        (generation,) + tuple(
+            "n/a" if value is None else value
+            for value in entry["bpw_write_drain"].values()
         )
         for generation, entry in result.items()
         if "bpw_write_drain" in entry

@@ -208,8 +208,8 @@ _ABLATION_FILES = (
     ("ablation_mapping", "address mapping schemes (§7)"),
     ("ablation_policies", "dynamic threshold (§7)"),
     ("ablation_cpu_model", "OoO core vs one outstanding load (§2 premise)"),
-    ("generation_sweep", "reordering gain across DRAM generations (§6)"),
-    ("generations", "fig7/table1 per device profile + Burst_BPW drain (§6)"),
+    ("generations",
+     "fig7/table1 per device profile, Burst_TH gain + Burst_BPW drain (§6)"),
     ("cmp_mix", "4-core multiprogrammed mixes (§6)"),
     ("ablation_fsb", "explicit front side bus (Table 3 assumption)"),
     ("microbench", "microbenchmark characterisation datasheet"),

@@ -50,7 +50,7 @@ from repro.errors import ConfigError, ReproError
 from repro.sim.config import SystemConfig
 from repro.sim.profile import env_flag
 from repro.sim.stats import SimStats
-from repro.workloads.spec2000 import make_benchmark_trace
+from repro.workloads import make_trace
 from repro.workloads.trace import Trace
 
 #: One fully-resolved unit of work: (benchmark, mechanism, accesses,
@@ -337,9 +337,10 @@ def _cell_trace(benchmark: str, accesses: int, seed: int) -> Trace:
     Matrices expand benchmark-major, so consecutive cells on one worker
     differ only in mechanism and reuse one trace.  A single entry keeps
     memory flat however large the matrix; a packed trace is immutable,
-    so every cell may share it.
+    so every cell may share it.  ``benchmark`` is any workload name
+    :func:`~repro.workloads.make_trace` accepts.
     """
-    return make_benchmark_trace(benchmark, accesses, seed)
+    return make_trace(benchmark, accesses, seed)
 
 
 def execute_cell(

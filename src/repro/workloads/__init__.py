@@ -9,8 +9,10 @@ schedulers actually react to — row locality, bank spread, read/write
 mix, eviction-echo write locality and arrival burstiness.
 """
 
+from repro.errors import ConfigError
 from repro.workloads.trace import Trace, TraceRecord, load_trace, save_trace
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
+from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.mixes import (
     STANDARD_MIXES,
     interleave_traces,
@@ -22,6 +24,28 @@ from repro.workloads.spec2000 import (
     benchmark_names,
     make_benchmark_trace,
 )
+
+
+def make_trace(name: str, accesses: int, seed: int = 1) -> Trace:
+    """The trace a workload name stands for.
+
+    ``name`` is a SPEC profile (:func:`make_benchmark_trace`), a
+    ``+``-joined profile list for a CMP mix (:func:`make_mix_trace`,
+    ``accesses`` per core) or a :data:`MICROBENCHMARKS` pattern (which
+    takes no seed).
+    """
+    if name in SPEC_PROFILES:
+        return make_benchmark_trace(name, accesses, seed)
+    if "+" in name:
+        return make_mix_trace(name.split("+"), accesses, seed)
+    if name in MICROBENCHMARKS:
+        return MICROBENCHMARKS[name](accesses)
+    raise ConfigError(
+        f"unknown workload {name!r}: expected a SPEC profile "
+        f"{BENCHMARKS}, a '+'-joined mix of them, or a microbenchmark "
+        f"{sorted(MICROBENCHMARKS)}"
+    )
+
 
 __all__ = [
     "BENCHMARKS",
@@ -36,5 +60,6 @@ __all__ = [
     "load_trace",
     "make_benchmark_trace",
     "make_mix_trace",
+    "make_trace",
     "save_trace",
 ]

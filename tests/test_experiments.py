@@ -57,6 +57,7 @@ def test_registry_lists_every_paper_artifact():
         "refresh_pressure",
         "fleet",
         "generations",
+        "ablations",
     }
     for module in EXPERIMENTS.values():
         assert callable(module.run)
@@ -189,6 +190,23 @@ def test_generations_ddr5_write_drain():
     rendered = generations.render(result)
     assert "Burst_BPW" in rendered
     assert "write-drain win" in rendered
+
+
+def test_generations_on_write_free_cells(monkeypatch):
+    """swim's first 500 records hold no write, so Burst_TH's mean write
+    latency and store stalls are 0: each Burst_BPW cut over them is
+    ``None``, rendered ``n/a`` (not a ZeroDivisionError, not 0.0)."""
+    from repro.experiments import generations
+
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    result = generations.run(["swim"], accesses=500)
+    for entry in result.values():
+        drain = entry["bpw_write_drain"]
+        assert drain["write_latency_reduction_pct"] is None
+        assert drain["store_stall_reduction_pct"] is None
+        assert drain["execution_reduction_pct"] is not None
+        assert entry["burst_th_gain_pct"] > 0
+    assert "n/a" in generations.render(result)
 
 
 def test_resolve_caches(config):

@@ -41,7 +41,11 @@ import repro.cli
 import repro.experiments
 from repro.experiments import runner
 from repro.sim.config import baseline_config
-runner.run_cells([("swim", "Burst_TH", 500, 1, baseline_config())], jobs=1)
+runner.run_cells(
+    [(w, "Burst_TH", 500, 1, baseline_config())
+     for w in ("swim", "swim+mcf", "stride8k")],
+    jobs=1,
+)
 loaded = sorted(
     m for m in sys.modules
     if m.split(".")[0] in ("asyncio", "multiprocessing")

@@ -41,12 +41,19 @@ def _cells():
     return [(b, m, N, SEED, cfg) for b in BENCHES for m in MECHS]
 
 
+def _workload_cells():
+    """A CMP mix cell and a microbenchmark cell: workloads that are
+    not a SPEC profile (``repro.workloads.make_trace``)."""
+    cfg = baseline_config()
+    return [(w, "Burst_TH", N, SEED, cfg) for w in ("swim+mcf", "stride8k")]
+
+
 def _dumps(stats):
     return json.dumps(stats.to_dict(), sort_keys=True)
 
 
 def test_parallel_matches_sequential_byte_identical(tmp_path, monkeypatch):
-    cells = _cells()
+    cells = _cells() + _workload_cells()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "seq"))
     seq, seq_report = runner.run_cells(cells, jobs=1, memo={})
     assert seq_report.executed == len(cells)
@@ -168,13 +175,13 @@ def test_second_invocation_all_from_disk_cache():
 
 
 def test_disk_cache_round_trip_preserves_reports():
-    cells = _cells()[:1]
-    fresh, _ = runner.run_cells(cells, jobs=1, memo={})
-    cached, report = runner.run_cells(cells, jobs=1, memo={})
-    assert report.cached_disk == 1
-    (cell,) = cells
-    assert cached[cell][0].report() == fresh[cell][0].report()
-    assert cached[cell][1] == fresh[cell][1]
+    for cell in _cells()[:1] + _workload_cells():
+        fresh, _ = runner.run_cells([cell], jobs=1, memo={})
+        cached, report = runner.run_cells([cell], jobs=1, memo={})
+        assert report.cached_disk == 1
+        assert cached[cell][0].report() == fresh[cell][0].report()
+        assert _dumps(cached[cell][0]) == _dumps(fresh[cell][0])
+        assert cached[cell][1] == fresh[cell][1]
 
 
 def test_resolve_parallel_equals_sequential(monkeypatch):
@@ -211,14 +218,17 @@ def test_memo_hits_reach_the_session_totals(monkeypatch):
 def _one_call_cases():
     from repro.dram.timing import GENERATIONS
     from repro.experiments import (
-        fig7, fig8, fig9, fig10, fig11, fig12, generations,
+        ablations, fig7, fig8, fig9, fig10, fig11, fig12, generations,
         refresh_pressure, saturation,
     )
 
     pair = ["swim", "mcf"]
     # fig12 and refresh_pressure get their baseline ("Burst", "REFab")
     # last: results are normalised to it wherever it sits in the sweep.
+    # ablations takes no access count: the test's REPRO_SCALE brings
+    # every one of its cells down to the 500-access floor.
     return {
+        "ablations": ablations.run,
         "fig7": lambda: fig7.run(pair, accesses=500),
         "fig8": lambda: fig8.run(accesses=500),
         "fig9": lambda: fig9.run(pair, accesses=500),
@@ -246,6 +256,7 @@ def test_each_experiment_resolves_its_cells_in_one_call(name, monkeypatch):
         return run_cells(*args, **kwargs)
 
     monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setenv("REPRO_SCALE", "0.01")
     monkeypatch.setattr(runner, "run_cells", counting)
     _one_call_cases()[name]()
     assert len(calls) == 1

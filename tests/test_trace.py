@@ -7,7 +7,9 @@ from array import array
 import pytest
 
 from repro.controller.access import AccessType
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
+from repro.workloads import make_trace
+from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.mixes import make_mix_trace
 from repro.workloads.spec2000 import BENCHMARKS, make_benchmark_trace
 from repro.workloads.trace import (
@@ -166,6 +168,21 @@ def test_packed_traces_equal_the_record_lists_they_replaced(tmp_path):
     assert digest.hexdigest() == (
         "256d00a32519f2db181d8dfd5737540ab5b3faf4aad7192ab6753605dd883197"
     )
+
+
+def test_make_trace_names_every_workload():
+    """A SPEC profile, a ``+``-joined mix and a microbenchmark name give
+    the traces their own builders give; any other name is an error."""
+    for name, trace in PACKED:
+        if name == "mix":
+            assert make_trace("swim+mcf+gcc", 300, 2) == trace
+        else:
+            assert make_trace(name, 400, 2) == trace
+    for name, builder in MICROBENCHMARKS.items():
+        assert make_trace(name, 300, 2) == builder(300)
+    for name in ("doom3", "swim,mcf", "swim+doom3", "stride", ""):
+        with pytest.raises(ConfigError):
+            make_trace(name, 10, 1)
 
 
 def test_trace_without_sources_keeps_no_source_column():
