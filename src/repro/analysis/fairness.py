@@ -49,16 +49,6 @@ def per_source_read_latency(stats: SimStats) -> Dict[int, float]:
     return {source: view.mean for source, view in views.items() if view.count}
 
 
-def per_source_service_rate(stats: SimStats, cycles: int) -> Dict[int, float]:
-    """Completed accesses per cycle per tenant over a ``cycles`` run."""
-    if cycles <= 0:
-        raise ConfigError("service rate needs a positive cycle count")
-    return {
-        source: stat.service_rate(cycles)
-        for source, stat in sorted(stats.per_source.items())
-    }
-
-
 def _check_baselines(
     solo: Dict[int, float], shared: Dict[int, float]
 ) -> None:
@@ -107,7 +97,6 @@ __all__ = [
     "jain_index",
     "max_slowdown",
     "per_source_read_latency",
-    "per_source_service_rate",
     "speedup_jain",
     "weighted_speedup",
 ]

@@ -9,7 +9,6 @@ machine variant, and reports the statistics as text, JSON or CSV::
     repro-sim --mix swim,mcf,gcc,art --mechanism RowHit
     repro-sim --micro stream --mechanism BkInOrder --device DDR_266
     repro-sim --trace mytrace.txt --json
-    repro-sim --benchmark gcc --mapping bit_reversal --csv out.csv
 
 (The experiment harness that regenerates the paper's tables/figures is
 the separate ``repro-experiments`` command.)
@@ -84,10 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mapping", default="page_interleave",
-        choices=(
-            "page_interleave", "cacheline_interleave",
-            "bit_reversal", "permutation",
-        ),
+        choices=("page_interleave", "cacheline_interleave", "permutation"),
     )
     parser.add_argument(
         "--row-policy", default="open_page", choices=ROW_POLICIES

@@ -36,9 +36,7 @@ from repro.workloads.mixes import STANDARD_MIXES
 SEEDS = (1, 2, 3)
 PAIR = ("BkInOrder", "Burst_TH")
 CPU_BENCHES = ("swim", "gcc", "art")
-MAPPINGS = (
-    "page_interleave", "cacheline_interleave", "bit_reversal", "permutation",
-)
+MAPPINGS = ("page_interleave", "cacheline_interleave", "permutation")
 MAPPING_BENCHES = ("swim", "gcc", "mcf", "art")
 POLICY_BENCHES = ("swim", "gcc", "mcf", "lucas", "art", "parser")
 ROWPOLICY_BENCHES = ("swim", "mcf", "gcc")

@@ -1,10 +1,11 @@
-"""Shared machinery for the closed-loop experiment modules.
+"""Shared machinery for the experiment modules that record runner cells.
 
 Each experiment builds its whole cell dict, then resolves it with one
 :func:`resolve` call:
 
-* :func:`cell` — one (benchmark, mechanism, config) run, with scaling
-  and the default seed and config applied;
+* :func:`cell` — one (workload, mechanism, config) run, closed loop
+  or open loop (:data:`runner.Cell`), with scaling and the default
+  seed and config applied;
 * :func:`matrix` — the benchmark x mechanism sweep behind Figures 7,
   9 and 10 (also the job service's ``fig7`` matrix);
 * :func:`resolve` — one :func:`runner.run_cells` call: each cell comes
@@ -23,11 +24,9 @@ import math
 import os
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.cpu.core import CoreResult
 from repro.errors import ConfigError
 from repro.experiments import runner
 from repro.sim.config import SystemConfig, baseline_config
-from repro.sim.stats import SimStats
 from repro.workloads.spec2000 import benchmark_names
 
 #: Accesses per benchmark run before REPRO_SCALE is applied.
@@ -73,7 +72,7 @@ def scaled_accesses(accesses: Optional[int] = None) -> int:
     return max(500, int(base * scale()))
 
 
-_cache: Dict[Tuple, Tuple[SimStats, CoreResult]] = {}
+_cache: Dict[runner.Cell, runner.Result] = {}
 
 
 def clear_cache() -> None:
@@ -94,7 +93,8 @@ def cell(
     seed: Optional[int] = None,
     threshold: Optional[int] = None,
 ) -> runner.Cell:
-    """One closed-loop run, with REPRO_SCALE and the defaults applied."""
+    """One run of any workload the runner takes, with REPRO_SCALE and
+    the defaults applied."""
     n = scaled_accesses(accesses)
     seed = default_seed() if seed is None else seed
     cfg = config if config is not None else baseline_config()
@@ -128,10 +128,10 @@ def resolve(
     cells: Dict[Hashable, runner.Cell],
     jobs: Optional[int] = None,
     progress: object = None,
-) -> Dict[Hashable, Tuple[SimStats, CoreResult]]:
+) -> Dict[Hashable, runner.Result]:
     """Every cell's ``(stats, core result)``, under the caller's keys,
     from one :func:`runner.run_cells` call (``jobs`` and ``progress``
-    as there)."""
+    as there); an open-loop cell's core result is ``None``."""
     resolved, _ = runner.run_cells(
         cells.values(), jobs=jobs, memo=_cache, progress=progress
     )

@@ -1,12 +1,13 @@
 """Generate EXPERIMENTS.md — paper-vs-measured for every artifact.
 
 ``repro-experiments report [path]`` runs the full harness (table1,
-fig1, fig7-fig12, saturation) in one process (so the matrix runs are
-shared through the memoisation cache) and writes a markdown report
-recording, for every table and figure of the paper: what the paper
-says, what this reproduction measures, and whether the shape target
-holds.  The checked-in EXPERIMENTS.md is produced by exactly this
-command.
+fig1, fig7-fig12, saturation, generations, ablations) at one
+``REPRO_SCALE`` in one process (so the matrix runs are shared through
+the memoisation cache) and writes a markdown report recording, for
+every table and figure of the paper: what the paper says, what this
+reproduction measures, and whether the shape target holds; only the
+hand-built benches' tables are pasted from ``benchmarks/results/``.
+The checked-in EXPERIMENTS.md is produced by exactly this command.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 from typing import List
 
 from repro.experiments import (
+    ablations,
     fig1,
     fig7,
     fig8,
@@ -22,6 +24,7 @@ from repro.experiments import (
     fig10,
     fig11,
     fig12,
+    generations,
     saturation,
     table1,
 )
@@ -180,9 +183,19 @@ def build_report() -> str:
         + _block(saturation.render(sat))
     )
 
-    ablations = _ablation_section()
-    if ablations:
-        sections.append(ablations)
+    # ---------------------------------------------------- beyond the paper
+    tables = {
+        "generations": generations.render(generations.run()),
+        **ablations.tables(ablations.run()),
+    }
+    sections.append(
+        "## Beyond the paper — ablations and extensions\n\n"
+        "The `generations` and `ablations` experiments at this report's "
+        "scale, each table under its `benchmarks/results` stem:\n\n"
+        + "\n\n".join(f"### {stem}\n\n" + _block(text)
+                      for stem, text in tables.items())
+    )
+    sections.append(_archived_section())
 
     sections.append(
         "## Tables 2-4\n\n"
@@ -198,28 +211,20 @@ def build_report() -> str:
         f"Report generated in {time.time() - started:.0f}s.\n"
     )
 
-    return "\n\n".join(sections) + "\n"
+    return "\n\n".join(filter(None, sections)) + "\n"
 
 
-#: Ablation/extension outputs archived by ``pytest benchmarks/``;
-#: embedded in the report when present.
-_ABLATION_FILES = (
+#: Outputs of the hand-built benches, archived by ``pytest
+#: benchmarks/``; embedded in the report when present.
+_ARCHIVED_FILES = (
     ("ablation_priority", "Table 2 priority table vs naive issue"),
-    ("ablation_mapping", "address mapping schemes (§7)"),
-    ("ablation_policies", "dynamic threshold (§7)"),
-    ("ablation_cpu_model", "OoO core vs one outstanding load (§2 premise)"),
-    ("generations",
-     "fig7/table1 per device profile, Burst_TH gain + Burst_BPW drain (§6)"),
-    ("cmp_mix", "4-core multiprogrammed mixes (§6)"),
     ("ablation_fsb", "explicit front side bus (Table 3 assumption)"),
-    ("microbench", "microbenchmark characterisation datasheet"),
-    ("ablation_rowpolicy", "row policies: open page / CPA / predictor [22]"),
     ("service", "job service: sharded, preempted, cache-served fig7 (§15)"),
 )
 
 
-def _ablation_section() -> str:
-    """Embed archived ablation results, when the benches have run."""
+def _archived_section() -> str:
+    """Embed the hand-built benches' archived tables, when present."""
     from pathlib import Path
 
     # src/repro/experiments/report.py -> parents[2] is src/, whose
@@ -233,16 +238,18 @@ def _ablation_section() -> str:
     if directory is None:
         return ""
     blocks = []
-    for stem, caption in _ABLATION_FILES:
+    for stem, caption in _ARCHIVED_FILES:
         path = directory / f"{stem}.txt"
         if path.is_file():
             blocks.append(f"### {caption}\n\n" + _block(path.read_text().strip()))
     if not blocks:
         return ""
     return (
-        "## Beyond the paper — ablations and extensions\n\n"
-        "Produced by `pytest benchmarks/ --benchmark-only` (archived "
-        "under `benchmarks/results/`):\n\n" + "\n\n".join(blocks)
+        "## Archived bench output\n\n"
+        "Hand-built benches that are not experiments, archived under "
+        "`benchmarks/results/` by `pytest benchmarks/ --benchmark-only` "
+        "at the scale of the run that last wrote them, not this "
+        "report's:\n\n" + "\n\n".join(blocks)
     )
 
 

@@ -1,12 +1,12 @@
 """Experiment runner: memo, persistent result cache, then simulation.
 
-:func:`run_cells` resolves each (benchmark, mechanism) cell from the
+:func:`run_cells` resolves each (workload, mechanism) cell from the
 caller's in-process memo, else from the persistent store, else by
 simulating it:
 
 * **Persistence** — every simulated cell is written to a
   content-addressed JSON store under ``.repro-cache/`` keyed by a
-  stable hash of (benchmark, mechanism, access count, seed, full
+  stable hash of (workload, mechanism, access count, seed, full
   :class:`SystemConfig`, code version), so re-running a figure hits
   disk instead of re-simulating, across processes *and* across
   invocations.  Any source change under ``src/repro`` changes the
@@ -48,15 +48,20 @@ from repro.controller.system import MemorySystem
 from repro.cpu.core import CoreResult, OoOCore
 from repro.errors import ConfigError, ReproError
 from repro.sim.config import SystemConfig
+from repro.sim.engine import OpenLoopDriver
 from repro.sim.profile import env_flag
 from repro.sim.stats import SimStats
-from repro.workloads import make_trace
+from repro.workloads import make_requests, make_trace, open_loop
 from repro.workloads.trace import Trace
 
-#: One fully-resolved unit of work: (benchmark, mechanism, accesses,
-#: seed, config).  Scaling (REPRO_SCALE) and defaulting happen in
-#: ``experiments.common`` before a cell reaches this module.
+#: One fully-resolved unit of work: (workload, mechanism, accesses,
+#: seed, config); an open-loop workload name drains an
+#: :class:`OpenLoopDriver`, any other runs an :class:`OoOCore`.  Scaling
+#: (REPRO_SCALE) and defaulting happen in ``experiments.common``.
 Cell = Tuple[str, str, int, int, SystemConfig]
+
+#: A resolved cell: its stats and core result (``None`` if open loop).
+Result = Tuple[SimStats, Optional[CoreResult]]
 
 #: Bump to invalidate every cached result regardless of code version
 #: (e.g. when the cache file layout itself changes).
@@ -162,7 +167,12 @@ def _cache_path(key: str) -> Path:
 # ----------------------------------------------------------------------
 
 
-def cache_load(key: str) -> Optional[Tuple[SimStats, CoreResult]]:
+def _core(benchmark: str, core_dict) -> Optional[CoreResult]:
+    """A cell's core result from its ``to_dict``; none if open loop."""
+    return None if open_loop(benchmark) else CoreResult.from_dict(core_dict)
+
+
+def cache_load(key: str) -> Optional[Result]:
     """Load one cached cell; any corruption reads as a miss, including
     well-formed JSON of the wrong shape (``null``, an int for a dict)."""
     path = _cache_path(key)
@@ -170,15 +180,15 @@ def cache_load(key: str) -> Optional[Tuple[SimStats, CoreResult]]:
         data = json.loads(path.read_text())
         return (
             SimStats.from_dict(data["stats"]),
-            CoreResult.from_dict(data["core"]),
+            _core(data["benchmark"], data["core"]),
         )
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
-def cache_store(key: str, cell: Cell, stats_dict: dict, core_dict: dict) -> None:
+def cache_store(key: str, cell: Cell, stats_dict: dict, core_dict: Optional[dict]) -> None:
     """Atomically persist one cell's ``to_dict`` stats and core results
-    (tmp file + rename)."""
+    (tmp file + rename; ``core`` is ``null`` for an open-loop cell)."""
     benchmark, mechanism, accesses, seed, config = cell
     path = _cache_path(key)
     payload = {
@@ -325,7 +335,8 @@ class CellRun:
     """Outcome of :func:`execute_cell`, with resume provenance."""
 
     stats: SimStats
-    core: CoreResult
+    #: The core's result; ``None`` for an open-loop drain.
+    core: Optional[CoreResult]
     #: Memory cycle the run resumed from (``None`` = started fresh).
     resumed_cycle: Optional[int] = None
 
@@ -351,10 +362,12 @@ def execute_cell(
     progress_every: Optional[int] = None,
     on_save: Optional[Callable] = None,
 ) -> CellRun:
-    """One closed-loop run — the worker-callable cell API.
+    """One cell's run — the worker-callable cell API.
 
-    Pure function of the cell; everything else controls observation
-    and interruption.  ``checkpoint`` (default: the
+    An open-loop workload name drains an :class:`OpenLoopDriver` over
+    :func:`~repro.workloads.make_requests`, any other runs an
+    :class:`OoOCore` over its trace.  Pure function of the cell;
+    everything else controls observation and interruption.  ``checkpoint`` (default: the
     ``REPRO_CHECKPOINT`` knob) snapshots the run periodically (every
     ``every`` cycles) and on SIGTERM (exiting 143), keyed next to the
     result cache; a rerun of the same cell resumes from the snapshot
@@ -366,7 +379,12 @@ def execute_cell(
     """
     benchmark, mechanism, accesses, seed, config = cell
     system = MemorySystem(config, mechanism)
-    core = OoOCore(system, _cell_trace(benchmark, accesses, seed))
+    if open_loop(benchmark):
+        driver = OpenLoopDriver(
+            system, make_requests(benchmark, accesses, config, seed)
+        )
+    else:
+        driver = OoOCore(system, _cell_trace(benchmark, accesses, seed))
     checkpoint = checkpoint_enabled() if checkpoint is None else checkpoint
     checkpointer = None
     snapshot: Optional[Path] = None
@@ -390,14 +408,14 @@ def execute_cell(
         checkpointer.install_signal_handler()
         if snapshot.exists():
             try:
-                load_checkpoint(str(snapshot), core)
+                load_checkpoint(str(snapshot), driver)
                 resumed_cycle = system.cycle
             except CheckpointMismatchError:
                 # Defensive: the key should make this impossible, but a
                 # bad snapshot must never wedge the cell permanently.
                 snapshot.unlink(missing_ok=True)
     try:
-        result = core.run(checkpointer=checkpointer)
+        result = driver.run(checkpointer=checkpointer)
     finally:
         # The flag-only SIGTERM handler is useless (and harmful: it
         # would absorb the SIGTERM that shuts an idle worker down) once
@@ -406,13 +424,14 @@ def execute_cell(
             checkpointer.uninstall_signal_handler()
     if snapshot is not None:
         snapshot.unlink(missing_ok=True)
-    return CellRun(system.stats, result, resumed_cycle)
+    core = result if isinstance(result, CoreResult) else None
+    return CellRun(system.stats, core, resumed_cycle)
 
 
 async def _run_on_pool(
     pending: List[Cell],
     workers: int,
-    finish: Callable[[Cell, SimStats, CoreResult], None],
+    finish: Callable[[Cell, SimStats, Optional[CoreResult]], None],
 ) -> None:
     """Simulate ``pending`` on ``workers`` pool workers; ``finish`` each.
 
@@ -440,10 +459,11 @@ async def _run_on_pool(
             task, outcome = await outcomes.get()
             if isinstance(outcome, str):
                 raise ReproError(f"cell {task.spec.label} failed: {outcome}")
+            cell = pending[task.sort_key[2]]  # sort keys end in the index
             finish(
-                pending[task.sort_key[2]],  # sort keys end in the index
+                cell,
                 SimStats.from_dict(outcome["stats"]),
-                CoreResult.from_dict(outcome["core"]),
+                _core(cell[0], outcome["core"]),
             )
     finally:
         await pool.shutdown()
@@ -520,9 +540,9 @@ def _print_progress(report: RunReport) -> None:
 def run_cells(
     cells: Iterable[Cell],
     jobs: Optional[int] = None,
-    memo: Optional[Dict[Cell, Tuple[SimStats, CoreResult]]] = None,
+    memo: Optional[Dict[Cell, Result]] = None,
     progress: object = None,
-) -> Tuple[Dict[Cell, Tuple[SimStats, CoreResult]], RunReport]:
+) -> Tuple[Dict[Cell, Result], RunReport]:
     """Resolve every cell via memo -> disk cache -> simulation.
 
     ``jobs`` defaults to ``REPRO_JOBS`` (see :func:`default_jobs`);
@@ -557,7 +577,7 @@ def run_cells(
         if notify is not None:
             notify(report)
 
-    results: Dict[Cell, Tuple[SimStats, CoreResult]] = {}
+    results: Dict[Cell, Result] = {}
     pending: List[Cell] = []
     keys: Dict[Cell, str] = {}
     for cell in cells:
@@ -580,9 +600,9 @@ def run_cells(
                 continue
         pending.append(cell)
 
-    def finish(cell: Cell, stats: SimStats, core: CoreResult) -> None:
+    def finish(cell: Cell, stats: SimStats, core: Optional[CoreResult]) -> None:
         if use_disk:
-            cache_store(keys[cell], cell, stats.to_dict(), core.to_dict())
+            cache_store(keys[cell], cell, stats.to_dict(), core and core.to_dict())
         memo[cell] = (stats, core)
         results[cell] = (stats, core)
         report.executed += 1
@@ -608,6 +628,7 @@ __all__ = [
     "CACHE_VERSION",
     "Cell",
     "CellRun",
+    "Result",
     "RunReport",
     "TOTALS",
     "cache_clear",

@@ -14,14 +14,6 @@ from repro.mapping.base import AddressMapping, DecodedAddress
 from repro.sim.config import SystemConfig
 
 
-def _reverse_bits(value: int, bits: int) -> int:
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
-
-
 class PageInterleaveMapping(AddressMapping):
     """The paper's baseline (Table 3): consecutive pages hit new banks.
 
@@ -107,38 +99,6 @@ class CachelineInterleaveMapping(AddressMapping):
         return address
 
 
-class BitReversalMapping(PageInterleaveMapping):
-    """Bit-reversal mapping (Shao & Davis, SCOPES'05 — paper ref [16]).
-
-    The page-frame index (all bits above column+offset) is bit-reversed
-    before the page-interleaved field split, scattering nearby pages —
-    which would otherwise collide in the same bank under strided access
-    — across channels, banks and ranks.
-    """
-
-    name = "bit_reversal"
-
-    @property
-    def _frame_bits(self) -> int:
-        return (
-            self.channel_bits + self.bank_bits + self.rank_bits + self.row_bits
-        )
-
-    def decode(self, address: int) -> DecodedAddress:
-        self._check(address)
-        low_bits = self.line_bits + self.column_bits
-        low = address & ((1 << low_bits) - 1)
-        frame = _reverse_bits(address >> low_bits, self._frame_bits)
-        return super().decode((frame << low_bits) | low)
-
-    def encode(self, decoded: DecodedAddress) -> int:
-        linear = super().encode(decoded)
-        low_bits = self.line_bits + self.column_bits
-        low = linear & ((1 << low_bits) - 1)
-        frame = _reverse_bits(linear >> low_bits, self._frame_bits)
-        return (frame << low_bits) | low
-
-
 class PermutationMapping(PageInterleaveMapping):
     """Permutation-based page interleaving (Zhang et al., MICRO'00 —
     paper ref [23]).
@@ -176,7 +136,6 @@ _SCHEMES: Dict[str, Type[AddressMapping]] = {
     for scheme in (
         PageInterleaveMapping,
         CachelineInterleaveMapping,
-        BitReversalMapping,
         PermutationMapping,
     )
 }
@@ -195,7 +154,6 @@ def make_mapping(config: SystemConfig, name: str = None) -> AddressMapping:
 
 
 __all__ = [
-    "BitReversalMapping",
     "CachelineInterleaveMapping",
     "PageInterleaveMapping",
     "PermutationMapping",

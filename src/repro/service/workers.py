@@ -1,6 +1,8 @@
 """The service worker process: ``python -m repro.service.workers``.
 
-One worker is one long-lived process running one cell at a time.  Its
+One worker is one long-lived process running one runner cell, closed
+or open loop (:func:`~repro.experiments.runner.execute_cell`), at a
+time.  Its
 :class:`~repro.service.pool.WorkerPool` writes requests to its stdin
 (one JSON object per line): ``run`` (``checkpoint`` says whether the
 cell snapshots), ``recall`` (drop the named cell if it has not
@@ -19,6 +21,7 @@ event):
 * ``progress``              — every ``progress_every`` memory cycles
 * ``snapshot``              — a preemption snapshot was just written
 * ``done``                  — cell finished; carries the full result
+  (``core`` is ``null`` for an open-loop cell)
 * ``failed``                — cell raised; carries the error text
 
 Preemption is the checkpoint machinery (DESIGN.md §10) end to end: the pool
@@ -55,7 +58,7 @@ def _emit(event: dict) -> None:
 
 
 def _run(request: dict) -> None:
-    """Execute one closed-loop cell, snapshotting if ``checkpoint``."""
+    """Execute one runner cell, snapshotting if ``checkpoint``."""
     from repro.experiments.runner import execute_cell
 
     spec = request["cell"]
@@ -93,8 +96,8 @@ def _run(request: dict) -> None:
         "event": "done",
         "key": key,
         "stats": run.stats.to_dict(),
-        "core": run.core.to_dict(),
-        "mem_cycles": run.core.mem_cycles,
+        "core": run.core and run.core.to_dict(),
+        "mem_cycles": run.stats.cycles,
         "resumed_cycle": run.resumed_cycle,
         "wall": time.monotonic() - started,
     })

@@ -222,18 +222,8 @@ class SourceStats:
             stat.max = max(counts)
         return stat
 
-    @property
-    def row_hit_rate(self) -> float:
-        total = sum(self.row_states.values())
-        return self.row_states[RowState.HIT] / total if total else 0.0
-
     def p99_read_latency(self) -> float:
         return self.read_latencies.percentile(0.99)
-
-    def service_rate(self, cycles: int) -> float:
-        """Completed accesses per cycle — the Jain-index service metric."""
-        served = self.completed_reads + self.completed_writes
-        return served / cycles if cycles else 0.0
 
     def merge(self, other: "SourceStats") -> None:
         self.write_latency.merge(other.write_latency)

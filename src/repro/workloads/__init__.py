@@ -24,15 +24,30 @@ from repro.workloads.spec2000 import (
     benchmark_names,
     make_benchmark_trace,
 )
+from repro.workloads.fleet import (
+    SCENARIOS,
+    TENANT_PROFILES,
+    make_fleet_requests,
+    tenant_requests,
+)
+
+
+def _unknown(name: str) -> ConfigError:
+    return ConfigError(
+        f"unknown workload {name!r}: expected a SPEC profile "
+        f"{BENCHMARKS}, a '+'-joined mix of them, a microbenchmark "
+        f"{sorted(MICROBENCHMARKS)}, a fleet scenario {sorted(SCENARIOS)} "
+        f"or '<tenant>@<source>' for a tenant {sorted(TENANT_PROFILES)}"
+    )
 
 
 def make_trace(name: str, accesses: int, seed: int = 1) -> Trace:
-    """The trace a workload name stands for.
+    """The trace a closed-loop workload name stands for.
 
     ``name`` is a SPEC profile (:func:`make_benchmark_trace`), a
     ``+``-joined profile list for a CMP mix (:func:`make_mix_trace`,
     ``accesses`` per core) or a :data:`MICROBENCHMARKS` pattern (which
-    takes no seed).
+    takes no seed).  Any other name raises :class:`ConfigError`.
     """
     if name in SPEC_PROFILES:
         return make_benchmark_trace(name, accesses, seed)
@@ -40,11 +55,31 @@ def make_trace(name: str, accesses: int, seed: int = 1) -> Trace:
         return make_mix_trace(name.split("+"), accesses, seed)
     if name in MICROBENCHMARKS:
         return MICROBENCHMARKS[name](accesses)
-    raise ConfigError(
-        f"unknown workload {name!r}: expected a SPEC profile "
-        f"{BENCHMARKS}, a '+'-joined mix of them, or a microbenchmark "
-        f"{sorted(MICROBENCHMARKS)}"
-    )
+    raise _unknown(name)
+
+
+def open_loop(name: str) -> bool:
+    """Whether ``name`` is an open-loop workload (:func:`make_requests`)
+    rather than a closed-loop one (:func:`make_trace`)."""
+    return name in SCENARIOS or "@" in name
+
+
+def make_requests(name: str, accesses: int, config, seed: int = 1):
+    """The timestamped requests an open-loop workload name stands for.
+
+    ``name`` is a fleet scenario (all of its tenants, ``accesses``
+    each; :func:`make_fleet_requests`) or ``<tenant>@<source>``: that
+    one tenant profile run alone in slice ``source`` of a
+    ``config.sources``-way split (:func:`tenant_requests`).  The ``@``
+    keeps tenant ``stream`` apart from the microbenchmark ``stream``.
+    Any other name raises :class:`ConfigError`.
+    """
+    if name in SCENARIOS:
+        return make_fleet_requests(name, accesses, config, seed)
+    profile, _, source = name.partition("@")
+    if profile in TENANT_PROFILES and source.isdecimal():
+        return tenant_requests(profile, int(source), accesses, config, seed)
+    raise _unknown(name)
 
 
 __all__ = [
@@ -60,6 +95,8 @@ __all__ = [
     "load_trace",
     "make_benchmark_trace",
     "make_mix_trace",
+    "make_requests",
     "make_trace",
+    "open_loop",
     "save_trace",
 ]

@@ -110,7 +110,12 @@ def tenant_requests(
             f"unknown tenant profile {profile!r}; "
             f"available: {sorted(TENANT_PROFILES)}"
         ) from None
-    slice_lines = config.capacity_bytes // max(config.sources, 1) // LINE_BYTES
+    if not 0 <= source < config.sources:
+        raise ConfigError(
+            f"tenant source {source} is outside config.sources == "
+            f"{config.sources}"
+        )
+    slice_lines = config.capacity_bytes // config.sources // LINE_BYTES
     if slice_lines <= 0:
         raise ConfigError("address slice too small for one cache line")
     base = source * slice_lines * LINE_BYTES

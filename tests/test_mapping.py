@@ -5,7 +5,6 @@ import pytest
 from repro.errors import MappingError
 from repro.mapping.base import DecodedAddress
 from repro.mapping.schemes import (
-    BitReversalMapping,
     CachelineInterleaveMapping,
     PageInterleaveMapping,
     PermutationMapping,
@@ -16,7 +15,6 @@ from repro.sim.config import baseline_config
 ALL_SCHEMES = (
     PageInterleaveMapping,
     CachelineInterleaveMapping,
-    BitReversalMapping,
     PermutationMapping,
 )
 
@@ -102,20 +100,10 @@ def test_permutation_spreads_conflicting_rows(config):
     assert len(perm_banks) == 4
 
 
-def test_bit_reversal_differs_from_page_interleave(config):
-    plain = PageInterleaveMapping(config)
-    rev = BitReversalMapping(config)
-    differing = sum(
-        plain.decode(a).bank_key() != rev.decode(a).bank_key()
-        for a in range(0, 1 << 24, 1 << 16)
-    )
-    assert differing > 0
-
-
 def test_make_mapping_by_name(config):
     assert isinstance(make_mapping(config), PageInterleaveMapping)
     assert isinstance(
-        make_mapping(config, "bit_reversal"), BitReversalMapping
+        make_mapping(config, "permutation"), PermutationMapping
     )
     with pytest.raises(MappingError):
         make_mapping(config, "nope")

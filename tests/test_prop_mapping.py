@@ -3,9 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mapping import schemes
 from repro.mapping.base import DecodedAddress
 from repro.mapping.schemes import (
-    BitReversalMapping,
     CachelineInterleaveMapping,
     PageInterleaveMapping,
     PermutationMapping,
@@ -18,10 +18,12 @@ SCHEMES = [
     for scheme in (
         PageInterleaveMapping,
         CachelineInterleaveMapping,
-        BitReversalMapping,
         PermutationMapping,
     )
 ]
+
+#: art's footprint, the smallest of the SPEC profiles.
+REGION = 8 * 1024**2
 
 lines = st.integers(min_value=0, max_value=(4 * 1024**3 // 64) - 1)
 coords = st.builds(
@@ -63,6 +65,26 @@ def test_encoded_addresses_line_aligned_and_in_range(decoded):
 def test_offset_bits_do_not_change_coordinates(line, offset):
     for mapping in SCHEMES:
         assert mapping.decode(line * 64) == mapping.decode(line * 64 + offset)
+
+
+@given(base=st.integers(0, (CONFIG.capacity_bytes - REGION) // 64))
+@settings(max_examples=25)
+def test_small_region_reaches_every_bank(base):
+    """Under every shipped mapping, any contiguous 8 MB region reaches
+    every (channel, rank, bank) of the baseline machine.
+
+    The region is sampled every 61 lines: an odd stride shorter than a
+    row visits every row of it and every residue of the low line bits.
+    """
+    assert {m.name for m in SCHEMES} == set(schemes._SCHEMES)
+    banks = CONFIG.channels * CONFIG.ranks * CONFIG.banks
+    start = base * 64
+    for mapping in SCHEMES:
+        reached = {
+            mapping.decode(address).bank_key()
+            for address in range(start, start + REGION, 61 * 64)
+        }
+        assert len(reached) == banks, mapping.name
 
 
 @given(a=lines, b=lines)

@@ -1,7 +1,7 @@
 """Smoke test for the EXPERIMENTS.md report generator.
 
 Runs the entire report pipeline at a strongly reduced scale (~500
-accesses per cell) — slow for a unit test (~1 minute) but it covers
+accesses per cell) — slow for a unit test (~15 s) but it covers
 the one code path that produces the repository's headline artifact.
 """
 
@@ -35,6 +35,15 @@ def test_build_report_structure(tmp_path):
         "## Figure 11",
         "## Figure 12",
         "## §5.1",
+        "## Beyond the paper — ablations and extensions",
+        "### generations",
+        "### ablation_cpu_model",
+        "### ablation_mapping",
+        "### ablation_policies",
+        "### ablation_rowpolicy",
+        "### cmp_mix",
+        "### microbench",
+        "## Archived bench output",
         "## Tables 2-4",
     ):
         assert heading in text, heading

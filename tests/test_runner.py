@@ -11,11 +11,13 @@ The two load-bearing guarantees:
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import common, runner
 from repro.sim.config import baseline_config
+from repro.workloads import open_loop
 from repro.workloads.trace import Trace
 
 BENCHES = ("swim", "mcf")
@@ -42,14 +44,22 @@ def _cells():
 
 
 def _workload_cells():
-    """A CMP mix cell and a microbenchmark cell: workloads that are
-    not a SPEC profile (``repro.workloads.make_trace``)."""
+    """A CMP mix cell, a microbenchmark cell and two open-loop drains (a
+    fleet scenario and one tenant alone): workloads that are not a SPEC
+    profile (``repro.workloads.make_trace`` / ``make_requests``)."""
     cfg = baseline_config()
-    return [(w, "Burst_TH", N, SEED, cfg) for w in ("swim+mcf", "stride8k")]
+    pair = replace(cfg, sources=2)
+    return [(w, "Burst_TH", N, SEED, cfg) for w in ("swim+mcf", "stride8k")] + [
+        (w, "Burst_QW", N, SEED, pair) for w in ("hog_vs_reader", "reader@1")
+    ]
 
 
 def _dumps(stats):
     return json.dumps(stats.to_dict(), sort_keys=True)
+
+
+def _core_dict(core):
+    return None if core is None else core.to_dict()
 
 
 def test_parallel_matches_sequential_byte_identical(tmp_path, monkeypatch):
@@ -66,7 +76,8 @@ def test_parallel_matches_sequential_byte_identical(tmp_path, monkeypatch):
 
     for cell in cells:
         assert _dumps(seq[cell][0]) == _dumps(par[cell][0])
-        assert seq[cell][1].to_dict() == par[cell][1].to_dict()
+        assert _core_dict(seq[cell][1]) == _core_dict(par[cell][1])
+        assert (seq[cell][1] is None) == open_loop(cell[0])
 
 
 def _children():
@@ -218,8 +229,8 @@ def test_memo_hits_reach_the_session_totals(monkeypatch):
 def _one_call_cases():
     from repro.dram.timing import GENERATIONS
     from repro.experiments import (
-        ablations, fig7, fig8, fig9, fig10, fig11, fig12, generations,
-        refresh_pressure, saturation,
+        ablations, fig7, fig8, fig9, fig10, fig11, fig12, fleet,
+        generations, refresh_pressure, saturation,
     )
 
     pair = ["swim", "mcf"]
@@ -235,6 +246,10 @@ def _one_call_cases():
         "fig10": lambda: fig10.run(pair, accesses=500),
         "fig11": lambda: fig11.run(thresholds=(0, 32, 64), accesses=500),
         "fig12": lambda: fig12.run(pair, sweep=(0, "Burst"), accesses=500),
+        "fleet": lambda: fleet.run(
+            ("hog_vs_reader", "flooder_vs_reader"), ("Burst_TH",),
+            accesses=500,
+        ),
         "saturation": lambda: saturation.run(accesses=500),
         "generations": lambda: generations.run(
             pair, GENERATIONS[:2], ("BkInOrder", "RowHit"), accesses=500
@@ -260,6 +275,21 @@ def test_each_experiment_resolves_its_cells_in_one_call(name, monkeypatch):
     monkeypatch.setattr(runner, "run_cells", counting)
     _one_call_cases()[name]()
     assert len(calls) == 1
+
+
+def test_fleet_shares_its_reader_drain():
+    """The full fleet matrix is 28 drains, 26 of them unique: the
+    reader@1 solo drain of hog_vs_reader and flooder_vs_reader is one
+    cell per mechanism."""
+    from repro.experiments import fleet
+
+    drains = fleet.cells()
+    assert len(drains) == 28
+    assert len({runner.cell_key(*c) for c in drains.values()}) == 26
+    for mechanism in fleet.MECHANISMS:
+        assert drains["hog_vs_reader", mechanism, 1] == (
+            drains["flooder_vs_reader", mechanism, 1]
+        )
 
 
 def test_cell_key_sensitivity():
@@ -511,56 +541,67 @@ def test_cli_shorthand_and_jobs(capsys, monkeypatch):
 def test_checkpoint_resume_of_interrupted_cell(monkeypatch):
     """A cell interrupted mid-run resumes from its snapshot and matches
     the uninterrupted result byte for byte; completed cells are served
-    from the result cache and never re-simulated."""
+    from the result cache and never re-simulated.  Closed-loop and
+    open-loop cells alike."""
+    import signal
+
     from repro.checkpoint import save_checkpoint
     from repro.controller.system import MemorySystem
     from repro.cpu.core import OoOCore
+    from repro.sim.engine import OpenLoopDriver
+    from repro.workloads import make_requests
     from repro.workloads.spec2000 import make_benchmark_trace
 
     monkeypatch.setenv("REPRO_CHECKPOINT", "1")
     cfg = baseline_config(channels=1, ranks=2, banks=2)
-    cell = ("swim", "Burst_TH", N, SEED, cfg)
+    pair = replace(cfg, sources=2)
+    drivers = {
+        ("swim", "Burst_TH", N, SEED, cfg): lambda system: OoOCore(
+            system, make_benchmark_trace("swim", N, SEED)
+        ),
+        ("hog_vs_reader", "Burst_QW", N, SEED, pair):
+            lambda system: OpenLoopDriver(
+                system, make_requests("hog_vs_reader", N, pair, SEED)
+            ),
+    }
+    for cell, driver_of in drivers.items():
+        results, _report = runner.run_cells([cell], jobs=1, memo={})
+        stats_ref, core_ref = results[cell]
+        reference = json.dumps(
+            [stats_ref.to_dict(), _core_dict(core_ref)], sort_keys=True
+        )
 
-    results, _report = runner.run_cells([cell], jobs=1, memo={})
-    stats_ref, core_ref = results[cell]
-    reference = json.dumps(
-        [stats_ref.to_dict(), core_ref.to_dict()], sort_keys=True
-    )
+        # Manufacture the interrupted run: step partway, snapshot at the
+        # cell's keyed checkpoint path (exactly what a SIGTERM would do).
+        driver = driver_of(MemorySystem(cell[4], cell[1]))
+        for _ in range(300):
+            driver.step()
+        assert not driver.done
+        snapshot = runner.checkpoint_path(runner.cell_key(*cell))
+        save_checkpoint(str(snapshot), driver)
 
-    # Manufacture the interrupted run: step partway, snapshot at the
-    # cell's keyed checkpoint path (exactly what a SIGTERM would do).
-    trace = make_benchmark_trace("swim", N, SEED)
-    core = OoOCore(MemorySystem(cfg, "Burst_TH"), trace)
-    for _ in range(300):
-        if core.done:
-            break
-        core.step()
-    snapshot = runner.checkpoint_path(runner.cell_key(*cell))
-    save_checkpoint(str(snapshot), core)
+        # The completed cell resolves from the result cache — no
+        # re-simulation, so the stale snapshot is not even consulted.
+        _results, report = runner.run_cells([cell], jobs=1, memo={})
+        assert report.executed == 0
+        assert report.cached_disk == 1
+        assert snapshot.exists()
 
-    # The completed cell resolves from the result cache — no
-    # re-simulation, so the stale snapshot is not even consulted.
-    _results, report = runner.run_cells([cell], jobs=1, memo={})
-    assert report.executed == 0
-    assert report.cached_disk == 1
-    assert snapshot.exists()
-
-    # Wipe the cached result (cache_clear would take the snapshot
-    # with it): the rerun must resume from the snapshot and still
-    # match the uninterrupted reference byte for byte.
-    runner._cache_path(runner.cell_key(*cell)).unlink()
-    import signal
-
-    before = signal.getsignal(signal.SIGTERM)
-    run = runner.execute_cell(cell)
-    resumed = json.dumps(
-        [run.stats.to_dict(), run.core.to_dict()], sort_keys=True
-    )
-    assert resumed == reference
-    assert not snapshot.exists()  # deleted after completing
-    # No leaked SIGTERM handler: a leaked flag-only handler absorbs
-    # the SIGTERM that stops the process between cells.
-    assert signal.getsignal(signal.SIGTERM) is before
+        # Wipe the cached result (cache_clear would take the snapshot
+        # with it): the rerun must resume from the snapshot and still
+        # match the uninterrupted reference byte for byte.
+        runner._cache_path(runner.cell_key(*cell)).unlink()
+        before = signal.getsignal(signal.SIGTERM)
+        run = runner.execute_cell(cell)
+        assert run.resumed_cycle is not None
+        resumed = json.dumps(
+            [run.stats.to_dict(), _core_dict(run.core)], sort_keys=True
+        )
+        assert resumed == reference
+        assert not snapshot.exists()  # deleted after completing
+        # No leaked SIGTERM handler: a leaked flag-only handler absorbs
+        # the SIGTERM that stops the process between cells.
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_pool_workers_resume_only_under_repro_checkpoint(monkeypatch):

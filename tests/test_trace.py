@@ -3,12 +3,15 @@ format."""
 
 import hashlib
 from array import array
+from dataclasses import replace
 
 import pytest
 
 from repro.controller.access import AccessType
 from repro.errors import ConfigError, TraceError
-from repro.workloads import make_trace
+from repro.sim.config import baseline_config
+from repro.workloads import make_requests, make_trace
+from repro.workloads.fleet import make_fleet_requests, tenant_requests
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.mixes import make_mix_trace
 from repro.workloads.spec2000 import BENCHMARKS, make_benchmark_trace
@@ -172,7 +175,9 @@ def test_packed_traces_equal_the_record_lists_they_replaced(tmp_path):
 
 def test_make_trace_names_every_workload():
     """A SPEC profile, a ``+``-joined mix and a microbenchmark name give
-    the traces their own builders give; any other name is an error."""
+    the traces their own builders give, and a fleet scenario or a
+    ``<tenant>@<source>`` the open-loop requests theirs give; any other
+    name is an error."""
     for name, trace in PACKED:
         if name == "mix":
             assert make_trace("swim+mcf+gcc", 300, 2) == trace
@@ -180,9 +185,21 @@ def test_make_trace_names_every_workload():
             assert make_trace(name, 400, 2) == trace
     for name, builder in MICROBENCHMARKS.items():
         assert make_trace(name, 300, 2) == builder(300)
-    for name in ("doom3", "swim,mcf", "swim+doom3", "stride", ""):
+    for name in ("doom3", "swim,mcf", "swim+doom3", "stride", "",
+                 "hog_vs_reader", "reader@1"):
         with pytest.raises(ConfigError):
             make_trace(name, 10, 1)
+    pair = replace(baseline_config(), sources=2)
+    assert make_requests("hog_vs_reader", 50, pair, 3) == (
+        make_fleet_requests("hog_vs_reader", 50, pair, 3)
+    )
+    assert make_requests("reader@1", 50, pair, 3) == (
+        tenant_requests("reader", 1, 50, pair, 3)
+    )
+    for name in ("swim", "stream", "reader", "reader@", "reader@x",
+                 "reader@2", "doom3@0", "symmetric4", ""):
+        with pytest.raises(ConfigError):
+            make_requests(name, 10, pair, 1)
 
 
 def test_trace_without_sources_keeps_no_source_column():
