@@ -11,7 +11,8 @@ from benchmarks.conftest import run_once
 from repro.analysis.tables import format_table
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.experiments.common import default_seed, scaled_accesses
+from repro.experiments.common import scaled_accesses
+from repro.settings import setting
 from repro.sim.config import baseline_config
 from repro.sim.fsb import FSBAdapter
 from repro.workloads.spec2000 import make_benchmark_trace
@@ -32,7 +33,7 @@ def _run():
     accesses = scaled_accesses(3000)
     rows = []
     for bench in BENCHES:
-        trace = make_benchmark_trace(bench, accesses, default_seed())
+        trace = make_benchmark_trace(bench, accesses, setting("seed"))
         without = _gain(trace, with_fsb=False) * 100.0
         with_bus = _gain(trace, with_fsb=True) * 100.0
         rows.append((bench, without, with_bus))

@@ -15,7 +15,8 @@ from repro.analysis.tables import format_table
 from repro.controller.system import MemorySystem
 from repro.core.scheduler import BurstScheduler
 from repro.cpu.core import OoOCore
-from repro.experiments.common import scaled_accesses, default_seed
+from repro.experiments.common import scaled_accesses
+from repro.settings import setting
 from repro.workloads.spec2000 import make_benchmark_trace
 
 BENCHES = ("swim", "mgrid", "applu", "gcc", "lucas", "art")
@@ -40,7 +41,7 @@ def _run():
     accesses = scaled_accesses(4000)
     rows = []
     for bench in BENCHES:
-        trace = make_benchmark_trace(bench, accesses, default_seed())
+        trace = make_benchmark_trace(bench, accesses, setting("seed"))
         cycles = {}
         for label, flag in (("priority", True), ("naive", False)):
             system = MemorySystem(system_config(), _factory(flag))

@@ -9,7 +9,8 @@ from benchmarks.conftest import run_once
 from repro.analysis.fairness import per_source_read_latency
 from repro.analysis.metrics import arithmetic_mean
 from repro.experiments import ablations
-from repro.experiments.common import default_seed, scaled_accesses
+from repro.experiments.common import scaled_accesses
+from repro.settings import setting
 from repro.workloads import make_trace
 from repro.workloads.mixes import STANDARD_MIXES
 
@@ -73,7 +74,7 @@ def _check_cmp_mix(result):
     for (mix_name, mechanism), stats in result["stats"].items():
         benches = STANDARD_MIXES[mix_name]
         trace = make_trace(
-            "+".join(benches), scaled_accesses(1500), default_seed()
+            "+".join(benches), scaled_accesses(1500), setting("seed")
         )
         completed = (
             stats.completed_reads

@@ -31,6 +31,7 @@ import random
 import time
 
 from repro.experiments.common import clear_cache, matrix, resolve
+from repro.settings import settings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -148,6 +149,8 @@ def test_fast_engine_identical_and_faster(monkeypatch):
 
     payload = {
         "timer": "process_time, interleaved best-of-N per mode",
+        # Both modes ran under these settings but for ``fastfwd``.
+        "settings": settings().to_wire(),
         "matrix": _section(matrix_best, matrix_events),
         "sparse_stream": _section(sparse_best, sparse_events),
     }

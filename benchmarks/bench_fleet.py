@@ -18,7 +18,8 @@ import pathlib
 
 from benchmarks.conftest import run_once
 from repro.experiments import fleet
-from repro.experiments.common import default_seed, scaled_accesses
+from repro.experiments.common import scaled_accesses
+from repro.settings import settings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -58,7 +59,8 @@ def _payload(result):
         }
     return {
         "accesses_per_tenant": scaled_accesses(fleet.ACCESSES),
-        "seed": default_seed(),
+        "seed": settings().seed,
+        "settings": settings().to_wire(),
         "headline": headline,
         "matrix": matrix,
     }

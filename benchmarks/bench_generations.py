@@ -22,6 +22,7 @@ import pathlib
 
 from benchmarks.conftest import run_once
 from repro.experiments import generations
+from repro.settings import settings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -65,7 +66,11 @@ def _payload(result):
             ddr5["bpw_write_drain"]["execution_reduction_pct"], 4
         ),
     }
-    return {"headline": headline, "matrix": matrix}
+    return {
+        "settings": settings().to_wire(),
+        "headline": headline,
+        "matrix": matrix,
+    }
 
 
 def test_generation_matrix(benchmark, archive):

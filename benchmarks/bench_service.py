@@ -17,12 +17,14 @@ import pathlib
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 from benchmarks.conftest import run_once
 from repro.errors import ServiceError
 from repro.experiments import common, runner
 from repro.service.client import ServiceClient
-from repro.service.jobs import result_digest, sim_cell_from_wire
+from repro.service.jobs import result_digest
+from repro.settings import settings, using
 from repro.sim.config import baseline_config
 from repro.workloads.spec2000 import benchmark_names
 
@@ -72,7 +74,7 @@ def _submit_with_preemption(client, params):
 
 def test_service_throughput(benchmark, tmp_path):
     accesses = _quarter_accesses()
-    params = {"accesses": accesses, "seed": common.default_seed()}
+    params = {"accesses": accesses, "seed": settings().seed}
     cache_dir = tmp_path / "cache"
     proc, client = _start_server(tmp_path, cache_dir)
     try:
@@ -122,7 +124,7 @@ def test_service_throughput(benchmark, tmp_path):
     order = cold["completion_order"]
     checked = 0
     for key in dict.fromkeys([preempted_key, order[0], order[-1]]):
-        run = runner.execute_cell(by_key[key], checkpoint=False)
+        run = runner.execute_cell(by_key[key])
         fresh = result_digest({
             "key": key,
             "stats": run.stats.to_dict(),
@@ -136,17 +138,10 @@ def test_service_throughput(benchmark, tmp_path):
 
     # The service's store is the sequential runner's store: replaying
     # the matrix through run_cells simulates nothing.
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    try:
+    with using(replace(settings(), cache_dir=cache_dir)):
         _, report = runner.run_cells(
             list(by_key.values()), jobs=1, memo={}, progress=False
         )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = previous
     assert report.executed == 0
     assert report.cached_disk == cells
 
@@ -168,6 +163,8 @@ def test_service_throughput(benchmark, tmp_path):
             "simulated": warm["simulated"],
             "cached": warm["cached"],
         },
+        # The settings the server ran its cells under.
+        "settings": cold["settings"],
         "byte_identity_spot_checks": checked,
         "sequential_replay_simulated": report.executed,
     }

@@ -35,7 +35,7 @@ from repro.sim.config import (
     PREDICTIVE,
     SystemConfig,
 )
-from repro.sim.profile import NEVER
+from repro.timebase import NEVER
 from repro.sim.stats import SimStats
 
 #: Transaction kinds a scheduler decides between for an ongoing access.

@@ -16,7 +16,7 @@ from typing import Deque, Optional
 
 from repro.controller.access import MemoryAccess
 from repro.controller.base import COLUMN, Scheduler
-from repro.sim.profile import NEVER
+from repro.timebase import NEVER
 
 
 class FCFSScheduler(Scheduler):

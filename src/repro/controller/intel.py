@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.controller.access import MemoryAccess
 from repro.controller.base import COLUMN, Scheduler
 from repro.controller.flatcore import FlatSlots
-from repro.sim.profile import NEVER
+from repro.timebase import NEVER
 
 BankKey = Tuple[int, int]
 

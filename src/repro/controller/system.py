@@ -27,9 +27,10 @@ from repro.controller.registry import (
 from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshController
 from repro.mapping.schemes import make_mapping
+from repro.settings import setting
 from repro.sim.config import SystemConfig
-from repro.sim.profile import NEVER, env_flag, fastfwd_enabled
 from repro.sim.stats import SimStats
+from repro.timebase import NEVER
 
 
 class MemorySystem:
@@ -104,13 +105,13 @@ class MemorySystem:
         #: even on cycles where the loop still steps its driver (the
         #: last cycle of an instruction gap, a rejected new request).
         self._quiet_until = -1
-        self._fastfwd = fastfwd_enabled()
+        self._fastfwd = setting("fastfwd")  # the run loop reads it here too
         # Opt-in independent protocol conformance oracle: one shadow
         # verifier per channel, re-checking every SDRAM command the
         # device model accepts (``--oracle`` / ``REPRO_ORACLE=1``).
         self.oracles = []
         if oracle is None:
-            oracle = env_flag("REPRO_ORACLE", unset=False)
+            oracle = setting("oracle")
         if oracle:
             from repro.dram.oracle import attach_oracles
 

@@ -26,7 +26,7 @@ from repro.controller.access import MemoryAccess
 from repro.controller.base import COLUMN, Scheduler
 from repro.controller.flatcore import KIND_COLUMN, FlatSlots
 from repro.core.burst import BurstQueue
-from repro.sim.profile import NEVER
+from repro.timebase import NEVER
 
 BankKey = Tuple[int, int]
 

@@ -29,7 +29,7 @@ from typing import Deque, Iterable, List, Optional, Set, Union
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
 from repro.sim.engine import run_loop
-from repro.sim.profile import NEVER
+from repro.timebase import NEVER
 from repro.workloads.trace import Row, TraceRecord, trace_rows
 
 

@@ -22,9 +22,9 @@ re-run of a figure whose cells are already on disk simulates nothing.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 
@@ -114,20 +114,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_knobs(args: argparse.Namespace) -> None:
-    """Thread --jobs / --no-progress / --oracle to the runner via
-    environment.
+def _settings(args: argparse.Namespace):
+    """The environment's settings with ``--jobs``, ``--no-progress``
+    and ``--oracle`` applied, or ``None`` when no such flag is given:
+    every cell the command resolves, whichever experiment asks for it,
+    runs under them.  A flag wins over its variable, which is not read."""
+    from repro.settings import Settings
 
-    Each experiment resolves its own cells, so the environment is the
-    one channel that reaches every cell regardless of which
-    experiment asked for it.
-    """
+    given: dict = {}
     if getattr(args, "jobs", None) is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
+        given["jobs"] = args.jobs
     if getattr(args, "no_progress", False):
-        os.environ["REPRO_PROGRESS"] = "0"
+        given["progress"] = False
     if getattr(args, "oracle", False):
-        os.environ["REPRO_ORACLE"] = "1"
+        given["oracle"] = True
+    return Settings.from_env(**given) if given else None
 
 
 def _parse_size(raw: str) -> int:
@@ -147,15 +148,16 @@ def _parse_size(raw: str) -> int:
 
 def _cache_main(args: argparse.Namespace) -> int:
     from repro.experiments import runner
+    from repro.settings import setting
 
     if args.cache_command == "clear":
         removed = runner.cache_clear()
-        print(f"removed {removed} cached result(s) from {runner.cache_dir()}")
+        print(f"removed {removed} cached result(s) from {setting('cache_dir')}")
         return 0
     if args.cache_command == "gc":
         removed, remaining = runner.cache_gc(_parse_size(args.max_bytes))
         print(
-            f"evicted {removed} file(s) from {runner.cache_dir()}; "
+            f"evicted {removed} file(s) from {setting('cache_dir')}; "
             f"{remaining} bytes remain"
         )
         return 0
@@ -247,6 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the repro-experiments command."""
     from repro.errors import ReproError
     from repro.experiments import EXPERIMENTS
+    from repro.settings import using
 
     argv = list(sys.argv[1:] if argv is None else argv)
     # Shorthand: `repro-experiments fig7 --jobs 4` == `... run fig7 ...`.
@@ -254,7 +257,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv.insert(0, "run")
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        chosen = _settings(args)
+        with nullcontext() if chosen is None else using(chosen):
+            return _dispatch(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -269,7 +274,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _record_trace_main(args)
     if args.command == "verify-trace":
         return _verify_trace_main(args)
-    _apply_knobs(args)
     if args.command == "report":
         from repro.experiments.report import write_report
 

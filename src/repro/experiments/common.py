@@ -10,26 +10,23 @@ Each experiment builds its whole cell dict, then resolves it with one
   9 and 10 (also the job service's ``fig7`` matrix);
 * :func:`resolve` — one :func:`runner.run_cells` call: each cell comes
   from the in-process memo (fig7/fig9/fig10 share one matrix), the
-  on-disk cache in ``.repro-cache/``, or simulation, on the job
-  service's worker pool when ``REPRO_JOBS`` (or ``jobs=``) asks for
-  more than one worker.
-* Scaling knobs: ``REPRO_SCALE`` multiplies the default access counts
-  (use 0.25 for a quick look, 4 for a long, low-noise run) and
-  ``REPRO_SEED`` changes the workload seed.
+  on-disk cache, or simulation, on the job service's worker pool when
+  the ``jobs`` setting (or ``jobs=``) asks for more than one worker.
+
+A cell's access count is scaled by the ``scale`` setting and its seed
+defaults to the ``seed`` setting (:mod:`repro.settings`).
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.errors import ConfigError
 from repro.experiments import runner
+from repro.settings import setting
 from repro.sim.config import SystemConfig, baseline_config
 from repro.workloads.spec2000 import benchmark_names
 
-#: Accesses per benchmark run before REPRO_SCALE is applied.
+#: Accesses per benchmark run before the ``scale`` setting applies.
 DEFAULT_ACCESSES = 6000
 
 #: Paper Table 4 mechanism order, used by every per-mechanism figure.
@@ -45,31 +42,10 @@ MECHANISMS = (
 )
 
 
-def scale() -> float:
-    """The REPRO_SCALE multiplier (default 1.0): a finite float > 0."""
-    text = os.environ.get("REPRO_SCALE", "1.0")
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise ConfigError(f"REPRO_SCALE must be a finite number > 0, got {text!r}")
-    return value
-
-
-def default_seed() -> int:
-    """The REPRO_SEED workload seed (default 1): an integer."""
-    text = os.environ.get("REPRO_SEED", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"REPRO_SEED must be an integer, got {text!r}") from None
-
-
 def scaled_accesses(accesses: Optional[int] = None) -> int:
-    """Apply REPRO_SCALE; keeps at least 500 accesses for stability."""
+    """Apply the ``scale`` setting; keeps at least 500 accesses."""
     base = DEFAULT_ACCESSES if accesses is None else accesses
-    return max(500, int(base * scale()))
+    return max(500, int(base * setting("scale")))
 
 
 _cache: Dict[runner.Cell, runner.Result] = {}
@@ -93,10 +69,10 @@ def cell(
     seed: Optional[int] = None,
     threshold: Optional[int] = None,
 ) -> runner.Cell:
-    """One run of any workload the runner takes, with REPRO_SCALE and
-    the defaults applied."""
+    """One run of any workload the runner takes, with the ``scale`` and
+    ``seed`` settings and the default config applied."""
     n = scaled_accesses(accesses)
-    seed = default_seed() if seed is None else seed
+    seed = setting("seed") if seed is None else seed
     cfg = config if config is not None else baseline_config()
     if threshold is not None:
         cfg = cfg.with_threshold(threshold)
@@ -143,9 +119,7 @@ __all__ = [
     "MECHANISMS",
     "cell",
     "clear_cache",
-    "default_seed",
     "matrix",
     "resolve",
-    "scale",
     "scaled_accesses",
 ]

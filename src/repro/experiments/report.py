@@ -28,7 +28,8 @@ from repro.experiments import (
     saturation,
     table1,
 )
-from repro.experiments.common import default_seed, scale, scaled_accesses
+from repro.experiments.common import scaled_accesses
+from repro.settings import setting
 
 
 def _block(text: str) -> str:
@@ -45,9 +46,9 @@ def build_report() -> str:
         "Reproduction of every table and figure in the evaluation of "
         "*A Burst Scheduling Access Reordering Mechanism* (Shao & "
         "Davis, HPCA 2007).  Generated by `repro-experiments report` "
-        f"with `REPRO_SCALE={scale()}` "
+        f"with `REPRO_SCALE={setting('scale')}` "
         f"({scaled_accesses()} accesses per benchmark run, seed "
-        f"{default_seed()}).\n\n"
+        f"{setting('seed')}).\n\n"
         "The paper's absolute numbers come from 2-billion-instruction "
         "SPEC CPU2000 runs on M5; ours from calibrated synthetic miss "
         "streams (DESIGN.md §2).  The reproduction targets are the "

@@ -11,23 +11,11 @@ simulating it:
   disk instead of re-simulating, across processes *and* across
   invocations.  Any source change under ``src/repro`` changes the
   code-version component and cleanly invalidates every stale entry.
-* **Simulation** — :func:`execute_cell`, inline while ``REPRO_JOBS``
-  (or the CLI's ``--jobs``) is 1, the default.  Above 1 the cells run
-  on the job service's :class:`~repro.service.pool.WorkerPool`
+* **Simulation** — :func:`execute_cell`, inline while the ``jobs``
+  setting (``REPRO_JOBS``, ``--jobs``) is 1, the default.  Above 1 the
+  cells run on the job service's :class:`~repro.service.pool.WorkerPool`
   (processes: the simulator is CPU-bound pure Python), which retries
   a crashed worker's cell.  Results are identical either way.
-
-Environment knobs::
-
-    REPRO_JOBS=8        # worker processes (0 = all cores, default 1)
-    REPRO_CACHE=0       # disable the persistent cache entirely
-    REPRO_CACHE_DIR=d   # cache location (default ./.repro-cache)
-    REPRO_PROGRESS=1    # force progress lines on (0 = off,
-                        # unset or empty = only when stderr is a tty)
-    REPRO_CHECKPOINT=1  # snapshot in-flight cells (SIGTERM + periodic)
-                        # under <cache>/checkpoints/ and auto-resume
-    REPRO_CHECKPOINT_EVERY=N  # periodic snapshot interval in memory
-                        # cycles (default 1000000)
 """
 
 from __future__ import annotations
@@ -47,9 +35,9 @@ import repro
 from repro.controller.system import MemorySystem
 from repro.cpu.core import CoreResult, OoOCore
 from repro.errors import ConfigError, ReproError
+from repro.settings import Settings, setting
 from repro.sim.config import SystemConfig
 from repro.sim.engine import OpenLoopDriver
-from repro.sim.profile import env_flag
 from repro.sim.stats import SimStats
 from repro.workloads import make_requests, make_trace, open_loop
 from repro.workloads.trace import Trace
@@ -66,34 +54,6 @@ Result = Tuple[SimStats, Optional[CoreResult]]
 #: Bump to invalidate every cached result regardless of code version
 #: (e.g. when the cache file layout itself changes).
 CACHE_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Knobs
-# ----------------------------------------------------------------------
-
-
-def default_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: ``jobs``, else ``REPRO_JOBS`` (0 = all cores, default 1)."""
-    name = "REPRO_JOBS" if jobs is None else "jobs"
-    raw = os.environ.get("REPRO_JOBS", "1") if jobs is None else jobs
-    try:
-        count = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    if count < 0:
-        raise ConfigError(f"{name} must be >= 0, got {count}")
-    return count if count else (os.cpu_count() or 1)
-
-
-def cache_enabled() -> bool:
-    """Persistent caching is on unless ``REPRO_CACHE=0``."""
-    return env_flag("REPRO_CACHE", unset=True, empty=True)
-
-
-def cache_dir() -> Path:
-    """Cache root: ``REPRO_CACHE_DIR`` or ``./.repro-cache``."""
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +119,7 @@ def cell_key(
 
 def _cache_path(key: str) -> Path:
     # Two-level fan-out keeps directories small on big sweeps.
-    return cache_dir() / key[:2] / f"{key}.json"
+    return setting("cache_dir") / key[:2] / f"{key}.json"
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +173,7 @@ def cache_store(key: str, cell: Cell, stats_dict: dict, core_dict: Optional[dict
 
 def cache_info() -> Dict[str, object]:
     """Summarise the persistent store for ``cache info``."""
-    root = cache_dir()
+    root = setting("cache_dir")
     entries = 0
     current = 0
     size = 0
@@ -245,7 +205,7 @@ def cache_info() -> Dict[str, object]:
 
 def cache_clear() -> int:
     """Delete the persistent store; returns entries removed."""
-    root = cache_dir()
+    root = setting("cache_dir")
     if not root.is_dir():
         return 0
     removed = sum(1 for _ in root.rglob("*.json"))
@@ -268,7 +228,7 @@ def cache_gc(max_bytes: int) -> Tuple[int, int]:
     """
     if max_bytes < 0:
         raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
-    root = cache_dir()
+    root = setting("cache_dir")
     entries = []
     total = 0
     if root.is_dir():
@@ -298,27 +258,6 @@ def cache_gc(max_bytes: int) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 
 
-def checkpoint_enabled() -> bool:
-    """In-flight cell snapshotting is opt-in via ``REPRO_CHECKPOINT=1``."""
-    return env_flag("REPRO_CHECKPOINT", unset=False)
-
-
-def checkpoint_every() -> int:
-    """Periodic snapshot interval (``REPRO_CHECKPOINT_EVERY`` cycles)."""
-    raw = os.environ.get("REPRO_CHECKPOINT_EVERY", "1000000")
-    try:
-        every = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_CHECKPOINT_EVERY must be an integer, got {raw!r}"
-        ) from None
-    if every <= 0:
-        raise ConfigError(
-            f"REPRO_CHECKPOINT_EVERY must be positive, got {every}"
-        )
-    return every
-
-
 def checkpoint_path(key: str) -> Path:
     """Where an in-flight cell's snapshot lives (keyed like the cache).
 
@@ -327,7 +266,7 @@ def checkpoint_path(key: str) -> Path:
     that would deserialize it differently — the new code simply
     addresses a different path.
     """
-    return cache_dir() / "checkpoints" / f"{key}.ckpt"
+    return setting("cache_dir") / "checkpoints" / f"{key}.ckpt"
 
 
 @dataclass
@@ -356,8 +295,6 @@ def _cell_trace(benchmark: str, accesses: int, seed: int) -> Trace:
 
 def execute_cell(
     cell: Cell,
-    checkpoint: Optional[bool] = None,
-    every: Optional[int] = None,
     progress: Optional[Callable] = None,
     progress_every: Optional[int] = None,
     on_save: Optional[Callable] = None,
@@ -367,11 +304,12 @@ def execute_cell(
     An open-loop workload name drains an :class:`OpenLoopDriver` over
     :func:`~repro.workloads.make_requests`, any other runs an
     :class:`OoOCore` over its trace.  Pure function of the cell;
-    everything else controls observation and interruption.  ``checkpoint`` (default: the
-    ``REPRO_CHECKPOINT`` knob) snapshots the run periodically (every
-    ``every`` cycles) and on SIGTERM (exiting 143), keyed next to the
-    result cache; a rerun of the same cell resumes from the snapshot
-    instead of starting over, and a completed cell deletes it.
+    everything else controls observation and interruption.  The
+    ``checkpoint`` setting snapshots the run periodically (every
+    ``checkpoint_every`` cycles) and on SIGTERM (exiting 143), keyed
+    next to the result cache; a rerun of the same cell resumes from
+    the snapshot instead of starting over, and a completed cell
+    deletes it.
     Results are byte-identical either way, so the cache stays
     oblivious.  ``progress(driver)`` fires every ``progress_every``
     memory cycles and ``on_save(driver, preempting)`` after every
@@ -385,11 +323,10 @@ def execute_cell(
         )
     else:
         driver = OoOCore(system, _cell_trace(benchmark, accesses, seed))
-    checkpoint = checkpoint_enabled() if checkpoint is None else checkpoint
     checkpointer = None
     snapshot: Optional[Path] = None
     resumed_cycle: Optional[int] = None
-    if checkpoint:
+    if setting("checkpoint"):
         from repro.checkpoint import Checkpointer, load_checkpoint
         from repro.errors import CheckpointMismatchError
 
@@ -397,7 +334,7 @@ def execute_cell(
         snapshot = checkpoint_path(key)
         checkpointer = Checkpointer(
             str(snapshot),
-            every=checkpoint_every() if every is None else every,
+            every=setting("checkpoint_every"),
             meta={"cell_key": key, "benchmark": benchmark,
                   "mechanism": mechanism, "accesses": accesses,
                   "seed": seed},
@@ -449,7 +386,6 @@ async def _run_on_pool(
         workers,
         on_done=lambda task, worker, event: outcomes.put_nowait((task, event)),
         on_failed=lambda task, error: outcomes.put_nowait((task, error)),
-        checkpoint=checkpoint_enabled(),
     )
     for index, cell in enumerate(pending):
         pool.submit(sim_cell_spec(*cell), (0, 0, index))
@@ -497,14 +433,6 @@ class RunReport:
 TOTALS = RunReport()
 
 
-def _auto_progress() -> Optional[Callable[[RunReport], None]]:
-    """The progress reporter ``REPRO_PROGRESS`` asks for (tty default)."""
-    tty = sys.stderr.isatty()
-    if env_flag("REPRO_PROGRESS", unset=tty, empty=tty):
-        return _print_progress
-    return None
-
-
 def _print_progress(report: RunReport) -> None:
     line = (
         f"[matrix] {report.done}/{report.total} cells"
@@ -545,7 +473,7 @@ def run_cells(
 ) -> Tuple[Dict[Cell, Result], RunReport]:
     """Resolve every cell via memo -> disk cache -> simulation.
 
-    ``jobs`` defaults to ``REPRO_JOBS`` (see :func:`default_jobs`);
+    ``jobs`` defaults to the ``jobs`` setting and is checked like it;
     misses are simulated on a worker pool when ``jobs > 1`` and more
     than one cell misses, otherwise inline (identical results either
     way — the simulator is a pure function of the cell, and
@@ -557,19 +485,17 @@ def run_cells(
     objects, preserving the memoisation identity semantics of
     ``experiments.common``.  ``progress`` may be a callable taking the
     :class:`RunReport`, ``False`` to disable, or ``None`` for the
-    REPRO_PROGRESS / tty default.
+    ``progress`` setting (``None`` there: only when stderr is a tty).
     """
     cells = list(dict.fromkeys(cells))
-    jobs = default_jobs(jobs)
+    jobs = setting("jobs") if jobs is None else Settings(jobs=jobs).jobs
     memo = {} if memo is None else memo
-    use_disk = cache_enabled()
+    use_disk = setting("cache")
     report = RunReport(total=len(cells))
-    if progress is False:
-        notify = None
-    elif progress is None:
-        notify = _auto_progress()
-    else:
-        notify = progress
+    if progress is None:
+        progress = setting("progress")
+        progress = sys.stderr.isatty() if progress is None else progress
+    notify = _print_progress if progress is True else progress or None
     started = time.monotonic()
 
     def tick() -> None:
@@ -632,18 +558,13 @@ __all__ = [
     "RunReport",
     "TOTALS",
     "cache_clear",
-    "cache_dir",
-    "cache_enabled",
     "cache_gc",
     "cache_info",
     "cache_load",
     "cache_store",
     "cell_key",
-    "checkpoint_enabled",
-    "checkpoint_every",
     "checkpoint_path",
     "code_version",
-    "default_jobs",
     "execute_cell",
     "run_cells",
 ]

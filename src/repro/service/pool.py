@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import repro
+from repro.settings import Settings, settings as current_settings
 
 if TYPE_CHECKING:
     from repro.service.jobs import CellSpec
@@ -100,8 +101,9 @@ class WorkerPool:
     ``done`` event, ``on_failed(task, error)``, and optionally
     ``on_event(task, worker, name, **fields)`` for ``cell_started``
     (``resuming``), ``cell_progress`` (``cycle``) and ``cell_preempted``
-    (``snapshot_cycle``).  ``checkpoint`` and ``progress_every`` ride
-    along on every run request.
+    (``snapshot_cycle``).  ``settings`` (default: the settings in force
+    when the pool is built) and ``progress_every`` ride along on every
+    run request; workers parse no environment.
     """
 
     def __init__(
@@ -110,14 +112,14 @@ class WorkerPool:
         on_done: Callable,
         on_failed: Callable,
         on_event: Optional[Callable] = None,
-        checkpoint: bool = True,
+        settings: Optional[Settings] = None,
         progress_every: Optional[int] = None,
     ) -> None:
         self.size = size
         self.on_done = on_done
         self.on_failed = on_failed
         self.on_event = on_event or (lambda *args, **fields: None)
-        self.checkpoint = checkpoint
+        self.settings = current_settings() if settings is None else settings
         self.progress_every = progress_every
         self.tasks: Dict[str, PoolTask] = {}
         self.queue: List[Tuple[Tuple[int, int, int], str]] = []  # heap
@@ -162,11 +164,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     async def _spawn_worker(self) -> None:
-        env = dict(os.environ)
+        # Settings travel on the wire, never as REPRO_* variables.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
         src = str(Path(repro.__file__).resolve().parents[1])
         extra = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src + (os.pathsep + extra if extra else "")
-        env["REPRO_PROGRESS"] = "0"  # events carry progress, not stderr
         proc = await asyncio.create_subprocess_exec(
             sys.executable,
             "-m",
@@ -351,7 +353,7 @@ class WorkerPool:
                 await self._send_worker(worker, {
                     "op": "run",
                     "cell": task.spec.to_wire(),
-                    "checkpoint": self.checkpoint,
+                    "settings": self.settings.to_wire(),
                     "progress_every": self.progress_every,
                 })
                 continue

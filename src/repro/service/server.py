@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
@@ -30,6 +30,7 @@ from repro.service.jobs import (
     result_digest,
 )
 from repro.service.pool import PoolTask, PoolWorker, WorkerPool
+from repro.settings import settings
 
 #: Default progress-event cadence, in memory cycles.
 PROGRESS_EVERY = 200_000
@@ -74,12 +75,14 @@ class JobServer:
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
         self.socket_path = str(socket_path)
-        self.cache = runner.cache_enabled()
+        # Every cell checkpoints, so a preempted one migrates.
+        self.settings = replace(settings(), checkpoint=True)
         self._pool = WorkerPool(
             workers,
             on_done=self._on_cell_done,
             on_failed=self._on_cell_failed,
             on_event=self._cell_event,
+            settings=self.settings,
             progress_every=progress_every,
         )
         self._jobs: Dict[str, _Job] = {}
@@ -145,7 +148,7 @@ class JobServer:
         self, task: PoolTask, worker: PoolWorker, event: dict
     ) -> None:
         key = task.spec.key
-        if self.cache:
+        if self.settings.cache:
             runner.cache_store(key, task.spec.cell, event["stats"], event["core"])
         digest = self._keep(key, event["stats"], event["core"])
         resumed_cycle = event.get("resumed_cycle")
@@ -185,7 +188,7 @@ class JobServer:
         if spec.key in self._digests:
             # Memory hit: some earlier job already computed it.
             return self._digests[spec.key]
-        if self.cache:
+        if self.settings.cache:
             loaded = runner.cache_load(spec.key)
             if loaded is not None:
                 # Disk hit: a past process computed it.  Round-trip
@@ -260,6 +263,7 @@ class JobServer:
             "digest": job_digest,
             "resumed": dict(job.resumed),
             "errors": dict(job.errors),
+            "settings": self.settings.to_wire(),
         }
 
     # ------------------------------------------------------------------

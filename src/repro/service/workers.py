@@ -2,18 +2,17 @@
 
 One worker is one long-lived process running one runner cell, closed
 or open loop (:func:`~repro.experiments.runner.execute_cell`), at a
-time.  Its
-:class:`~repro.service.pool.WorkerPool` writes requests to its stdin
-(one JSON object per line): ``run`` (``checkpoint`` says whether the
-cell snapshots), ``recall`` (drop the named cell if it has not
-started) and ``exit``.  The pool sends a worker its next cell while
-the current one runs, so the worker starts it the moment it has
-reported the last one.  A thread of its own reads stdin
-(:class:`_Inbox`), so a recall is honoured as soon as it arrives, even
-while a cell runs: a cell is either dropped (``recalled``) or already
-``started``, never both.  Events go to stdout (same framing, always
-flushed — stdout is a pipe, and a buffered event is an invisible
-event):
+time.  Its :class:`~repro.service.pool.WorkerPool` writes requests to
+its stdin (one JSON object per line): ``run`` (its ``settings`` are
+the :class:`~repro.settings.Settings` the cell runs under), ``recall``
+(drop the named cell if it has not started) and ``exit``.  The pool
+sends a worker its next cell while the current one runs, so the
+worker starts it the moment it has reported the last one.  A thread
+of its own reads stdin (:class:`_Inbox`), so a recall is honoured as
+soon as it arrives, even while a cell runs: a cell is either dropped
+(``recalled``) or already ``started``, never both.  Events go to
+stdout (same framing, always flushed — stdout is a pipe, and a
+buffered event is an invisible event):
 
 * ``ready``                 — worker booted, willing to take a cell
 * ``started``               — a cell began running
@@ -46,6 +45,7 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.service.jobs import sim_cell_from_wire
+from repro.settings import Settings, using
 
 
 _EMIT_LOCK = threading.Lock()
@@ -58,7 +58,7 @@ def _emit(event: dict) -> None:
 
 
 def _run(request: dict) -> None:
-    """Execute one runner cell, snapshotting if ``checkpoint``."""
+    """Execute one runner cell under the request's ``settings``."""
     from repro.experiments.runner import execute_cell
 
     spec = request["cell"]
@@ -85,13 +85,13 @@ def _run(request: dict) -> None:
                 "cycle": driver.system.cycle,
             })
 
-    run = execute_cell(
-        cell,
-        checkpoint=request["checkpoint"],
-        progress=progress if progress_every else None,
-        progress_every=progress_every,
-        on_save=on_save,
-    )
+    with using(Settings(**request["settings"])):
+        run = execute_cell(
+            cell,
+            progress=progress if progress_every else None,
+            progress_every=progress_every,
+            on_save=on_save,
+        )
     _emit({
         "event": "done",
         "key": key,

@@ -20,7 +20,7 @@ from typing import Iterable, List, Tuple, Union
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
 from repro.errors import SchedulerError, TraceError
-from repro.sim.profile import NEVER, fastfwd_enabled
+from repro.timebase import NEVER
 
 #: (arrival_cycle, AccessType, physical_address[, source]); a request
 #: without a source belongs to source 0.
@@ -201,7 +201,8 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
 
     The one run loop, for :class:`OpenLoopDriver` and
     :class:`~repro.cpu.core.OoOCore`.  A driver offers ``step()``,
-    ``done``, ``_span()``, ``_advance()`` and ``_complete()``.  With
+    ``done``, ``_span()``, ``_advance()`` and ``_complete()``.  The
+    engine mode is the system's, fixed when it was built: with
     ``REPRO_FASTFWD=0`` every cycle is one ``step()``.  With it on (the
     default) the loop steps the driver unless ``driver._span()`` proves
     it frozen: the count of coming steps certain to make no accepted
@@ -224,8 +225,8 @@ def run_loop(driver, max_cycles: int, checkpointer=None) -> int:
     so results are byte-identical with ``REPRO_FASTFWD=0``
     (property-tested).
     """
-    fast = fastfwd_enabled()
     system = driver.system
+    fast = system._fastfwd
     tick = system.tick
     while not driver.done:
         cycle = system.cycle

@@ -38,6 +38,7 @@ class FSBAdapter:
         if transfer_cycles <= 0:
             raise ConfigError("transfer_cycles must be positive")
         self.system = system
+        self._fastfwd = system._fastfwd  # the run loop reads it here
         self.transfer_cycles = transfer_cycles
         # Split request/response lanes (DDR FSBs are bidirectional;
         # modelling them independently keeps the adapter simple and

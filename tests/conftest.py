@@ -26,6 +26,18 @@ from repro.dram.timing import DDR2_800, FIG1_DEVICE, TimingParams
 from dataclasses import replace
 
 
+@pytest.fixture(scope="session", autouse=True)
+def cache_outside_the_checkout(tmp_path_factory):
+    """Keep every cell the suite simulates out of ``./.repro-cache``,
+    so no run is served from an earlier one; tests that need their own
+    store still point ``REPRO_CACHE_DIR`` elsewhere."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache"))
+        )
+        yield
+
+
 @pytest.fixture
 def config():
     """The paper's Table 3 baseline machine."""

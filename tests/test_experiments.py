@@ -24,10 +24,8 @@ from repro.experiments.common import (
     MECHANISMS,
     cell,
     clear_cache,
-    default_seed,
     matrix,
     resolve,
-    scale,
     scaled_accesses,
 )
 
@@ -237,14 +235,16 @@ def test_scale_rejects_non_positive_or_non_finite(monkeypatch, value):
 def test_scale_accepts_any_spelling_of_a_positive_float(monkeypatch):
     for value in ("1", "1.0", " 2 ", "1e0"):
         monkeypatch.setenv("REPRO_SCALE", value)
-        assert scale() == float(value)
+        assert scaled_accesses(4000) == 4000 * float(value)
 
 
 @pytest.mark.parametrize("value", ["x", "1.5", ""])
 def test_seed_must_be_an_integer(monkeypatch, value):
+    """An experiment cell takes the ``seed`` setting's parse error
+    (the parser itself is covered in ``tests/test_knobs.py``)."""
     monkeypatch.setenv("REPRO_SEED", value)
     with pytest.raises(ConfigError, match="REPRO_SEED"):
-        default_seed()
+        cell("swim", "FCFS")
 
 
 def test_cli_list_and_run(capsys):

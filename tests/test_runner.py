@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import common, runner
+from repro.settings import Settings, settings, using
 from repro.sim.config import baseline_config
 from repro.workloads import open_loop
 from repro.workloads.trace import Trace
@@ -308,7 +309,7 @@ def test_cell_key_sensitivity():
 def test_corrupt_cache_entry_reads_as_miss():
     cells = _cells()[:1]
     runner.run_cells(cells, jobs=1, memo={})
-    for path in runner.cache_dir().rglob("*.json"):
+    for path in settings().cache_dir.rglob("*.json"):
         path.write_text("{ not json")
     _, report = runner.run_cells(cells, jobs=1, memo={})
     assert report.executed == 1  # corrupt entry re-simulated and healed
@@ -349,7 +350,7 @@ def test_wrong_shaped_cache_entry_is_a_miss(mangle):
     ``cache_info`` skips what is not an entry at all."""
     cells = _cells()[:1]
     expected, _ = runner.run_cells(cells, jobs=1, memo={})
-    (path,) = runner.cache_dir().rglob("*.json")
+    (path,) = settings().cache_dir.rglob("*.json")
     entry = mangle(json.loads(path.read_text()))
     path.write_text(json.dumps(entry))
     assert runner.cache_load(runner.cell_key(*cells[0])) is None
@@ -363,9 +364,35 @@ def test_cache_disabled_by_env(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "0")
     cells = _cells()[:1]
     runner.run_cells(cells, jobs=1, memo={})
-    assert not runner.cache_dir().exists()
+    assert not settings().cache_dir.exists()
     _, report = runner.run_cells(cells, jobs=1, memo={})
     assert report.executed == 1
+
+
+def test_warm_cache_never_stands_in_for_a_checking_run():
+    """The cell key holds neither the oracle nor the engine mode: a
+    warm cell is simulated again under either, and stays warm."""
+    cells = _cells()[:1]
+    runner.run_cells(cells, jobs=1, memo={})
+    for knobs in ({"oracle": True}, {"fastfwd": False}):
+        with using(replace(settings(), **knobs)):
+            _, report = runner.run_cells(cells, jobs=1, memo={})
+        assert (report.executed, report.cached_disk) == (1, 0)
+    _, report = runner.run_cells(cells, jobs=1, memo={})
+    assert (report.executed, report.cached_disk) == (0, 1)
+
+
+def test_pool_workers_parse_no_environment(monkeypatch):
+    """Workers run each cell under the settings on the wire: a knob
+    the parent's environment gets wrong never reaches them."""
+    cells = _cells()[:2]
+    reference, _ = runner.run_cells(cells, jobs=1, memo={})
+    monkeypatch.setenv("REPRO_FASTFWD", "bogus")
+    with using(Settings(cache=False, progress=False)):
+        results, report = runner.run_cells(cells, jobs=2, memo={})
+    assert report.executed == 2
+    for cell in cells:
+        assert _dumps(results[cell][0]) == _dumps(reference[cell][0])
 
 
 def test_cache_info_and_clear():
@@ -384,7 +411,7 @@ def test_cache_info_and_clear():
 def test_cache_gc_evicts_lru_until_fit():
     cells = _cells()
     runner.run_cells(cells, jobs=1, memo={})
-    paths = sorted(runner.cache_dir().rglob("*.json"))
+    paths = sorted(settings().cache_dir.rglob("*.json"))
     assert len(paths) == len(cells)
     # Make the LRU order explicit: the first file is the coldest.
     import os as _os
@@ -397,14 +424,14 @@ def test_cache_gc_evicts_lru_until_fit():
     removed, remaining = runner.cache_gc(keep)
     assert removed == 2
     assert remaining <= keep
-    survivors = set(runner.cache_dir().rglob("*.json"))
+    survivors = set(settings().cache_dir.rglob("*.json"))
     assert survivors == set(paths[2:])  # coldest two evicted
 
     # Idempotent once the store fits; 0 clears everything.
     assert runner.cache_gc(keep) == (0, remaining)
     removed, remaining = runner.cache_gc(0)
     assert remaining == 0
-    assert not list(runner.cache_dir().rglob("*.json"))
+    assert not list(settings().cache_dir.rglob("*.json"))
 
     from repro.errors import ConfigError
 
@@ -464,9 +491,12 @@ def test_progress_piped_output_is_line_buffered(monkeypatch):
     assert out.endswith("\n")
     assert len(out.splitlines()) == 2
     assert pipe.flushes == 2
-    # REPRO_PROGRESS=1 forces the reporter on even without a tty.
+    # REPRO_PROGRESS=1 forces the reporter on even without a tty: a
+    # memo-served cell prints one line.
     monkeypatch.setenv("REPRO_PROGRESS", "1")
-    assert runner._auto_progress() is runner._print_progress
+    cell = _cells()[0]
+    runner.run_cells([cell], memo={cell: "served"})
+    assert len(pipe.getvalue().splitlines()) == 3
 
 
 def test_progress_tty_redraws_in_place(monkeypatch):
@@ -489,24 +519,32 @@ def test_progress_tty_redraws_in_place(monkeypatch):
 
 
 def test_default_jobs_env(monkeypatch):
+    """``run_cells`` takes its job count from the ``jobs`` setting
+    (``REPRO_JOBS``, parsed in ``tests/test_knobs.py``); an explicit
+    ``jobs=`` is checked like it."""
     from repro.errors import ConfigError
 
-    assert runner.default_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "7")
-    assert runner.default_jobs() == 7
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    assert runner.default_jobs() == (os.cpu_count() or 1)
     monkeypatch.setenv("REPRO_JOBS", "bogus")
-    with pytest.raises(ConfigError):
-        runner.default_jobs()
+    with pytest.raises(ConfigError, match="^REPRO_JOBS must be an integer"):
+        runner.run_cells([])
     # An explicit count wins over the environment and parses alike.
-    assert runner.default_jobs(3) == 3
-    assert runner.default_jobs(0) == (os.cpu_count() or 1)
-    with pytest.raises(ConfigError, match="^jobs must be >= 0, got -2$"):
-        runner.default_jobs(-2)
-    monkeypatch.setenv("REPRO_JOBS", "-2")
-    with pytest.raises(ConfigError, match="^REPRO_JOBS must be >= 0, got -2$"):
-        runner.default_jobs()
+    assert runner.run_cells([], jobs=3)[1].total == 0
+    for jobs in (-2, "x"):
+        with pytest.raises(ConfigError, match=f"^jobs must be .*, got {jobs!r}$"):
+            runner.run_cells([], jobs=jobs)
+
+
+def test_pool_runs_parse_every_knob(monkeypatch):
+    """A pool run sends the whole settings to its workers, so it parses
+    every knob; an inline run reads only the ones its cells use."""
+    from repro.errors import ConfigError
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "0")
+    error = "^REPRO_CHECKPOINT_EVERY must be positive, got 0$"
+    with pytest.raises(ConfigError, match=error):
+        runner.run_cells(_cells()[:2], jobs=2, memo={})
+    assert runner.run_cells(_cells()[:1], jobs=2, memo={})[1].executed == 1
 
 
 def test_code_version_stable_and_short():
@@ -514,10 +552,11 @@ def test_code_version_stable_and_short():
     assert len(runner.code_version()) == 16
 
 
-def test_cli_cache_subcommands(capsys):
+def test_cli_cache_subcommands(capsys, monkeypatch):
     from repro.experiments.cli import main
 
     runner.run_cells(_cells()[:1], jobs=1, memo={})
+    monkeypatch.setenv("REPRO_SCALE", "abc")  # read by no cache command
     assert main(["cache", "info"]) == 0
     out = capsys.readouterr().out
     assert "entries" in out and "1" in out
@@ -529,9 +568,6 @@ def test_cli_shorthand_and_jobs(capsys, monkeypatch):
     from repro.experiments.cli import main
 
     monkeypatch.setenv("REPRO_SCALE", "0.01")  # floor: 500 accesses
-    # Register REPRO_JOBS with monkeypatch so the CLI's own setenv is
-    # rolled back after the test.
-    monkeypatch.setenv("REPRO_JOBS", "1")
     assert main(["table1", "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert "table1" in out
@@ -660,7 +696,7 @@ def test_cells_sharing_a_trace_equal_fresh_runs():
     runner._cell_trace.cache_clear()
     for mechanism in MECHS:
         cell = ("swim", mechanism, N, SEED, cfg)
-        run = runner.execute_cell(cell, checkpoint=False)
+        run = runner.execute_cell(cell)
         system = MemorySystem(cfg, mechanism)
         fresh = OoOCore(system, make_benchmark_trace("swim", N, SEED)).run()
         assert _dumps(run.stats) == _dumps(system.stats)

@@ -31,6 +31,7 @@ from repro.service.jobs import (
     spec_from_wire,
 )
 from repro.service.pool import MAX_ATTEMPTS, WorkerPool
+from repro.settings import settings
 from repro.sim.config import baseline_config
 
 N = 300
@@ -42,6 +43,7 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_PROGRESS", "0")
     monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
     monkeypatch.delenv("REPRO_SCALE", raising=False)
 
 
@@ -238,6 +240,11 @@ def test_server_dedupe(tmp_path):
         assert warm["cached"] == len(cells)
         assert warm["digest"] == first["digest"]
         assert warm["events_per_sec"] is None  # no simulation window
+        # The summary echoes the settings the cells ran under: the
+        # server's own, with checkpointing on.
+        assert warm["settings"] == dict(
+            settings().to_wire(), checkpoint=True
+        )
 
     # The server's store is the runner's store: a sequential run_cells
     # over the same cells simulates nothing.
@@ -295,7 +302,7 @@ def _uninterrupted_digest(cells, key):
         args = (cell["benchmark"], cell["mechanism"], cell["accesses"],
                 cell["seed"], cfg)
         if runner.cell_key(*args) == key:
-            run = runner.execute_cell(args, checkpoint=False)
+            run = runner.execute_cell(args)
             return result_digest({
                 "key": key,
                 "stats": run.stats.to_dict(),
@@ -537,7 +544,7 @@ def test_worker_killed_holding_prefetched_cell_spends_no_attempt():
 
     pool, log, results = _run_pool(
         [(cell, (0, 0, i)) for i, cell in enumerate(cells)],
-        react=react, checkpoint=False,
+        react=react,
     )
     assert _starts(log) == [running, running, prefetched]
     assert [key for name, key, _ in log if name == "cell_done"] == [
@@ -617,7 +624,6 @@ def test_recalled_cell_starts_once_after_the_cell_that_outranks_it():
 
     _, log, results = _run_pool(
         [(long_cell, (-5, 1, 0)), (low, (0, 2, 0))], react=react,
-        checkpoint=False,
     )
     assert _starts(log) == [long_key, urgent_key, low_key]
     assert len(_starts(log)) == len(results) == 3
@@ -632,7 +638,7 @@ def test_idle_worker_recalls_a_cell_stranded_behind_a_running_one():
     keys = _keys([long_cell] + short)
     _, log, _ = _run_pool(
         [(cell, (0, 0, i)) for i, cell in enumerate([long_cell] + short)],
-        workers=2, checkpoint=False,
+        workers=2,
     )
     done = [key for name, key, _ in log if name == "cell_done"]
     assert done[-1] == keys[0]
@@ -660,7 +666,7 @@ def test_slow_bookkeeping_does_not_stall_the_worker():
 
     _, _, results = _run_pool(
         [(cell, (0, 0, i)) for i, cell in enumerate(cells)],
-        react=react, on_done=on_done, checkpoint=False,
+        react=react, on_done=on_done,
     )
     extra = stamps[-1] - stamps[0] - sum(e["wall"] for e in results.values())
     assert extra < len(cells) * 0.05 / 2, f"{extra:.3f} s between cells"
