@@ -60,13 +60,14 @@ tWTR_L          write data to read command within one bank group
 ==============  =====================================================
 
 The active subset of these rules is a property of the device
-generation — :func:`generation_rules` renders the table for one
-:class:`~repro.dram.timing.TimingParams`.  Sub-channel independence
-needs no rule of its own: :func:`attach_oracles` builds one oracle
-per *physical* channel (sub-channels included), each with its own
-command-bus, data-bus and shadow device state, so any cross-talk
-between sub-channels would surface as an ordinary violation on one
-of them.
+generation: each optional row switches on with the
+:class:`~repro.dram.timing.TimingParams` field that enables it
+(``tRTRS``, ``tFAW``, ``tREFI``, ``bank_groups > 1``).  Sub-channel
+independence needs no rule of its own: :func:`attach_oracles` builds
+one oracle per *physical* channel (sub-channels included), each with
+its own command-bus, data-bus and shadow device state, so any
+cross-talk between sub-channels would surface as an ordinary
+violation on one of them.
 
 Usage — live, next to the hazard monitor::
 
@@ -782,34 +783,6 @@ class ProtocolOracle:
         return self.violations
 
 
-def generation_rules(timing: TimingParams) -> List[str]:
-    """The oracle rules active for one device generation.
-
-    The core DDR rulebook applies to every generation; the optional
-    rows of the module docstring table switch on with the timing
-    fields that enable them.  Used by the generation experiments and
-    the docs to state exactly what each profile is verified against —
-    and by tests to pin that new profiles don't silently skip rules.
-    """
-    rules = [
-        "state", "cmd-bus", "data-bus", "data-window",
-        "tRCD", "tRP", "tRAS", "tRC", "tCL/tCWL",
-        "tWR", "tWTR", "tRTP", "tRRD", "tCCD",
-    ]
-    if timing.tRTRS:
-        rules.append("tRTRS")
-    if timing.tFAW is not None:
-        rules.append("tFAW")
-    if timing.tREFI is not None:
-        rules.extend(["tREFI", "tRFC", "tRFCpb", "tRREFD"])
-    if timing.bank_groups > 1:
-        rules.extend(["tCCD_S", "tCCD_L", "tWTR_L"])
-    if timing.sub_channels > 1:
-        # Structural: one oracle per physical (sub-)channel.
-        rules.append("sub-channel-independence")
-    return rules
-
-
 def attach_oracles(system, strict: bool = True) -> List[ProtocolOracle]:
     """Attach one live :class:`ProtocolOracle` per channel of a system.
 
@@ -876,7 +849,6 @@ __all__ = [
     "ProtocolOracle",
     "Violation",
     "attach_oracles",
-    "generation_rules",
     "verify_commands",
     "verify_trace",
 ]

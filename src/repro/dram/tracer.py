@@ -149,16 +149,10 @@ def load_trace(path: str) -> TraceFile:
     )
 
 
-def trace_system(system) -> List[ChannelTracer]:
-    """Attach one :class:`ChannelTracer` per channel of a system."""
-    return [ChannelTracer(channel) for channel in system.channels]
-
-
 __all__ = [
     "ChannelTracer",
     "TraceFile",
     "TracedCommand",
     "load_trace",
     "save_trace",
-    "trace_system",
 ]

@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 import repro
 from repro.controller.system import MemorySystem
@@ -115,6 +115,35 @@ def cell_key(
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cell_wire(cell: Cell) -> Dict[str, object]:
+    """A cell as plain JSON: the one wire form, closed or open loop.
+
+    The config travels whole (``SystemConfig.to_dict()``), so sender
+    and receiver agree on the exact machine.  :func:`cell_from_wire`
+    is the inverse.
+    """
+    benchmark, mechanism, accesses, seed, config = cell
+    return {
+        "benchmark": benchmark,
+        "mechanism": mechanism,
+        "accesses": accesses,
+        "seed": seed,
+        "config": config.to_dict(),
+    }
+
+
+def cell_from_wire(data: Dict[str, object]) -> Cell:
+    """The cell :func:`cell_wire` encoded; raises ``KeyError``,
+    ``TypeError`` or ``ValueError`` on a malformed dict."""
+    return (
+        data["benchmark"],
+        data["mechanism"],
+        int(data["accesses"]),
+        int(data["seed"]),
+        SystemConfig.from_dict(data["config"]),
+    )
 
 
 def _cache_path(key: str) -> Path:
@@ -295,6 +324,7 @@ def _cell_trace(benchmark: str, accesses: int, seed: int) -> Trace:
 
 def execute_cell(
     cell: Cell,
+    key: Optional[str] = None,
     progress: Optional[Callable] = None,
     progress_every: Optional[int] = None,
     on_save: Optional[Callable] = None,
@@ -309,7 +339,10 @@ def execute_cell(
     ``checkpoint_every`` cycles) and on SIGTERM (exiting 143), keyed
     next to the result cache; a rerun of the same cell resumes from
     the snapshot instead of starting over, and a completed cell
-    deletes it.
+    deletes it.  The snapshot lives under ``key``, the cell's
+    :func:`cell_key` as its caller computed it (computed here only
+    when not given): a pool worker checkpoints under the key the pool
+    sent, never under one of its own code version.
     Results are byte-identical either way, so the cache stays
     oblivious.  ``progress(driver)`` fires every ``progress_every``
     memory cycles and ``on_save(driver, preempting)`` after every
@@ -330,7 +363,8 @@ def execute_cell(
         from repro.checkpoint import Checkpointer, load_checkpoint
         from repro.errors import CheckpointMismatchError
 
-        key = cell_key(benchmark, mechanism, accesses, seed, config)
+        if key is None:
+            key = cell_key(*cell)
         snapshot = checkpoint_path(key)
         checkpointer = Checkpointer(
             str(snapshot),
@@ -366,11 +400,12 @@ def execute_cell(
 
 
 async def _run_on_pool(
-    pending: List[Cell],
+    pending: Dict[str, Cell],
     workers: int,
-    finish: Callable[[Cell, SimStats, Optional[CoreResult]], None],
+    finish: Callable[[str, SimStats, Optional[CoreResult]], None],
 ) -> None:
-    """Simulate ``pending`` on ``workers`` pool workers; ``finish`` each.
+    """Simulate ``pending`` (key -> cell) on ``workers`` pool workers;
+    ``finish`` each by key.
 
     Imported and run only when ``jobs > 1``, so inline runs never load
     ``asyncio``.  The parent owns all cache traffic, so the
@@ -378,7 +413,6 @@ async def _run_on_pool(
     """
     import asyncio
 
-    from repro.service.jobs import sim_cell_spec
     from repro.service.pool import WorkerPool
 
     outcomes: asyncio.Queue = asyncio.Queue()
@@ -387,19 +421,18 @@ async def _run_on_pool(
         on_done=lambda task, worker, event: outcomes.put_nowait((task, event)),
         on_failed=lambda task, error: outcomes.put_nowait((task, error)),
     )
-    for index, cell in enumerate(pending):
-        pool.submit(sim_cell_spec(*cell), (0, 0, index))
+    for index, (key, cell) in enumerate(pending.items()):
+        pool.submit(key, cell, (0, 0, index))
     try:
         await pool.start()
         for _ in pool.tasks:  # one outcome per task
             task, outcome = await outcomes.get()
             if isinstance(outcome, str):
-                raise ReproError(f"cell {task.spec.label} failed: {outcome}")
-            cell = pending[task.sort_key[2]]  # sort keys end in the index
+                raise ReproError(f"cell {task.label} failed: {outcome}")
             finish(
-                cell,
+                task.key,
                 SimStats.from_dict(outcome["stats"]),
-                _core(cell[0], outcome["core"]),
+                _core(task.cell[0], outcome["core"]),
             )
     finally:
         await pool.shutdown()
@@ -504,8 +537,7 @@ def run_cells(
             notify(report)
 
     results: Dict[Cell, Result] = {}
-    pending: List[Cell] = []
-    keys: Dict[Cell, str] = {}
+    pending: Dict[str, Cell] = {}  # each miss under its one key
     for cell in cells:
         hit = memo.get(cell)
         if hit is not None:
@@ -514,21 +546,21 @@ def run_cells(
             TOTALS.cached_memo += 1
             tick()
             continue
-        if use_disk:
-            keys[cell] = cell_key(*cell)
-            loaded = cache_load(keys[cell])
-            if loaded is not None:
-                memo[cell] = loaded
-                results[cell] = loaded
-                report.cached_disk += 1
-                TOTALS.cached_disk += 1
-                tick()
-                continue
-        pending.append(cell)
+        key = cell_key(*cell)
+        loaded = cache_load(key) if use_disk else None
+        if loaded is not None:
+            memo[cell] = loaded
+            results[cell] = loaded
+            report.cached_disk += 1
+            TOTALS.cached_disk += 1
+            tick()
+            continue
+        pending[key] = cell
 
-    def finish(cell: Cell, stats: SimStats, core: Optional[CoreResult]) -> None:
+    def finish(key: str, stats: SimStats, core: Optional[CoreResult]) -> None:
+        cell = pending[key]
         if use_disk:
-            cache_store(keys[cell], cell, stats.to_dict(), core and core.to_dict())
+            cache_store(key, cell, stats.to_dict(), core and core.to_dict())
         memo[cell] = (stats, core)
         results[cell] = (stats, core)
         report.executed += 1
@@ -540,9 +572,9 @@ def run_cells(
 
         asyncio.run(_run_on_pool(pending, min(jobs, len(pending)), finish))
     else:
-        for cell in pending:
-            run = execute_cell(cell)
-            finish(cell, run.stats, run.core)
+        for key, cell in pending.items():
+            run = execute_cell(cell, key)
+            finish(key, run.stats, run.core)
 
     report.elapsed = time.monotonic() - started
     TOTALS.total += report.total
@@ -562,7 +594,9 @@ __all__ = [
     "cache_info",
     "cache_load",
     "cache_store",
+    "cell_from_wire",
     "cell_key",
+    "cell_wire",
     "checkpoint_path",
     "code_version",
     "execute_cell",

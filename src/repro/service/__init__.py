@@ -7,9 +7,9 @@ parallel cell runner, and SIGTERM-safe checkpoints with
 byte-identical resume.  This package composes them into a long-running
 job service:
 
-* :mod:`repro.service.jobs` — the cell/job model: one cell kind (the
-  runner's cell), wire format, matrix expansion (``fig7``,
-  ``generations``) and result digests;
+* :mod:`repro.service.jobs` — submissions: client-cell checks, matrix
+  expansion (``fig7``, ``generations``) into the runner's cells under
+  their cache keys, and result digests;
 * :mod:`repro.service.workers` — the worker process: executes cells
   via :func:`repro.experiments.runner.execute_cell`, streams ND-JSON
   progress, snapshots and exits 143 on SIGTERM (preemption);
@@ -30,7 +30,6 @@ import importlib
 #: worker or a client that imports this package never loads the job
 #: server and its ``asyncio``.
 _EXPORTS = {
-    "CellSpec": "repro.service.jobs",
     "JobServer": "repro.service.server",
     "ServiceClient": "repro.service.client",
     "expand_submission": "repro.service.jobs",
@@ -49,7 +48,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CellSpec",
     "JobServer",
     "ServiceClient",
     "expand_submission",

@@ -1,24 +1,23 @@
-"""Cell and job model for the simulation service.
+"""Submissions and result digests for the simulation service.
 
 A submission is either an explicit list of cells or the name of a
 known experiment matrix; either way it expands — deterministically, in
-a stable order — into :class:`CellSpec` units the server schedules.
-Every cell is one of the runner's content-addressed (benchmark,
-mechanism, accesses, seed, config) closed-loop cells: deduped against
+a stable order — into the runner's content-addressed (benchmark,
+mechanism, accesses, seed, config) closed-loop cells, each under its
+:func:`~repro.experiments.runner.cell_key`: deduped against
 ``.repro-cache/``, checkpointable, migratable.
 
-The wire format is plain JSON: a cell ships its full
-``SystemConfig.to_dict()`` so server and worker agree on the exact
-machine, and the server-computed ``key`` rides along so the worker
-checkpoints at the path the next worker will look in.
+A client's cell is the runner's wire form
+(:func:`~repro.experiments.runner.cell_wire`, plus an optional
+``"kind": "sim"``); this module only checks it before the runner
+decodes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.controller.registry import MECHANISMS as MECHANISM_REGISTRY
 from repro.errors import ServiceError
@@ -42,68 +41,6 @@ def result_digest(payload: object) -> str:
     return hashlib.sha256(
         canonical_json(payload).encode("utf-8")
     ).hexdigest()
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One schedulable unit of work, with its dedupe key."""
-
-    key: str            # the runner's content address
-    payload: dict       # wire fields
-    #: The cell as the runner's :data:`~repro.experiments.runner.Cell`
-    #: (what ``sim_cell_from_wire`` would rebuild from the payload).
-    cell: runner.Cell = field(compare=False, repr=False)
-
-    def to_wire(self) -> dict:
-        return {"key": self.key, **self.payload}
-
-    @property
-    def label(self) -> str:
-        """Short human identity for logs and events."""
-        return f"{self.payload['benchmark']}/{self.payload['mechanism']}"
-
-
-def sim_cell_spec(
-    benchmark: str,
-    mechanism: str,
-    accesses: int,
-    seed: int,
-    config: SystemConfig,
-    wire_config: Optional[dict] = None,
-) -> CellSpec:
-    """A cell keyed exactly like the runner's result cache.
-
-    ``wire_config`` is ``config.to_dict()`` when the caller already
-    holds it: a matrix serialises its shared config once, not per cell.
-    """
-    if wire_config is None:
-        wire_config = config.to_dict()
-    key = runner.cell_key(benchmark, mechanism, accesses, seed, wire_config)
-    return CellSpec(
-        key=key,
-        payload={
-            "benchmark": benchmark,
-            "mechanism": mechanism,
-            "accesses": int(accesses),
-            "seed": int(seed),
-            "config": wire_config,
-        },
-        cell=(benchmark, mechanism, int(accesses), int(seed), config),
-    )
-
-
-def sim_cell_from_wire(data: dict) -> runner.Cell:
-    """Decode a cell's wire payload back into a runner cell."""
-    try:
-        return (
-            data["benchmark"],
-            data["mechanism"],
-            int(int_param(data, "accesses", minimum=1)),
-            int(int_param(data, "seed")),
-            SystemConfig.from_dict(data["config"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise ServiceError(f"malformed sim cell: {error!r}") from None
 
 
 def int_param(data: dict, name: str, default=None, minimum=None):
@@ -131,21 +68,29 @@ def _names_param(params: dict, name: str, default) -> List[str]:
     return value
 
 
-def spec_from_wire(data: dict) -> CellSpec:
-    """Validate + normalise one client-supplied cell dict.
+def cell_from_client(data: dict) -> runner.Cell:
+    """Validate one client-supplied cell dict and decode it.
 
     A ``kind`` field is optional; ``"sim"``, the one cell kind, is the
-    only value accepted.
+    only value accepted.  The workload must be a SPEC profile.
     """
     if not isinstance(data, dict):
         raise ServiceError(f"a cell must be an object, got {data!r}")
     kind = data.get("kind", "sim")
     if kind != "sim":
         raise ServiceError(f"unknown cell kind {kind!r}")
-    benchmark, mechanism, accesses, seed, config = sim_cell_from_wire(data)
-    _check_mechanism(mechanism)
-    _check_benchmark(benchmark)
-    return sim_cell_spec(benchmark, mechanism, accesses, seed, config)
+    checked = dict(
+        data,
+        accesses=int_param(data, "accesses", minimum=1),
+        seed=int_param(data, "seed"),
+    )
+    try:
+        cell = runner.cell_from_wire(checked)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ServiceError(f"malformed sim cell: {error!r}") from None
+    _check_mechanism(cell[1])
+    _check_benchmark(cell[0])
+    return cell
 
 
 def _check_mechanism(mechanism: str) -> None:
@@ -169,10 +114,9 @@ def _check_benchmark(benchmark: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _expand(params: dict, benchmarks, mechanisms, cells) -> List[CellSpec]:
-    """Specs for an experiment's own cell list, ``cells(benchmarks,
-    mechanisms, accesses, seed=seed)``; each distinct config is
-    serialised once."""
+def _expand(params: dict, benchmarks, mechanisms, cells) -> List[runner.Cell]:
+    """An experiment's own cell list, ``cells(benchmarks, mechanisms,
+    accesses, seed=seed)``."""
     benchmarks = _names_param(params, "benchmarks", benchmarks)
     mechanisms = _names_param(params, "mechanisms", mechanisms)
     for benchmark in benchmarks:
@@ -181,21 +125,15 @@ def _expand(params: dict, benchmarks, mechanisms, cells) -> List[CellSpec]:
         _check_mechanism(mechanism)
     accesses = int_param(params, "accesses", minimum=1)
     seed = int_param(params, "seed")
-    wire: Dict[SystemConfig, dict] = {}
-    specs = []
-    for cell in cells(benchmarks, mechanisms, accesses, seed=seed).values():
-        if cell[4] not in wire:
-            wire[cell[4]] = cell[4].to_dict()
-        specs.append(sim_cell_spec(*cell, wire[cell[4]]))
-    return specs
+    return list(cells(benchmarks, mechanisms, accesses, seed=seed).values())
 
 
-def _expand_fig7(params: dict) -> List[CellSpec]:
+def _expand_fig7(params: dict) -> List[runner.Cell]:
     """The shared benchmark × mechanism matrix behind Figures 7-10."""
     return _expand(params, benchmark_names(), common.MECHANISMS, common.matrix)
 
 
-def _expand_generations(params: dict) -> List[CellSpec]:
+def _expand_generations(params: dict) -> List[runner.Cell]:
     """The generation-ladder fig7 matrix (experiments.generations)."""
     return _expand(
         params, generations.BENCHMARKS, generations.MECHANISMS,
@@ -209,16 +147,18 @@ MATRICES = {
 }
 
 
-def expand_submission(request: dict) -> List[CellSpec]:
-    """Expand one submit request into its ordered, deduped cell list.
+def expand_submission(request: dict) -> Dict[str, runner.Cell]:
+    """Expand one submit request into its ordered, deduped ``{key: cell}``.
 
     Order is the expansion order (the dispatch tie-break, which makes
     single-worker completion order reproducible); duplicate keys
-    within one submission collapse to the first occurrence.
+    within one submission collapse to the first occurrence.  Each key
+    is the runner's :func:`~repro.experiments.runner.cell_key`, and
+    each distinct config is serialised for it once.
     """
     matrix = request.get("matrix")
-    cells = request.get("cells")
-    if (matrix is None) == (cells is None):
+    given = request.get("cells")
+    if (matrix is None) == (given is None):
         raise ServiceError(
             "a submission needs exactly one of 'matrix' or 'cells'"
         )
@@ -231,27 +171,28 @@ def expand_submission(request: dict) -> List[CellSpec]:
         params = request.get("params") or {}
         if not isinstance(params, dict):
             raise ServiceError(f"'params' must be an object, got {params!r}")
-        specs = expander(params)
+        cells = expander(params)
     else:
-        if not isinstance(cells, Sequence) or isinstance(cells, (str, bytes)):
+        if not isinstance(given, Sequence) or isinstance(given, (str, bytes)):
             raise ServiceError("'cells' must be a list of cell dicts")
-        if not cells:
+        if not given:
             raise ServiceError("'cells' must not be empty")
-        specs = [spec_from_wire(cell) for cell in cells]
-    unique: Dict[str, CellSpec] = {}
-    for spec in specs:
-        unique.setdefault(spec.key, spec)
-    return list(unique.values())
+        cells = [cell_from_client(cell) for cell in given]
+    wire: Dict[SystemConfig, dict] = {}
+    unique: Dict[str, runner.Cell] = {}
+    for cell in cells:
+        config = cell[4]
+        if config not in wire:
+            wire[config] = config.to_dict()
+        unique.setdefault(runner.cell_key(*cell[:4], wire[config]), cell)
+    return unique
 
 
 __all__ = [
     "MATRICES",
-    "CellSpec",
     "canonical_json",
+    "cell_from_client",
     "expand_submission",
     "int_param",
     "result_digest",
-    "sim_cell_from_wire",
-    "sim_cell_spec",
-    "spec_from_wire",
 ]

@@ -31,13 +31,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import repro
+from repro.experiments.runner import Cell, cell_wire
 from repro.settings import Settings, settings as current_settings
-
-if TYPE_CHECKING:
-    from repro.service.jobs import CellSpec
 
 #: Exit code the checkpoint machinery uses for "preempted, snapshot
 #: saved" (128 + SIGTERM).  ``-15`` is the same fate seen through
@@ -58,11 +56,17 @@ _HOLD = 2
 class PoolTask:
     """One unique cell in the pool's queue."""
 
-    spec: CellSpec
+    key: str                        # the cell's runner cache key
+    cell: Cell
     sort_key: Tuple[int, int, int]  # (-priority, job_seq, index)
     state: str = "queued"           # queued | sent | running | done | failed
     attempts: int = 0
     snapshot_cycle: Optional[int] = None
+
+    @property
+    def label(self) -> str:
+        """Short human identity for logs and events."""
+        return f"{self.cell[0]}/{self.cell[1]}"
 
 
 @dataclass
@@ -136,9 +140,10 @@ class WorkerPool:
         for _ in range(self.size):
             await self._spawn_worker()
 
-    def submit(self, spec: CellSpec, sort_key: Tuple[int, int, int]) -> None:
-        """Queue one cell; :meth:`dispatch` sends it."""
-        task = self.tasks[spec.key] = PoolTask(spec=spec, sort_key=sort_key)
+    def submit(self, key: str, cell: Cell, sort_key: Tuple[int, int, int]) -> None:
+        """Queue ``cell`` under its cache ``key``; :meth:`dispatch`
+        sends it, and its worker checkpoints under that key."""
+        task = self.tasks[key] = PoolTask(key, cell, sort_key)
         self._requeue(task)
 
     async def shutdown(self) -> None:
@@ -307,7 +312,7 @@ class WorkerPool:
 
     def _requeue(self, task: PoolTask) -> None:
         task.state = "queued"
-        heapq.heappush(self.queue, (task.sort_key, task.spec.key))
+        heapq.heappush(self.queue, (task.sort_key, task.key))
 
     def _fail(self, task: PoolTask, error: str) -> None:
         task.state = "failed"
@@ -352,7 +357,8 @@ class WorkerPool:
                 worker.sent.append(key)
                 await self._send_worker(worker, {
                     "op": "run",
-                    "cell": task.spec.to_wire(),
+                    "key": key,
+                    "cell": cell_wire(task.cell),
                     "settings": self.settings.to_wire(),
                     "progress_every": self.progress_every,
                 })

@@ -23,12 +23,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import ReproError, ServiceError
 from repro.experiments import runner
-from repro.service.jobs import (
-    CellSpec,
-    expand_submission,
-    int_param,
-    result_digest,
-)
+from repro.service.jobs import expand_submission, int_param, result_digest
 from repro.service.pool import PoolTask, PoolWorker, WorkerPool
 from repro.settings import settings
 
@@ -43,7 +38,7 @@ class _Job:
     job_id: str
     seq: int
     priority: int
-    specs: List[CellSpec]
+    cells: Dict[str, runner.Cell]   # key -> cell, in expansion order
     pending: Set[str] = field(default_factory=set)
     cached: int = 0
     shared: int = 0
@@ -130,7 +125,7 @@ class JobServer:
         self, task: PoolTask, worker: Optional[PoolWorker], event: str, **fields
     ) -> Set[str]:
         """Emit ``event`` to every job subscribed to ``task``; return them."""
-        jobs = self._subscribers[task.spec.key]
+        jobs = self._subscribers[task.key]
         for job_id in jobs:
             job = self._jobs[job_id]
             if event == "cell_started" and job.window_start is None:
@@ -140,16 +135,16 @@ class JobServer:
         if worker is not None:
             fields["worker"] = worker.index
         self._emit_job_event(jobs, dict(
-            event=event, key=task.spec.key, cell=task.spec.label, **fields
+            event=event, key=task.key, cell=task.label, **fields
         ))
         return jobs
 
     def _on_cell_done(
         self, task: PoolTask, worker: PoolWorker, event: dict
     ) -> None:
-        key = task.spec.key
+        key = task.key
         if self.settings.cache:
-            runner.cache_store(key, task.spec.cell, event["stats"], event["core"])
+            runner.cache_store(key, task.cell, event["stats"], event["core"])
         digest = self._keep(key, event["stats"], event["core"])
         resumed_cycle = event.get("resumed_cycle")
         for job_id in sorted(self._cell_event(
@@ -168,7 +163,7 @@ class JobServer:
                 self._maybe_finish_job(job)
 
     def _on_cell_failed(self, task: PoolTask, error: str) -> None:
-        key = task.spec.key
+        key = task.key
         for job_id in sorted(self._cell_event(task, None, "cell_failed", error=error)):
             job = self._jobs[job_id]
             if key in job.pending:
@@ -183,19 +178,19 @@ class JobServer:
         self._digests.setdefault(key, digest)
         return digest
 
-    def _cached_digest(self, spec: CellSpec) -> Optional[str]:
+    def _cached_digest(self, key: str) -> Optional[str]:
         """Digest of a result held in server memory or the disk store."""
-        if spec.key in self._digests:
+        if key in self._digests:
             # Memory hit: some earlier job already computed it.
-            return self._digests[spec.key]
+            return self._digests[key]
         if self.settings.cache:
-            loaded = runner.cache_load(spec.key)
+            loaded = runner.cache_load(key)
             if loaded is not None:
                 # Disk hit: a past process computed it.  Round-trip
                 # through from_dict/to_dict is lossless, so the digest
                 # matches what a fresh simulation would produce.
                 stats, core = loaded
-                return self._keep(spec.key, stats.to_dict(), core.to_dict())
+                return self._keep(key, stats.to_dict(), core.to_dict())
         return None
 
     # ------------------------------------------------------------------
@@ -238,7 +233,7 @@ class JobServer:
             now - job.window_start if job.window_start is not None else 0.0
         )
         bubble = self._pool.bubble_fraction(job.window_start, now)
-        cells = len(job.specs)
+        cells = len(job.cells)
         job_digest = result_digest(
             {key: job.digests[key] for key in sorted(job.digests)}
         )
@@ -271,21 +266,20 @@ class JobServer:
     # ------------------------------------------------------------------
 
     def _submit(self, request: dict) -> _Job:
-        specs = expand_submission(request)
+        cells = expand_submission(request)
         priority = int_param(request, "priority", 0)
         self._job_seq += 1
         job = _Job(
             job_id=f"job-{self._job_seq}",
             seq=self._job_seq,
             priority=priority,
-            specs=specs,
+            cells=cells,
             submitted=time.monotonic(),
         )
         self._jobs[job.job_id] = job
         queued = 0
-        for index, spec in enumerate(specs):
-            key = spec.key
-            digest = self._cached_digest(spec)
+        for index, (key, cell) in enumerate(cells.items()):
+            digest = self._cached_digest(key)
             if digest is not None:
                 job.cached += 1
                 job.completion_order.append(key)
@@ -299,12 +293,12 @@ class JobServer:
                 job.pending.add(key)
                 continue
             self._subscribers[key] = {job.job_id}
-            self._pool.submit(spec, (-priority, job.seq, index))
+            self._pool.submit(key, cell, (-priority, job.seq, index))
             job.pending.add(key)
             queued += 1
         self._emit_job_event({job.job_id}, {
             "event": "job_submitted",
-            "cells": len(specs),
+            "cells": len(cells),
             "cached": job.cached,
             "shared": job.shared,
             "queued": queued,
@@ -399,7 +393,7 @@ class JobServer:
         reply = {
             "ok": True,
             "job": job.job_id,
-            "cells": len(job.specs),
+            "cells": len(job.cells),
             "cached": job.cached,
             "shared": job.shared,
             "queued": len(job.pending) - job.shared,
@@ -447,7 +441,7 @@ class JobServer:
                     "pid": w.proc.pid,
                     "idle": w.idle,
                     "current": (
-                        self._pool.tasks[w.current].spec.label
+                        self._pool.tasks[w.current].label
                         if w.current else None
                     ),
                 }
@@ -458,7 +452,7 @@ class JobServer:
             "jobs": {
                 job.job_id: {
                     "done": job.done.is_set(),
-                    "cells": len(job.specs),
+                    "cells": len(job.cells),
                     "pending": len(job.pending),
                     "cached": job.cached,
                     "simulated": job.simulated,
@@ -482,7 +476,7 @@ class JobServer:
             "ok": True,
             "worker": worker.index,
             "key": worker.current,
-            "cell": self._pool.tasks[worker.current].spec.label,
+            "cell": self._pool.tasks[worker.current].label,
         })
 
     def _get_job(self, request: dict) -> _Job:

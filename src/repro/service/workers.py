@@ -3,9 +3,15 @@
 One worker is one long-lived process running one runner cell, closed
 or open loop (:func:`~repro.experiments.runner.execute_cell`), at a
 time.  Its :class:`~repro.service.pool.WorkerPool` writes requests to
-its stdin (one JSON object per line): ``run`` (its ``settings`` are
-the :class:`~repro.settings.Settings` the cell runs under), ``recall``
-(drop the named cell if it has not started) and ``exit``.  The pool
+its stdin (one JSON object per line): ``run``, ``recall`` (drop the
+named cell if it has not started) and ``exit``.  A ``run`` request
+carries the cell's ``key`` (its runner cache key, which names the
+cell in every event and its snapshot on disk), the ``cell`` in the
+runner's wire form (:func:`~repro.experiments.runner.cell_wire`), the
+:class:`~repro.settings.Settings` it runs under and its
+``progress_every``.  A worker never keys a cell itself, so a source
+edit during a run cannot move a snapshot out of the next worker's
+sight.  The pool
 sends a worker its next cell while the current one runs, so the
 worker starts it the moment it has reported the last one.  A thread
 of its own reads stdin (:class:`_Inbox`), so a recall is honoured as
@@ -44,7 +50,6 @@ import time
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.service.jobs import sim_cell_from_wire
 from repro.settings import Settings, using
 
 
@@ -58,12 +63,12 @@ def _emit(event: dict) -> None:
 
 
 def _run(request: dict) -> None:
-    """Execute one runner cell under the request's ``settings``."""
-    from repro.experiments.runner import execute_cell
+    """Execute one runner cell under the request's ``settings``,
+    checkpointing under the request's ``key``."""
+    from repro.experiments.runner import cell_from_wire, execute_cell
 
-    spec = request["cell"]
-    key = spec["key"]
-    cell = sim_cell_from_wire(spec)
+    key = request["key"]
+    cell = cell_from_wire(request["cell"])
     progress_every: Optional[int] = request.get("progress_every")
     started = time.monotonic()
 
@@ -88,6 +93,7 @@ def _run(request: dict) -> None:
     with using(Settings(**request["settings"])):
         run = execute_cell(
             cell,
+            key,
             progress=progress if progress_every else None,
             progress_every=progress_every,
             on_save=on_save,
@@ -101,10 +107,6 @@ def _run(request: dict) -> None:
         "resumed_cycle": run.resumed_cycle,
         "wall": time.monotonic() - started,
     })
-
-
-def _key(request: dict) -> Optional[str]:
-    return (request.get("cell") or {}).get("key")
 
 
 class _Inbox:
@@ -150,7 +152,7 @@ class _Inbox:
 
     def _recall(self, key: Optional[str]) -> None:
         for request in self._requests:
-            if request.get("op") == "run" and _key(request) == key:
+            if request.get("op") == "run" and request.get("key") == key:
                 self._requests.remove(request)
                 _emit({"event": "recalled", "key": key})
                 return
@@ -166,7 +168,7 @@ class _Inbox:
                 return None
             request = self._requests.pop(0)
             if request.get("op") == "run":
-                _emit({"event": "started", "key": _key(request)})
+                _emit({"event": "started", "key": request.get("key")})
             return request
 
 
@@ -178,7 +180,7 @@ def main() -> int:
         request = inbox.next()
         if request is None or request.get("op") == "exit":
             break
-        key = _key(request)
+        key = request.get("key")
         try:
             if request.get("op") != "run":
                 raise ReproError(f"unknown op {request.get('op')!r}")

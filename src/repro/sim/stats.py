@@ -45,27 +45,6 @@ class LatencyStat:
         """Average of all samples; 0.0 when empty."""
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "LatencyStat") -> None:
-        """Fold another accumulator into this one.
-
-        Merging an empty accumulator is a no-op on ``min``/``max``
-        (they stay ``None`` until a real sample arrives), and merging
-        *into* an empty one adopts the other's bounds unchanged.
-        """
-        self.count += other.count
-        self.total += other.total
-        for bound in ("min", "max"):
-            theirs = getattr(other, bound)
-            if theirs is None:
-                continue
-            ours = getattr(self, bound)
-            if ours is None:
-                setattr(self, bound, theirs)
-            elif bound == "min":
-                setattr(self, bound, min(ours, theirs))
-            else:
-                setattr(self, bound, max(ours, theirs))
-
     def to_dict(self) -> Dict[str, Optional[int]]:
         """JSON-safe snapshot; ``min``/``max`` stay ``None`` when empty."""
         return {
@@ -155,11 +134,6 @@ class Histogram:
                 return float(key)
         return float(last)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's weights into this one."""
-        for key, weight in other.counts.items():
-            self.counts[key] += weight
-
     def to_dict(self) -> Dict[str, int]:
         """JSON-safe snapshot (JSON keys must be strings)."""
         return {str(k): v for k, v in sorted(self.counts.items())}
@@ -224,16 +198,6 @@ class SourceStats:
 
     def p99_read_latency(self) -> float:
         return self.read_latencies.percentile(0.99)
-
-    def merge(self, other: "SourceStats") -> None:
-        self.write_latency.merge(other.write_latency)
-        self.read_latencies.merge(other.read_latencies)
-        for state, count in other.row_states.items():
-            self.row_states[state] = self.row_states.get(state, 0) + count
-        self.completed_reads += other.completed_reads
-        self.completed_writes += other.completed_writes
-        self.forwarded_reads += other.forwarded_reads
-        self.data_bus_cycles += other.data_bus_cycles
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -308,7 +272,7 @@ class SimStats:
         self.lookout_misses = 0
 
     #: Plain integer counters (everything that is not a nested
-    #: accumulator); drives merge and serialization uniformly.
+    #: accumulator); serialized as they are.
     _COUNTER_FIELDS = (
         "cycles",
         "completed_reads",
@@ -326,27 +290,8 @@ class SimStats:
     )
 
     # ------------------------------------------------------------------
-    # Merge / serialization (parallel runner, persistent result cache)
+    # Serialization (worker results, result cache, checkpoints)
     # ------------------------------------------------------------------
-
-    def merge(self, other: "SimStats") -> None:
-        """Fold another run's statistics into this bundle.
-
-        Counters add, latency accumulators and histograms merge, and
-        per-source bundles merge source-wise — the multi-shard
-        counterpart of :meth:`LatencyStat.merge`.
-        """
-        for name in self._COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.read_latency.merge(other.read_latency)
-        self.write_latency.merge(other.write_latency)
-        for state, count in other.row_states.items():
-            self.row_states[state] = self.row_states.get(state, 0) + count
-        self.outstanding_reads.merge(other.outstanding_reads)
-        self.outstanding_writes.merge(other.outstanding_writes)
-        self.burst_sizes.merge(other.burst_sizes)
-        for source, stat in other.per_source.items():
-            self.per_source.setdefault(source, SourceStats()).merge(stat)
 
     def for_source(self, source: int) -> SourceStats:
         """The per-tenant bundle for ``source``, created on demand."""

@@ -293,6 +293,28 @@ def test_fleet_shares_its_reader_drain():
         )
 
 
+def test_cell_wire_round_trip_keeps_the_key():
+    """The one wire codec is lossless for a SPEC cell, a DDR5-4800
+    generation cell and an open-loop drain, and the decoded cell keys
+    exactly like the original: the key the pool sends with a cell is
+    the one the parent's cache uses."""
+    from repro.experiments import fleet, generations
+
+    ddr5 = [
+        cell for cell in generations.cells(["swim"], ["Burst_TH"], N).values()
+        if cell[4].timing.name.startswith("DDR5-4800")
+    ]
+    reader = fleet.cells(["hog_vs_reader"], ["Burst_QW"], N)[
+        "hog_vs_reader", "Burst_QW", 1
+    ]
+    assert reader[0] == "reader@1" and len(ddr5) == 1
+    for cell in [_cells()[0], *ddr5, reader]:
+        wire = json.loads(json.dumps(runner.cell_wire(cell)))
+        again = runner.cell_from_wire(wire)
+        assert again == cell
+        assert runner.cell_key(*again) == runner.cell_key(*cell)
+
+
 def test_cell_key_sensitivity():
     cfg = baseline_config()
     base = runner.cell_key("swim", "Burst_TH", N, SEED, cfg)
@@ -642,13 +664,19 @@ def test_checkpoint_resume_of_interrupted_cell(monkeypatch):
 
 def test_pool_workers_resume_only_under_repro_checkpoint(monkeypatch):
     """``jobs=2`` workers consult a cell's snapshot exactly when
-    ``REPRO_CHECKPOINT=1``, and the resumed result is unchanged."""
+    ``REPRO_CHECKPOINT=1``, and the resumed result is unchanged.
+
+    The parent's code version differs from the workers' here, as it
+    does when a source file changes during a run: a worker must look
+    for the snapshot under the key the parent sent, not one it
+    computes from the sources on disk."""
     from repro.checkpoint import save_checkpoint
     from repro.controller.system import MemorySystem
     from repro.cpu.core import OoOCore
     from repro.workloads.spec2000 import make_benchmark_trace
 
     monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setattr(runner, "_code_version", "0123456789abcdef")
     cells = _cells()[:2]
     reference, _ = runner.run_cells(cells, jobs=1, memo={})
     benchmark, mechanism, accesses, seed, cfg = cells[0]

@@ -1,6 +1,6 @@
 """Tests for the job service (DESIGN.md §15).
 
-Unit layer: matrix expansion, wire round-trips and digests, with no
+Unit layer: matrix expansion, client-cell checks and digests, with no
 processes involved.  Integration layer: a real ``repro-serve`` server
 subprocess with real worker subprocesses, exercising the acceptance
 properties one by one — warm resubmission simulates nothing,
@@ -25,10 +25,9 @@ from repro.errors import ServiceError
 from repro.experiments import common, generations, runner
 from repro.service.client import ServiceClient
 from repro.service.jobs import (
+    cell_from_client,
     expand_submission,
     result_digest,
-    sim_cell_spec,
-    spec_from_wire,
 )
 from repro.service.pool import MAX_ATTEMPTS, WorkerPool
 from repro.settings import settings
@@ -57,12 +56,12 @@ def _cells(benches=("swim", "gcc"), mechs=("FCFS", "Burst_TH"), n=N):
 
 
 # ----------------------------------------------------------------------
-# Unit: expansion, wire format, digests
+# Unit: expansion, client cells, digests
 # ----------------------------------------------------------------------
 
 
 def test_expand_fig7_matrix_subset():
-    specs = expand_submission({
+    expanded = expand_submission({
         "matrix": "fig7",
         "params": {
             "benchmarks": ["swim", "mcf"],
@@ -70,15 +69,17 @@ def test_expand_fig7_matrix_subset():
             "accesses": N,
         },
     })
-    assert len(specs) == 4
-    assert len({spec.key for spec in specs}) == 4
+    assert len(expanded) == 4
     # Expansion order is benchmark-major: the dispatch tie-break.
-    assert [spec.label for spec in specs] == [
-        "swim/FCFS", "swim/Burst_TH", "mcf/FCFS", "mcf/Burst_TH",
+    assert [cell[:2] for cell in expanded.values()] == [
+        ("swim", "FCFS"), ("swim", "Burst_TH"),
+        ("mcf", "FCFS"), ("mcf", "Burst_TH"),
     ]
-    # The service's matrix is the experiments' own cell list.
+    # The service's matrix is the experiments' own cell list, each
+    # under the runner's cache key.
     cells = common.matrix(["swim", "mcf"], ["FCFS", "Burst_TH"], N)
-    assert [spec.key for spec in specs] == [
+    assert list(expanded.values()) == list(cells.values())
+    assert list(expanded) == [
         runner.cell_key(*cell) for cell in cells.values()
     ]
 
@@ -94,12 +95,10 @@ def test_expand_generations():
     from repro.dram.timing import GENERATIONS
 
     assert len(gens) == len(GENERATIONS)
-    names = {spec.payload["config"]["timing"]["name"] for spec in gens}
+    names = {cell[4].timing.name for cell in gens.values()}
     assert len(names) == len(GENERATIONS)
     cells = generations.cells(["swim"], ["Burst_TH"], N)
-    assert [spec.key for spec in gens] == [
-        runner.cell_key(*cell) for cell in cells.values()
-    ]
+    assert list(gens) == [runner.cell_key(*cell) for cell in cells.values()]
 
 
 def test_expand_rejects_malformed_submissions():
@@ -122,7 +121,7 @@ def test_expand_rejects_malformed_submissions():
             {"matrix": "fig7", "params": {"benchmarks": ["bogus"]}}
         )
     with pytest.raises(ServiceError):
-        spec_from_wire({"kind": "bogus"})
+        cell_from_client({"kind": "bogus"})
 
 
 def test_wire_kind_is_optional_and_only_sim():
@@ -130,8 +129,8 @@ def test_wire_kind_is_optional_and_only_sim():
     kind is refused, and so is a ``fleet`` matrix."""
     bare = {k: v for k, v in _cells()[0].items() if k != "kind"}
     tagged = dict(bare, kind="sim")
-    assert expand_submission({"cells": [bare]})[0].key == (
-        expand_submission({"cells": [tagged]})[0].key
+    assert expand_submission({"cells": [bare]}) == (
+        expand_submission({"cells": [tagged]})
     )
     with pytest.raises(ServiceError):
         expand_submission({"cells": [dict(bare, kind="fleet")]})
@@ -167,18 +166,8 @@ def test_expand_rejects_malformed_payloads(request_):
 
 def test_submission_dedupes_by_key():
     cells = _cells()
-    specs = expand_submission({"cells": cells + cells})
-    assert len(specs) == len(cells)
-
-
-def test_sim_spec_wire_round_trip_and_cache_key():
-    cfg = baseline_config()
-    spec = sim_cell_spec("swim", "Burst_TH", N, SEED, cfg)
-    again = spec_from_wire(spec.to_wire())
-    assert again.key == spec.key
-    # The service key IS the runner's cache key: dedupe against
-    # .repro-cache/ and the sequential CLI is exact, not approximate.
-    assert spec.key == runner.cell_key("swim", "Burst_TH", N, SEED, cfg)
+    expanded = expand_submission({"cells": cells + cells})
+    assert list(expanded.values()) == [cell_from_client(c) for c in cells]
 
 
 def test_result_digest_is_order_insensitive():
@@ -248,10 +237,8 @@ def test_server_dedupe(tmp_path):
 
     # The server's store is the runner's store: a sequential run_cells
     # over the same cells simulates nothing.
-    from repro.service.jobs import sim_cell_from_wire
-
     _, report = runner.run_cells(
-        [sim_cell_from_wire(c) for c in cells], jobs=1, memo={}
+        [runner.cell_from_wire(c) for c in cells], jobs=1, memo={}
     )
     assert report.executed == 0
     assert report.cached_disk == len(cells)
@@ -478,13 +465,13 @@ def _run_pool(cells, workers=1, react=None, on_done=None, **options):
         def event(task, worker, name, **fields):
             if name == "cell_progress":
                 return
-            log.append((name, task.spec.key, worker.index))
+            log.append((name, task.key, worker.index))
             if react is not None:
                 react(pool, name, task, worker)
 
         def done(task, worker, event):
-            log.append(("cell_done", task.spec.key, worker.index))
-            results[task.spec.key] = event
+            log.append(("cell_done", task.key, worker.index))
+            results[task.key] = event
             if on_done is not None:
                 on_done()
             if len(results) == len(pool.tasks):
@@ -496,7 +483,7 @@ def _run_pool(cells, workers=1, react=None, on_done=None, **options):
 
         pool = WorkerPool(workers, done, failed, event, **options)
         for cell, sort_key in cells:
-            pool.submit(spec_from_wire(cell), sort_key)
+            pool.submit(*_keyed(cell), sort_key)
         try:
             await pool.start()
             await asyncio.wait_for(finished.wait(), timeout=300)
@@ -509,8 +496,14 @@ def _run_pool(cells, workers=1, react=None, on_done=None, **options):
     return pool, log, results
 
 
+def _keyed(cell):
+    """A wire cell as the pool takes it: its key and the runner cell."""
+    cell = cell_from_client(cell)
+    return runner.cell_key(*cell), cell
+
+
 def _keys(cells):
-    return [spec_from_wire(cell).key for cell in cells]
+    return [_keyed(cell)[0] for cell in cells]
 
 
 def _starts(log):
@@ -523,7 +516,7 @@ def _submit_later(pool, cell, priority, seq):
     Called from a pool callback, so the dispatch that follows every
     worker event sends it.
     """
-    pool.submit(spec_from_wire(cell), (-priority, seq, 0))
+    pool.submit(*_keyed(cell), (-priority, seq, 0))
     pool.preempt_lowest(priority)
 
 
@@ -689,7 +682,7 @@ def test_worker_inbox_starts_or_recalls_each_cell_never_both(monkeypatch):
         def send():
             with os.fdopen(write_fd, "w") as pipe:
                 for key in keys:
-                    run = {"op": "run", "cell": {"kind": "sim", "key": key}}
+                    run = {"op": "run", "key": key, "cell": {}}
                     pipe.write(json.dumps(run) + "\n")
                     if int(key[5:]) % 2:
                         pipe.write(json.dumps({"op": "recall", "key": key}) + "\n")
@@ -699,7 +692,7 @@ def test_worker_inbox_starts_or_recalls_each_cell_never_both(monkeypatch):
         sender.start()
         taken = []
         while (request := inbox.next()) is not None:
-            taken.append(request["cell"]["key"])
+            taken.append(request["key"])
         sender.join(timeout=60)
         assert not sender.is_alive()
     finally:

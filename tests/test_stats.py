@@ -17,20 +17,6 @@ def test_latency_stat_accumulates():
     assert stat.max == 30
 
 
-def test_latency_stat_merge():
-    a, b = LatencyStat(), LatencyStat()
-    a.add(5)
-    b.add(15)
-    b.add(25)
-    a.merge(b)
-    assert a.count == 3
-    assert a.min == 5
-    assert a.max == 25
-    empty = LatencyStat()
-    empty.merge(a)
-    assert empty.count == 3
-
-
 def test_histogram_fractions():
     h = Histogram()
     h.add(0, weight=3)
@@ -106,7 +92,8 @@ def test_latency_stat_round_trip():
 
 def test_latency_stat_empty_round_trip_keeps_none_bounds():
     """Regression: empty stats must serialize min/max as None, not 0 —
-    a zero would poison the min of any later merge."""
+    a zero would poison the min of the first sample added after a
+    round-trip."""
     clone = LatencyStat.from_dict(LatencyStat().to_dict())
     assert clone.count == 0
     assert clone.min is None
@@ -116,29 +103,11 @@ def test_latency_stat_empty_round_trip_keeps_none_bounds():
     assert clone.min == 42  # None bounds did not clamp the first sample
 
 
-def test_latency_stat_merge_two_empties_stays_empty():
-    a, b = LatencyStat(), LatencyStat()
-    a.merge(b)
-    assert a.count == 0
-    assert a.min is None and a.max is None
-    # and the merged-empty accumulator still round-trips losslessly
-    assert LatencyStat.from_dict(a.to_dict()).min is None
-
-
-def test_latency_stat_merge_empty_into_populated_keeps_bounds():
-    a, b = LatencyStat(), LatencyStat()
-    a.add(5)
-    a.add(9)
-    a.merge(b)
-    assert (a.min, a.max, a.count) == (5, 9, 2)
-
-
 def test_histogram_merge_and_round_trip():
-    a, b = Histogram(), Histogram()
+    a = Histogram()
     a.add(1, 2)
-    b.add(1, 3)
-    b.add(4)
-    a.merge(b)
+    a.add(1, 3)
+    a.add(4)
     assert a.counts == {1: 5, 4: 1}
     clone = Histogram.from_dict(a.to_dict())
     assert dict(clone.counts) == {1: 5, 4: 1}
@@ -203,23 +172,6 @@ def test_simstats_to_dict_covers_every_field():
     assert set(SimStats().to_dict()) == set(SimStats.field_names())
 
 
-def test_simstats_merge():
-    a = _populated_stats()
-    b = _populated_stats()
-    expected_reads = a.completed_reads + b.completed_reads
-    a.merge(b)
-    assert a.completed_reads == expected_reads
-    assert a.cycles == 2000
-    assert a.read_latency.count == 4
-    assert a.read_latency.min == 12
-    assert a.row_states[RowState.HIT] == 100
-    assert a.outstanding_reads.counts[3] == 1000
-    assert a.per_source[2].read_latency.count == 2
-    empty = SimStats()
-    empty.merge(a)
-    assert empty.to_dict() == a.to_dict()
-
-
 def test_report_contains_headline_keys():
     report = SimStats().report()
     for key in (
@@ -233,27 +185,23 @@ def test_report_contains_headline_keys():
 
 
 def test_fraction_at_least_zero_total_guard_after_empty_merges():
-    """Merging empties must leave the zero-total guard intact.
+    """An empty histogram keeps the zero-total guard.
 
-    Regression for the report path: a sweep with zero completed
-    accesses merges only empty histograms, and the saturation /
+    Regression for the report path: a run with zero completed
+    accesses leaves its histograms empty, and the saturation /
     outstanding-access fractions must come out 0.0, not raise
     ZeroDivisionError.
     """
-    merged = Histogram()
-    merged.merge(Histogram())
-    merged.merge(Histogram())
-    assert merged.total == 0
-    assert merged.fraction_at_least(0) == 0.0
-    assert merged.fraction_at_least(17) == 0.0
-    assert merged.fraction(0) == 0.0
+    empty = Histogram()
+    assert empty.total == 0
+    assert empty.fraction_at_least(0) == 0.0
+    assert empty.fraction_at_least(17) == 0.0
+    assert empty.fraction(0) == 0.0
 
 
 def test_report_on_merged_empty_stats_is_all_finite():
-    """SimStats.report() tolerates a merge of empty runs end to end."""
-    merged = SimStats()
-    merged.merge(SimStats())
-    report = merged.report()
+    """SimStats.report() tolerates an empty run end to end."""
+    report = SimStats().report()
     for key, value in report.items():
         assert value == value, f"{key} is NaN"
         assert value == 0.0, key
