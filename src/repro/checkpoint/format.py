@@ -119,7 +119,7 @@ def _split_target(driver):
     return target, None
 
 
-def save_checkpoint(path: str, driver, meta: Optional[dict] = None) -> dict:
+def save_checkpoint(path: str, driver) -> dict:
     """Snapshot ``driver`` (and everything under it) to ``path``.
 
     Must be called at a run-loop iteration boundary (see
@@ -145,7 +145,6 @@ def save_checkpoint(path: str, driver, meta: Optional[dict] = None) -> dict:
         "oracle": bool(system.oracles),
         "fsb": None if fsb is None else fsb.transfer_cycles,
         "next_access_id": peek_next_access_id(),
-        "meta": meta or {},
     }
     lines = [
         json.dumps(header, sort_keys=True),
@@ -225,7 +224,8 @@ def load_checkpoint(path: str, driver) -> dict:
     CPU drivers) the same regenerated trace.  Restore is in-place, so
     anything already attached to the system — channel command
     listeners, oracles, a shared stats bundle — stays attached.
-    Returns the snapshot header (whose ``meta`` the caller may use).
+    Returns the snapshot header; keys no check reads (such as the
+    ``meta`` of older saves) are ignored.
     """
     header, accesses, components = _parse(path)
     if header["schema"] != SCHEMA_VERSION:

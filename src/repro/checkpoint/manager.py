@@ -46,7 +46,6 @@ class Checkpointer:
         self,
         path: str,
         every: Optional[int] = None,
-        meta: Optional[dict] = None,
         progress: Optional[Callable] = None,
         progress_every: Optional[int] = None,
         on_save: Optional[Callable] = None,
@@ -57,7 +56,6 @@ class Checkpointer:
             )
         self.path = path
         self.every = every
-        self.meta = meta
         self.progress = progress
         self.progress_every = progress_every
         self.on_save = on_save
@@ -131,7 +129,7 @@ class Checkpointer:
 
     def save(self, driver, preempting: bool = False) -> None:
         """Snapshot now (caller must be at a loop boundary)."""
-        save_checkpoint(self.path, driver, meta=self.meta)
+        save_checkpoint(self.path, driver)
         self.saves += 1
         self._last_saved_cycle = driver.system.cycle
         self._reschedule()

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro import dram
@@ -27,9 +27,10 @@ from repro.analysis.export import export_rows
 from repro.controller.registry import MECHANISMS
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.errors import ReproError
-from repro.sim.config import ROW_POLICIES, baseline_config
-from repro.workloads import make_trace
+from repro.errors import ConfigError, ReproError
+from repro.experiments.runner import execute_cell
+from repro.settings import Settings, setting, using
+from repro.sim.config import ROW_POLICIES, SystemConfig, baseline_config
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.spec2000 import benchmark_names
 from repro.workloads.trace import load_trace, trace_rows
@@ -48,9 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "(HPCA 2007 reproduction)."
         ),
     )
-    # Not required at the argparse level: --resume snapshots carry
-    # their own workload metadata (validated in main()).
-    source = parser.add_mutually_exclusive_group(required=False)
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--benchmark", choices=benchmark_names(),
         help="synthetic SPEC CPU2000 profile",
@@ -101,26 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--csv", help="write the summary as a one-row CSV file")
     parser.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help=(
-            "enable checkpointing: write snapshots under DIR (on "
-            "SIGTERM, and periodically with --checkpoint-every); a "
-            "terminated run exits 143 after saving"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, metavar="N",
-        help="also snapshot every N memory cycles (needs --checkpoint-dir)",
-    )
-    parser.add_argument(
-        "--resume", metavar="FILE",
-        help=(
-            "resume from a snapshot file; the workload, mechanism and "
-            "machine variant are restored from the snapshot metadata, "
-            "so no source argument is needed"
-        ),
-    )
-    parser.add_argument(
         "--stats-out", metavar="FILE",
         help=(
             "write the full unrounded statistics bundle as canonical "
@@ -130,92 +109,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_trace(args):
-    if args.trace:
-        return args.trace, load_trace(args.trace)
-    if args.mix:
-        names = [n.strip() for n in args.mix.split(",") if n.strip()]
-        workload = "+".join(names)
-    else:
-        workload = args.benchmark or args.micro
-    return workload, make_trace(workload, args.accesses, args.seed)
-
-
-#: Workload/machine knobs a snapshot records so --resume can rebuild
-#: the exact run without any source arguments.
-_META_FIELDS = (
-    "benchmark", "mix", "micro", "trace", "mechanism", "accesses",
-    "seed", "threshold", "device", "mapping", "row_policy", "oracle",
-)
-
-
-def _args_meta(args) -> dict:
-    return {field: getattr(args, field) for field in _META_FIELDS}
-
-
-def _apply_meta(args, meta: dict) -> None:
-    """Overwrite workload/machine args from a snapshot's metadata."""
-    missing = [field for field in _META_FIELDS if field not in meta]
-    if missing:
-        raise ReproError(
-            f"snapshot metadata is missing {missing}; it was not saved "
-            "by repro-sim and cannot be resumed from the CLI"
-        )
-    for field in _META_FIELDS:
-        setattr(args, field, meta[field])
-
-
-def _run(args):
-    if args.accesses < 1:
-        raise ReproError(
-            f"--accesses must be at least 1, got {args.accesses}"
-        )
-    if args.resume:
-        from repro.checkpoint import read_header
-
-        _apply_meta(args, read_header(args.resume).get("meta") or {})
-    workload, trace = _make_trace(args)
-    # One tenant per distinct source tag: a --mix core or a trace
-    # file's fourth column (Burst_QW sizes its write quota from it).
-    # An empty trace file still runs, as one idle source.
+def _config(args, sources: int) -> SystemConfig:
     config = baseline_config(
         timing=DEVICES[args.device],
         mapping=args.mapping,
         row_policy=args.row_policy,
-        sources=len({row[3] for row in trace_rows(trace)}) or 1,
+        sources=sources,
     )
     if args.threshold is not None:
         config = config.with_threshold(args.threshold)
-    system = MemorySystem(
-        config, args.mechanism, oracle=True if args.oracle else None
-    )
-    core = OoOCore(system, trace)
-    checkpointer = None
-    if args.checkpoint_dir:
-        from repro.checkpoint import Checkpointer
+    return config
 
-        path = os.path.join(
-            args.checkpoint_dir, f"{workload}-{args.mechanism}.ckpt"
-        )
-        checkpointer = Checkpointer(
-            path, every=args.checkpoint_every, meta=_args_meta(args)
-        )
-        checkpointer.install_signal_handler()
-    elif args.checkpoint_every:
-        raise ReproError("--checkpoint-every requires --checkpoint-dir")
-    if args.resume:
-        from repro.checkpoint import load_checkpoint
 
-        load_checkpoint(args.resume, core)
-    try:
-        result = core.run(checkpointer=checkpointer)
-    finally:
-        # Restore SIGTERM once the polling loop is gone, so in-process
-        # callers (tests) don't leak a flag-only handler that would
-        # absorb later real termination signals.
-        if checkpointer is not None:
-            checkpointer.uninstall_signal_handler()
-    stats = system.stats
+def _run(args):
+    """The run's summary: a runner cell, or a direct run of a trace file."""
+    if args.accesses < 1:
+        raise ReproError(
+            f"--accesses must be at least 1, got {args.accesses}"
+        )
+    if args.trace is not None:
+        if setting("checkpoint"):
+            raise ConfigError(
+                "REPRO_CHECKPOINT snapshots runner cells, and a --trace "
+                "file is not one: it would run without a snapshot"
+            )
+        trace = load_trace(args.trace)
+        # One tenant per distinct source tag in the fourth column
+        # (Burst_QW sizes its write quota from it); an empty trace file
+        # still runs, as one idle source.
+        sources = len({row[3] for row in trace_rows(trace)}) or 1
+        system = MemorySystem(_config(args, sources), args.mechanism)
+        result = OoOCore(system, trace).run()
+        workload, stats, mechanism = args.trace, system.stats, system.mechanism_name
+    else:
+        if args.mix is not None:
+            workload = "+".join(n.strip() for n in args.mix.split(",") if n.strip())
+        else:
+            workload = args.benchmark or args.micro
+        # A mix runs one core, and so one tenant, per benchmark.
+        config = _config(args, workload.count("+") + 1)
+        run = execute_cell(
+            (workload, args.mechanism, args.accesses, args.seed, config)
+        )
+        if run.resumed_cycle is not None:
+            print(
+                f"resumed {workload}/{args.mechanism} from memory cycle "
+                f"{run.resumed_cycle}",
+                file=sys.stderr,
+            )
+        result, stats, mechanism = run.core, run.stats, run.mechanism_name
     if args.stats_out:
         with open(args.stats_out, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(
@@ -224,10 +166,10 @@ def _run(args):
             ))
     summary = {
         "workload": workload,
-        "mechanism": system.mechanism_name,
+        "mechanism": mechanism,
         "device": args.device,
         "mapping": args.mapping,
-        "accesses": len(trace),
+        "accesses": result.loads + result.stores,
         "mem_cycles": result.mem_cycles,
         "cpu_cycles": result.cpu_cycles,
         "instructions": result.instructions,
@@ -241,14 +183,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the repro-sim command."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not (args.benchmark or args.mix or args.micro or args.trace
-            or args.resume):
-        parser.error(
-            "one of --benchmark/--mix/--micro/--trace (or --resume) "
-            "is required"
-        )
     try:
-        summary = _run(args)
+        # --oracle wins over REPRO_ORACLE, as in repro-experiments.
+        with using(Settings.from_env(oracle=True)) if args.oracle else nullcontext():
+            summary = _run(args)
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

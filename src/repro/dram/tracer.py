@@ -12,11 +12,14 @@ rendering, by tests that assert on exact command schedules, by the
     print(tracer.render())
 
 Tracers attach via :meth:`~repro.dram.channel.Channel.
-add_command_listener`, so any number of observers (tracers, the
-:class:`~repro.dram.oracle.ProtocolOracle`, the hazard monitor) stack
-on one channel and attach/detach in any order without disturbing each
-other.  Tracing costs one listener call per command; :meth:`detach`
-stops recording and :meth:`attach` resumes it.
+add_command_listener`, as does the
+:class:`~repro.dram.oracle.ProtocolOracle`, so any number of tracers
+and oracles stack on one channel and attach/detach in any order
+without disturbing each other.  The
+:class:`~repro.core.validate.HazardMonitor` is not a listener: it
+wraps each scheduler's ``issue_for``.  Tracing costs one listener call
+per command; :meth:`detach` stops recording and :meth:`attach`
+resumes it.
 
 Recorded schedules round-trip through JSON-lines trace files
 (:func:`save_trace` / :func:`load_trace`) so a run can be re-verified

@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import repro
 from repro.controller.system import MemorySystem
@@ -97,13 +97,9 @@ def cell_key(
     mechanism: str,
     accesses: int,
     seed: int,
-    config: Union[SystemConfig, Dict[str, object]],
+    config: SystemConfig,
 ) -> str:
-    """Content address of one cell — stable across processes.
-
-    ``config`` may be given as its ``to_dict()``, so cells that share
-    a config serialise it once.
-    """
+    """Content address of one cell — stable across processes."""
     payload = {
         "cache_version": CACHE_VERSION,
         "code_version": code_version(),
@@ -111,7 +107,7 @@ def cell_key(
         "mechanism": mechanism,
         "accesses": accesses,
         "seed": seed,
-        "config": config if isinstance(config, dict) else config.to_dict(),
+        "config": config.to_dict(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -305,6 +301,8 @@ class CellRun:
     stats: SimStats
     #: The core's result; ``None`` for an open-loop drain.
     core: Optional[CoreResult]
+    #: The memory system's name for the mechanism (``Burst_TH52``).
+    mechanism_name: str
     #: Memory cycle the run resumed from (``None`` = started fresh).
     resumed_cycle: Optional[int] = None
 
@@ -369,9 +367,6 @@ def execute_cell(
         checkpointer = Checkpointer(
             str(snapshot),
             every=setting("checkpoint_every"),
-            meta={"cell_key": key, "benchmark": benchmark,
-                  "mechanism": mechanism, "accesses": accesses,
-                  "seed": seed},
             progress=progress,
             progress_every=progress_every,
             on_save=on_save,
@@ -396,7 +391,7 @@ def execute_cell(
     if snapshot is not None:
         snapshot.unlink(missing_ok=True)
     core = result if isinstance(result, CoreResult) else None
-    return CellRun(system.stats, core, resumed_cycle)
+    return CellRun(system.stats, core, system.mechanism_name, resumed_cycle)
 
 
 async def _run_on_pool(

@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence
 from repro.controller.registry import MECHANISMS as MECHANISM_REGISTRY
 from repro.errors import ServiceError
 from repro.experiments import common, generations, runner
-from repro.sim.config import SystemConfig
 from repro.workloads.spec2000 import benchmark_names
 
 
@@ -153,8 +152,7 @@ def expand_submission(request: dict) -> Dict[str, runner.Cell]:
     Order is the expansion order (the dispatch tie-break, which makes
     single-worker completion order reproducible); duplicate keys
     within one submission collapse to the first occurrence.  Each key
-    is the runner's :func:`~repro.experiments.runner.cell_key`, and
-    each distinct config is serialised for it once.
+    is the runner's :func:`~repro.experiments.runner.cell_key`.
     """
     matrix = request.get("matrix")
     given = request.get("cells")
@@ -178,13 +176,9 @@ def expand_submission(request: dict) -> Dict[str, runner.Cell]:
         if not given:
             raise ServiceError("'cells' must not be empty")
         cells = [cell_from_client(cell) for cell in given]
-    wire: Dict[SystemConfig, dict] = {}
     unique: Dict[str, runner.Cell] = {}
     for cell in cells:
-        config = cell[4]
-        if config not in wire:
-            wire[config] = config.to_dict()
-        unique.setdefault(runner.cell_key(*cell[:4], wire[config]), cell)
+        unique.setdefault(runner.cell_key(*cell), cell)
     return unique
 
 

@@ -16,7 +16,7 @@ Field ``name`` is read from ``REPRO_NAME``::
     cache             on            the result cache (off when oracle is on or fastfwd off)
     cache_dir         .repro-cache  where the cache and runner-cell checkpoints live
     progress          tty           the [matrix] progress line (None: only on a tty)
-    checkpoint        off           snapshot in-flight runner cells and resume them
+    checkpoint        off           snapshot in-flight runner cells, repro-sim's too, and resume them
     checkpoint_every  1000000       snapshot interval in memory cycles (> 0)
     oracle            off           attach the protocol oracle to every memory system
     fastfwd           on            the next-event run loop (off: one step per cycle)

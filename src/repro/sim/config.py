@@ -9,6 +9,7 @@ access pool of 256 entries of which at most 64 may be writes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
@@ -200,11 +201,13 @@ class SystemConfig:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot of the full configuration.
 
-        Nested frozen dataclasses (timing, CPU) flatten to plain
-        dictionaries, so the result survives ``json.dumps`` and feeds
-        :meth:`fingerprint`.
+        Nested frozen dataclasses (timing, CPU) flatten to dictionaries,
+        so the result survives ``json.dumps`` and feeds
+        :meth:`fingerprint`.  Equal configs share one read-only dict,
+        built once: cell keys and wire forms serialise the same config
+        many times.  ``dict(...)`` of it is a mutable copy.
         """
-        return asdict(self)
+        return _as_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SystemConfig":
@@ -224,6 +227,28 @@ class SystemConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes; ``json`` writes it as any dict, and
+    copies (``dict(...)``, ``copy``, ``pickle``) are plain dicts."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a SystemConfig's dict is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+@functools.lru_cache(maxsize=256)
+def _as_dict(config: SystemConfig) -> Dict[str, Any]:
+    return _ReadOnlyDict(
+        (name, _ReadOnlyDict(value) if isinstance(value, dict) else value)
+        for name, value in asdict(config).items()
+    )
 
 
 def baseline_config(**overrides) -> SystemConfig:

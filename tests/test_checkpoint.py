@@ -602,6 +602,20 @@ def test_schema_drift_rejected(tmp_path):
         )
 
 
+def test_snapshot_with_legacy_meta_still_loads(tmp_path):
+    """Saves once wrote a ``meta`` header key; loading ignores it."""
+    config, requests, path = _small_snapshot(tmp_path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["meta"] = {"benchmark": "swim", "cpu": "ooo"}
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    system = MemorySystem(config, "Burst_TH")
+    run_requests_resumed(system, requests, str(path))
+    reference = MemorySystem(config, "Burst_TH")
+    OpenLoopDriver(reference, requests).run()
+    assert system.stats.to_dict() == reference.stats.to_dict()
+
+
 def test_old_schema_snapshot_rejected(tmp_path):
     """Pre-fleet snapshots (schema 2, no per-source state) must be
     refused, not silently resumed with empty per-source stats."""
@@ -699,18 +713,17 @@ def test_truncated_snapshot_rejected(tmp_path):
 
 
 def test_periodic_snapshots_and_meta(tmp_path):
+    """Periodic saves; the header carries no front-end ``meta`` key."""
     config = _config(QUIET)
     requests = _row_stream(config, 30, rows=4, gap=30)
     system = MemorySystem(config, "Burst_TH")
     driver = OpenLoopDriver(system, requests)
     path = tmp_path / "periodic.ckpt"
-    checkpointer = Checkpointer(
-        str(path), every=100, meta={"label": "unit"}
-    )
+    checkpointer = Checkpointer(str(path), every=100)
     driver.run(checkpointer=checkpointer)
     assert checkpointer.saves >= 2
     header = read_header(str(path))
-    assert header["meta"] == {"label": "unit"}
+    assert "meta" not in header
     assert header["schema"] == SCHEMA_VERSION
 
 

@@ -121,39 +121,58 @@ def test_mutually_exclusive_sources():
         main(["--benchmark", "gzip", "--micro", "stream"])
 
 
-def test_checkpoint_resume_round_trip(tmp_path, capsys):
-    """--checkpoint-dir snapshots carry their own metadata; --resume
-    rebuilds the run with no source args and matches byte for byte."""
+def _kill_then_rerun(tmp_path, monkeypatch, capsys, run):
+    """Run ``run`` uninterrupted, then under ``REPRO_CHECKPOINT=1``
+    killed by SIGTERM right after its first periodic snapshot, then the
+    same argv again; the rerun must resume, match byte for byte and
+    delete its snapshot."""
+    import os
     import signal
 
+    from repro.checkpoint import Checkpointer
+
     ref = tmp_path / "ref.json"
-    assert main([
-        "--benchmark", "swim", "--mechanism", "Burst_TH",
-        "--accesses", "600", "--stats-out", str(ref),
-    ]) == 0
+    assert main([*run, "--stats-out", str(ref)]) == 0
     capsys.readouterr()
 
-    ckdir = tmp_path / "ck"
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CHECKPOINT", "1")
+    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "500")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     before = signal.getsignal(signal.SIGTERM)
-    assert main([
-        "--benchmark", "swim", "--mechanism", "Burst_TH",
-        "--accesses", "600", "--checkpoint-dir", str(ckdir),
-        "--checkpoint-every", "500",
-    ]) == 0
-    capsys.readouterr()
-    # The flag-only SIGTERM handler must not leak out of the run: a
+    save = Checkpointer.save
+
+    def save_then_terminate(self, driver, preempting=False):
+        save(self, driver, preempting)
+        if not preempting:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Checkpointer, "save", save_then_terminate)
+        with pytest.raises(SystemExit) as exit_info:
+            main(run)
+    assert exit_info.value.code == 143
+    # The flag-only SIGTERM handler must not leak out of a run: a
     # leaked handler absorbs any later SIGTERM, so a worker stopped
     # between cells would never exit.
     assert signal.getsignal(signal.SIGTERM) is before
-    snapshot = ckdir / "swim-Burst_TH.ckpt"
-    assert snapshot.exists()
+    [snapshot] = (cache / "checkpoints").glob("*.ckpt")
+    capsys.readouterr()
 
     out = tmp_path / "resumed.json"
-    assert main([
-        "--resume", str(snapshot), "--stats-out", str(out),
-    ]) == 0
-    capsys.readouterr()
+    assert main([*run, "--stats-out", str(out)]) == 0
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("resumed ") and int(line.split()[-1]) >= 500
+    assert signal.getsignal(signal.SIGTERM) is before
+    assert not snapshot.exists()
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_checkpoint_resume_round_trip(tmp_path, monkeypatch, capsys):
+    """A killed repro-sim run resumes when the same command runs again."""
+    _kill_then_rerun(tmp_path, monkeypatch, capsys, [
+        "--benchmark", "swim", "--mechanism", "Burst_TH", "--accesses", "600",
+    ])
 
 
 def test_cpu_option_is_gone(capsys):
@@ -163,65 +182,36 @@ def test_cpu_option_is_gone(capsys):
     assert "--cpu" in capsys.readouterr().err
 
 
-def _snapshot_with_header(tmp_path, capsys, **header):
-    """A --checkpoint-dir snapshot of a short swim run, its header
-    patched with ``header`` (``meta`` entries are merged)."""
-    ckdir = tmp_path / "ck"
-    assert main([
-        "--benchmark", "swim", "--accesses", "600",
-        "--checkpoint-dir", str(ckdir), "--checkpoint-every", "500",
-    ]) == 0
-    capsys.readouterr()
-    snapshot = ckdir / "swim-Burst_TH.ckpt"
-    lines = snapshot.read_text().splitlines()
-    first = json.loads(lines[0])
-    first["meta"].update(header.pop("meta", {}))
-    first.update(header)
-    lines[0] = json.dumps(first, sort_keys=True)
-    snapshot.write_text("\n".join(lines) + "\n")
-    return snapshot
+def test_trace_refuses_checkpointing(tmp_path, monkeypatch, capsys):
+    """A trace file is no runner cell, so it has nowhere to snapshot."""
+    from repro.cli import _build_parser, _run
+    from repro.errors import ConfigError
+
+    path = tmp_path / "t.trace"
+    path.write_text("0 R 0x1000\n5 W 0x2000\n")
+    monkeypatch.setenv("REPRO_CHECKPOINT", "1")
+    args = _build_parser().parse_args(["--trace", str(path)])
+    with pytest.raises(ConfigError, match="a --trace file is not one"):
+        _run(args)
+    assert main(["--trace", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: REPRO_CHECKPOINT")
 
 
-def test_snapshot_with_legacy_cpu_meta_resumes(tmp_path, capsys):
-    """Snapshots taken while repro-sim still had a CPU-model option
-    record a "cpu" key in their metadata; the extra key is ignored and
-    the resume is exact."""
-    ref = tmp_path / "ref.json"
-    assert main([
-        "--benchmark", "swim", "--accesses", "600", "--stats-out", str(ref),
-    ]) == 0
-    snapshot = _snapshot_with_header(tmp_path, capsys, meta={"cpu": "ooo"})
-    out = tmp_path / "resumed.json"
-    assert main(["--resume", str(snapshot), "--stats-out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == ref.read_bytes()
+def test_oracle_flag_wins_over_bad_environment(monkeypatch, capsys):
+    import repro.dram.oracle as oracle
 
-
-def test_resume_of_inorder_snapshot_is_refused(tmp_path, capsys):
-    snapshot = _snapshot_with_header(tmp_path, capsys, driver="inorder")
-    assert main(["--resume", str(snapshot)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "driver kind" in err
-    assert "Traceback" not in err
-
-
-def test_checkpoint_every_requires_dir(capsys):
-    assert main([
-        "--benchmark", "swim", "--accesses", "100",
-        "--checkpoint-every", "50",
-    ]) == 1
-    assert "checkpoint-dir" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("every", ["0", "-5"])
-def test_checkpoint_every_nonpositive_errors(tmp_path, capsys, every):
-    ckdir = tmp_path / "ck"
-    assert main([
-        "--benchmark", "swim", "--accesses", "300",
-        "--checkpoint-every", every, "--checkpoint-dir", str(ckdir),
-    ]) == 1
-    assert "error: checkpoint interval" in capsys.readouterr().err
-    assert not ckdir.exists()
+    attached = []
+    attach = oracle.attach_oracles
+    monkeypatch.setattr(
+        oracle, "attach_oracles",
+        lambda system, **kw: attached.append(attach(system, **kw)),
+    )
+    monkeypatch.setenv("REPRO_ORACLE", "yes")
+    run = ["--benchmark", "swim", "--accesses", "300"]
+    assert main(run) == 1
+    assert "REPRO_ORACLE must be 0 or 1" in capsys.readouterr().err
+    assert main([*run, "--oracle"]) == 0
+    assert len(attached) == 1
 
 
 # ----------------------------------------------------------------------
@@ -285,35 +275,8 @@ def test_sources_option_is_gone(capsys):
 
 
 def test_killed_mix_qos_run_resumes_identically(tmp_path, monkeypatch, capsys):
-    """SIGTERM after the first periodic snapshot: exit 143, and
-    --resume rebuilds the mix and its tenant count from the snapshot
-    metadata alone."""
-    import os
-    import signal
-
-    from repro.checkpoint import Checkpointer
-
-    run = ["--mix", "swim,mcf", "--accesses", "600", "--mechanism", "Burst_QW"]
-    ref = tmp_path / "ref.json"
-    assert main([*run, "--stats-out", str(ref)]) == 0
-
-    save = Checkpointer.save
-
-    def save_then_terminate(self, driver, preempting=False):
-        save(self, driver, preempting)
-        if not preempting:
-            os.kill(os.getpid(), signal.SIGTERM)
-
-    monkeypatch.setattr(Checkpointer, "save", save_then_terminate)
-    ckdir = tmp_path / "ck"
-    with pytest.raises(SystemExit) as exit_info:
-        main([*run, "--checkpoint-dir", str(ckdir),
-              "--checkpoint-every", "1000"])
-    assert exit_info.value.code == 143
-    monkeypatch.undo()
-
-    out = tmp_path / "resumed.json"
-    snapshot = ckdir / "swim+mcf-Burst_QW.ckpt"
-    assert main(["--resume", str(snapshot), "--stats-out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == ref.read_bytes()
+    """A killed Burst_QW mix resumes with its tenant count: the rerun
+    rebuilds the same runner cell from the same argv."""
+    _kill_then_rerun(tmp_path, monkeypatch, capsys, [
+        "--mix", "swim,mcf", "--accesses", "600", "--mechanism", "Burst_QW",
+    ])

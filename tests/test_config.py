@@ -79,3 +79,30 @@ def test_configs_are_hashable_for_memoisation():
     assert hash(baseline_config()) == hash(baseline_config())
     assert baseline_config() == SystemConfig()
     assert baseline_config(threshold=8) != baseline_config()
+
+
+def test_to_dict_is_one_shared_read_only_dict():
+    """Equal configs share one dict; it serialises as ``asdict`` did
+    (so cell keys do not move) and refuses changes at every level."""
+    import copy
+    import json
+    from dataclasses import asdict
+
+    cfg = baseline_config(threshold=40)
+    data = cfg.to_dict()
+    assert baseline_config(threshold=40).to_dict() is data
+    assert json.dumps(data, sort_keys=True) == json.dumps(asdict(cfg), sort_keys=True)
+    for change in (
+        lambda: data.__setitem__("threshold", 1),
+        lambda: data["timing"].update(tCL=1),
+        lambda: data.pop("threshold"),
+        lambda: data["cpu"].clear(),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change()
+    assert data["threshold"] == 40
+    copied = copy.deepcopy(data)
+    copied["timing"]["tCL"] = 1
+    mutable = dict(data, threshold=8)
+    assert SystemConfig.from_dict(mutable) == cfg.with_threshold(8)
+    assert SystemConfig.from_dict(data) == cfg
