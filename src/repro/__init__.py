@@ -10,10 +10,13 @@ that regenerates every table and figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import simulate_profile
+    from repro import MemorySystem, baseline_config
+    from repro.cpu.core import OoOCore
+    from repro.workloads.spec2000 import make_benchmark_trace
 
-    stats = simulate_profile("swim", mechanism="Burst_TH", accesses=5000)
-    print(stats.report())
+    system = MemorySystem(baseline_config(), "Burst_TH")
+    OoOCore(system, make_benchmark_trace("swim", 5000, seed=1)).run()
+    print(system.stats.report())
 
 See ``examples/quickstart.py`` for a narrated tour and DESIGN.md for
 the full system inventory.
@@ -50,26 +53,6 @@ __all__ = [
     "baseline_config",
     "mechanism_names",
     "run_requests",
-    "simulate_profile",
     "__version__",
 ]
 
-
-def simulate_profile(
-    benchmark: str,
-    mechanism: str = "Burst_TH",
-    accesses: int = 10_000,
-    config: "SystemConfig" = None,
-    seed: int = 1,
-) -> "SimStats":
-    """Run one synthetic SPEC CPU2000 profile through one mechanism.
-
-    This is the one-call entry point the experiments build on: it
-    generates the benchmark's miss trace, replays it through the
-    closed-loop CPU model against a memory system using ``mechanism``,
-    and returns the finalized statistics bundle.
-    """
-    from repro.experiments.common import cell, resolve
-
-    run = {benchmark: cell(benchmark, mechanism, accesses, config, seed)}
-    return resolve(run, jobs=1, progress=False)[benchmark][0]

@@ -2,14 +2,12 @@
 
 The paper reports execution times "normalized to BkInOrder" and
 "averaged crossing all benchmarks" (arithmetic mean of the normalized
-values, per common practice in the era); both are provided, plus a
-geometric mean for robustness comparisons.
+values, per common practice in the era).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
 
@@ -22,28 +20,6 @@ def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; requires strictly positive values."""
-    values = list(values)
-    if not values:
-        raise ConfigError("mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ConfigError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def normalize_to(
-    results: Mapping[str, float], baseline: str
-) -> Dict[str, float]:
-    """Divide every value by the baseline entry's value."""
-    if baseline not in results:
-        raise ConfigError(f"baseline {baseline!r} missing from results")
-    base = results[baseline]
-    if base <= 0:
-        raise ConfigError(f"baseline value must be positive, got {base}")
-    return {key: value / base for key, value in results.items()}
-
-
 def percent_reduction(normalized: float) -> float:
     """1.0 -> 0%, 0.79 -> 21% (the paper's headline phrasing)."""
     return (1.0 - normalized) * 100.0
@@ -51,7 +27,5 @@ def percent_reduction(normalized: float) -> float:
 
 __all__ = [
     "arithmetic_mean",
-    "geometric_mean",
-    "normalize_to",
     "percent_reduction",
 ]

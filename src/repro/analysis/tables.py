@@ -6,7 +6,7 @@ so EXPERIMENTS.md can hold paper-vs-measured pairs side by side.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 
 def format_table(
@@ -54,17 +54,4 @@ def format_series(
     return "\n".join(lines)
 
 
-def format_mapping(
-    title: str, mapping: Mapping[str, float], value_format: str = "{:.3f}"
-) -> str:
-    """Render a flat name->value mapping."""
-    lines = [title]
-    width = max((len(k) for k in mapping), default=0)
-    lines.extend(
-        f"  {k.ljust(width)}  {value_format.format(v)}"
-        for k, v in mapping.items()
-    )
-    return "\n".join(lines)
-
-
-__all__ = ["format_mapping", "format_series", "format_table"]
+__all__ = ["format_series", "format_table"]

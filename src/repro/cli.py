@@ -2,7 +2,7 @@
 
 One command runs any workload (SPEC profile, multiprogrammed mix,
 microbenchmark or external trace file) through any mechanism on any
-machine variant, and reports the statistics as text, JSON or CSV::
+machine variant, and reports the statistics as text or JSON::
 
     repro-sim --benchmark swim --mechanism Burst_TH
     repro-sim --benchmark swim --mechanism Burst_TH --threshold 40
@@ -23,7 +23,6 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro import dram
-from repro.analysis.export import export_rows
 from repro.controller.registry import MECHANISMS
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
@@ -98,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", action="store_true", help="emit JSON instead of text"
     )
-    parser.add_argument("--csv", help="write the summary as a one-row CSV file")
     parser.add_argument(
         "--stats-out", metavar="FILE",
         help=(
@@ -190,9 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if args.csv:
-        headers = list(summary)
-        export_rows(args.csv, headers, [[summary[h] for h in headers]])
     if args.json:
         print(json.dumps(summary, indent=2))
     else:

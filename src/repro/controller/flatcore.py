@@ -56,12 +56,10 @@ class FlatSlots:
     __slots__ = (
         "n",
         "keys",
-        "rank_of",
         "rank_mask",
         "banks",
         "ranks",
         "acc",
-        "src",
         "kind",
         "core",
         "bstamp",
@@ -77,7 +75,6 @@ class FlatSlots:
         n = len(channel.ranks) * banks_per_rank
         self.n = n
         self.keys: List[Tuple[int, int]] = []
-        self.rank_of: List[int] = []
         self.rank_mask: Dict[int, int] = {}
         self.banks = []
         self.ranks = []
@@ -85,7 +82,6 @@ class FlatSlots:
             slot = len(self.keys)
             assert slot == rank_index * banks_per_rank + bank_index
             self.keys.append((rank_index, bank_index))
-            self.rank_of.append(rank_index)
             self.rank_mask[rank_index] = (
                 self.rank_mask.get(rank_index, 0) | (1 << slot)
             )
@@ -94,10 +90,6 @@ class FlatSlots:
         #: Bits needed to pack a slot index into the low end of a key.
         self._slot_bits = max(n - 1, 1).bit_length()
         self.acc: List[Optional[object]] = [None] * n
-        #: Source (tenant) id of each slot's ongoing access; -1 when
-        #: the slot is free.  Fleet-mode observers read per-tenant bank
-        #: occupancy from here without touching the object model.
-        self.src = [-1] * n
         self.kind = [0] * n
         self.core = [0] * n
         self.bstamp = [-1] * n
@@ -110,7 +102,6 @@ class FlatSlots:
         """Empty every slot (checkpoint-load rebuild entry point)."""
         n = self.n
         self.acc = [None] * n
-        self.src = [-1] * n
         self.bstamp = [-1] * n
         self.rstamp = [-1] * n
         self.occupied = 0
@@ -125,8 +116,6 @@ class FlatSlots:
         explicitly.
         """
         self.acc[slot] = access
-        # getattr: the age-matrix unit tests install minimal stubs.
-        self.src[slot] = getattr(access, "source", 0)
         self.bstamp[slot] = -1  # device ver is never negative: recompute
         bit = 1 << slot
         key = (
@@ -161,7 +150,6 @@ class FlatSlots:
         — bound slots have no age row.
         """
         self.acc[slot] = access
-        self.src[slot] = getattr(access, "source", 0)
         self.bstamp[slot] = -1  # device ver is never negative: recompute
         self.occupied |= 1 << slot
 
@@ -175,7 +163,6 @@ class FlatSlots:
         reappear in a query.
         """
         self.acc[slot] = None
-        self.src[slot] = -1
         self.occupied &= ~(1 << slot)
 
     def oldest(self, mask: int) -> int:

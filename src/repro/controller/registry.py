@@ -11,103 +11,41 @@ Burst_WP   Burst scheduling with write piggybacking (= TH0)
 Burst_TH   Burst scheduling with threshold (52 by default)
 ========== ==========================================================
 
-Factories import lazily to avoid an import cycle between
-``repro.controller`` and ``repro.core``.
+Each mechanism and refresh policy is one row of a table: the module
+and class that implement it and the constructor options that select
+it.  The module is imported only when the mechanism is first built,
+which breaks the import cycle between ``repro.controller`` and
+``repro.core``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import functools
+import importlib
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
 
 SchedulerFactory = Callable[..., "object"]
 
+#: Name -> (module, class, constructor options).
+Spec = Tuple[str, str, Dict[str, object]]
 
-def _bkinorder(config, channel, pool, stats):
-    from repro.controller.inorder import BkInOrderScheduler
+_BURST = ("repro.core.scheduler", "BurstScheduler")
+_INTEL = ("repro.controller.intel", "IntelScheduler")
 
-    return BkInOrderScheduler(config, channel, pool, stats)
-
-
-def _rowhit(config, channel, pool, stats):
-    from repro.controller.rowhit import RowHitScheduler
-
-    return RowHitScheduler(config, channel, pool, stats)
-
-
-def _intel(config, channel, pool, stats):
-    from repro.controller.intel import IntelScheduler
-
-    return IntelScheduler(config, channel, pool, stats)
-
-
-def _intel_rp(config, channel, pool, stats):
-    from repro.controller.intel import IntelScheduler
-
-    return IntelScheduler(config, channel, pool, stats, read_preemption=True)
-
-
-def _burst(config, channel, pool, stats):
-    from repro.core.scheduler import BurstScheduler
-
-    return BurstScheduler.plain(config, channel, pool, stats)
-
-
-def _burst_rp(config, channel, pool, stats):
-    from repro.core.scheduler import BurstScheduler
-
-    return BurstScheduler.with_read_preemption(config, channel, pool, stats)
-
-
-def _burst_wp(config, channel, pool, stats):
-    from repro.core.scheduler import BurstScheduler
-
-    return BurstScheduler.with_write_piggybacking(config, channel, pool, stats)
-
-
-def _burst_th(config, channel, pool, stats):
-    from repro.core.scheduler import BurstScheduler
-
-    return BurstScheduler.with_threshold(config, channel, pool, stats)
-
-
-def _burst_dyn(config, channel, pool, stats):
-    from repro.core.dynamic import DynamicThresholdBurstScheduler
-
-    return DynamicThresholdBurstScheduler(config, channel, pool, stats)
-
-
-def _burst_qw(config, channel, pool, stats):
-    from repro.core.qos import WriteQuotaBurstScheduler
-
-    return WriteQuotaBurstScheduler(config, channel, pool, stats)
-
-
-def _burst_bpw(config, channel, pool, stats):
-    from repro.core.bpw import BankParallelWriteScheduler
-
-    return BankParallelWriteScheduler(config, channel, pool, stats)
-
-
-def _fcfs(config, channel, pool, stats):
-    from repro.controller.fcfs import FCFSScheduler
-
-    return FCFSScheduler(config, channel, pool, stats)
-
-
-#: Name -> factory(config, channel, pool, stats).  The first eight are
-#: the paper's Table 4; Burst_DYN is the §7 future-work extension
-#: (dynamic threshold from the observed read/write ratio).
-MECHANISMS: Dict[str, SchedulerFactory] = {
-    "BkInOrder": _bkinorder,
-    "RowHit": _rowhit,
-    "Intel": _intel,
-    "Intel_RP": _intel_rp,
-    "Burst": _burst,
-    "Burst_RP": _burst_rp,
-    "Burst_WP": _burst_wp,
-    "Burst_TH": _burst_th,
+#: The paper's Table 4, in its order.
+_TABLE4: Dict[str, Spec] = {
+    "BkInOrder": ("repro.controller.inorder", "BkInOrderScheduler", {}),
+    "RowHit": ("repro.controller.rowhit", "RowHitScheduler", {}),
+    "Intel": (*_INTEL, {}),
+    "Intel_RP": (*_INTEL, {"read_preemption": True}),
+    "Burst": (*_BURST, {}),
+    "Burst_RP": (*_BURST, {"read_preemption": True}),
+    "Burst_WP": (*_BURST, {"write_piggybacking": True}),
+    "Burst_TH": (
+        *_BURST, {"read_preemption": True, "write_piggybacking": True}
+    ),
 }
 
 #: Extensions beyond Table 4 (not part of the paper's comparisons):
@@ -116,18 +54,51 @@ MECHANISMS: Dict[str, SchedulerFactory] = {
 #: (per-source write-queue quota, ≡ Burst_TH when sources == 1);
 #: Burst_BPW is the BARD-style bank-parallel write drain aimed at the
 #: long write recoveries of the DDR5 generation profiles.
-EXTENSIONS: Dict[str, SchedulerFactory] = {
-    "Burst_DYN": _burst_dyn,
-    "FCFS": _fcfs,
-    "Burst_QW": _burst_qw,
-    "Burst_BPW": _burst_bpw,
+_EXTENSIONS: Dict[str, Spec] = {
+    "Burst_DYN": ("repro.core.dynamic", "DynamicThresholdBurstScheduler", {}),
+    "FCFS": ("repro.controller.fcfs", "FCFSScheduler", {}),
+    "Burst_QW": ("repro.core.qos", "WriteQuotaBurstScheduler", {}),
+    "Burst_BPW": ("repro.core.bpw", "BankParallelWriteScheduler", {}),
 }
-MECHANISMS.update(EXTENSIONS)
+
+#: Refresh mechanisms (beyond the paper: Chang et al., HPCA 2014).
+#: REFab is the DDR2 all-bank auto-refresh baseline; REFpb is JEDEC
+#: per-bank round-robin refresh; DARP adds out-of-order refresh with
+#: idle-bank pull-in and write-drain co-scheduling; SARP refreshes one
+#: subarray at a time so other subarrays of the same bank stay
+#: accessible.  All but REFab take the subarray count.
+_REFRESH: Dict[str, Spec] = {
+    "REFab": ("repro.dram.refresh", "RefreshController", {}),
+    "REFpb": ("repro.dram.refresh", "PerBankRefresher", {}),
+    "DARP": ("repro.dram.refresh", "DARPRefresher", {}),
+    "SARP": ("repro.dram.refresh", "SARPRefresher", {}),
+}
+
+
+def _build(module: str, name: str, options: Dict[str, object], *args):
+    """Import ``module`` (first use only) and construct its class."""
+    return getattr(importlib.import_module(module), name)(*args, **options)
+
+
+def _factories(table: Dict[str, Spec]) -> Dict[str, Callable]:
+    return {
+        name: functools.partial(_build, *spec) for name, spec in table.items()
+    }
+
+
+#: Name -> factory(config, channel, pool, stats): Table 4, then the
+#: extensions.
+EXTENSIONS: Dict[str, SchedulerFactory] = _factories(_EXTENSIONS)
+MECHANISMS: Dict[str, SchedulerFactory] = {
+    **_factories(_TABLE4), **EXTENSIONS
+}
+#: Name -> factory(channel[, subarrays]); REFab takes no subarrays.
+REFRESH_POLICIES: Dict[str, Callable] = _factories(_REFRESH)
 
 
 def mechanism_names() -> List[str]:
     """The paper's Table 4 mechanism names, in its order."""
-    return [name for name in MECHANISMS if name not in EXTENSIONS]
+    return list(_TABLE4)
 
 
 def extension_names() -> List[str]:
@@ -145,48 +116,6 @@ def make_scheduler_factory(name: str) -> SchedulerFactory:
         ) from None
 
 
-# ----------------------------------------------------------------------
-# Refresh mechanisms (beyond the paper: Chang et al., HPCA 2014)
-# ----------------------------------------------------------------------
-
-
-def _refab(channel, subarrays):
-    from repro.dram.refresh import RefreshController
-
-    return RefreshController(channel)
-
-
-def _refpb(channel, subarrays):
-    from repro.dram.refresh import PerBankRefresher
-
-    return PerBankRefresher(channel, subarrays)
-
-
-def _darp(channel, subarrays):
-    from repro.dram.refresh import DARPRefresher
-
-    return DARPRefresher(channel, subarrays)
-
-
-def _sarp(channel, subarrays):
-    from repro.dram.refresh import SARPRefresher
-
-    return SARPRefresher(channel, subarrays)
-
-
-#: Name -> factory(channel, subarrays).  REFab is the DDR2 all-bank
-#: auto-refresh baseline; REFpb is JEDEC per-bank round-robin refresh;
-#: DARP adds out-of-order refresh with idle-bank pull-in and write-drain
-#: co-scheduling; SARP refreshes one subarray at a time so other
-#: subarrays of the same bank stay accessible.
-REFRESH_POLICIES: Dict[str, Callable] = {
-    "REFab": _refab,
-    "REFpb": _refpb,
-    "DARP": _darp,
-    "SARP": _sarp,
-}
-
-
 def refresh_policy_names() -> List[str]:
     """Supported refresh mechanism names."""
     return list(REFRESH_POLICIES)
@@ -201,6 +130,8 @@ def make_refresh_policy(name: str, channel, subarrays: int = 1):
             f"unknown refresh policy {name!r}; "
             f"available: {refresh_policy_names()}"
         ) from None
+    if name == "REFab":
+        return factory(channel)
     return factory(channel, subarrays)
 
 

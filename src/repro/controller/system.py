@@ -40,11 +40,10 @@ class MemorySystem:
         self,
         config: SystemConfig,
         mechanism: Union[str, Callable] = "Burst_TH",
-        stats: Optional[SimStats] = None,
         oracle: Optional[bool] = None,
     ) -> None:
         self.config = config
-        self.stats = stats if stats is not None else SimStats()
+        self.stats = SimStats()
         self.mapping = make_mapping(config)
         factory = (
             make_scheduler_factory(mechanism)

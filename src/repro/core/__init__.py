@@ -23,7 +23,7 @@ mechanism:
 from repro.core.burst import Burst, BurstQueue
 from repro.core.dynamic import DynamicThresholdBurstScheduler
 from repro.core.scheduler import BurstScheduler
-from repro.core.validate import HazardMonitor, attach_hazard_monitor
+from repro.core.validate import HazardMonitor
 
 __all__ = [
     "Burst",
@@ -31,5 +31,4 @@ __all__ = [
     "BurstScheduler",
     "DynamicThresholdBurstScheduler",
     "HazardMonitor",
-    "attach_hazard_monitor",
 ]

@@ -12,10 +12,11 @@ This module wires the three subroutines of the paper's algorithm:
   :meth:`BurstScheduler.schedule`, issuing one unblocked transaction
   per cycle by static priority.
 
-The four paper variants (Table 4) are factory classmethods:
-``plain()`` (Burst), ``with_read_preemption()`` (Burst_RP ≡ TH64),
-``with_write_piggybacking()`` (Burst_WP ≡ TH0) and
-``with_threshold(52)`` (Burst_TH).
+The four paper variants (Table 4) are the four settings of the two
+flags ``read_preemption`` and ``write_piggybacking``; each setting
+fixes the threshold by the §5.4 rule (Burst_RP ≡ TH = write-queue
+size, Burst_WP ≡ TH0, Burst_TH and Burst use ``config.threshold``)
+and the name (:attr:`BurstScheduler.name`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ BankKey = Tuple[int, int]
 class BurstScheduler(Scheduler):
     """Two-level burst scheduling with optional RP/WP and threshold."""
 
-    name = "Burst"
-
     def __init__(
         self,
         config,
@@ -44,7 +43,6 @@ class BurstScheduler(Scheduler):
         stats,
         read_preemption: bool = False,
         write_piggybacking: bool = False,
-        threshold: Optional[int] = None,
         use_priority_table: bool = True,
     ) -> None:
         super().__init__(config, channel, pool, stats)
@@ -55,9 +53,15 @@ class BurstScheduler(Scheduler):
         #: "best effort" scheduling the paper criticises in §4.2.
         self.use_priority_table = use_priority_table
         self._rr = 0
-        if threshold is None:
-            threshold = config.threshold
-        self.threshold = threshold
+        # §5.4: read preemption alone is TH = write-queue size, write
+        # piggybacking alone is TH0; with both (or neither) the
+        # configured threshold applies.
+        if read_preemption and not write_piggybacking:
+            self.threshold = config.write_queue_size
+        elif write_piggybacking and not read_preemption:
+            self.threshold = 0
+        else:
+            self.threshold = config.threshold
         self._read_queues: Dict[BankKey, BurstQueue] = {
             (rank, bank): BurstQueue()
             for rank, bank, _ in channel.iter_banks()
@@ -109,57 +113,20 @@ class BurstScheduler(Scheduler):
         self._rq = 0
         self._wmask = 0
 
-    # ------------------------------------------------------------------
-    # Variant factories (paper Table 4)
-    # ------------------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """The Table 4 name the two flags select (``Burst_TH52``).
 
-    @classmethod
-    def plain(cls, config, channel, pool, stats) -> "BurstScheduler":
-        """Burst: neither read preemption nor write piggybacking."""
-        return cls(config, channel, pool, stats)
-
-    @classmethod
-    def with_read_preemption(cls, config, channel, pool, stats):
-        """Burst_RP — equivalent to TH = write queue size (§5.4)."""
-        scheduler = cls(
-            config,
-            channel,
-            pool,
-            stats,
-            read_preemption=True,
-            threshold=config.write_queue_size,
-        )
-        scheduler.name = "Burst_RP"
-        return scheduler
-
-    @classmethod
-    def with_write_piggybacking(cls, config, channel, pool, stats):
-        """Burst_WP — equivalent to TH = 0 (§5.4)."""
-        scheduler = cls(
-            config,
-            channel,
-            pool,
-            stats,
-            write_piggybacking=True,
-            threshold=0,
-        )
-        scheduler.name = "Burst_WP"
-        return scheduler
-
-    @classmethod
-    def with_threshold(cls, config, channel, pool, stats, threshold=None):
-        """Burst_TH: RP below the threshold, WP above it (§5.4)."""
-        scheduler = cls(
-            config,
-            channel,
-            pool,
-            stats,
-            read_preemption=True,
-            write_piggybacking=True,
-            threshold=threshold,
-        )
-        scheduler.name = f"Burst_TH{scheduler.threshold}"
-        return scheduler
+        Subclasses that name themselves (``Burst_DYN``, ...) shadow
+        this with a class attribute.
+        """
+        if self.read_preemption and self.write_piggybacking:
+            return f"Burst_TH{self.threshold}"
+        if self.read_preemption:
+            return "Burst_RP"
+        if self.write_piggybacking:
+            return "Burst_WP"
+        return "Burst"
 
     # ------------------------------------------------------------------
     # Access enter queue subroutine (Figure 4)

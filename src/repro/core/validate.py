@@ -34,7 +34,6 @@ class HazardMonitor:
         self.checked_transfers = 0
         # address -> (is_read, arrival, id) of the last transfer.
         self._last: Dict[int, Tuple[bool, int, int]] = {}
-        self._pending: Dict[int, list] = {}
         # scheduler -> the issue_for we wrapped, for detach().
         self._originals: Dict[int, Tuple[object, object]] = {}
         self._install()
@@ -95,11 +94,6 @@ class HazardMonitor:
             access.arrival,
             access.id,
         )
-
-
-def attach_hazard_monitor(system) -> HazardMonitor:
-    """Convenience: attach a monitor and return it."""
-    return HazardMonitor(system)
 
 
 class DataOracle:
@@ -200,4 +194,4 @@ class DataOracle:
             )
 
 
-__all__ = ["DataOracle", "HazardMonitor", "attach_hazard_monitor"]
+__all__ = ["DataOracle", "HazardMonitor"]

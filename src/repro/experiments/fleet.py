@@ -117,19 +117,6 @@ def run(
     }
 
 
-def run_scenario(
-    scenario: str,
-    mechanism: str,
-    accesses: Optional[int] = None,
-    config=None,
-    seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """One (scenario, mechanism) cell of :func:`run`, with its solo
-    baselines."""
-    result = run([scenario], [mechanism], accesses, config, seed)
-    return result[scenario][mechanism]
-
-
 def render(result) -> str:
     """Render the matrix as one paper-style text table."""
     rows = [
@@ -166,5 +153,4 @@ def main() -> str:
     return render(run())
 
 
-__all__ = ["ACCESSES", "MECHANISMS", "cells", "main", "render", "run",
-           "run_scenario"]
+__all__ = ["ACCESSES", "MECHANISMS", "cells", "main", "render", "run"]

@@ -376,9 +376,16 @@ def execute_cell(
             try:
                 load_checkpoint(str(snapshot), driver)
                 resumed_cycle = system.cycle
-            except CheckpointMismatchError:
-                # Defensive: the key should make this impossible, but a
-                # bad snapshot must never wedge the cell permanently.
+            except CheckpointMismatchError as error:
+                # The key holds neither the oracle nor any other
+                # observer, so a snapshot saved without one cannot load
+                # into a system that has it.  Say so, then start over:
+                # a bad snapshot must never wedge the cell permanently.
+                print(
+                    f"discarded snapshot of {benchmark}/{mechanism}: "
+                    f"{error}; starting over",
+                    file=sys.stderr,
+                )
                 snapshot.unlink(missing_ok=True)
     try:
         result = driver.run(checkpointer=checkpointer)

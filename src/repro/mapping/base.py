@@ -49,7 +49,6 @@ class AddressMapping(abc.ABC):
         self.rank_bits = _bits(config.ranks)
         self.bank_bits = _bits(config.banks)
         self.row_bits = _bits(config.rows)
-        self.subarray_bits = _bits(config.subarrays)
         #: Rows per subarray (SARP geometry): subarrays partition a
         #: bank's rows into equal contiguous groups.
         self.subarray_rows = config.rows // config.subarrays

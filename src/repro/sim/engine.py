@@ -282,56 +282,9 @@ def run_requests(
     return OpenLoopDriver(system, requests).run(max_cycles)
 
 
-def run_requests_verified(
-    system: MemorySystem,
-    requests: Iterable[Request],
-    max_cycles: int = 10_000_000,
-    strict: bool = True,
-) -> Tuple[int, List["object"]]:
-    """Drive ``requests`` with the protocol oracle watching every command.
-
-    Attaches one independent :class:`~repro.dram.oracle.ProtocolOracle`
-    per channel before running; in strict mode any protocol violation
-    raises mid-run with a schedule excerpt, otherwise the violations
-    accumulate on the returned oracles.  Returns ``(cycles, oracles)``.
-    """
-    from repro.dram.oracle import attach_oracles
-
-    oracles = attach_oracles(system, strict=strict)
-    cycles = OpenLoopDriver(system, requests).run(max_cycles)
-    return cycles, oracles
-
-
-def run_requests_resumed(
-    system: MemorySystem,
-    requests: Iterable[Request],
-    checkpoint,
-    max_cycles: int = 10_000_000,
-    checkpointer=None,
-) -> int:
-    """Resume an open-loop run from a snapshot file and drain it.
-
-    ``system`` must be constructed exactly as for the original run —
-    same config, mechanism, and observer topology.  Observers attached
-    to the system (tracer, oracle, HazardMonitor) keep watching across
-    the load: restore is in-place, so channel listener lists and
-    wrapped scheduler methods survive, and attached oracles have their
-    shadow state refilled from the snapshot.  ``requests`` must be the
-    same stream the original run was given; requests the snapshot
-    already consumed are dropped during load.
-    """
-    from repro.checkpoint import load_checkpoint
-
-    driver = OpenLoopDriver(system, requests)
-    load_checkpoint(checkpoint, driver)
-    return driver.run(max_cycles, checkpointer=checkpointer)
-
-
 __all__ = [
     "OpenLoopDriver",
     "Request",
     "run_loop",
     "run_requests",
-    "run_requests_resumed",
-    "run_requests_verified",
 ]

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
-from repro.core.scheduler import BurstScheduler
 from repro.dram.channel import RowState
 from repro.mapping.base import DecodedAddress
 from repro.sim.engine import OpenLoopDriver
@@ -165,25 +164,16 @@ def test_th_equivalences(small_config):
     exact same cycle counts on the same trace."""
     requests = make_request_stream(small_config, 400, seed=9, write_frac=0.4)
 
-    def cycles(mechanism, threshold=None):
-        if threshold is None:
-            system = MemorySystem(small_config, mechanism)
-        else:
-            cfg = small_config.with_threshold(threshold)
-
-            def factory(config, channel, pool, stats):
-                return BurstScheduler.with_threshold(
-                    config, channel, pool, stats
-                )
-
-            system = MemorySystem(cfg, factory)
+    def cycles(mechanism, config=small_config):
+        system = MemorySystem(config, mechanism)
         OpenLoopDriver(system, list(requests)).run()
         return system.cycle
 
-    assert cycles("Burst_RP") == cycles(
-        None, threshold=small_config.write_queue_size
-    )
-    assert cycles("Burst_WP") == cycles(None, threshold=0)
+    def burst_th(threshold):
+        return cycles("Burst_TH", small_config.with_threshold(threshold))
+
+    assert cycles("Burst_RP") == burst_th(small_config.write_queue_size)
+    assert cycles("Burst_WP") == burst_th(0)
 
 
 def test_all_accesses_complete_under_all_variants(small_config):

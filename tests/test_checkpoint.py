@@ -44,11 +44,7 @@ from repro.errors import CheckpointMismatchError, ConfigError
 from repro.experiments.generations import generation_config
 from repro.mapping.base import DecodedAddress
 from repro.sim.config import baseline_config
-from repro.sim.engine import (
-    OpenLoopDriver,
-    run_requests,
-    run_requests_resumed,
-)
+from repro.sim.engine import OpenLoopDriver, run_requests
 from repro.sim.fsb import FSBAdapter
 from repro.timebase import NEVER
 from repro.workloads.fleet import make_fleet_requests
@@ -70,6 +66,14 @@ FAST_REFRESH = replace(DDR2_800, tREFI=150, tRFC=20)
 
 def _stats_blob(system) -> str:
     return json.dumps(system.stats.to_dict(), sort_keys=True)
+
+
+def _resume(system, requests, path) -> None:
+    """Load the snapshot at ``path`` into a fresh open-loop run of
+    ``system`` over ``requests``, then drain it."""
+    driver = OpenLoopDriver(system, requests)
+    load_checkpoint(path, driver)
+    driver.run()
 
 
 def _roundtrip_at(tmp_path, config, mechanism, requests, predicate,
@@ -95,7 +99,7 @@ def _roundtrip_at(tmp_path, config, mechanism, requests, predicate,
     reference = _stats_blob(system)
 
     resumed = MemorySystem(config, mechanism, oracle=oracle)
-    run_requests_resumed(resumed, list(requests), str(path))
+    _resume(resumed, list(requests), str(path))
     assert _stats_blob(resumed) == reference
     return read_header(str(path))
 
@@ -183,7 +187,7 @@ def test_checkpoint_inside_constant_occupancy_run(tmp_path, fast):
         save_checkpoint(str(path), driver)
 
         resumed = MemorySystem(config, "Burst_TH", oracle=True)
-        run_requests_resumed(resumed, list(requests), str(path))
+        _resume(resumed, list(requests), str(path))
     assert straight.stats.to_dict() == resumed.stats.to_dict()
     assert resumed.cycle == straight.cycle
 
@@ -282,7 +286,7 @@ def test_resume_equals_straight_run(tmp_path, workload, fraction,
             save_checkpoint(str(path), driver)
 
             resumed = MemorySystem(config, mechanism, oracle=True)
-            run_requests_resumed(resumed, list(requests), str(path))
+            _resume(resumed, list(requests), str(path))
         assert _stats_blob(resumed) == reference, (
             f"{mechanism} diverged after resume at step "
             f"{int(total * fraction)}/{total} (fast={fast})"
@@ -597,7 +601,7 @@ def test_schema_drift_rejected(tmp_path):
     header["schema"] = SCHEMA_VERSION + 1
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(CheckpointMismatchError, match="schema"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(config, "Burst_TH"), requests, str(path)
         )
 
@@ -610,7 +614,7 @@ def test_snapshot_with_legacy_meta_still_loads(tmp_path):
     header["meta"] = {"benchmark": "swim", "cpu": "ooo"}
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     system = MemorySystem(config, "Burst_TH")
-    run_requests_resumed(system, requests, str(path))
+    _resume(system, requests, str(path))
     reference = MemorySystem(config, "Burst_TH")
     OpenLoopDriver(reference, requests).run()
     assert system.stats.to_dict() == reference.stats.to_dict()
@@ -625,7 +629,7 @@ def test_old_schema_snapshot_rejected(tmp_path):
     header["schema"] = 2
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(CheckpointMismatchError, match="schema"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(config, "Burst_TH"), requests, str(path)
         )
 
@@ -641,7 +645,7 @@ def test_pre_generation_snapshot_rejected(tmp_path):
     header["schema"] = 3
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(CheckpointMismatchError, match="schema"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(config, "Burst_TH"), requests, str(path)
         )
 
@@ -650,7 +654,7 @@ def test_config_fingerprint_drift_rejected(tmp_path):
     config, requests, path = _small_snapshot(tmp_path)
     drifted = replace(config, pool_size=config.pool_size * 2)
     with pytest.raises(CheckpointMismatchError, match="fingerprint"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(drifted, "Burst_TH"), requests, str(path)
         )
 
@@ -658,7 +662,7 @@ def test_config_fingerprint_drift_rejected(tmp_path):
 def test_mechanism_mismatch_rejected(tmp_path):
     config, requests, path = _small_snapshot(tmp_path)
     with pytest.raises(CheckpointMismatchError, match="mechanism"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(config, "RowHit"), requests, str(path)
         )
 
@@ -684,7 +688,7 @@ def test_oracle_without_snapshot_state_rejected(tmp_path):
     fresh oracle mid-stream would false-flag (e.g. the tREFI audit)."""
     config, requests, path = _small_snapshot(tmp_path, oracle=False)
     with pytest.raises(CheckpointMismatchError, match="oracle"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(config, "Burst_TH", oracle=True),
             requests, str(path),
         )
@@ -694,7 +698,7 @@ def test_oracleless_target_accepts_oracle_snapshot(tmp_path):
     """The reverse is fine: shadow state in the snapshot is ignored."""
     config, requests, path = _small_snapshot(tmp_path, oracle=True)
     resumed = MemorySystem(config, "Burst_TH", oracle=False)
-    run_requests_resumed(resumed, requests, str(path))
+    _resume(resumed, requests, str(path))
 
 
 def test_truncated_snapshot_rejected(tmp_path):
@@ -702,7 +706,7 @@ def test_truncated_snapshot_rejected(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")   # drop the end guard
     with pytest.raises(CheckpointMismatchError, match="truncated"):
-        run_requests_resumed(
+        _resume(
             MemorySystem(config, "Burst_TH"), requests, str(path)
         )
 
@@ -758,7 +762,7 @@ def test_requested_stop_saves_then_exits_143(tmp_path):
     assert path.exists()
 
     resumed = MemorySystem(config, "Burst_TH")
-    run_requests_resumed(resumed, list(requests), str(path))
+    _resume(resumed, list(requests), str(path))
     assert _stats_blob(resumed) == reference
 
 

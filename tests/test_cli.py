@@ -1,6 +1,5 @@
 """Tests for the repro-sim command line front end."""
 
-import csv
 import json
 
 import pytest
@@ -75,23 +74,6 @@ def test_threshold_and_device_options(capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["mechanism"] == "Burst_TH16"
     assert summary["device"] == "DDR_266"
-
-
-def test_csv_output(tmp_path, capsys):
-    path = tmp_path / "out.csv"
-    assert (
-        main(
-            [
-                "--micro", "stream", "--accesses", "200",
-                "--csv", str(path),
-            ]
-        )
-        == 0
-    )
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0][0] == "workload"
-    assert rows[1][0] == "stream"
 
 
 def test_missing_trace_file_errors(capsys):

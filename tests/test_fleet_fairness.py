@@ -110,7 +110,8 @@ def test_speedup_jain_hand_computed():
 
 def test_fleet_jain_uses_solo_baselines():
     """The fleet matrix reports Jain over its own solo/shared latencies."""
-    cell = fleet.run_scenario("hog_vs_reader", "Burst_TH", accesses=200)
+    result = fleet.run(["hog_vs_reader"], ["Burst_TH"], accesses=200)
+    cell = result["hog_vs_reader"]["Burst_TH"]
     solo = {int(s): v for s, v in cell["solo_read_latency"].items()}
     shared = {int(s): v for s, v in cell["per_source_read_latency"].items()}
     speedups = [solo[s] / shared[s] for s in shared]

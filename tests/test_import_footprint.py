@@ -29,7 +29,9 @@ import repro.cli
 import repro.experiments
 import repro.service.server
 import repro.service.workers
-repro.simulate_profile("swim", "Burst_TH", 500)
+from repro.experiments import runner
+from repro.sim.config import baseline_config
+runner.run_cells([("swim", "Burst_TH", 500, 1, baseline_config())], jobs=1)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, loaded[:5]
 """

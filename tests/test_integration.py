@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro import simulate_profile
 from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
 from repro.cpu.core import OoOCore
-from repro.experiments.common import MECHANISMS, clear_cache
+from repro.experiments.common import MECHANISMS, cell, clear_cache, resolve
 from repro.workloads.spec2000 import make_benchmark_trace
 
 
@@ -32,8 +31,9 @@ def test_closed_loop_drains_every_mechanism(config, mech):
     assert result.instructions >= sum(r.gap for r in trace)
 
 
-def test_simulate_profile_public_api():
-    stats = simulate_profile("swim", "Burst_TH", accesses=600)
+def test_resolved_profile_cell():
+    run = {"swim": cell("swim", "Burst_TH", 600, None, 1)}
+    stats = resolve(run, jobs=1, progress=False)["swim"][0]
     assert stats.completed_reads > 0
     assert stats.cycles > 0
     assert 0 < stats.data_bus_utilization < 1

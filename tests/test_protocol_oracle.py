@@ -32,7 +32,7 @@ from repro.dram.timing import DDR2_800
 from repro.dram.tracer import ChannelTracer, save_trace
 from repro.errors import OracleViolationError
 from repro.sim.config import baseline_config
-from repro.sim.engine import OpenLoopDriver, run_requests_verified
+from repro.sim.engine import OpenLoopDriver
 from tests.conftest import make_request_stream
 
 #: DDR2-800 with refresh disabled — the directed streams below only
@@ -226,7 +226,8 @@ def test_live_workload_is_conformant(mech):
     )
     system = MemorySystem(config, mech)
     requests = make_request_stream(config, 400, seed=9, write_frac=0.35)
-    cycles, oracles = run_requests_verified(system, requests)
+    oracles = attach_oracles(system)
+    cycles = OpenLoopDriver(system, requests).run()
     assert cycles > 0
     assert sum(o.commands_checked for o in oracles) > len(requests)
     assert all(not o.violations for o in oracles)
@@ -317,7 +318,8 @@ def test_refresh_not_starved_under_steady_load():
     requests = make_request_stream(
         config, 600, seed=1, write_frac=0.0, rows=1, gap=2
     )
-    cycles, oracles = run_requests_verified(system, requests)
+    oracles = attach_oracles(system)
+    cycles = OpenLoopDriver(system, requests).run()
     assert all(not o.violations for o in oracles)
     assert system.channels[0].ranks[0].refresh_count >= cycles // (
         9 * timing.tREFI

@@ -28,7 +28,7 @@ from repro.dram.refresh import (
 )
 from repro.dram.timing import DDR2_800
 from repro.sim.config import baseline_config
-from repro.sim.engine import OpenLoopDriver, run_requests_resumed
+from repro.sim.engine import OpenLoopDriver
 from repro.workloads.spec2000 import make_benchmark_trace
 
 from tests.test_engine_fastfwd import fastfwd
@@ -328,7 +328,7 @@ def test_fastfwd_identical_under_policy(policy):
 @pytest.mark.parametrize("policy", ["REFpb", "DARP", "SARP"])
 def test_checkpoint_resume_under_policy(tmp_path, policy):
     """Mid-window snapshots restore the per-bank refresh state."""
-    from repro.checkpoint import save_checkpoint
+    from repro.checkpoint import load_checkpoint, save_checkpoint
 
     config = _policy_config(policy)
     requests = _row_stream(config, 120, rows=8, gap=3, write_every=5)
@@ -351,5 +351,7 @@ def test_checkpoint_resume_under_policy(tmp_path, policy):
     reference = _stats_blob(system)
 
     resumed = MemorySystem(config, "Burst_TH", oracle=True)
-    run_requests_resumed(resumed, list(requests), str(path))
+    driver = OpenLoopDriver(resumed, list(requests))
+    load_checkpoint(str(path), driver)
+    driver.run()
     assert _stats_blob(resumed) == reference

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    arithmetic_mean,
-    geometric_mean,
-    normalize_to,
-    percent_reduction,
-)
-from repro.analysis.tables import format_mapping, format_series, format_table
+from repro.analysis.metrics import arithmetic_mean, percent_reduction
+from repro.analysis.tables import format_series, format_table
 from repro.controller.registry import (
+    MECHANISMS,
     make_scheduler_factory,
     mechanism_names,
 )
@@ -35,9 +31,33 @@ def test_registry_matches_table4_order():
 
 
 def test_every_factory_builds(quiet_config):
-    for name in mechanism_names():
+    """Each registered mechanism's exact name and threshold: the name
+    reaches checkpoint headers and repro-sim output, and the threshold
+    follows §5.4 (Burst_RP ≡ TH = write-queue size, Burst_WP ≡ TH0)."""
+    wq = quiet_config.write_queue_size
+    th = quiet_config.threshold
+    expected = {
+        "BkInOrder": ("BkInOrder", None),
+        "RowHit": ("RowHit", None),
+        "Intel": ("Intel", None),
+        "Intel_RP": ("Intel_RP", None),
+        "Burst": ("Burst", th),
+        "Burst_RP": ("Burst_RP", wq),
+        "Burst_WP": ("Burst_WP", 0),
+        "Burst_TH": (f"Burst_TH{th}", th),
+        "Burst_DYN": ("Burst_DYN", th),
+        "FCFS": ("FCFS", None),
+        "Burst_QW": ("Burst_QW", th),
+        "Burst_BPW": ("Burst_BPW", th),
+    }
+    assert (th, wq) == (52, 64)
+    assert sorted(expected) == sorted(MECHANISMS)
+    for name, (mechanism_name, threshold) in expected.items():
         system = MemorySystem(quiet_config, name)
-        assert system.mechanism_name.startswith(name.split("_TH")[0])
+        assert system.mechanism_name == mechanism_name, name
+        for scheduler in system.schedulers:
+            assert scheduler.name == mechanism_name, name
+            assert getattr(scheduler, "threshold", None) == threshold, name
 
 
 def test_unknown_mechanism_raises():
@@ -51,22 +71,10 @@ def test_unknown_mechanism_error_lists_extensions():
         MemorySystem(baseline_config(), "AHB")
 
 
-def test_arithmetic_and_geometric_mean():
+def test_arithmetic_mean():
     assert arithmetic_mean([1.0, 3.0]) == 2.0
-    assert geometric_mean([1.0, 4.0]) == 2.0
     with pytest.raises(ConfigError):
         arithmetic_mean([])
-    with pytest.raises(ConfigError):
-        geometric_mean([0.0, 1.0])
-
-
-def test_normalize_to():
-    normalized = normalize_to({"a": 2.0, "b": 4.0}, "a")
-    assert normalized == {"a": 1.0, "b": 2.0}
-    with pytest.raises(ConfigError):
-        normalize_to({"a": 1.0}, "zz")
-    with pytest.raises(ConfigError):
-        normalize_to({"a": 0.0}, "a")
 
 
 def test_percent_reduction_matches_paper_phrasing():
@@ -84,8 +92,6 @@ def test_format_table_alignment():
     assert all(len(line) == len(lines[1]) for line in lines[2:])
 
 
-def test_format_series_and_mapping():
+def test_format_series():
     series = format_series("s", [(1, 0.5), (2, 0.25)])
     assert "1: 0.5000" in series
-    mapping = format_mapping("m", {"alpha": 1.0, "b": 0.125})
-    assert "alpha" in mapping and "0.125" in mapping

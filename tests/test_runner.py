@@ -662,6 +662,43 @@ def test_checkpoint_resume_of_interrupted_cell(monkeypatch):
         assert signal.getsignal(signal.SIGTERM) is before
 
 
+def test_snapshot_that_fails_to_load_is_reported(monkeypatch, capsys):
+    """The cell key holds no oracle, so a snapshot saved without one
+    cannot load into an oracle-checked rerun of the same cell: the
+    cell names itself and the mismatch on stderr, deletes the snapshot
+    and starts over from cycle 0."""
+    from repro.checkpoint import save_checkpoint
+    from repro.controller.system import MemorySystem
+    from repro.cpu.core import OoOCore
+    from repro.workloads.spec2000 import make_benchmark_trace
+
+    monkeypatch.setenv("REPRO_CHECKPOINT", "1")
+    cell = ("swim", "Burst_TH", N, SEED, baseline_config(channels=1))
+    checking = replace(settings(), oracle=True)
+    with using(checking):
+        reference = runner.execute_cell(cell)
+    core = OoOCore(
+        MemorySystem(cell[4], cell[1], oracle=False),
+        make_benchmark_trace("swim", N, SEED),
+    )
+    for _ in range(300):
+        core.step()
+    snapshot = runner.checkpoint_path(runner.cell_key(*cell))
+    save_checkpoint(str(snapshot), core)
+    capsys.readouterr()
+
+    with using(checking):
+        run = runner.execute_cell(cell)
+    err = capsys.readouterr().err
+    assert run.resumed_cycle is None
+    assert err.startswith("discarded snapshot of swim/Burst_TH: ")
+    assert "oracle" in err and err.endswith("; starting over\n")
+    assert len(err.splitlines()) == 1
+    assert not snapshot.exists()
+    assert _dumps(run.stats) == _dumps(reference.stats)
+    assert run.core.to_dict() == reference.core.to_dict()
+
+
 def test_pool_workers_resume_only_under_repro_checkpoint(monkeypatch):
     """``jobs=2`` workers consult a cell's snapshot exactly when
     ``REPRO_CHECKPOINT=1``, and the resumed result is unchanged.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.controller.access import AccessType
 from repro.controller.system import MemorySystem
-from repro.core.validate import HazardMonitor, attach_hazard_monitor
+from repro.core.validate import HazardMonitor
 from repro.dram.tracer import ChannelTracer, TracedCommand
 from repro.errors import SchedulerError
 from repro.mapping.base import DecodedAddress
@@ -68,7 +68,7 @@ def test_observers_stack_and_unstack_in_any_order(small_config):
     system = MemorySystem(small_config, "Burst_TH")
     channel = system.channels[0]
     first = ChannelTracer(channel)
-    monitor = attach_hazard_monitor(system)
+    monitor = HazardMonitor(system)
     [oracle] = attach_oracles(system)
     second = ChannelTracer(channel)
 
@@ -104,7 +104,7 @@ def test_observers_stack_and_unstack_in_any_order(small_config):
 def test_hazard_monitor_detach_restores_issue_for(small_config):
     system = MemorySystem(small_config, "Burst")
     originals = [s.issue_for for s in system.schedulers]
-    monitor = attach_hazard_monitor(system)
+    monitor = HazardMonitor(system)
     assert all(
         s.issue_for != orig
         for s, orig in zip(system.schedulers, originals)
@@ -134,7 +134,7 @@ def test_traced_command_str():
 def test_hazard_monitor_silent_on_correct_mechanisms(small_config, mech):
     """Every shipped mechanism passes the §3.4 hazard checks."""
     system = MemorySystem(small_config, mech)
-    monitor = attach_hazard_monitor(system)
+    monitor = HazardMonitor(system)
     requests = make_request_stream(
         small_config, 250, seed=17, write_frac=0.4, rows=4
     )
