@@ -1,18 +1,15 @@
-"""Versioned simulator snapshots with byte-identical resume.
+"""Simulator snapshots with byte-identical resume.
 
-The checkpoint subsystem serializes a mid-run driver — open-loop or
-closed-loop CPU — together with every stateful component under it
-(pool, banks, ranks, channels, refreshers, schedulers, oracles, FSB)
-into a JSON-lines snapshot file, and restores it such that resuming
-produces :class:`~repro.sim.stats.SimStats` byte-identical to the
-uninterrupted run.  See DESIGN.md §10 for the format and the
-``state_dict``/``load_state_dict`` protocol.
+A snapshot is one JSON header line followed by the pickled driver —
+open-loop or closed-loop CPU — with everything under it, so resuming
+it continues the saved run and produces
+:class:`~repro.sim.stats.SimStats` byte-identical to the uninterrupted
+run.  ``driver = load_checkpoint(path, target)`` checks the header
+against a target built as for the original run, then returns the
+saved driver.  See DESIGN.md §10 for the format and the header checks.
 """
 
 from repro.checkpoint.format import (
-    SCHEMA_VERSION,
-    LoadContext,
-    SaveContext,
     load_checkpoint,
     read_header,
     save_checkpoint,
@@ -20,10 +17,7 @@ from repro.checkpoint.format import (
 from repro.checkpoint.manager import Checkpointer
 
 __all__ = [
-    "SCHEMA_VERSION",
     "Checkpointer",
-    "LoadContext",
-    "SaveContext",
     "load_checkpoint",
     "read_header",
     "save_checkpoint",

@@ -8,7 +8,7 @@ may require several SDRAM transactions depending on device state.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.dram.channel import RowState
 from repro.mapping.base import DecodedAddress
@@ -35,7 +35,7 @@ class EnqueueStatus(enum.Enum):
 # Process-wide access id allocator.  Ids only break ties (completion
 # heaps order by (cycle, id)), so all that matters is that relative
 # order within a run is preserved.  The counter is settable so that a
-# restored snapshot can bump it past every serialized id, keeping new
+# restored snapshot can bump it past every pickled id, keeping new
 # allocations strictly younger than every restored access — exactly as
 # in the uninterrupted run.
 _next_id = 0
@@ -141,56 +141,6 @@ class MemoryAccess:
     def bank_key(self):
         """Hashable identity of the target bank within the channel."""
         return (self.rank, self.bank)
-
-    def to_state(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of every slot, including the id."""
-        return {
-            "id": self.id,
-            "type": self.type.value,
-            "address": self.address,
-            "channel": self.channel,
-            "rank": self.rank,
-            "bank": self.bank,
-            "row": self.row,
-            "column": self.column,
-            "subarray": self.subarray,
-            "arrival": self.arrival,
-            "start_cycle": self.start_cycle,
-            "complete_cycle": self.complete_cycle,
-            "row_state": (
-                self.row_state.value if self.row_state is not None else None
-            ),
-            "forwarded": self.forwarded,
-            "preempted": self.preempted,
-            "piggybacked": self.piggybacked,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "MemoryAccess":
-        """Rebuild an access with its original id and lifecycle stamps."""
-        access = cls.__new__(cls)
-        access.id = state["id"]
-        access.type = AccessType(state["type"])
-        access.is_read = access.type is AccessType.READ
-        access.is_write = not access.is_read
-        access.address = state["address"]
-        access.channel = state["channel"]
-        access.rank = state["rank"]
-        access.bank = state["bank"]
-        access.row = state["row"]
-        access.column = state["column"]
-        access.subarray = state.get("subarray", 0)
-        access.arrival = state["arrival"]
-        access.start_cycle = state["start_cycle"]
-        access.complete_cycle = state["complete_cycle"]
-        raw = state["row_state"]
-        access.row_state = RowState(raw) if raw is not None else None
-        access.forwarded = state["forwarded"]
-        access.preempted = state["preempted"]
-        access.piggybacked = state["piggybacked"]
-        access.source = state.get("source", 0)
-        return access
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

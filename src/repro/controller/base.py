@@ -357,86 +357,6 @@ class Scheduler(abc.ABC):
         return t if t > cycle else cycle
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self, ctx) -> dict:
-        """Serialize shared controller state plus the mechanism's own.
-
-        ``ctx`` is a :class:`repro.checkpoint.SaveContext`; live
-        accesses are stored once in its registry and referenced by id
-        everywhere, so object-identity sharing (the same access sitting
-        in a queue, the completion heap and a CPU structure) survives
-        the round trip.  The completion heap's array order is preserved
-        verbatim — it is already a valid heap and pops identically.
-        """
-        return {
-            "completions": [
-                [done, ident, ctx.ref(access)]
-                for done, ident, access in self._completions
-            ],
-            "writes_by_addr": [
-                [addr, [ctx.ref(a) for a in queued]]
-                for addr, queued in self._writes_by_addr.items()
-            ],
-            "reads_by_addr": [
-                [addr, count]
-                for addr, count in self._reads_by_addr.items()
-            ],
-            "bank_reads": list(self._bank_reads),
-            "bank_writes": list(self._bank_writes),
-            "row_predictor": (
-                self.row_predictor.state_dict()
-                if self.row_predictor is not None
-                else None
-            ),
-            "mech": self._mech_state(ctx),
-        }
-
-    def load_state_dict(self, state: dict, ctx) -> None:
-        """Restore in place; the next-event gates are *reset*, not
-        restored.
-
-        Resetting (``_gate_* = -1`` etc.) is safe because gates only
-        elide schedule passes proven to be no-ops: re-running such a
-        pass on the restored (frozen) state issues nothing, mutates
-        nothing observable, and simply re-arms the gate — the fixpoint
-        property the fast engine's byte-identity already rests on.
-        """
-        self._completions = [
-            (done, ident, ctx.get(ref))
-            for done, ident, ref in state["completions"]
-        ]
-        self._writes_by_addr = {
-            addr: [ctx.get(ref) for ref in refs]
-            for addr, refs in state["writes_by_addr"]
-        }
-        self._reads_by_addr = {
-            addr: count for addr, count in state["reads_by_addr"]
-        }
-        self._bank_reads = list(state["bank_reads"])
-        self._bank_writes = list(state["bank_writes"])
-        if self.row_predictor is not None and state["row_predictor"]:
-            self.row_predictor.load_state_dict(state["row_predictor"])
-        self._gate_until = -1
-        self._gate_cmds = -1
-        self._gate_pool = -1
-        self._want_hint = False
-        self._pass_wake = -1
-        self._load_mech_state(state["mech"], ctx)
-
-    def _mech_state(self, ctx) -> dict:
-        """Mechanism-specific queue state (subclass hook)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    # ------------------------------------------------------------------
     # Shared transaction helpers
     # ------------------------------------------------------------------
 

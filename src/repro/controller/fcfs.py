@@ -42,16 +42,6 @@ class FCFSScheduler(Scheduler):
     def pending_accesses(self) -> int:
         return len(self._queue) + (1 if self._ongoing else 0)
 
-    def _mech_state(self, ctx) -> dict:
-        return {
-            "queue": [ctx.ref(a) for a in self._queue],
-            "ongoing": ctx.ref_opt(self._ongoing),
-        }
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        self._queue = deque(ctx.get(r) for r in state["queue"])
-        self._ongoing = ctx.get_opt(state["ongoing"])
-
     def next_wakeup(self, cycle: int) -> int:
         """Exact wakeup for the fully serialised discipline.
 

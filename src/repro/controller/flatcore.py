@@ -4,8 +4,7 @@ The schedulers' hot path (DESIGN.md §11) keeps a *flat* mirror of the
 per-bank candidate state next to the object model: one slot per bank of
 the owning channel, parallel integer arrays indexed by slot, and plain
 int bitmasks over slots.  The object model stays authoritative — the
-flat mirror is a cache, rebuilt deterministically on checkpoint load —
-but a fast-mode schedule pass touches only:
+flat mirror is a cache — but a fast-mode schedule pass touches only:
 
 * ``occupied`` — a bitset of slots whose bank has an ongoing candidate,
   so empty banks cost nothing (O(set bits), not O(banks));
@@ -96,14 +95,6 @@ class FlatSlots:
         self.rstamp = [-1] * n
         self.age_key = [0] * n
         self.age_row = [0] * n
-        self.occupied = 0
-
-    def reset(self) -> None:
-        """Empty every slot (checkpoint-load rebuild entry point)."""
-        n = self.n
-        self.acc = [None] * n
-        self.bstamp = [-1] * n
-        self.rstamp = [-1] * n
         self.occupied = 0
 
     def install(self, slot: int, access) -> None:

@@ -63,29 +63,6 @@ class BkInOrderScheduler(Scheduler):
     def pending_accesses(self) -> int:
         return self._pending
 
-    def _mech_state(self, ctx) -> dict:
-        return {
-            "queues": [
-                [list(key), [ctx.ref(a) for a in self._queues[key]]]
-                for key in self._bank_keys
-            ],
-            "rr": self._rr,
-            "pending": self._pending,
-        }
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        for key, refs in state["queues"]:
-            self._queues[tuple(key)] = deque(ctx.get(r) for r in refs)
-        self._rr = state["rr"]
-        self._pending = state["pending"]
-        # Deterministic flat rebuild (the mirror is never serialized).
-        flat = self._flat
-        flat.reset()
-        for slot, key in enumerate(self._bank_keys):
-            queue = self._queues[key]
-            if queue:
-                flat.bind(slot, queue[0])
-
     def next_wakeup(self, cycle: int) -> int:
         """Exact wakeup: earliest any head-of-queue can issue.
 

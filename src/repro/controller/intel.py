@@ -82,31 +82,6 @@ class IntelScheduler(Scheduler):
     def pending_accesses(self) -> int:
         return self._pending
 
-    def _mech_state(self, ctx) -> dict:
-        return {
-            "read_queues": [
-                [list(key), [ctx.ref(a) for a in queue]]
-                for key, queue in self._read_queues.items()
-            ],
-            "write_queue": [ctx.ref(a) for a in self._write_queue],
-            "ongoing": [
-                [list(key), ctx.ref_opt(access)]
-                for key, access in self._ongoing.items()
-            ],
-            "pending": self._pending,
-            "drain_mode": self._drain_mode,
-        }
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        for key, refs in state["read_queues"]:
-            self._read_queues[tuple(key)] = [ctx.get(r) for r in refs]
-        self._write_queue = [ctx.get(r) for r in state["write_queue"]]
-        for key, ref in state["ongoing"]:
-            self._ongoing[tuple(key)] = ctx.get_opt(ref)
-        self._pending = state["pending"]
-        self._drain_mode = state["drain_mode"]
-        self._flat_rebuild()
-
     # ------------------------------------------------------------------
     # Flat-mirror maintenance (DESIGN.md §11)
     # ------------------------------------------------------------------
@@ -121,26 +96,6 @@ class IntelScheduler(Scheduler):
     def _flat_clear(self, slot: int) -> None:
         self._flat.clear(slot)
         self._wmask &= ~(1 << slot)
-
-    def _flat_rebuild(self) -> None:
-        """Rebuild the flat mirror from the object model (load path)."""
-        flat = self._flat
-        flat.reset()
-        self._rq = 0
-        self._wmask = 0
-        self._wq_mask = 0
-        self._wq_counts = [0] * flat.n
-        bpr = self._bpr
-        for key, queue in self._read_queues.items():
-            if queue:
-                self._rq |= 1 << (key[0] * bpr + key[1])
-        for access in self._write_queue:
-            slot = access.rank * bpr + access.bank
-            self._wq_counts[slot] += 1
-            self._wq_mask |= 1 << slot
-        for key, access in self._ongoing.items():
-            if access is not None:
-                self._flat_set(key[0] * bpr + key[1], access)
 
     # ------------------------------------------------------------------
     # Access-level selection

@@ -82,26 +82,6 @@ class AccessPool:
         """How many pooled writes belong to one tenant right now."""
         return self.write_count_by_source.get(source, 0)
 
-    def state_dict(self) -> dict:
-        """Occupancy counters plus the gate-stamp write version."""
-        return {
-            "read_count": self.read_count,
-            "write_count": self.write_count,
-            "write_version": self.write_version,
-            "write_count_by_source": sorted(
-                [s, n] for s, n in self.write_count_by_source.items()
-            ),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.read_count = state["read_count"]
-        self.write_count = state["write_count"]
-        self.write_version = state["write_version"]
-        self.write_count_by_source = {
-            source: count
-            for source, count in state.get("write_count_by_source", [])
-        }
-
     def remove(self, access: MemoryAccess) -> None:
         if access.is_write:
             if self.write_count <= 0:

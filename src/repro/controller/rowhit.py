@@ -63,38 +63,6 @@ class RowHitScheduler(Scheduler):
     def pending_accesses(self) -> int:
         return self._pending
 
-    def _mech_state(self, ctx) -> dict:
-        return {
-            "queues": [
-                [list(key), [ctx.ref(a) for a in self._queues[key]]]
-                for key in self._bank_keys
-            ],
-            "ongoing": [
-                [list(key), ctx.ref_opt(self._ongoing[key])]
-                for key in self._bank_keys
-            ],
-            "rr": self._rr,
-            "pending": self._pending,
-        }
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        for key, refs in state["queues"]:
-            self._queues[tuple(key)] = [ctx.get(r) for r in refs]
-        for key, ref in state["ongoing"]:
-            self._ongoing[tuple(key)] = ctx.get_opt(ref)
-        self._rr = state["rr"]
-        self._pending = state["pending"]
-        # Deterministic flat rebuild (the mirror is never serialized).
-        flat = self._flat
-        flat.reset()
-        self._occq = 0
-        for slot, key in enumerate(self._bank_keys):
-            if self._queues[key]:
-                self._occq |= 1 << slot
-            access = self._ongoing[key]
-            if access is not None:
-                flat.bind(slot, access)
-
     # ------------------------------------------------------------------
     # Selection: the "row hit first" policy
     # ------------------------------------------------------------------

@@ -81,30 +81,6 @@ class RowPolicyPredictor:
             if closed is not None:
                 self._bump(key, toward_close=closed != access.row)
 
-    def state_dict(self) -> dict:
-        """Counters and training state, bank keys as [rank, bank] pairs."""
-        return {
-            "counters": [
-                [list(key), value] for key, value in self._counters.items()
-            ],
-            "last_closed_row": [
-                [list(key), row]
-                for key, row in self._last_closed_row.items()
-            ],
-            "predictions": self.predictions,
-            "close_predictions": self.close_predictions,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._counters = {
-            tuple(key): value for key, value in state["counters"]
-        }
-        self._last_closed_row = {
-            tuple(key): row for key, row in state["last_closed_row"]
-        }
-        self.predictions = state["predictions"]
-        self.close_predictions = state["close_predictions"]
-
     @property
     def close_rate(self) -> float:
         """Fraction of predictions that chose to close."""

@@ -327,7 +327,7 @@ class MemorySystem:
         only changes at an enqueue, a write's column issue and a read's
         completion.  So ``[_run_start, cycle)`` is credited in one
         weighted add when ``tick`` ends on a new occupancy, and before
-        :meth:`finalize` / :meth:`state_dict` expose the stats.  A
+        :meth:`finalize` exposes the stats.  A
         zero-length run adds no histogram key.
         """
         k = cycle - self._run_start
@@ -345,61 +345,6 @@ class MemorySystem:
         self._run_start = cycle
         self._run_reads = pool.read_count
         self._run_writes = pool.write_count
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self, ctx) -> dict:
-        """Serialize cycle, pool, stats and every per-channel component.
-
-        The quiet horizon ``_quiet_until`` is *not* serialized: it is
-        reset on load, which is safe because skipping is
-        results-invariant (fast and sequential runs agree, which the
-        engine tests pin) — the restored run ticks once before it
-        leaps again, producing identical statistics.  The open
-        occupancy run is closed first so the stats are complete.
-        """
-        self._close_run(self.cycle)
-        return {
-            "cycle": self.cycle,
-            "pool": self.pool.state_dict(),
-            "stats": self.stats.to_dict(),
-            "channels": [c.state_dict() for c in self.channels],
-            "refreshers": [r.state_dict() for r in self.refreshers],
-            "schedulers": [s.state_dict(ctx) for s in self.schedulers],
-            "oracles": [o.state_dict() for o in self.oracles],
-        }
-
-    def load_state_dict(self, state: dict, ctx) -> None:
-        from repro.errors import CheckpointMismatchError
-
-        if len(state["channels"]) != len(self.channels):
-            raise CheckpointMismatchError(
-                f"snapshot has {len(state['channels'])} channels, "
-                f"system has {len(self.channels)}"
-            )
-        if self.oracles and len(state["oracles"]) != len(self.oracles):
-            raise CheckpointMismatchError(
-                "cannot resume with the protocol oracle attached: the "
-                "snapshot carries no oracle shadow state (it was saved "
-                "without REPRO_ORACLE/--oracle)"
-            )
-        self.cycle = state["cycle"]
-        self.pool.load_state_dict(state["pool"])
-        self.stats.load_state(state["stats"])
-        for channel, payload in zip(self.channels, state["channels"]):
-            channel.load_state_dict(payload)
-        for refresher, payload in zip(self.refreshers, state["refreshers"]):
-            refresher.load_state_dict(payload)
-        for scheduler, payload in zip(self.schedulers, state["schedulers"]):
-            scheduler.load_state_dict(payload, ctx)
-        for oracle, payload in zip(self.oracles, state["oracles"]):
-            oracle.load_state_dict(payload)
-        self._run_start = self.cycle
-        self._close_run(self.cycle)
-        self.last_tick_active = False
-        self._quiet_until = -1
 
     # ------------------------------------------------------------------
     # Run-state inspection

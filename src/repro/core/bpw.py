@@ -119,20 +119,5 @@ class BankParallelWriteScheduler(BurstScheduler):
             return None
         return self._oldest_row_hit_write(key)
 
-    # ------------------------------------------------------------------
-    # Checkpointing: the drain flag is hysteresis state — at an
-    # occupancy between the watermarks it cannot be re-derived from
-    # the queues, so it rides along in the mechanism payload.
-    # ------------------------------------------------------------------
-
-    def _mech_state(self, ctx) -> dict:
-        state = super()._mech_state(ctx)
-        state["draining"] = self._draining
-        return state
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        super()._load_mech_state(state, ctx)
-        self._draining = state["draining"]
-
 
 __all__ = ["BankParallelWriteScheduler"]

@@ -54,23 +54,6 @@ class Burst:
     def __len__(self) -> int:
         return len(self.accesses)
 
-    def to_state(self, ctx) -> dict:
-        return {
-            "row": self.row,
-            "accesses": [ctx.ref(a) for a in self.accesses],
-            "first_arrival": self.first_arrival,
-            "served": self.served,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, ctx) -> "Burst":
-        burst = cls.__new__(cls)
-        burst.row = state["row"]
-        burst.accesses = deque(ctx.get(r) for r in state["accesses"])
-        burst.first_arrival = state["first_arrival"]
-        burst.served = state["served"]
-        return burst
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Burst(row={self.row}, size={len(self.accesses)})"
 
@@ -119,21 +102,6 @@ class BurstQueue:
             self.last_completed_size = head.served
             return True
         return False
-
-    def state_dict(self, ctx) -> dict:
-        return {
-            "bursts": [burst.to_state(ctx) for burst in self.bursts],
-            "last_completed_size": self.last_completed_size,
-        }
-
-    def load_state_dict(self, state: dict, ctx) -> None:
-        self.bursts = [
-            Burst.from_state(payload, ctx) for payload in state["bursts"]
-        ]
-        self.last_completed_size = state["last_completed_size"]
-        # Every queued burst is open (completed bursts leave the list),
-        # so the row index maps each row to its single queued burst.
-        self._by_row = {burst.row: burst for burst in self.bursts}
 
     def check_sorted(self) -> bool:
         """Starvation-avoidance invariant: first arrivals ascend."""

@@ -100,19 +100,6 @@ class DynamicThresholdBurstScheduler(BurstScheduler):
         self._epoch_writes += 1
         self._maybe_retune()
 
-    def _mech_state(self, ctx) -> dict:
-        state = super()._mech_state(ctx)
-        state["epoch_reads"] = self._epoch_reads
-        state["epoch_writes"] = self._epoch_writes
-        state["threshold_history"] = list(self.threshold_history)
-        return state
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        super()._load_mech_state(state, ctx)
-        self._epoch_reads = state["epoch_reads"]
-        self._epoch_writes = state["epoch_writes"]
-        self.threshold_history = list(state["threshold_history"])
-
     def _maybe_retune(self) -> None:
         total = self._epoch_reads + self._epoch_writes
         if total < self.epoch_accesses:

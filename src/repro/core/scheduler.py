@@ -161,61 +161,6 @@ class BurstScheduler(Scheduler):
         return self._outstanding_reads == 0
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _mech_state(self, ctx) -> dict:
-        # ``_active_keys`` is a set consulted for membership only, so
-        # serialising it sorted keeps snapshots deterministic without
-        # affecting scheduling order (scans follow ``_bank_keys``).
-        return {
-            "read_queues": [
-                [list(key), self._read_queues[key].state_dict(ctx)]
-                for key in self._bank_keys
-            ],
-            "write_queues": [
-                [list(key), [ctx.ref(a) for a in self._write_queues[key]]]
-                for key in self._bank_keys
-            ],
-            "ongoing": [
-                [list(key), ctx.ref_opt(self._ongoing[key])]
-                for key in self._bank_keys
-            ],
-            "end_of_burst": [
-                [list(key), self._end_of_burst[key]]
-                for key in self._bank_keys
-            ],
-            "active_keys": sorted(list(k) for k in self._active_keys),
-            "last_bank": (
-                list(self._last_bank) if self._last_bank is not None else None
-            ),
-            "last_rank": self._last_rank,
-            "rr": self._rr,
-            "pending": self._pending,
-            "outstanding_reads": self._outstanding_reads,
-            "threshold": self.threshold,
-        }
-
-    def _load_mech_state(self, state: dict, ctx) -> None:
-        for key, payload in state["read_queues"]:
-            self._read_queues[tuple(key)].load_state_dict(payload, ctx)
-        for key, refs in state["write_queues"]:
-            self._write_queues[tuple(key)] = [ctx.get(r) for r in refs]
-        for key, ref in state["ongoing"]:
-            self._ongoing[tuple(key)] = ctx.get_opt(ref)
-        for key, flag in state["end_of_burst"]:
-            self._end_of_burst[tuple(key)] = flag
-        self._active_keys = {tuple(k) for k in state["active_keys"]}
-        last_bank = state["last_bank"]
-        self._last_bank = tuple(last_bank) if last_bank is not None else None
-        self._last_rank = state["last_rank"]
-        self._rr = state["rr"]
-        self._pending = state["pending"]
-        self._outstanding_reads = state["outstanding_reads"]
-        self.threshold = state["threshold"]
-        self._flat_rebuild()
-
-    # ------------------------------------------------------------------
     # Bank arbiter subroutine (Figure 5)
     # ------------------------------------------------------------------
 
@@ -360,29 +305,6 @@ class BurstScheduler(Scheduler):
     def _flat_clear(self, slot: int) -> None:
         self._flat.clear(slot)
         self._wmask &= ~(1 << slot)
-
-    def _flat_rebuild(self) -> None:
-        """Rebuild the flat mirror from the object model.
-
-        The mirror is a pure cache over the authoritative queues, so
-        checkpoints do not serialize it; restoring the queues and
-        rebuilding is deterministic (and the only load-order-free way
-        to restore version-stamped caches).
-        """
-        self._flat.reset()
-        self._mat = 0
-        self._rq = 0
-        self._wmask = 0
-        bpr = self._bpr
-        for key in self._active_keys:
-            self._mat |= 1 << (key[0] * bpr + key[1])
-        for key in self._bank_keys:
-            slot = key[0] * bpr + key[1]
-            if self._read_queues[key]:
-                self._rq |= 1 << slot
-            access = self._ongoing[key]
-            if access is not None:
-                self._flat_set(slot, access)
 
     def next_wakeup(self, cycle: int) -> int:
         """Exact wakeup: the earliest any ongoing access can issue.

@@ -23,7 +23,7 @@ simulator tick advances both clock domains consistently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Deque, Iterable, List, Optional, Set, Union
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
@@ -75,14 +75,13 @@ class OoOCore:
         self.budget_per_cycle = (
             cpu.width * system.config.cpu_cycles_per_mem_cycle
         )
+        #: The trace as given.  A snapshot of a packed :class:`Trace`
+        #: refers to its columns instead of copying them.
+        self.trace = trace
         # (gap, op, address, source) rows: a packed Trace's columns, or
-        # any other record iterable through a lazy adapter.
+        # any other record iterable through a lazy adapter.  A packed
+        # trace's row iterator pickles with its position.
         self._trace = trace_rows(trace)
-        # Records pulled off the trace iterator so far.  Traces are
-        # deterministic (regenerable from benchmark+accesses+seed), so
-        # a checkpoint stores this count instead of iterator state and
-        # restore fast-forwards a fresh iterator past it.
-        self._trace_consumed = 0
         # ROB entries: ints collapse runs of non-memory instructions;
         # MemoryAccess entries are loads awaiting in-order retirement.
         self._rob: Deque[Union[int, MemoryAccess]] = deque()
@@ -164,7 +163,6 @@ class OoOCore:
                 if row is None:
                     self._trace_done = True
                     return
-                self._trace_consumed += 1
                 self._staged = row
                 self._gap_left = row[0]
             gap_remaining = self._gap_left
@@ -335,79 +333,8 @@ class OoOCore:
             and self.system.idle
         )
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
+    #: The driver kind a snapshot header records.
     kind = "ooo"
-
-    def state_dict(self, ctx) -> dict:
-        """Pipeline state: ROB contents, staged record, LSQ tracking.
-
-        The ROB interleaves instruction-run ints with load accesses;
-        each entry is tagged (``["i", count]`` / ``["a", ref]``) so the
-        exact coalescing — which ``_append_instructions`` depends on —
-        survives the round trip.  The trace iterator itself is not
-        serialized: ``trace_consumed`` counts records pulled so far and
-        load fast-forwards a freshly regenerated iterator past them.
-        """
-        staged = None
-        if self._staged is not None:
-            gap, op, address, source = self._staged
-            staged = [self._gap_left, gap, op.value, address, source]
-        return {
-            "trace_consumed": self._trace_consumed,
-            "rob": [
-                ["i", entry] if isinstance(entry, int)
-                else ["a", ctx.ref(entry)]
-                for entry in self._rob
-            ],
-            "rob_occupancy": self._rob_occupancy,
-            "staged": staged,
-            "trace_done": self._trace_done,
-            "inflight_loads": self._inflight_loads,
-            "done_loads": sorted(self._done_loads),
-            "pending_store": ctx.ref_opt(self._pending_store),
-            "instructions": self.instructions,
-            "loads": self.loads,
-            "stores": self.stores,
-            "head_block_cycles": self.head_block_cycles,
-            "store_stall_cycles": self.store_stall_cycles,
-        }
-
-    def load_state_dict(self, state: dict, ctx) -> None:
-        from repro.errors import CheckpointMismatchError
-
-        consumed = state["trace_consumed"]
-        for _ in range(consumed):
-            if next(self._trace, None) is None:
-                raise CheckpointMismatchError(
-                    f"trace exhausted while replaying {consumed} consumed "
-                    "records; the resume run must regenerate the exact "
-                    "trace the snapshot was taken from"
-                )
-        self._trace_consumed = consumed
-        self._rob = deque(
-            entry if tag == "i" else ctx.get(entry)
-            for tag, entry in state["rob"]
-        )
-        self._rob_occupancy = state["rob_occupancy"]
-        if state["staged"] is None:
-            self._staged = None
-        else:
-            gap_remaining, gap, op_value, address, source = state["staged"]
-            record = TraceRecord(gap, AccessType(op_value), address, source)
-            self._staged = astuple(record)
-            self._gap_left = gap_remaining
-        self._trace_done = state["trace_done"]
-        self._inflight_loads = state["inflight_loads"]
-        self._done_loads = set(state["done_loads"])
-        self._pending_store = ctx.get_opt(state["pending_store"])
-        self.instructions = state["instructions"]
-        self.loads = state["loads"]
-        self.stores = state["stores"]
-        self.head_block_cycles = state["head_block_cycles"]
-        self.store_stall_cycles = state["store_stall_cycles"]
 
     def run(
         self, max_cycles: int = 50_000_000, checkpointer=None

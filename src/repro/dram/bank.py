@@ -73,8 +73,8 @@ class Bank:
         #: Write-version stamp: bumped on every state mutation, so the
         #: schedulers' flat-array caches (DESIGN.md §11) can tell a
         #: cached earliest-issue value is still valid without re-reading
-        #: any of the fields above.  Monotonic within a process; not
-        #: serialized (caches rebuild from scratch on checkpoint load).
+        #: any of the fields above.  Monotonic within a run; a snapshot
+        #: carries it together with the caches it stamps.
         self.ver = 0
         # Statistics consumed by the analysis layer.
         self.activate_count = 0
@@ -236,44 +236,6 @@ class Bank:
         self.refresh_pb_count += 1
         self.ver += 1
         return done
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Open-row state, earliest-issue cycles and command counters."""
-        return {
-            "state": self.state.value,
-            "open_row": self.open_row,
-            "ready_activate": self.ready_activate,
-            "ready_column": self.ready_column,
-            "ready_precharge": self.ready_precharge,
-            "activate_count": self.activate_count,
-            "precharge_count": self.precharge_count,
-            "column_count": self.column_count,
-            "refresh_busy_until": self.refresh_busy_until,
-            "refreshing_subarray": self.refreshing_subarray,
-            "refresh_pending": self.refresh_pending,
-            "pending_subarray": self.pending_subarray,
-            "refresh_pb_count": self.refresh_pb_count,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.state = BankState(state["state"])
-        self.open_row = state["open_row"]
-        self.ready_activate = state["ready_activate"]
-        self.ready_column = state["ready_column"]
-        self.ready_precharge = state["ready_precharge"]
-        self.activate_count = state["activate_count"]
-        self.precharge_count = state["precharge_count"]
-        self.column_count = state["column_count"]
-        self.refresh_busy_until = state["refresh_busy_until"]
-        self.refreshing_subarray = state["refreshing_subarray"]
-        self.refresh_pending = state["refresh_pending"]
-        self.pending_subarray = state["pending_subarray"]
-        self.refresh_pb_count = state["refresh_pb_count"]
-        self.ver += 1  # loaded fields invalidate any cached view
 
     # ------------------------------------------------------------------
     # Command application

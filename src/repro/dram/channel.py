@@ -229,35 +229,8 @@ class Channel:
         return self.data_bus_free(cycle, rank, is_read)
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # Command issue
     # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Bus occupancy/turnaround state plus every rank's payload.
-
-        ``_listeners`` is deliberately *not* serialized: restore is
-        in-place, so whatever observers (tracer, oracle, monitors) the
-        target system has attached keep watching across a load.
-        """
-        return {
-            "last_cmd_cycle": self.last_command_cycle,
-            "data_busy_until": self.data_busy_until,
-            "last_data_rank": self._last_data_rank,
-            "last_data_is_read": self._last_data_is_read,
-            "cmd_bus_cycles": self.cmd_bus_cycles,
-            "data_bus_cycles": self.data_bus_cycles,
-            "ranks": [rank.state_dict() for rank in self.ranks],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.last_command_cycle = state["last_cmd_cycle"]
-        self.data_busy_until = state["data_busy_until"]
-        self._last_data_rank = state["last_data_rank"]
-        self._last_data_is_read = state["last_data_is_read"]
-        self.cmd_bus_cycles = state["cmd_bus_cycles"]
-        self.data_bus_cycles = state["data_bus_cycles"]
-        for rank, payload in zip(self.ranks, state["ranks"]):
-            rank.load_state_dict(payload)
 
     def issue_activate(
         self,

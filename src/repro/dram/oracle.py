@@ -663,92 +663,6 @@ class ProtocolOracle:
         rank.last_refpb = c
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Shadow timing state, so a resumed run keeps auditing.
-
-        A fresh oracle attached mid-stream would false-flag — e.g. the
-        tREFI audit reads ``last_refresh or 0`` and would see an ancient
-        refresh — so the shadows must be checkpointed with everything
-        else.  ``violations`` and the ``_recent`` excerpt buffer restore
-        empty: a strict oracle raises before any snapshot could record a
-        violation, and the excerpt is only diagnostic garnish.
-        """
-        return {
-            "commands_checked": self.commands_checked,
-            "last_cmd_cycle": self._last_cmd_cycle,
-            "data_busy_until": self._data_busy_until,
-            "last_data_rank": self._last_data_rank,
-            "last_data_is_read": self._last_data_is_read,
-            "ranks": [
-                {
-                    "act_times": list(rank.act_times),
-                    "last_act": rank.last_act,
-                    "read_ready": rank.read_ready,
-                    "refresh_done": rank.refresh_done,
-                    "last_refresh": rank.last_refresh,
-                    "refresh_count": rank.refresh_count,
-                    "last_refpb": rank.last_refpb,
-                    "last_col_any": rank.last_col_any,
-                    "group_last_col": list(rank.group_last_col),
-                    "group_read_ready": list(rank.group_read_ready),
-                    "banks": [
-                        {
-                            "open_row": bank.open_row,
-                            "last_act": bank.last_act,
-                            "last_read": bank.last_read,
-                            "last_write": bank.last_write,
-                            "act_ready_after_close":
-                                bank.act_ready_after_close,
-                            "refresh_done": bank.refresh_done,
-                            "refreshing_sa": bank.refreshing_sa,
-                            "last_refresh": bank.last_refresh,
-                            "refresh_count": bank.refresh_count,
-                            "virtual_due": bank.virtual_due,
-                        }
-                        for bank in rank.banks
-                    ],
-                }
-                for rank in self._ranks
-            ],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.commands_checked = state["commands_checked"]
-        self._last_cmd_cycle = state["last_cmd_cycle"]
-        self._data_busy_until = state["data_busy_until"]
-        self._last_data_rank = state["last_data_rank"]
-        self._last_data_is_read = state["last_data_is_read"]
-        for rank, rank_state in zip(self._ranks, state["ranks"]):
-            rank.act_times = deque(rank_state["act_times"], maxlen=4)
-            rank.last_act = rank_state["last_act"]
-            rank.read_ready = rank_state["read_ready"]
-            rank.refresh_done = rank_state["refresh_done"]
-            rank.last_refresh = rank_state["last_refresh"]
-            rank.refresh_count = rank_state["refresh_count"]
-            rank.last_refpb = rank_state["last_refpb"]
-            rank.last_col_any = rank_state["last_col_any"]
-            rank.group_last_col = list(rank_state["group_last_col"])
-            rank.group_read_ready = list(rank_state["group_read_ready"])
-            for bank, bank_state in zip(rank.banks, rank_state["banks"]):
-                bank.open_row = bank_state["open_row"]
-                bank.last_act = bank_state["last_act"]
-                bank.last_read = bank_state["last_read"]
-                bank.last_write = bank_state["last_write"]
-                bank.act_ready_after_close = (
-                    bank_state["act_ready_after_close"]
-                )
-                bank.refresh_done = bank_state["refresh_done"]
-                bank.refreshing_sa = bank_state["refreshing_sa"]
-                bank.last_refresh = bank_state["last_refresh"]
-                bank.refresh_count = bank_state["refresh_count"]
-                bank.virtual_due = bank_state["virtual_due"]
-        self.violations = []
-        self._recent = deque(maxlen=16)
-
-    # ------------------------------------------------------------------
     # End-of-run audit
     # ------------------------------------------------------------------
 

@@ -55,7 +55,7 @@ class Rank:
         #: schedulers' flat-array caches can validate cached
         #: earliest-issue values without re-reading any rank state.
         #: The refresh controller bumps it when it flips
-        #: ``refresh_pending``.  Not serialized (caches rebuild).
+        #: ``refresh_pending``.
         self.ver = 0
         self.refresh_count = 0
         self.refresh_busy_until = 0
@@ -209,41 +209,6 @@ class Rank:
             self.refresh_busy_until,
             self.ready_activate,
         )
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Rank-level gates, the tFAW window, and per-bank payloads."""
-        return {
-            "banks": [bank.state_dict() for bank in self.banks],
-            "ready_activate": self.ready_activate,
-            "ready_read": self.ready_read,
-            "activate_times": list(self._activate_times),
-            "refresh_count": self.refresh_count,
-            "refresh_busy_until": self.refresh_busy_until,
-            "refresh_pending": self.refresh_pending,
-            "refpb_ready": self.refpb_ready,
-            "ready_column_any": self.ready_column_any,
-            "ready_column_group": list(self.ready_column_group),
-            "ready_read_group": list(self.ready_read_group),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for bank, payload in zip(self.banks, state["banks"]):
-            bank.load_state_dict(payload)
-        self.ready_activate = state["ready_activate"]
-        self.ready_read = state["ready_read"]
-        self._activate_times = deque(state["activate_times"], maxlen=4)
-        self.refresh_count = state["refresh_count"]
-        self.refresh_busy_until = state["refresh_busy_until"]
-        self.refresh_pending = state["refresh_pending"]
-        self.refpb_ready = state["refpb_ready"]
-        self.ready_column_any = state["ready_column_any"]
-        self.ready_column_group = list(state["ready_column_group"])
-        self.ready_read_group = list(state["ready_read_group"])
-        self.ver += 1  # loaded fields invalidate any cached view
 
     # ------------------------------------------------------------------
     # Application

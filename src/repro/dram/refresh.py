@@ -112,18 +112,6 @@ class RefreshController:
                     )
         return wake
 
-    def state_dict(self) -> dict:
-        """The per-rank due cycles (``refresh_pending`` lives on Rank)."""
-        return {"due": list(self._due)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._due = list(state["due"])
-        # _min_due == min(_due) is an invariant maintained by tick(),
-        # so recomputing it is exact; the park is not serialized, so
-        # the first due tick after a restore re-derives it.
-        self._min_due = min(self._due) if self.enabled else NEVER
-        self.idle_until = self._min_due
-
     def tick(self, cycle: int) -> bool:
         """Give the refresh engine first claim on this command slot.
 
@@ -338,23 +326,6 @@ class PerBankRefresher:
     def _opportunistic_wakeup(self, cycle: int) -> int:
         """Earliest self-timed pull-in action (DARP); base: never."""
         return NEVER
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Due ledgers and round-robin pointers (bank refresh state —
-        pending flags, windows, counts — lives on Bank/Rank)."""
-        return {
-            "due": [list(row) for row in self._due],
-            "rr": list(self._rr),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._due = [list(row) for row in state["due"]]
-        self._rr = list(state["rr"])
-        self._update_min_due()
 
 
 class DARPRefresher(PerBankRefresher):

@@ -45,12 +45,12 @@ class CheckpointMismatchError(ReproError):
     """A snapshot cannot be restored into the target simulation.
 
     Raised by the checkpoint subsystem when a saved snapshot disagrees
-    with the system it is being loaded into — schema version drift,
-    a different :meth:`SystemConfig.fingerprint`, a different
-    mechanism or driver kind, or observer topology (oracle attached at
-    restore time but absent from the snapshot).  Raising a typed error
-    at the header check keeps config drift from surfacing as a
-    ``KeyError`` deep inside a component's ``load_state_dict``.
+    with the run it is being loaded for — other code, a different
+    :meth:`SystemConfig.fingerprint`, mechanism, driver kind, trace
+    length, FSB wrapping, oracle or engine mode — or cannot be read at
+    all (a file cut short or damaged).  The header is checked before
+    anything is unpickled, so drift surfaces as this typed error
+    instead of as a run resumed into the wrong state.
     """
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-import repro
 from repro.controller.system import MemorySystem
 from repro.cpu.core import CoreResult, OoOCore
 from repro.errors import ConfigError, ReproError
@@ -39,6 +38,7 @@ from repro.settings import Settings, setting
 from repro.sim.config import SystemConfig
 from repro.sim.engine import OpenLoopDriver
 from repro.sim.stats import SimStats
+from repro.version import code_version
 from repro.workloads import make_requests, make_trace, open_loop
 from repro.workloads.trace import Trace
 
@@ -59,37 +59,6 @@ CACHE_VERSION = 1
 # ----------------------------------------------------------------------
 # Cache keys
 # ----------------------------------------------------------------------
-
-_code_version: Optional[str] = None
-
-
-def code_version() -> str:
-    """Digest of every ``repro`` source file, computed once per process.
-
-    Folding this into every cell key means a cached result can never
-    outlive the simulator that produced it: touch any file under
-    ``src/repro`` and the whole store is cleanly invalidated (stale
-    entries are simply never addressed again; ``cache clear`` reclaims
-    the disk).
-    """
-    global _code_version
-    if _code_version is None:
-        from repro.checkpoint import SCHEMA_VERSION
-
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(path.relative_to(root).as_posix().encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        # The checkpoint schema version is part of the digest in its
-        # own right: cell keys name runner checkpoints, so a schema
-        # bump must orphan old snapshots even if some future packaging
-        # change ships serialization outside the hashed source tree.
-        digest.update(f"checkpoint-schema:{SCHEMA_VERSION}".encode("utf-8"))
-        _code_version = digest.hexdigest()[:16]
-    return _code_version
 
 
 def cell_key(
@@ -286,10 +255,9 @@ def cache_gc(max_bytes: int) -> Tuple[int, int]:
 def checkpoint_path(key: str) -> Path:
     """Where an in-flight cell's snapshot lives (keyed like the cache).
 
-    The cell key folds the code version (which folds the checkpoint
-    schema version), so a snapshot can never be resumed by a simulator
-    that would deserialize it differently — the new code simply
-    addresses a different path.
+    The cell key folds the code version, so other code addresses
+    another path; a snapshot's header carries the code version as well,
+    and loading refuses one written by other code.
     """
     return setting("cache_dir") / "checkpoints" / f"{key}.ckpt"
 
@@ -374,13 +342,13 @@ def execute_cell(
         checkpointer.install_signal_handler()
         if snapshot.exists():
             try:
-                load_checkpoint(str(snapshot), driver)
-                resumed_cycle = system.cycle
+                driver = load_checkpoint(str(snapshot), driver)
+                resumed_cycle = driver.system.cycle
             except CheckpointMismatchError as error:
-                # The key holds neither the oracle nor any other
-                # observer, so a snapshot saved without one cannot load
-                # into a system that has it.  Say so, then start over:
-                # a bad snapshot must never wedge the cell permanently.
+                # The key holds neither the oracle nor the engine mode,
+                # and a kill can leave a damaged file behind.  Say so,
+                # then start over: a bad snapshot must never wedge the
+                # cell permanently.
                 print(
                     f"discarded snapshot of {benchmark}/{mechanism}: "
                     f"{error}; starting over",
@@ -398,6 +366,7 @@ def execute_cell(
     if snapshot is not None:
         snapshot.unlink(missing_ok=True)
     core = result if isinstance(result, CoreResult) else None
+    system = driver.system
     return CellRun(system.stats, core, system.mechanism_name, resumed_cycle)
 
 

@@ -144,52 +144,8 @@ class OpenLoopDriver:
         """Record accesses the memory system completed this cycle."""
         self.completed.extend(completed)
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
+    #: The driver kind a snapshot header records.
     kind = "open_loop"
-
-    def state_dict(self, ctx) -> dict:
-        """Driver-side state: each lane's undelivered requests and
-        staged accesses.
-
-        ``completed`` is not serialized: the run loop only compares its
-        length across an iteration and nothing feeds it into SimStats,
-        so a resumed driver restarts it empty (it then holds only the
-        post-resume completions).
-        """
-        return {
-            "lanes": [
-                [
-                    source,
-                    [
-                        [arrival, type_.value, address]
-                        for arrival, type_, address in pending
-                    ],
-                    [ctx.ref(a) for a in staged],
-                ]
-                for source, pending, staged in self._lanes
-            ],
-            "issued": self.issued,
-        }
-
-    def load_state_dict(self, state: dict, ctx) -> None:
-        self._lanes = [
-            (
-                source,
-                deque(
-                    (arrival, AccessType(value), address)
-                    for arrival, value, address in pending
-                ),
-                deque(ctx.get(r) for r in staged),
-            )
-            for source, pending, staged in state["lanes"]
-        ]
-        self.next_arrival = self._earliest_arrival()
-        self._stalled = any(staged for _, _, staged in self._lanes)
-        self.completed = []
-        self.issued = state["issued"]
 
     def run(self, max_cycles: int = 10_000_000, checkpointer=None) -> int:
         """Run to drain; returns the final cycle count."""

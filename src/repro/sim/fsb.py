@@ -115,35 +115,6 @@ class FSBAdapter:
         return delivered
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self, ctx) -> dict:
-        """Bus lane occupancy and the in-flight read fill heap.
-
-        ``last_tick_active`` resets to False on load: run loops read
-        it only right after a ``step()``, and a resumed loop always
-        steps before consulting it.
-        """
-        return {
-            "request_busy_until": self._request_busy_until,
-            "response_busy_until": self._response_busy_until,
-            "pending_responses": [
-                [done, ident, ctx.ref(access)]
-                for done, ident, access in self._pending_responses
-            ],
-        }
-
-    def load_state_dict(self, state: dict, ctx) -> None:
-        self._request_busy_until = state["request_busy_until"]
-        self._response_busy_until = state["response_busy_until"]
-        self._pending_responses = [
-            (done, ident, ctx.get(ref))
-            for done, ident, ref in state["pending_responses"]
-        ]
-        self.last_tick_active = False
-
-    # ------------------------------------------------------------------
     # Next-event time skipping (same protocol as MemorySystem)
     # ------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ Everything the paper's evaluation section plots comes out of
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.dram.channel import RowState
@@ -266,8 +266,8 @@ class SimStats:
         # windows (a leap of >= 2 cycles) versus short ones.  Engine
         # bookkeeping, not simulation results — keeping them out of
         # the field set keeps them out of to_dict()/report(), so
-        # checkpoints and cached results stay byte-identical whether
-        # or not fast-forward ran.
+        # cached results stay byte-identical whether or not
+        # fast-forward ran.
         self.lookout_hits = 0
         self.lookout_misses = 0
 
@@ -290,7 +290,7 @@ class SimStats:
     )
 
     # ------------------------------------------------------------------
-    # Serialization (worker results, result cache, checkpoints)
+    # Serialization (worker results, result cache)
     # ------------------------------------------------------------------
 
     def for_source(self, source: int) -> SourceStats:
@@ -351,23 +351,6 @@ class SimStats:
             for source, stat in data.get("per_source", {}).items()
         }
         return stats
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        """Dataclass field names (serialization coverage checks)."""
-        return tuple(f.name for f in fields(cls))
-
-    def load_state(self, data: Dict[str, object]) -> None:
-        """Restore a :meth:`to_dict` snapshot *into this instance*.
-
-        In-place on purpose: the schedulers, the system and the CPU
-        core all hold references to one shared bundle, so checkpoint
-        restore must refill the existing object rather than swap in a
-        new one.
-        """
-        other = SimStats.from_dict(data)
-        for name in self.field_names():
-            setattr(self, name, getattr(other, name))
 
     # ------------------------------------------------------------------
     # Derived metrics used by the experiment harness

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
@@ -113,9 +113,21 @@ class Trace:
         ``Trace.from_rows(trace_rows(records))``)."""
         return cls(*_columns(rows))
 
+    def columns(self) -> tuple:
+        """The packed ``(gaps, ops, addresses, sources)`` columns;
+        ``sources`` is ``None`` when every record's source is 0."""
+        return self._gaps, self._ops, self._addresses, self._sources
+
     def rows(self) -> Iterator[Row]:
-        """``(gap, op, address, source)`` per record; builds no record."""
-        sources = repeat(0) if self._sources is None else self._sources
+        """``(gap, op, address, source)`` per record; builds no record.
+
+        Built of builtin iterators only (``itertools`` ones stop
+        pickling in Python 3.14), so a snapshot can pickle it with its
+        position: without a sources column, ``0 * gap`` is the zero.
+        """
+        sources = self._sources
+        if sources is None:
+            sources = map((0).__mul__, self._gaps)
         return zip(
             self._gaps, map(OPS.__getitem__, self._ops), self._addresses,
             sources,

@@ -12,10 +12,10 @@ it three ways:
   pass wakes, and while a closed-loop core waits on its ROB head;
 * **a hypothesis property** — random workload × random snapshot point
   × every mechanism, open loop, both FASTFWD modes, oracle attached;
-* **mismatch rejection** — schema drift, config drift, wrong
-  mechanism/driver/FSB topology and truncated files all raise typed
-  :class:`~repro.errors.CheckpointMismatchError` instead of quietly
-  resuming into garbage.
+* **mismatch rejection** — other code, config drift, wrong
+  mechanism/driver/trace/FSB/oracle/engine mode and files cut at any
+  byte all raise typed :class:`~repro.errors.CheckpointMismatchError`
+  instead of quietly resuming into garbage.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
-    SCHEMA_VERSION,
     Checkpointer,
     load_checkpoint,
     read_header,
@@ -47,6 +46,7 @@ from repro.sim.config import baseline_config
 from repro.sim.engine import OpenLoopDriver, run_requests
 from repro.sim.fsb import FSBAdapter
 from repro.timebase import NEVER
+from repro.version import code_version
 from repro.workloads.fleet import make_fleet_requests
 from repro.workloads.mixes import make_mix_trace
 from repro.workloads.spec2000 import make_benchmark_trace
@@ -68,12 +68,12 @@ def _stats_blob(system) -> str:
     return json.dumps(system.stats.to_dict(), sort_keys=True)
 
 
-def _resume(system, requests, path) -> None:
-    """Load the snapshot at ``path`` into a fresh open-loop run of
-    ``system`` over ``requests``, then drain it."""
-    driver = OpenLoopDriver(system, requests)
-    load_checkpoint(path, driver)
+def _resume(system, requests, path):
+    """The run saved at ``path``, loaded for a fresh open-loop run of
+    ``system`` over ``requests`` and drained; returns its system."""
+    driver = load_checkpoint(path, OpenLoopDriver(system, requests))
     driver.run()
+    return driver.system
 
 
 def _roundtrip_at(tmp_path, config, mechanism, requests, predicate,
@@ -98,8 +98,10 @@ def _roundtrip_at(tmp_path, config, mechanism, requests, predicate,
     driver.run()
     reference = _stats_blob(system)
 
-    resumed = MemorySystem(config, mechanism, oracle=oracle)
-    _resume(resumed, list(requests), str(path))
+    resumed = _resume(
+        MemorySystem(config, mechanism, oracle=oracle), list(requests),
+        str(path),
+    )
     assert _stats_blob(resumed) == reference
     return read_header(str(path))
 
@@ -160,9 +162,9 @@ def test_checkpoint_with_refresh_pending(tmp_path):
 def test_checkpoint_inside_constant_occupancy_run(tmp_path, fast):
     """Snapshot mid-way through a long run of unchanged pool occupancy.
 
-    Occupancy is credited per run, so the snapshot must close the open
-    run and the restore open a new one: the resumed statistics must
-    equal an uninterrupted run's under both engines.
+    Occupancy is credited per run, and the snapshot carries the run
+    still open: the resumed statistics must equal an uninterrupted
+    run's under both engines.
     """
     config = _config(QUIET)
     donor = MemorySystem(config, "BkInOrder")
@@ -186,8 +188,10 @@ def test_checkpoint_inside_constant_occupancy_run(tmp_path, fast):
         assert history[-400:] == [0] * 400
         save_checkpoint(str(path), driver)
 
-        resumed = MemorySystem(config, "Burst_TH", oracle=True)
-        _resume(resumed, list(requests), str(path))
+        resumed = _resume(
+            MemorySystem(config, "Burst_TH", oracle=True), list(requests),
+            str(path),
+        )
     assert straight.stats.to_dict() == resumed.stats.to_dict()
     assert resumed.cycle == straight.cycle
 
@@ -225,8 +229,8 @@ def test_checkpoint_at_write_threshold(tmp_path, occupancy):
 
 def test_checkpoint_one_cycle_before_gate_wakes(tmp_path):
     """Snapshot at ``_gate_until - 1``: the resumed run must re-run the
-    gated schedule pass at exactly the same cycle (gates reset on load,
-    so an extra pass must be a proven no-op)."""
+    gated schedule pass at exactly the same cycle (the armed gate and
+    its stamps pickle with the scheduler)."""
     config = _config(QUIET)
     requests = _row_stream(config, 30, rows=4, gap=40)
 
@@ -285,8 +289,10 @@ def test_resume_equals_straight_run(tmp_path, workload, fraction,
                 driver.step()
             save_checkpoint(str(path), driver)
 
-            resumed = MemorySystem(config, mechanism, oracle=True)
-            _resume(resumed, list(requests), str(path))
+            resumed = _resume(
+                MemorySystem(config, mechanism, oracle=True),
+                list(requests), str(path),
+            )
         assert _stats_blob(resumed) == reference, (
             f"{mechanism} diverged after resume at step "
             f"{int(total * fraction)}/{total} (fast={fast})"
@@ -337,10 +343,12 @@ def test_fleet_resume_equals_straight_run(tmp_path, fraction, fast):
             save_checkpoint(str(path), driver)
             assert read_header(str(path))["driver"] == "open_loop"
 
-            resumed = MemorySystem(config, mechanism, oracle=True)
-            fresh = OpenLoopDriver(resumed, list(requests))
-            load_checkpoint(str(path), fresh)
-            fresh.run()
+            fresh = OpenLoopDriver(
+                MemorySystem(config, mechanism, oracle=True), list(requests)
+            )
+            driver = load_checkpoint(str(path), fresh)
+            driver.run()
+            resumed = driver.system
         assert _stats_blob(resumed) == reference, (
             f"{mechanism} fleet resume diverged at step "
             f"{int(steps * fraction)}/{steps} (fast={fast})"
@@ -351,7 +359,8 @@ def test_fleet_resume_equals_straight_run(tmp_path, fraction, fast):
 @pytest.mark.parametrize("with_fsb", [False, True])
 def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
     """CPU-coupled (optionally bus-limited) resume is byte-identical,
-    including the CoreResult and a regenerated trace iterator."""
+    including the CoreResult and a trace iterator that resumes on the
+    target's trace."""
     config = baseline_config(channels=1, ranks=2, banks=2)
 
     def build():
@@ -372,45 +381,10 @@ def test_closed_loop_resume_identical(tmp_path, core_cls, with_fsb):
     path = tmp_path / "cpu.ckpt"
     save_checkpoint(str(path), core)
 
-    core, system = build()
-    load_checkpoint(str(path), core)
-    result = core.run()
-    assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
-
-
-def test_fsb_snapshot_with_dropped_counters_resumes(tmp_path):
-    """A snapshot from before the FSB's unread counters were dropped
-    (it carries ``request_stall_rejects`` and
-    ``response_transfer_cycles``) still loads and resumes exactly."""
-    config = baseline_config(channels=1, ranks=2, banks=2)
-
-    def build():
-        system = MemorySystem(config, "Burst_TH")
-        trace = make_benchmark_trace("swim", accesses=300, seed=5)
-        return OoOCore(FSBAdapter(system), trace), system
-
-    core, system = build()
-    result = core.run()
-    reference = (_stats_blob(system), json.dumps(result.to_dict()))
-
     core, _ = build()
-    for _ in range(300):
-        core.step()
-    path = tmp_path / "fsb.ckpt"
-    save_checkpoint(str(path), core)
-    lines = path.read_text().splitlines()
-    for index, line in enumerate(lines):
-        record = json.loads(line)
-        if record.get("name") == "fsb":
-            record["state"]["request_stall_rejects"] = 3
-            record["state"]["response_transfer_cycles"] = 120
-            lines[index] = json.dumps(record, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-
-    core, system = build()
-    load_checkpoint(str(path), core)
+    core = load_checkpoint(str(path), core)
     result = core.run()
-    assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
+    assert (_stats_blob(core.system), json.dumps(result.to_dict())) == reference
 
 
 @pytest.mark.parametrize("core_cls", [OoOCore])
@@ -443,11 +417,11 @@ def test_mix_resume_with_staged_record_identical(tmp_path, core_cls):
     path = tmp_path / "mix.ckpt"
     save_checkpoint(str(path), core)
 
-    core, system = build()
-    load_checkpoint(str(path), core)
+    core, _ = build()
+    core = load_checkpoint(str(path), core)
     assert core._staged[3] == staged_source
     result = core.run()
-    assert (_stats_blob(system), json.dumps(result.to_dict())) == reference
+    assert (_stats_blob(core.system), json.dumps(result.to_dict())) == reference
 
 
 @pytest.mark.parametrize("with_fsb", [False, True])
@@ -502,10 +476,9 @@ def test_snapshot_inside_wait_resumes_identical(tmp_path, with_fsb):
         assert kept["wait"] and kept["store"]
 
         for path in kept["wait"] + kept["store"]:
-            core, system = build()
-            load_checkpoint(str(path), core)
+            core = load_checkpoint(str(path), build()[0])
             result = core.run()
-            resumed = (_stats_blob(system), json.dumps(result.to_dict()))
+            resumed = (_stats_blob(core.system), json.dumps(result.to_dict()))
             assert resumed == reference
 
 
@@ -545,10 +518,9 @@ def test_snapshot_inside_frozen_span_resumes_identical(tmp_path):
         assert len(snapshots) > 20
 
         for path in snapshots:
-            core, system = build()
-            load_checkpoint(str(path), core)
+            core = load_checkpoint(str(path), build()[0])
             result = core.run()
-            resumed = (_stats_blob(system), json.dumps(result.to_dict()))
+            resumed = (_stats_blob(core.system), json.dumps(result.to_dict()))
             assert resumed == reference, path.name
 
 
@@ -565,9 +537,8 @@ def test_restored_references_share_identity(tmp_path):
     path = tmp_path / "identity.ckpt"
     save_checkpoint(str(path), driver)
 
-    resumed = MemorySystem(config, "FCFS")
-    fresh = OpenLoopDriver(resumed, requests)
-    load_checkpoint(str(path), fresh)
+    fresh = OpenLoopDriver(MemorySystem(config, "FCFS"), requests)
+    resumed = load_checkpoint(str(path), fresh).system
     scheduler = resumed.schedulers[0]
     by_id = {}
     for _done, _ident, access in scheduler._completions:
@@ -594,13 +565,19 @@ def _small_snapshot(tmp_path, mechanism="Burst_TH", oracle=False):
     return config, requests, path
 
 
-def test_schema_drift_rejected(tmp_path):
+def _edit_header(path, **changes) -> None:
+    """Rewrite the snapshot header at ``path`` with ``changes``."""
+    first, payload = path.read_bytes().split(b"\n", 1)
+    header = dict(json.loads(first), **changes)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def test_other_code_version_rejected(tmp_path):
+    """A snapshot written by other code is refused, however its layout
+    looks: the code version is the one schema number."""
     config, requests, path = _small_snapshot(tmp_path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["schema"] = SCHEMA_VERSION + 1
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(CheckpointMismatchError, match="schema"):
+    _edit_header(path, code_version="0123456789abcdef")
+    with pytest.raises(CheckpointMismatchError, match="code version"):
         _resume(
             MemorySystem(config, "Burst_TH"), requests, str(path)
         )
@@ -609,45 +586,11 @@ def test_schema_drift_rejected(tmp_path):
 def test_snapshot_with_legacy_meta_still_loads(tmp_path):
     """Saves once wrote a ``meta`` header key; loading ignores it."""
     config, requests, path = _small_snapshot(tmp_path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["meta"] = {"benchmark": "swim", "cpu": "ooo"}
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    system = MemorySystem(config, "Burst_TH")
-    _resume(system, requests, str(path))
+    _edit_header(path, meta={"benchmark": "swim", "cpu": "ooo"})
+    system = _resume(MemorySystem(config, "Burst_TH"), requests, str(path))
     reference = MemorySystem(config, "Burst_TH")
     OpenLoopDriver(reference, requests).run()
     assert system.stats.to_dict() == reference.stats.to_dict()
-
-
-def test_old_schema_snapshot_rejected(tmp_path):
-    """Pre-fleet snapshots (schema 2, no per-source state) must be
-    refused, not silently resumed with empty per-source stats."""
-    config, requests, path = _small_snapshot(tmp_path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["schema"] = 2
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(CheckpointMismatchError, match="schema"):
-        _resume(
-            MemorySystem(config, "Burst_TH"), requests, str(path)
-        )
-
-
-def test_pre_generation_snapshot_rejected(tmp_path):
-    """Schema-3 snapshots predate the generation profiles (bank-group
-    gating state in ranks and oracle shadows, the Burst_BPW drain
-    latch) and must be refused, not silently resumed with those fields
-    defaulted."""
-    config, requests, path = _small_snapshot(tmp_path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["schema"] = 3
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(CheckpointMismatchError, match="schema"):
-        _resume(
-            MemorySystem(config, "Burst_TH"), requests, str(path)
-        )
 
 
 def test_config_fingerprint_drift_rejected(tmp_path):
@@ -694,21 +637,72 @@ def test_oracle_without_snapshot_state_rejected(tmp_path):
         )
 
 
-def test_oracleless_target_accepts_oracle_snapshot(tmp_path):
-    """The reverse is fine: shadow state in the snapshot is ignored."""
+def test_oracleless_target_rejects_oracle_snapshot(tmp_path):
+    """The reverse is refused too: the restored run would bring its
+    oracle along, so the two must agree."""
     config, requests, path = _small_snapshot(tmp_path, oracle=True)
-    resumed = MemorySystem(config, "Burst_TH", oracle=False)
-    _resume(resumed, requests, str(path))
+    with pytest.raises(CheckpointMismatchError, match="oracle"):
+        _resume(
+            MemorySystem(config, "Burst_TH", oracle=False),
+            requests, str(path),
+        )
 
 
-def test_truncated_snapshot_rejected(tmp_path):
+def test_engine_mode_mismatch_rejected(tmp_path):
+    """The engine mode is read once, at construction, and pickles with
+    the run, so a snapshot resumes only in the mode it was saved in."""
+    with fastfwd(True):
+        config, requests, path = _small_snapshot(tmp_path)
+    with fastfwd(False):
+        target = MemorySystem(config, "Burst_TH")
+    with pytest.raises(CheckpointMismatchError, match="fastfwd"):
+        _resume(target, requests, str(path))
+
+
+@pytest.mark.parametrize(
+    "where", ["empty", "in-header", "after-header", "in-payload", "last-byte"]
+)
+def test_truncated_snapshot_rejected(tmp_path, where):
+    """A file cut at any byte (a kill mid-write that escaped the atomic
+    rename, a full disk) is a typed error, never a decode error."""
     config, requests, path = _small_snapshot(tmp_path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")   # drop the end guard
+    data = path.read_bytes()
+    header = data.index(b"\n") + 1
+    cut = {
+        "empty": 0,
+        "in-header": header // 2,
+        "after-header": header,
+        "in-payload": (header + len(data)) // 2,
+        "last-byte": len(data) - 1,
+    }[where]
+    path.write_bytes(data[:cut])
     with pytest.raises(CheckpointMismatchError, match="truncated"):
         _resume(
             MemorySystem(config, "Burst_TH"), requests, str(path)
         )
+
+
+def test_snapshot_refers_to_its_trace(tmp_path):
+    """A closed-loop snapshot holds no copy of its trace, and a target
+    whose trace has another length is refused."""
+    config = baseline_config(channels=1, ranks=2, banks=2)
+    trace = make_benchmark_trace("swim", accesses=50_000, seed=5)
+    core = OoOCore(MemorySystem(config, "Burst_TH"), trace)
+    for _ in range(2000):
+        core.step()
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(str(path), core)
+    column_bytes = sum(
+        len(column) * getattr(column, "itemsize", 1)
+        for column in trace.columns() if column is not None
+    )
+    assert path.stat().st_size < column_bytes / 10
+    assert read_header(str(path))["trace_records"] == 50_000
+
+    shorter = make_benchmark_trace("swim", accesses=49_999, seed=5)
+    target = OoOCore(MemorySystem(config, "Burst_TH"), shorter)
+    with pytest.raises(CheckpointMismatchError, match="trace length"):
+        load_checkpoint(str(path), target)
 
 
 # ----------------------------------------------------------------------
@@ -728,7 +722,7 @@ def test_periodic_snapshots_and_meta(tmp_path):
     assert checkpointer.saves >= 2
     header = read_header(str(path))
     assert "meta" not in header
-    assert header["schema"] == SCHEMA_VERSION
+    assert header["code_version"] == code_version()
 
 
 @pytest.mark.parametrize("every", [0, -5])
@@ -761,8 +755,9 @@ def test_requested_stop_saves_then_exits_143(tmp_path):
     assert exit_info.value.code == 143
     assert path.exists()
 
-    resumed = MemorySystem(config, "Burst_TH")
-    _resume(resumed, list(requests), str(path))
+    resumed = _resume(
+        MemorySystem(config, "Burst_TH"), list(requests), str(path)
+    )
     assert _stats_blob(resumed) == reference
 
 

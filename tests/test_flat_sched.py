@@ -351,7 +351,7 @@ def test_lookout_counters_move_and_stay_out_of_snapshots():
 
     They are engine bookkeeping, not simulation results: they must
     move under the fast engine yet never appear in ``to_dict()`` (the
-    checkpoint / cache byte-identity surface).
+    cache and worker byte-identity surface).
     """
     config = _config(QUIET)
     with pinned(REPRO_FASTFWD="1"):

@@ -16,7 +16,7 @@ fourfold.
 The second half checks that each field replacing a property or helper
 holds exactly what that property computed, across every place the
 underlying state changes: construction, the updating operation, and
-checkpoint restore.
+a pickle round trip (a snapshot is the pickled run).
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def test_microbench_trace_memory_per_record_within_budget():
 @pytest.mark.parametrize("kind", list(AccessType))
 def test_access_direction_fields_survive_round_trip(kind):
     access = MemoryAccess(kind, 0x40, DecodedAddress(0, 0, 1, 2, 3), 7)
-    restored = MemoryAccess.from_state(access.to_state())
+    restored = pickle.loads(pickle.dumps(access))
     for record in (access, restored):
         assert record.is_read is (record.type is AccessType.READ)
         assert record.is_write is (record.type is AccessType.WRITE)
@@ -215,9 +215,7 @@ def test_refresher_idle_until_tracks_due_ledger(factory):
     assert refresher.idle_until == _old_idle_until(refresher)
     refresher._retire(0, 0)
     assert refresher.idle_until == _old_idle_until(refresher)
-    state = refresher.state_dict()
-    fresh = factory()
-    fresh.load_state_dict(state)
+    fresh = pickle.loads(pickle.dumps(refresher))
     assert fresh.idle_until == refresher.idle_until
     assert fresh.idle_until == _old_idle_until(fresh)
 
@@ -227,7 +225,7 @@ def test_refresher_idle_until_never_when_disabled():
     channel = Channel(timing, 0, ranks=1, banks=2)
     for refresher in (PerBankRefresher(channel), DARPRefresher(channel)):
         assert refresher.idle_until == NEVER
-        refresher.load_state_dict(refresher.state_dict())
+        refresher = pickle.loads(pickle.dumps(refresher))
         assert refresher.idle_until == NEVER
 
 
@@ -255,8 +253,7 @@ def test_channel_last_command_cycle_restored():
     assert channel.last_command_cycle == -1
     channel.issue_activate(5, 0, 0, 3)
     assert channel.last_command_cycle == 5
-    fresh = Channel(DDR2_800, 0, ranks=1, banks=2)
-    fresh.load_state_dict(channel.state_dict())
+    fresh = pickle.loads(pickle.dumps(channel))
     assert fresh.last_command_cycle == 5
     assert not fresh.command_bus_free(5)
     assert fresh.command_bus_free(6)

@@ -350,8 +350,10 @@ def test_checkpoint_resume_under_policy(tmp_path, policy):
     driver.run()
     reference = _stats_blob(system)
 
-    resumed = MemorySystem(config, "Burst_TH", oracle=True)
-    driver = OpenLoopDriver(resumed, list(requests))
-    load_checkpoint(str(path), driver)
+    driver = OpenLoopDriver(
+        MemorySystem(config, "Burst_TH", oracle=True), list(requests)
+    )
+    driver = load_checkpoint(str(path), driver)
     driver.run()
+    resumed = driver.system
     assert _stats_blob(resumed) == reference
